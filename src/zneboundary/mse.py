@@ -25,15 +25,15 @@ bit-identical results.
 
 from __future__ import annotations
 
-import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AllocationError, ModelError
+from .errors import AllocationError, ConfigError, ModelError
 from .models import MonomialBalanceModel, NoiseObservableModel, check_scaled_eps
 from .rules import RichardsonRule, optimal_allocation
 
@@ -171,6 +171,10 @@ def integerize_allocation(alloc: Sequence[float], budget: int) -> np.ndarray:
     """
     pi = np.asarray(alloc, dtype=float)
     budget = int(budget)
+    if not np.all(np.isfinite(pi)) or np.any(pi < 0):
+        raise AllocationError(
+            f"allocation fractions must be finite and non-negative, got {pi.tolist()}"
+        )
     if budget < pi.size:
         raise AllocationError(
             f"budget {budget} too small to give each of {pi.size} levels a shot"
@@ -186,18 +190,32 @@ def integerize_allocation(alloc: Sequence[float], budget: int) -> np.ndarray:
     for idx in np.nonzero(shots == 0)[0]:
         shots[int(np.argmax(shots))] -= 1
         shots[idx] = 1
-    assert int(shots.sum()) == budget and np.all(shots >= 1)
+    if int(shots.sum()) != budget or np.any(shots < 1):
+        raise AllocationError(
+            f"allocation {pi.tolist()} cannot split budget {budget} into positive "
+            f"level shots (got {shots.tolist()})"
+        )
     return shots
 
 
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """splitmix64 finalizer of a Python int or, elementwise, a uint64 array."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _absorb(h, part):
+    """Fold one cell index (int or uint64 array) into the running key hash."""
+    return _splitmix64(h ^ ((part + 0x1F) & _MASK64))
+
+
+def _budget_hash(master_seed: int, budget_idx: int) -> int:
+    return _absorb(master_seed & _MASK64, budget_idx)
 
 
 def cell_stream(
@@ -208,13 +226,26 @@ def cell_stream(
     The Philox key is a hash of (master_seed, budget, eps, arm, replicate),
     so streams for distinct cells are independent and the table can be filled
     in any order, or concurrently, with identical results.  Arm slot 0 is the
-    unmitigated arm; slot 1+j is scaled level j.
+    unmitigated arm; slot 1+j is scaled level j.  This is the single-cell
+    reference; :func:`sample_count_table` draws the same streams table-wide.
     """
-    h = master_seed & _MASK64
-    for part in (budget_idx, eps_idx, arm_slot, rep_idx):
-        h = _splitmix64(h ^ ((part + 0x1F) & _MASK64))
+    h = _budget_hash(master_seed, budget_idx)
+    for part in (eps_idx, arm_slot, rep_idx):
+        h = _absorb(h, part)
     key = np.array([h, _splitmix64(h)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _budget_keys(master_seed: int, budget_idx: int, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Both Philox key words of every (eps, arm, replicate) cell of one budget.
+
+    The same hash chain as :func:`cell_stream`, vectorized over the cell
+    indices; two uint64 arrays of the given shape.
+    """
+    h = _budget_hash(master_seed, budget_idx)
+    for part in np.indices(shape, dtype=np.uint64):
+        h = _absorb(h, part)
+    return h, _splitmix64(h)
 
 
 @dataclass
@@ -272,46 +303,116 @@ class CountTable:
         }
 
     def write(self, csv_path, header_path) -> None:
-        """Persist as a columnar CSV plus a JSON header."""
+        """Persist as a columnar CSV plus a JSON header.
+
+        Rows run in (budget, eps, arm, replicate) order and end in ``\\r\\n``,
+        the bytes ``csv.writer`` produces; one budget is formatted per write.
+        """
+        nb, ne, ns, nr = self.shots.shape
+        e, s, r = np.indices((ne, ns, nr)).reshape(3, -1)
         with open(csv_path, "w", newline="") as fh:
             fh.write(f"# zneboundary-schema={COUNTS_SCHEMA_VERSION}\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["budget_idx", "eps_idx", "scale_idx", "rep_idx", "shots", "plus_count"]
-            )
-            nb, ne, ns, nr = self.shots.shape
+            fh.write(",".join(_COUNT_COLUMNS) + "\r\n")
             for b in range(nb):
-                for e in range(ne):
-                    for s in range(ns):
-                        for r in range(nr):
-                            writer.writerow(
-                                [b, e, s - 1, r,
-                                 int(self.shots[b, e, s, r]),
-                                 int(self.plus[b, e, s, r])]
-                            )
+                block = np.column_stack(
+                    (np.full_like(e, b), e, s - 1, r,
+                     self.shots[b].ravel(), self.plus[b].ravel())
+                )
+                fh.write((_COUNT_ROW * len(block)) % tuple(block.ravel().tolist()))
         Path(header_path).write_text(json.dumps(self.header(), indent=2, sort_keys=True))
 
     @classmethod
     def read(cls, csv_path, header_path) -> "CountTable":
+        """Load a table written by :meth:`write`, one budget block at a time.
+
+        Every cell must appear exactly once, in any order; a wrong column
+        header, an out-of-range index, a duplicate, a missing or an extra row
+        raises :class:`ConfigError` naming the file and the first such row.
+        """
         header = json.loads(Path(header_path).read_text())
         budgets = tuple(int(b) for b in header["budgets"])
         eps_grids = tuple(tuple(float(x) for x in g) for g in header["eps_grids"])
         scales = tuple(float(s) for s in header["scales"])
         shape = (len(budgets), len(eps_grids[0]), len(scales) + 1, int(header["replicates"]))
-        shots = np.zeros(shape, dtype=np.int64)
-        plus = np.zeros(shape, dtype=np.int64)
-        with open(csv_path, newline="") as fh:
-            reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-            for row in reader:
-                b, e = int(row["budget_idx"]), int(row["eps_idx"])
-                s, r = int(row["scale_idx"]) + 1, int(row["rep_idx"])
-                shots[b, e, s, r] = int(row["shots"])
-                plus[b, e, s, r] = int(row["plus_count"])
+        n_cells = int(np.prod(shape))
+        block_rows = n_cells // shape[0]
+        shots = np.zeros(n_cells, dtype=np.int64)
+        plus = np.zeros(n_cells, dtype=np.int64)
+        seen = np.zeros(n_cells, dtype=bool)
+        with open(csv_path) as fh:
+            line = fh.readline()
+            while line.startswith("#"):
+                line = fh.readline()
+            if line.rstrip("\n").split(",") != list(_COUNT_COLUMNS):
+                raise ConfigError(
+                    f"count table {csv_path}: column header {line.strip()!r}, "
+                    f"expected {','.join(_COUNT_COLUMNS)!r}"
+                )
+            n_read = 0
+            while n_read < n_cells:
+                rows = _read_count_block(fh, min(block_rows, n_cells - n_read), csv_path)
+                if not len(rows):
+                    break
+                idx = rows[:, :4] + (0, 0, 1, 0)  # scale_idx -1 is arm slot 0
+                bad = np.any((idx < 0) | (idx >= shape), axis=1)
+                flat = np.ravel_multi_index(idx.T, shape, mode="clip")
+                repeat = np.ones(len(rows), dtype=bool)
+                repeat[np.unique(flat, return_index=True)[1]] = False
+                repeat |= seen[flat]
+                if np.any(bad | repeat):
+                    i = int(np.argmax(bad | repeat))
+                    raise ConfigError(
+                        f"count table {csv_path}: data row {n_read + i + 1} "
+                        f"{_describe_row(rows[i])}: "
+                        + ("index out of range" if bad[i] else "duplicate cell")
+                    )
+                seen[flat] = True
+                shots[flat] = rows[:, 4]
+                plus[flat] = rows[:, 5]
+                n_read += len(rows)
+            for line in fh:
+                if line.strip():
+                    raise ConfigError(
+                        f"count table {csv_path}: data row {n_read + 1} {line.strip()!r}: "
+                        f"extra row beyond the table's {n_cells} cells"
+                    )
+        if not seen.all():
+            cell = np.unravel_index(int(np.argmin(seen)), shape)
+            raise ConfigError(
+                f"count table {csv_path}: no row for cell "
+                f"{_describe_row(np.subtract(cell, (0, 0, 1, 0)))}"
+            )
         return cls(
             budgets=budgets, eps_grids=eps_grids, scales=scales,
-            shots=shots, plus=plus, master_seed=int(header["master_seed"]),
+            shots=shots.reshape(shape), plus=plus.reshape(shape),
+            master_seed=int(header["master_seed"]),
             model_spec=header.get("model", {}), rule_spec=header.get("rule", {}),
         )
+
+
+_COUNT_COLUMNS = ("budget_idx", "eps_idx", "scale_idx", "rep_idx", "shots", "plus_count")
+_COUNT_ROW = "%d,%d,%d,%d,%d,%d\r\n"
+
+
+def _describe_row(row) -> str:
+    return "(" + ", ".join(f"{col}={int(v)}" for col, v in zip(_COUNT_COLUMNS, row)) + ")"
+
+
+def _read_count_block(fh, max_rows: int, csv_path) -> np.ndarray:
+    """Up to ``max_rows`` integer rows from the current position of ``fh``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, comments=None,
+                              max_rows=max_rows, ndmin=2)
+    except ValueError as err:
+        raise ConfigError(f"count table {csv_path}: {err}") from err
+    if rows.size and rows.shape[1] != len(_COUNT_COLUMNS):
+        raise ConfigError(
+            f"count table {csv_path}: rows have {rows.shape[1]} columns, "
+            f"expected {len(_COUNT_COLUMNS)}"
+        )
+    return rows
 
 
 def sample_count_table(
@@ -324,7 +425,12 @@ def sample_count_table(
     *,
     realloc: str = "fixed",
 ) -> CountTable:
-    """Draw the full raw-count table for an experiment grid."""
+    """Draw the full raw-count table for an experiment grid.
+
+    Cell (b, e, arm, rep) draws from the stream ``cell_stream(master_seed,
+    b, e, arm, rep)`` would return, so tables match a cell-by-cell loop
+    bit for bit; the keys are derived one budget at a time.
+    """
     if not isinstance(model, NoiseObservableModel):
         raise ModelError("model has no sampler")
     if replicates < 2:
@@ -339,22 +445,38 @@ def sample_count_table(
     n_arms = len(rule.scales) + 1
     shots = np.zeros((len(budgets), n_eps, n_arms, replicates), dtype=np.int64)
     plus = np.zeros_like(shots)
+    # One Philox for the whole table, re-keyed per cell.  A fresh Philox
+    # starts at counter 0 with its four-word output buffer empty, so every
+    # reset restores the buffer fields as well: a stale ``buffer_pos`` would
+    # hand the next cell the previous cell's leftover draws.
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    key = [0, 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for b_idx, budget in enumerate(budgets):
+        k0, k1 = _budget_keys(master_seed, b_idx, (n_eps, n_arms, replicates))
         for e_idx, eps in enumerate(eps_grids[b_idx]):
             eps = float(eps)
             check_scaled_eps(model, eps, rule.scales)
             pi = _resolve_alloc(model, rule, eps, realloc)
             level_shots = integerize_allocation(pi, budget)
-            cell_shots = np.concatenate(([budget], level_shots))
-            strengths = np.concatenate(([eps], np.asarray(rule.scales) * eps))
-            for arm in range(n_arms):
-                for rep in range(replicates):
-                    rng = cell_stream(master_seed, b_idx, e_idx, arm, rep)
-                    n = int(cell_shots[arm])
-                    shots[b_idx, e_idx, arm, rep] = n
-                    plus[b_idx, e_idx, arm, rep] = model.sample_counts(
-                        float(strengths[arm]), n, rng
-                    )
+            cell_shots = [budget] + level_shots.tolist()
+            strengths = [eps] + [float(lam) * eps for lam in rule.scales]
+            keys = zip(k0[e_idx].tolist(), k1[e_idx].tolist())
+            for arm, (n, strength, arm_keys) in enumerate(zip(cell_shots, strengths, keys)):
+                draws = []
+                for key[0], key[1] in zip(*arm_keys):  # re-keys ``fresh``
+                    bitgen.state = fresh
+                    draws.append(model.sample_counts(strength, n, rng))
+                shots[b_idx, e_idx, arm] = n
+                plus[b_idx, e_idx, arm] = draws
     return CountTable(
         budgets=tuple(budgets),
         eps_grids=tuple(tuple(float(x) for x in g) for g in eps_grids),

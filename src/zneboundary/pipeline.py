@@ -80,6 +80,12 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Evaluate the MSE-difference grid with the configured engine."""
     model, rule = cfg.model(), cfg.rule()
     grids = build_grids(cfg)
+    lengths = [len(g) for g in grids]
+    if len(set(lengths)) > 1:
+        raise ConfigError(
+            "per-budget eps grids must have equal length, got "
+            + ", ".join(f"{n} points at B={b:g}" for b, n in zip(cfg.budgets, lengths))
+        )
     if cfg.is_monte_carlo:
         table = sample_count_table(
             model, rule, [int(b) for b in cfg.budgets],

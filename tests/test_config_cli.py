@@ -112,6 +112,20 @@ class TestConfig:
 
 
 class TestPipelineArtifacts:
+    @pytest.mark.parametrize("engine", [None, {"kind": "monte_carlo", "replicates": 4}])
+    def test_unequal_grid_lengths_rejected(self, engine):
+        # the domain truncates the B=1e3 window: 196 points against 296 at 1e4
+        raw = {
+            "model": {"type": "linear_bias_binary", "mu0": 0.5, "alpha": 1.0},
+            "rule": {"scales": [1, 3, 5], "alloc": "uniform"},
+            "grid": {"mode": "auto", "span": [0.1, 10.0], "points_per_decade": 200},
+            "budgets": {"values": [1000, 10000]},
+        }
+        if engine:
+            raw.update(engine=engine, seed=1)
+        with pytest.raises(ConfigError, match="196 points at B=1000, 296 points at B=10000"):
+            run_sweep(parse_config(raw))
+
     def test_delta_csv_round_trip(self, tmp_path):
         cfg = parse_config(dict(DLB_EXACT, budgets={"values": [1e4, 1e5, 1e6]}))
         sweep = run_sweep(cfg)

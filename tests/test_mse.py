@@ -1,9 +1,15 @@
 """Exact and Monte Carlo MSE engines, count tables, and integerization."""
 
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from zneboundary.errors import AllocationError, ModelError
+from zneboundary.errors import AllocationError, ConfigError, ModelError
 from zneboundary.models import (
     DeterministicLimitBinary,
     LinearBiasBinary,
@@ -21,7 +27,7 @@ from zneboundary.mse import (
     mc_delta,
     sample_count_table,
 )
-from zneboundary.rules import build_rule
+from zneboundary.rules import build_rule, optimal_allocation
 
 DLB = DeterministicLimitBinary(kappa=1.0)
 LBB = LinearBiasBinary(mu0=0.5, alpha=1.0)
@@ -157,6 +163,15 @@ class TestIntegerize:
         with pytest.raises(AllocationError, match="too small"):
             integerize_allocation((0.5, 0.3, 0.2), 2)
 
+    @pytest.mark.parametrize("alloc", [(float("nan"), 0.5), (float("inf"), 0.5), (1.5, -0.5)])
+    def test_non_finite_or_negative_fractions_rejected(self, alloc):
+        with pytest.raises(AllocationError, match="finite and non-negative"):
+            integerize_allocation(alloc, 100)
+
+    def test_fractions_summing_past_one_rejected(self):
+        with pytest.raises(AllocationError, match="cannot split budget 100"):
+            integerize_allocation((0.9, 0.9), 100)
+
     def test_largest_remainder_accuracy(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -206,6 +221,56 @@ class TestCellStreams:
         a = cell_stream(1, 0, 0, 0, 0).random()
         b = cell_stream(2, 0, 0, 0, 0).random()
         assert a != b
+
+
+def reference_table(model, rule, budgets, eps_grids, replicates, seed, realloc):
+    """Cell-by-cell sampling through the documented single-cell stream."""
+    shape = (len(budgets), len(eps_grids[0]), len(rule.scales) + 1, replicates)
+    shots = np.zeros(shape, dtype=np.int64)
+    plus = np.zeros(shape, dtype=np.int64)
+    for b, budget in enumerate(budgets):
+        for e, eps in enumerate(eps_grids[b]):
+            alloc = rule.alloc if realloc == "fixed" else optimal_allocation(rule, model, eps)
+            arm_shots = [budget, *integerize_allocation(alloc, budget)]
+            strengths = [eps, *(lam * eps for lam in rule.scales)]
+            for arm in range(shape[2]):
+                for rep in range(replicates):
+                    shots[b, e, arm, rep] = arm_shots[arm]
+                    plus[b, e, arm, rep] = model.sample_counts(
+                        strengths[arm], int(arm_shots[arm]),
+                        cell_stream(seed, b, e, arm, rep),
+                    )
+    return shots, plus
+
+
+class TestTableSamplerMatchesCellStreams:
+    CASES = {
+        "dlb13": (DLB, [1, 3], [[0.01, 0.02, 0.05], [0.005, 0.01, 0.03]]),
+        "pcs135": (ProductContractionString(gamma=0.1, ell=5), [1, 3, 5],
+                   [[0.01, 0.05, 0.2], [0.02, 0.1, 0.3]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("realloc", ["fixed", "optimal"])
+    @pytest.mark.parametrize("seed", [0, 77, 2**63 + 5, -1])
+    def test_cell_for_cell(self, case, realloc, seed):
+        model, scales, grids = self.CASES[case]
+        rule, budgets = build_rule(scales), [300, 3000]
+        table = sample_count_table(model, rule, budgets, grids, 3, seed, realloc=realloc)
+        shots, plus = reference_table(model, rule, budgets, grids, 3, seed, realloc)
+        assert np.array_equal(table.shots, shots)
+        assert np.array_equal(table.plus, plus)
+
+    def test_counts_csv_bytes_pinned(self, tmp_path):
+        # stream-version tripwire: a different digest means the random
+        # streams or the file format changed, which needs a version bump
+        table = sample_count_table(
+            DLB, RULE13, budgets=[500, 2000], eps_grids=[[0.01, 0.02], [0.005, 0.01]],
+            replicates=6, master_seed=77,
+        )
+        table.write(tmp_path / "counts.csv", tmp_path / "counts.json")
+        digest = hashlib.sha256((tmp_path / "counts.csv").read_bytes()).hexdigest()
+        assert digest == "f4ce3f71bad3dc60a02c73e4c09945f41a8c491bdf793a852c7f293bd761f361"
 
 
 class TestMonteCarlo:
@@ -303,3 +368,119 @@ class TestCountTable:
                 budgets=(2,), eps_grids=((0.1,),), scales=(1.0, 3.0),
                 shots=shots, plus=np.zeros_like(shots), master_seed=0,
             )
+
+    def test_rows_in_any_order_are_accepted(self, tmp_path):
+        table = self.make_table()
+        csv_path, header_path = tmp_path / "counts.csv", tmp_path / "counts.json"
+        table.write(csv_path, header_path)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:2] + lines[:1:-1]))
+        back = CountTable.read(csv_path, header_path)
+        assert np.array_equal(back.shots, table.shots)
+        assert np.array_equal(back.plus, table.plus)
+
+
+class TestCountTableRowValidation:
+    """Each corruption of a written table is rejected with the file and row named."""
+
+    def corrupt(self, tmp_path, edit):
+        table = TestCountTable().make_table()
+        csv_path, header_path = tmp_path / "counts.csv", tmp_path / "counts.json"
+        table.write(csv_path, header_path)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        edit(lines)  # lines[0] is the schema comment, lines[1] the header
+        csv_path.write_text("".join(lines))
+        with pytest.raises(ConfigError) as err:
+            CountTable.read(csv_path, header_path)
+        assert str(csv_path) in str(err.value)
+        return str(err.value)
+
+    def test_missing_row(self, tmp_path):
+        msg = self.corrupt(tmp_path, lambda lines: lines.pop(8))
+        assert "no row for cell (budget_idx=0, eps_idx=0, scale_idx=0, rep_idx=0)" in msg
+
+    def test_duplicate_row(self, tmp_path):
+        def edit(lines):
+            lines[6] = lines[5]
+        msg = self.corrupt(tmp_path, edit)
+        assert "data row 5 " in msg and "duplicate cell" in msg
+
+    def test_duplicate_across_budget_blocks(self, tmp_path):
+        def edit(lines):
+            lines[-1] = lines[2]
+        msg = self.corrupt(tmp_path, edit)
+        assert f"data row {TestCountTable().make_table().shots.size} " in msg
+        assert "duplicate cell" in msg
+
+    def test_out_of_range_index(self, tmp_path):
+        def edit(lines):
+            lines[4] = "0,9,-1,2,500,497\n"
+        msg = self.corrupt(tmp_path, edit)
+        assert "data row 3 (budget_idx=0, eps_idx=9" in msg and "out of range" in msg
+
+    def test_extra_trailing_rows(self, tmp_path):
+        msg = self.corrupt(tmp_path, lambda lines: lines.append("0,0,-1,0,500,497\r\n"))
+        n_cells = TestCountTable().make_table().shots.size
+        assert f"data row {n_cells + 1} " in msg and "extra row" in msg
+
+    def test_wrong_column_header(self, tmp_path):
+        def edit(lines):
+            lines[1] = lines[1].replace("plus_count", "plus")
+        msg = self.corrupt(tmp_path, edit)
+        assert "column header" in msg
+
+    def test_malformed_row(self, tmp_path):
+        def edit(lines):
+            lines[3] = "0,0,-1,1,500\n"
+        self.corrupt(tmp_path, edit)
+
+
+@st.composite
+def count_tables(draw):
+    n_budgets = draw(st.integers(1, 3))
+    n_eps = draw(st.integers(1, 3))
+    n_scales = draw(st.integers(1, 3))
+    n_reps = draw(st.integers(2, 4))
+    shape = (n_budgets, n_eps, n_scales + 1, n_reps)
+    size = int(np.prod(shape))
+    shots = np.asarray(draw(st.lists(st.integers(1, 10**9), min_size=size, max_size=size)))
+    frac = np.asarray(draw(st.lists(st.floats(0, 1), min_size=size, max_size=size)))
+    plus = np.floor(frac * shots).astype(np.int64)
+    eps = st.floats(1e-9, 10.0, allow_nan=False)
+    return CountTable(
+        budgets=tuple(draw(st.lists(st.integers(1, 10**12), min_size=n_budgets,
+                                    max_size=n_budgets))),
+        eps_grids=tuple(
+            tuple(draw(st.lists(eps, min_size=n_eps, max_size=n_eps)))
+            for _ in range(n_budgets)
+        ),
+        scales=tuple(draw(st.lists(st.floats(1.0, 9.0), min_size=n_scales,
+                                   max_size=n_scales))),
+        shots=shots.reshape(shape).astype(np.int64),
+        plus=plus.reshape(shape),
+        master_seed=draw(st.integers(-(2**63), 2**64 - 1)),
+        model_spec={"type": "deterministic_limit_binary", "kappa": 1.0},
+        rule_spec={"scales": [1.0, 3.0]},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_tables())
+@example(CountTable(
+    budgets=(7,), eps_grids=((0.1,),), scales=(1.0,),
+    shots=np.full((1, 1, 2, 2), 3, dtype=np.int64), plus=np.ones((1, 1, 2, 2), dtype=np.int64),
+    master_seed=-1,
+))
+def test_count_table_round_trip_property(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = Path(tmp, "a.csv"), Path(tmp, "a.json")
+        table.write(*paths)
+        back = CountTable.read(*paths)
+        assert np.array_equal(back.shots, table.shots)
+        assert np.array_equal(back.plus, table.plus)
+        assert back.header() == table.header()
+        assert back.budgets == table.budgets and back.eps_grids == table.eps_grids
+        again = Path(tmp, "b.csv"), Path(tmp, "b.json")
+        back.write(*again)
+        assert again[0].read_bytes() == paths[0].read_bytes()
+        assert again[1].read_bytes() == paths[1].read_bytes()
