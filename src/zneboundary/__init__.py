@@ -16,7 +16,7 @@ from .boundary import (
     auto_window,
     budget_bracket,
     classify_regime,
-    find_crossing,
+    find_crossing_arrays,
     geometric_grid,
     local_optimality_check,
     theoretical_boundary,
@@ -84,7 +84,7 @@ __all__ = [
     "MseBreakdown", "DeltaPoint", "CountTable", "exact_mse", "exact_delta",
     "exact_delta_curve", "mc_delta", "sample_count_table",
     # boundary
-    "CrossingEstimate", "RegimeReport", "BudgetBracket", "find_crossing",
+    "CrossingEstimate", "RegimeReport", "BudgetBracket", "find_crossing_arrays",
     "classify_regime", "theoretical_boundary", "budget_bracket",
     "local_optimality_check", "auto_window", "geometric_grid",
     # fits

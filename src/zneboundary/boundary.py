@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import RegimeError
 from .models import MonomialBalanceModel, scaled_domain_max
-from .mse import DeltaPoint, exact_delta
+from .mse import exact_delta
 from .rules import RichardsonRule, variance_penalty
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "RegimeReport",
     "BudgetBracket",
     "LocalOptimalityResult",
-    "find_crossing",
     "find_crossing_arrays",
     "classify_regime",
     "theoretical_boundary",
@@ -124,18 +123,6 @@ def find_crossing_arrays(
     return CrossingEstimate(budget=budget, eps_star=None, status=STATUS_NO_CROSSING)
 
 
-def find_crossing(points: Sequence[DeltaPoint]) -> CrossingEstimate:
-    """Array wrapper taking the delta curve as DeltaPoint records."""
-    if not points:
-        raise ValueError("empty delta curve")
-    budgets = {p.budget for p in points}
-    if len(budgets) != 1:
-        raise ValueError(f"delta curve mixes budgets {sorted(budgets)}")
-    eps = np.asarray([p.eps for p in points])
-    delta = np.asarray([p.delta for p in points])
-    return find_crossing_arrays(eps, delta, budget=budgets.pop())
-
-
 def classify_regime(
     p: float,
     q: float,
@@ -210,8 +197,7 @@ def theoretical_boundary(
         )
     d_p = amp * amp * (1.0 - rho_p * rho_p)
     pen = variance_penalty(rule, model.variance_exponent, model.variance_level)
-    k_q = pen.k_fixed if allocation == "fixed" else pen.k_opt
-    return classify_regime(p, model.variance_exponent, d_p, k_q)
+    return classify_regime(p, model.variance_exponent, d_p, pen.k(allocation))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .boundary import budget_bracket, classify_regime
 from .config import load_config
@@ -47,7 +45,7 @@ from .pipeline import (
     write_delta_csv,
     write_variance_csv,
 )
-from .rules import build_rule, variance_penalty
+from .rules import allocation_mode, build_rule, small_noise_allocation, variance_penalty
 from .validate import run_battery
 
 EXIT_OK = 0
@@ -71,8 +69,7 @@ def _parse_alloc(text: str):
 
 def cmd_rule(args) -> int:
     alloc = _parse_alloc(args.alloc)
-    rule = build_rule(_parse_scales(args.scales),
-                      "uniform" if alloc == "optimal" else alloc)
+    rule = build_rule(_parse_scales(args.scales), alloc)
     print(f"scales:       {list(rule.scales)}")
     print(f"coefficients: {list(rule.coeffs)}")
     print(f"allocation:   {list(rule.alloc)}" + (" (optimal varies with eps)"
@@ -122,7 +119,7 @@ def cmd_boundary(args) -> int:
     cfg = load_config(args.config, args.set)
     paths = _sweep_paths(cfg)
     if paths["delta"].exists():
-        sweep = read_delta_csv(paths["delta"])
+        sweep = read_delta_csv(paths["delta"], cfg)
         print(f"read {paths['delta']}")
     else:
         sweep = _run_and_write_sweep(cfg, paths)
@@ -142,7 +139,7 @@ def cmd_fit(args) -> int:
         raise ConfigError(
             f"missing crossing table {paths['crossings']}; run `zneboundary boundary` first"
         )
-    crossings = read_crossings_csv(paths["crossings"])
+    crossings = read_crossings_csv(paths["crossings"], cfg)
     counts = None
     if cfg.is_monte_carlo:
         if not (paths["counts_csv"].exists() and paths["counts_json"].exists()):
@@ -191,12 +188,10 @@ def cmd_plan(args) -> int:
         if args.scales is None or args.nu is None:
             raise ConfigError("plan needs --k-q, or --scales and --nu to derive it")
         alloc = _parse_alloc(args.alloc)
-        rule = build_rule(_parse_scales(args.scales),
-                          "uniform" if alloc == "optimal" else alloc)
-        pen = variance_penalty(rule, args.q, args.nu)
-        k_q = pen.k_opt if alloc == "optimal" else pen.k_fixed
-        print(f"variance penalty: K = {k_q:.6g} "
-              f"({'optimal' if alloc == 'optimal' else 'fixed'} allocation)")
+        rule = build_rule(_parse_scales(args.scales), alloc)
+        mode = allocation_mode(alloc)
+        k_q = variance_penalty(rule, args.q, args.nu).k(mode)
+        print(f"variance penalty: K = {k_q:.6g} ({mode} allocation)")
 
     try:
         regime = classify_regime(args.p, args.q, d_p, k_q)
@@ -205,12 +200,8 @@ def cmd_plan(args) -> int:
         return EXIT_OK
 
     if rule is not None:
-        lam = np.asarray(rule.scales)
-        c = np.asarray(rule.coeffs)
-        w = np.abs(c) * lam ** (args.q / 2.0)
-        pi_opt = w / w.sum()
         print("optimal allocation fractions (small-noise limit): "
-              + ", ".join(f"{p:.6g}" for p in pi_opt))
+              + ", ".join(f"{p:.6g}" for p in small_noise_allocation(rule, args.q)))
 
     if regime.regime == "critical":
         print(f"verdict: budget threshold B* = {regime.b_star:.6g}; "

@@ -31,7 +31,7 @@ import yaml
 
 from .errors import ConfigError
 from .models import MonomialBalanceModel, model_from_spec
-from .rules import RichardsonRule, build_rule
+from .rules import RichardsonRule, allocation_mode, build_rule
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config", "config_hash"]
 
@@ -58,7 +58,7 @@ class ExperimentConfig:
 
     @property
     def realloc(self) -> str:
-        return "optimal" if self.rule_spec.get("alloc") == "optimal" else "fixed"
+        return allocation_mode(self.rule_spec.get("alloc"))
 
     def model(self):
         return model_from_spec(self.model_spec)
@@ -66,12 +66,7 @@ class ExperimentConfig:
     def rule(self) -> RichardsonRule | None:
         if isinstance(self.model(), MonomialBalanceModel) or not self.rule_spec:
             return None
-        alloc = self.rule_spec.get("alloc", "uniform")
-        if alloc == "optimal":
-            # per-strength reallocation happens in the engines; the rule
-            # itself carries uniform base fractions
-            alloc = "uniform"
-        return build_rule(self.rule_spec["scales"], alloc)
+        return build_rule(self.rule_spec["scales"], self.rule_spec["alloc"])
 
     @property
     def is_monte_carlo(self) -> bool:
@@ -136,8 +131,9 @@ def _expand_budgets(spec) -> tuple[float, ...]:
         )
     if any(b <= 0 for b in values):
         raise ConfigError("budgets must be positive")
-    if sorted(values) != values:
-        raise ConfigError("budgets must be sorted ascending")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError("budgets must be strictly ascending, got "
+                          + ", ".join(f"{b:g}" for b in values))
     return tuple(values)
 
 
@@ -164,7 +160,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("rule section needs scales (or set rule to null for "
                               "a noisy-vs-itself sweep)")
         alloc = rule_spec.get("alloc", "uniform")
-        build_rule(rule_spec["scales"], "uniform" if alloc == "optimal" else alloc)
+        build_rule(rule_spec["scales"], alloc)
         rule_spec = {"scales": list(rule_spec["scales"]), "alloc": alloc}
     elif isinstance(model, MonomialBalanceModel):
         rule_spec = {}

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FitError
 from .boundary import CrossingEstimate
-from .rules import RichardsonRule
+from .rules import RichardsonRule, penalty_constants
 
 __all__ = [
     "BoundaryFit",
@@ -36,6 +36,7 @@ __all__ = [
     "fit_bias",
     "fit_bias_from_samples",
     "predict_slope",
+    "plugin_constant",
     "constant_check",
 ]
 
@@ -231,6 +232,11 @@ def predict_slope(q_hat: float) -> float:
     return -1.0 / (2.0 - q_hat)
 
 
+def plugin_constant(k_hat: float, alpha_hat: float, q_hat: float) -> float:
+    """Plug-in boundary constant ``(K_hat / alpha_hat^2)^(1/(2 - q_hat))``."""
+    return (k_hat / alpha_hat**2) ** (1.0 / (2.0 - q_hat))
+
+
 def constant_check(
     boundary_fit: BoundaryFit,
     variance_fit: VarianceExponentFit,
@@ -256,23 +262,12 @@ def constant_check(
     q_hat = variance_fit.q_hat
     if q_hat >= 2:
         raise FitError(f"q_hat = {q_hat} >= 2: plug-in constant undefined")
-    lam = np.asarray(rule.scales)
-    c = np.asarray(rule.coeffs)
-    pi = np.asarray(rule.alloc)
-    if allocation == "fixed":
-        k_hat = variance_fit.nu_hat * (float(np.sum(c**2 * lam**q_hat / pi)) - 1.0)
-    elif allocation == "optimal":
-        k_hat = variance_fit.nu_hat * (
-            float(np.sum(np.abs(c) * lam ** (q_hat / 2.0))) ** 2 - 1.0
-        )
-    else:
-        raise ValueError(f"allocation must be 'fixed' or 'optimal', got {allocation!r}")
-    c_plugin = (k_hat / bias_fit.alpha_hat**2) ** (1.0 / (2.0 - q_hat))
+    k_hat = penalty_constants(rule, q_hat, variance_fit.nu_hat).k(allocation)
     c_fit = boundary_fit.c_fit
     return ConstantCheck(
         c_theory=float(c_theory),
         c_fit=c_fit,
         rel_error=abs(c_fit - c_theory) / abs(c_theory),
         k_hat=k_hat,
-        c_hat_plugin=c_plugin,
+        c_hat_plugin=plugin_constant(k_hat, bias_fit.alpha_hat, q_hat),
     )

@@ -81,10 +81,6 @@ class NoiseObservableModel(ABC):
     def variance_level(self) -> float:
         """Coefficient nu of the leading variance term nu * eps^q."""
 
-    @property
-    def ideal_mean(self) -> float:
-        return self.mean(0.0)
-
     @abstractmethod
     def spec(self) -> dict:
         """Round-trippable configuration spec ``{"type": ..., params...}``."""
@@ -405,11 +401,6 @@ def model_from_spec(spec: dict):
     if "p" in given:
         given["p"] = int(given["p"])
     return cls(**given)
-
-
-def is_sampled(model) -> bool:
-    """True for models with a mean curve and sampler."""
-    return isinstance(model, NoiseObservableModel)
 
 
 def scaled_domain_max(model, scales) -> float:

@@ -124,18 +124,8 @@ def exact_delta(
     budget: float,
     *,
     realloc: str = "fixed",
-    excess_variance=None,
 ) -> DeltaPoint:
-    """Exact MSE difference; monomial-balance models return their closed form.
-
-    ``excess_variance`` is the hook for correlated sampling protocols: a
-    callable ``A(eps)`` giving the budget-scaled variance excess of the
-    extrapolated estimator over the unmitigated one.  When supplied it
-    replaces the independent-sampling variance comparison, so the delta is
-    the exact squared-bias difference minus ``A(eps)/budget``.  No
-    correlation model ships with this package; independence across noise
-    levels holds by construction everywhere else.
-    """
+    """Exact MSE difference; monomial-balance models return their closed form."""
     if isinstance(model, MonomialBalanceModel):
         return DeltaPoint(eps=eps, budget=budget, delta=model.delta_mse(eps, budget),
                           source="exact")
@@ -143,11 +133,7 @@ def exact_delta(
         return DeltaPoint(eps=eps, budget=budget, delta=0.0, source="exact")
     noisy = exact_mse(model, None, eps, budget)
     zne = exact_mse(model, rule, eps, budget, realloc=realloc)
-    if excess_variance is not None:
-        delta = noisy.bias_sq - zne.bias_sq - float(excess_variance(eps)) / budget
-    else:
-        delta = noisy.mse - zne.mse
-    return DeltaPoint(eps=eps, budget=budget, delta=delta, source="exact")
+    return DeltaPoint(eps=eps, budget=budget, delta=noisy.mse - zne.mse, source="exact")
 
 
 def exact_delta_curve(
@@ -157,9 +143,10 @@ def exact_delta_curve(
     budget: float,
     *,
     realloc: str = "fixed",
-) -> list[DeltaPoint]:
-    """Exact delta at every grid point, at one fixed budget."""
-    return [exact_delta(model, rule, float(e), budget, realloc=realloc) for e in eps_grid]
+) -> np.ndarray:
+    """Exact delta at every grid point, at one fixed budget, as an array."""
+    return np.array([exact_delta(model, rule, float(e), budget, realloc=realloc).delta
+                     for e in eps_grid])
 
 
 def integerize_allocation(alloc: Sequence[float], budget: int) -> np.ndarray:
@@ -282,13 +269,6 @@ class CountTable:
     @property
     def n_replicates(self) -> int:
         return self.shots.shape[3]
-
-    def cell(self, budget_idx: int, eps_idx: int, scale_idx: int, rep_idx: int):
-        """(shots, plus_count) for one cell; scale_idx -1 is the unmitigated arm."""
-        return (
-            int(self.shots[budget_idx, eps_idx, scale_idx + 1, rep_idx]),
-            int(self.plus[budget_idx, eps_idx, scale_idx + 1, rep_idx]),
-        )
 
     def header(self) -> dict:
         return {

@@ -11,7 +11,8 @@ A run flows sweep -> boundary -> fit:
 
 All artifacts are plain CSV plus one JSON report; column orders are fixed.
 Re-running any stage with the same configuration and seed reproduces every
-byte (reports embed the configuration hash).
+byte (CSVs and reports embed the configuration hash, and a stage refuses a
+delta or crossing table written for another configuration).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .config import SCHEMA_VERSION, ExperimentConfig
 from .errors import ConfigError, FitError, RegimeError
 from .fits import constant_check, fit_bias, fit_boundary, fit_variance_exponent, predict_slope
 from .models import MonomialBalanceModel
-from .mse import CountTable, exact_delta, sample_count_table, deltas_from_counts
+from .mse import CountTable, deltas_from_counts, exact_delta_curve, sample_count_table
 from .resample import bootstrap_pipeline, count_pipeline
 
 __all__ = [
@@ -99,10 +100,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         )
     delta = np.empty((len(cfg.budgets), len(grids[0])))
     for b_idx, budget in enumerate(cfg.budgets):
-        for e_idx, eps in enumerate(grids[b_idx]):
-            delta[b_idx, e_idx] = exact_delta(
-                model, rule, float(eps), float(budget), realloc=cfg.realloc
-            ).delta
+        delta[b_idx] = exact_delta_curve(
+            model, rule, grids[b_idx], float(budget), realloc=cfg.realloc
+        )
     return SweepResult(
         budgets=cfg.budgets,
         eps_grids=tuple(tuple(float(e) for e in g) for g in grids),
@@ -135,6 +135,19 @@ def _data_lines(fh):
     return (line for line in fh if not line.startswith("#"))
 
 
+def _require_config_hash(path, cfg: ExperimentConfig, rerun: str) -> None:
+    """Refuse an artifact whose leading comment does not carry ``cfg``'s hash."""
+    with open(path, newline="") as fh:
+        tokens = fh.readline().split()
+    found = next((t.partition("=")[2] for t in tokens if t.startswith("config_hash=")), None)
+    if found != cfg.hash():
+        carried = "no config_hash" if found is None else f"config_hash {found}"
+        raise ConfigError(
+            f"{path} carries {carried}, not the current configuration's "
+            f"{cfg.hash()}; rerun {rerun}"
+        )
+
+
 def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig | None = None) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(_schema_comment(cfg) + "\n")
@@ -149,7 +162,10 @@ def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig | None = Non
                 )
 
 
-def read_delta_csv(path) -> SweepResult:
+def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
+    """Load a delta table; with ``cfg``, it must have been written for ``cfg``."""
+    if cfg is not None:
+        _require_config_hash(path, cfg, "`zneboundary sweep`")
     budgets: list[float] = []
     rows: dict[float, list[tuple[float, float, float | None]]] = {}
     source = "exact"
@@ -196,7 +212,10 @@ def write_crossings_csv(
             ])
 
 
-def read_crossings_csv(path) -> list[CrossingEstimate]:
+def read_crossings_csv(path, cfg: ExperimentConfig | None = None) -> list[CrossingEstimate]:
+    """Load a crossing table; with ``cfg``, it must have been written for ``cfg``."""
+    if cfg is not None:
+        _require_config_hash(path, cfg, "`zneboundary sweep`, then `zneboundary boundary`")
     out = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(_data_lines(fh)):
@@ -311,7 +330,8 @@ def build_report(
 
     if counts is not None:
         point_stats = count_pipeline(
-            counts, variance_window=var_win, bias_window=bias_win
+            counts, variance_window=var_win, bias_window=bias_win,
+            allocation=cfg.realloc,
         )
         report["count_estimates"] = point_stats
         if cfg.bootstrap:
@@ -323,6 +343,7 @@ def build_report(
                 level=float(cfg.bootstrap["level"]),
                 variance_window=var_win,
                 bias_window=bias_win,
+                allocation=cfg.realloc,
             )
             report["bootstrap"] = [r.as_dict() for r in results]
 

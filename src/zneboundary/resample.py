@@ -30,10 +30,11 @@ from .fits import (
     fit_bias_from_samples,
     fit_loglog,
     fit_variance_exponent_from_samples,
+    plugin_constant,
 )
 from .models import model_from_spec
 from .mse import CountTable, _splitmix64, deltas_from_counts
-from .rules import build_rule
+from .rules import build_rule, penalty_constants
 
 __all__ = ["BootstrapResult", "bootstrap_pipeline", "count_pipeline", "KNOWN_STATISTICS"]
 
@@ -69,13 +70,16 @@ def count_pipeline(
     variance_window: tuple[float, float] | None = None,
     bias_window: tuple[float, float] | None = None,
     plus: np.ndarray | None = None,
+    allocation: str = "fixed",
 ) -> dict[str, float]:
     """Full estimation pipeline over one (possibly resampled) count table.
 
     Returns a flat mapping of statistic name to value, with NaN marking
     statistics a table cannot support (fewer than three crossed budgets, too
     few usable points in a regression window).  ``plus`` substitutes
-    resampled counts without copying the table.
+    resampled counts without copying the table.  ``allocation`` (``"fixed"``
+    or ``"optimal"``) picks the penalty behind ``c_plugin``, which the table
+    cannot tell: it stores only the base fractions.
 
     The empirical variance curve uses the unmitigated-arm cells only: counts
     are pooled over replicates per (budget, eps), and cells whose pooled
@@ -136,22 +140,20 @@ def count_pipeline(
 
     if variance_window is not None and bias_window is not None:
         stats["c_plugin"] = _plugin_constant(rule, stats.get("nu_hat", float("nan")),
-                                             q_hat, alpha_hat)
+                                             q_hat, alpha_hat, allocation)
     return stats
 
 
-def _plugin_constant(rule, nu_hat: float, q_hat: float, alpha_hat: float) -> float:
+def _plugin_constant(rule, nu_hat: float, q_hat: float, alpha_hat: float,
+                     allocation: str) -> float:
     if not np.isfinite(nu_hat) or not np.isfinite(q_hat) or not np.isfinite(alpha_hat):
         return float("nan")
     if q_hat >= 2 or alpha_hat == 0:
         return float("nan")
-    lam = np.asarray(rule.scales)
-    c = np.asarray(rule.coeffs)
-    pi = np.asarray(rule.alloc)
-    k_hat = nu_hat * (float(np.sum(c**2 * lam**q_hat / pi)) - 1.0)
+    k_hat = penalty_constants(rule, q_hat, nu_hat).k(allocation)
     if k_hat <= 0:
         return float("nan")
-    return (k_hat / alpha_hat**2) ** (1.0 / (2.0 - q_hat))
+    return plugin_constant(k_hat, alpha_hat, q_hat)
 
 
 def _replicate_stream(seed: int, rep_idx: int) -> np.random.Generator:
@@ -169,12 +171,14 @@ def bootstrap_pipeline(
     level: float = 0.95,
     variance_window: tuple[float, float] | None = None,
     bias_window: tuple[float, float] | None = None,
+    allocation: str = "fixed",
 ) -> list[BootstrapResult]:
     """Percentile bootstrap over the raw counts for the requested statistics.
 
     ``statistics`` draws from ``eps_star`` (one result per budget),
     ``s_obs``, ``c_fit``, ``q_hat``, ``alpha_hat``, and ``c_plugin``; the
-    regression statistics require their pre-registered windows.  Replicates
+    regression statistics require their pre-registered windows, and
+    ``allocation`` is passed to :func:`count_pipeline`.  Replicates
     whose statistic is unavailable (e.g. every budget censored) are counted
     in ``missing_fraction`` and excluded from the interval, never silently
     dropped from the report.
@@ -207,14 +211,15 @@ def bootstrap_pipeline(
         else:
             names.append(stat)
 
-    point = count_pipeline(table, variance_window=var_win, bias_window=bias_win)
+    pipeline_kw = dict(variance_window=var_win, bias_window=bias_win,
+                       allocation=allocation)
+    point = count_pipeline(table, **pipeline_kw)
     p_hat = table.plus / table.shots
 
     def one_replicate(rep_idx: int) -> dict[str, float]:
         rng = _replicate_stream(seed, rep_idx)
         plus = rng.binomial(table.shots, p_hat)
-        return count_pipeline(table, variance_window=var_win, bias_window=bias_win,
-                              plus=plus)
+        return count_pipeline(table, plus=plus, **pipeline_kw)
 
     n_threads = max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
     if n_threads == 1:

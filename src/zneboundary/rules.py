@@ -21,7 +21,6 @@ with
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,6 +34,9 @@ __all__ = [
     "PenaltyConstants",
     "build_rule",
     "variance_penalty",
+    "penalty_constants",
+    "small_noise_allocation",
+    "allocation_mode",
     "optimal_allocation",
 ]
 
@@ -59,10 +61,6 @@ class RichardsonRule:
     @property
     def order(self) -> int:
         return len(self.scales) - 1
-
-    def with_alloc(self, alloc: Sequence[float]) -> "RichardsonRule":
-        """Return a copy carrying new allocation fractions."""
-        return dataclasses.replace(self, alloc=_validate_alloc(alloc, len(self.scales)))
 
     def identity_residuals(self) -> tuple[float, ...]:
         """Residuals of the defining identities, one per power m = 0..k.
@@ -89,13 +87,21 @@ class PenaltyConstants:
     k_fixed: float
     k_opt: float
 
+    def k(self, allocation: str) -> float:
+        """``k_fixed`` for ``"fixed"`` allocation, ``k_opt`` for ``"optimal"``."""
+        if allocation == "fixed":
+            return self.k_fixed
+        if allocation == "optimal":
+            return self.k_opt
+        raise ValueError(f"allocation must be 'fixed' or 'optimal', got {allocation!r}")
+
 
 def build_rule(scales: Sequence[float], alloc="uniform") -> RichardsonRule:
     """Construct a rule from its scale factors and an allocation spec.
 
-    ``alloc`` is ``"uniform"``, an explicit sequence of positive weights
-    (normalized to fractions), or ``("optimal-at", eps, model)`` which fixes
-    the fractions to the variance-optimal split at that noise strength.
+    ``alloc`` is ``"uniform"``, ``"optimal"``, or an explicit sequence of
+    positive weights (normalized to fractions).  ``"optimal"`` gives uniform
+    base fractions, which the engines reallocate per noise strength.
 
     Coefficients are obtained from the scale-power linear system with partial
     pivoting plus one step of iterative refinement; scale sets whose system
@@ -144,12 +150,8 @@ def build_rule(scales: Sequence[float], alloc="uniform") -> RichardsonRule:
 
     scales_t = tuple(float(x) for x in lam)
     coeffs_t = tuple(float(x) for x in c)
-    if isinstance(alloc, tuple) and len(alloc) == 3 and alloc[0] == "optimal-at":
-        _, eps, model = alloc
-        base = RichardsonRule(scales_t, coeffs_t, tuple([1.0 / (k + 1)] * (k + 1)))
-        fractions = optimal_allocation(base, model, eps)
-    elif isinstance(alloc, str):
-        if alloc != "uniform":
+    if isinstance(alloc, str):
+        if alloc not in ("uniform", "optimal"):
             raise RuleError(f"unknown allocation spec {alloc!r}")
         fractions = tuple([1.0 / (k + 1)] * (k + 1))
     else:
@@ -181,18 +183,41 @@ def _validate_alloc(alloc: Sequence[float], n: int) -> tuple[float, ...]:
     return tuple(float(x) for x in w)
 
 
+def allocation_mode(alloc) -> str:
+    """``"optimal"`` (reallocate per strength) for that spec, else ``"fixed"``."""
+    return "optimal" if alloc == "optimal" else "fixed"
+
+
 def variance_penalty(rule: RichardsonRule, q: float, nu: float) -> PenaltyConstants:
-    """Penalty constants of ``rule`` for variance curve ``nu * eps^q``."""
+    """Penalty constants of ``rule`` for a declared variance curve ``nu * eps^q``."""
     if nu < 0:
         raise RuleError(f"variance level nu must be >= 0, got {nu}")
     if q < 0:
         raise RuleError(f"variance exponent q must be >= 0, got {q}")
+    return penalty_constants(rule, q, nu)
+
+
+def penalty_constants(rule: RichardsonRule, q: float, nu: float) -> PenaltyConstants:
+    """Penalty constants with no domain check, for fitted ``(q_hat, nu_hat)``.
+
+    A ``q = 0`` model legitimately fits a slightly negative ``q_hat``.
+    """
     lam = np.asarray(rule.scales)
     c = np.asarray(rule.coeffs)
     pi = np.asarray(rule.alloc)
     k_fixed = nu * (float(np.sum(c**2 * lam**q / pi)) - 1.0)
-    k_opt = nu * (float(np.sum(np.abs(c) * lam ** (q / 2.0))) ** 2 - 1.0)
+    k_opt = nu * (float(np.sum(_small_noise_weights(rule, q))) ** 2 - 1.0)
     return PenaltyConstants(q=q, nu=nu, k_fixed=k_fixed, k_opt=k_opt)
+
+
+def _small_noise_weights(rule: RichardsonRule, q: float) -> np.ndarray:
+    return np.abs(np.asarray(rule.coeffs)) * np.asarray(rule.scales) ** (q / 2.0)
+
+
+def small_noise_allocation(rule: RichardsonRule, q: float) -> tuple[float, ...]:
+    """Small-noise optimal split ``|c_j| lam_j^(q/2) / sum``, which attains ``K_opt``."""
+    w = _small_noise_weights(rule, q)
+    return tuple(float(x) for x in w / w.sum())
 
 
 def optimal_allocation(rule: RichardsonRule, model, eps: float) -> tuple[float, ...]:

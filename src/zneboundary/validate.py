@@ -23,7 +23,6 @@ from .boundary import (
     STATUS_NO_NEGATIVE,
     auto_window,
     budget_bracket,
-    find_crossing,
     find_crossing_arrays,
     local_optimality_check,
     theoretical_boundary,
@@ -56,13 +55,14 @@ class CheckResult:
         }
 
 
+def _crossing(model, rule, grid, budget, realloc="fixed"):
+    curve = exact_delta_curve(model, rule, grid, budget, realloc=realloc)
+    return find_crossing_arrays(grid, curve, budget)
+
+
 def _crossings(model, rule, budgets, *, span=(0.1, 10.0), ppd=40, realloc="fixed"):
-    out = []
-    for budget in budgets:
-        grid = auto_window(model, rule, budget, span=span, points_per_decade=ppd)
-        curve = exact_delta_curve(model, rule, grid, float(budget), realloc=realloc)
-        out.append(find_crossing(curve))
-    return out
+    grids = [auto_window(model, rule, b, span=span, points_per_decade=ppd) for b in budgets]
+    return [_crossing(model, rule, g, float(b), realloc) for g, b in zip(grids, budgets)]
 
 
 def check_rule_identities() -> str:
@@ -133,13 +133,13 @@ def check_critical_threshold() -> str:
             raise AssertionError(
                 f"threshold violated at eps={eps}: {below}, {at}, {above}"
             )
-    lo = find_crossing(exact_delta_curve(model, None, grid, 10_000.0))
-    hi = find_crossing(exact_delta_curve(model, None, grid, 30_000.0))
+    lo = _crossing(model, None, grid, 10_000.0)
+    hi = _crossing(model, None, grid, 30_000.0)
     if lo.status != STATUS_NO_CROSSING or hi.status != STATUS_NO_NEGATIVE:
         raise AssertionError(f"critical statuses: below={lo.status}, above={hi.status}")
     superc = MonomialBalanceModel(p=1, q=3, d_p=1.0, k_q=1.0)
     for budget in (1e3, 1e6, 1e9):
-        est = find_crossing(exact_delta_curve(superc, None, grid, budget))
+        est = _crossing(superc, None, grid, budget)
         if est.status != STATUS_NO_NEGATIVE:
             raise AssertionError(f"supercritical budget {budget:g} not censored: {est.status}")
     return "flip at B* = 20000 exact; q = 3 censored at all tested budgets"
@@ -273,7 +273,7 @@ def check_rate_law() -> str:
     for budget in budgets:
         asymptote = budget**-0.5  # C_pq = 1
         grid = np.geomspace(0.3 * asymptote, 3.0 * asymptote, 800)
-        est = find_crossing(exact_delta_curve(model, None, grid, float(budget)))
+        est = _crossing(model, None, grid, float(budget))
         rel_errors.append(abs(est.eps_star / asymptote - 1.0))
     slope = np.polyfit(np.log(budgets), np.log(rel_errors), 1)[0]
     if not 0.425 <= -slope <= 0.575:

@@ -10,7 +10,6 @@ from zneboundary.boundary import (
     auto_window,
     budget_bracket,
     classify_regime,
-    find_crossing,
     find_crossing_arrays,
     geometric_grid,
     local_optimality_check,
@@ -24,12 +23,16 @@ from zneboundary.models import (
     PowerLeakageBinary,
     ProductContractionString,
 )
-from zneboundary.mse import DeltaPoint, exact_delta, exact_delta_curve
+from zneboundary.mse import exact_delta, exact_delta_curve
 from zneboundary.rules import build_rule
 
 RULE13 = build_rule([1, 3])
 DLB = DeterministicLimitBinary(kappa=1.0)
 LBB = LinearBiasBinary(mu0=0.5, alpha=1.0)
+
+
+def crossing(model, rule, grid, budget):
+    return find_crossing_arrays(grid, exact_delta_curve(model, rule, grid, budget), budget)
 
 
 class TestFindCrossing:
@@ -80,8 +83,7 @@ class TestFindCrossing:
     def test_monomial_root_on_dense_grid(self):
         model = MonomialBalanceModel(p=1, q=0, d_p=1.0, k_q=1.0)
         grid = geometric_grid(1e-3, 1e-1, 400)
-        curve = exact_delta_curve(model, None, grid, 10**4)
-        est = find_crossing(curve)
+        est = crossing(model, None, grid, 10**4)
         spacing = grid[1] / grid[0] - 1.0
         assert est.eps_star == pytest.approx(0.01, rel=spacing)
 
@@ -90,15 +92,6 @@ class TestFindCrossing:
             find_crossing_arrays(np.array([1.0, 1.0, 2.0]), np.zeros(3), budget=1.0)
         with pytest.raises(ValueError, match="at least 3"):
             find_crossing_arrays(np.array([1.0, 2.0]), np.zeros(2), budget=1.0)
-
-    def test_wrapper_rejects_mixed_budgets(self):
-        points = [
-            DeltaPoint(eps=0.01, budget=1.0, delta=-1.0, source="exact"),
-            DeltaPoint(eps=0.02, budget=2.0, delta=1.0, source="exact"),
-            DeltaPoint(eps=0.03, budget=2.0, delta=1.0, source="exact"),
-        ]
-        with pytest.raises(ValueError, match="mixes budgets"):
-            find_crossing(points)
 
     def test_invariant_bracket_contains_root(self):
         rng = np.random.default_rng(5)
@@ -160,7 +153,7 @@ class TestTheoreticalBoundary:
         # the exact finite-budget crossing 10/(B+8) approaches C * B^-1
         for budget in (10**5, 10**6, 10**7):
             grid = auto_window(DLB, RULE13, budget)
-            est = find_crossing(exact_delta_curve(DLB, RULE13, grid, budget))
+            est = crossing(DLB, RULE13, grid, budget)
             exact_root = 10.0 / (budget + 8.0)
             assert est.eps_star == pytest.approx(exact_root, rel=2e-3)
             assert est.eps_star / rep.predicted_eps_star(budget) == pytest.approx(
@@ -229,8 +222,8 @@ class TestSignStructure:
     def test_critical_statuses_split_at_threshold(self):
         m = MonomialBalanceModel(p=1, q=2, d_p=1.0, k_q=20000.0)
         grid = geometric_grid(1e-6, 1e-3, 50)
-        above = find_crossing(exact_delta_curve(m, None, grid, 30000.0))
-        below = find_crossing(exact_delta_curve(m, None, grid, 10000.0))
+        above = crossing(m, None, grid, 30000.0)
+        below = crossing(m, None, grid, 10000.0)
         assert above.status == STATUS_NO_NEGATIVE
         assert below.status == STATUS_NO_CROSSING
 
@@ -238,7 +231,7 @@ class TestSignStructure:
         m = MonomialBalanceModel(p=1, q=3, d_p=1.0, k_q=1.0)
         grid = geometric_grid(1e-6, 1e-2, 50)
         for budget in (10**3, 10**6, 10**9):
-            est = find_crossing(exact_delta_curve(m, None, grid, budget))
+            est = crossing(m, None, grid, budget)
             assert est.status == STATUS_NO_NEGATIVE
 
 

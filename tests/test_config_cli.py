@@ -104,6 +104,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="explicit grid"):
             parse_config(raw)
 
+    def test_duplicate_budgets_rejected(self):
+        raw = dict(DLB_EXACT, budgets={"values": [10000, 10000, 100000]})
+        with pytest.raises(ConfigError, match="strictly ascending, got 10000, 10000, 100000"):
+            parse_config(raw)
+
     def test_optimal_alloc_realloc_flag(self):
         raw = dict(DLB_EXACT, rule={"scales": [1, 3], "alloc": "optimal"})
         cfg = parse_config(raw)
@@ -189,6 +194,47 @@ class TestPipelineArtifacts:
             2.0 * ((1.5 + 0.5 * np.sqrt(3.0)) ** 2 - 1.0)
         )
 
+    def test_monte_carlo_optimal_allocation_c_plugin(self):
+        # c_plugin must use K_opt under per-strength reallocation, even though
+        # the count table stores only the uniform base fractions
+        plugins = {}
+        for alloc in ("uniform", "optimal"):
+            raw = dict(DLB_MC, rule={"scales": [1, 3], "alloc": alloc},
+                       bootstrap={"statistics": ["c_plugin"], "n_replicates": 100,
+                                  "seed": 21})
+            cfg = parse_config(raw)
+            sweep = run_sweep(cfg)
+            report = build_report(cfg, crossings_from_sweep(sweep), sweep.counts)
+            est = report["count_estimates"]
+            boot = next(e for e in report["bootstrap"] if e["statistic"] == "c_plugin")
+            assert boot["point"] == est["c_plugin"]
+            plugins[alloc] = est
+        est = plugins["optimal"]
+        q_hat, nu_hat = est["q_hat"], est["nu_hat"]
+        k_opt = nu_hat * ((1.5 + 0.5 * 3.0 ** (q_hat / 2.0)) ** 2 - 1.0)
+        assert est["c_plugin"] == pytest.approx(
+            (k_opt / est["alpha_hat"] ** 2) ** (1.0 / (2.0 - q_hat)), rel=1e-12
+        )
+        assert est["c_plugin"] != plugins["uniform"]["c_plugin"]
+
+    def test_linear_bias_report_negative_q_hat(self):
+        # a q = 0 model fits a slightly negative q_hat; the plug-in constant
+        # must still come out, without the declared-input q >= 0 check
+        raw = {
+            "model": {"type": "linear_bias_binary", "mu0": 0.5, "alpha": 1.0},
+            "rule": {"scales": [1, 3], "alloc": "uniform"},
+            "grid": {"mode": "auto", "span": [0.2, 5.0], "points_per_decade": 40},
+            "budgets": {"lo": 1.0e4, "hi": 1.0e7, "per_decade": 3},
+            "windows": {"variance": [1.0e-4, 1.0e-3], "bias": [1.0e-4, 1.0e-3]},
+        }
+        cfg = parse_config(raw)
+        report = build_report(cfg, crossings_from_sweep(run_sweep(cfg)), None)
+        assert report["variance_fit"]["q_hat"] < 0
+        check = report["constant_check"]
+        assert "error" not in check
+        assert check["k_hat"] == pytest.approx(2.9865458760511023, rel=1e-12)
+        assert check["c_hat_plugin"] == pytest.approx(1.727933816058377, rel=1e-12)
+
     def test_monte_carlo_report_with_bootstrap(self, tmp_path):
         cfg = parse_config(DLB_MC)
         sweep = run_sweep(cfg)
@@ -253,6 +299,29 @@ class TestCli:
         )
         assert main(["fit", "--config", str(cfg_path)]) == 2
         assert "run `zneboundary boundary` first" in capsys.readouterr().err
+
+    def test_stale_delta_and_crossings_refused(self, tmp_path, capsys):
+        raw = dict(DLB_EXACT, output={"dir": str(tmp_path), "prefix": "dlb"},
+                   budgets={"lo": 1.0e4, "hi": 1.0e7, "per_decade": 2})
+        cfg_path = write_cfg(tmp_path, raw)
+        stale = ["--set", "model.kappa=0.25"]
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert main(["boundary", "--config", str(cfg_path), *stale]) == 2
+        err = capsys.readouterr().err
+        assert "dlb_delta.csv carries config_hash" in err
+        assert "rerun `zneboundary sweep`" in err
+        assert main(["boundary", "--config", str(cfg_path)]) == 0
+        assert main(["fit", "--config", str(cfg_path), *stale]) == 2
+        assert "dlb_crossings.csv carries config_hash" in capsys.readouterr().err
+        assert not (tmp_path / "dlb_report.json").exists()
+
+    def test_delta_without_config_hash_refused(self, tmp_path, capsys):
+        raw = dict(DLB_EXACT, output={"dir": str(tmp_path), "prefix": "dlb"},
+                   budgets={"values": [1e4, 1e5, 1e6]})
+        cfg_path = write_cfg(tmp_path, raw)
+        write_delta_csv(tmp_path / "dlb_delta.csv", run_sweep(parse_config(raw)))
+        assert main(["boundary", "--config", str(cfg_path)]) == 2
+        assert "carries no config_hash" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]},

@@ -6,7 +6,7 @@ import pytest
 from zneboundary.boundary import (
     CrossingEstimate,
     auto_window,
-    find_crossing,
+    find_crossing_arrays,
     theoretical_boundary,
 )
 from zneboundary.errors import FitError
@@ -36,7 +36,8 @@ def crossings_for(model, rule, budgets, **window_kw):
     out = []
     for budget in budgets:
         grid = auto_window(model, rule, budget, **window_kw)
-        out.append(find_crossing(exact_delta_curve(model, rule, grid, budget)))
+        out.append(find_crossing_arrays(grid, exact_delta_curve(model, rule, grid, budget),
+                                        budget))
     return out
 
 
@@ -216,12 +217,9 @@ class TestConsistencyChain:
         fixed, optimal = [], []
         for budget in budgets:
             grid = auto_window(model, RULE13, budget)
-            fixed.append(find_crossing(exact_delta_curve(model, RULE13, grid, budget)))
-            optimal.append(
-                find_crossing(
-                    exact_delta_curve(model, RULE13, grid, budget, realloc="optimal")
-                )
-            )
+            for realloc, out in (("fixed", fixed), ("optimal", optimal)):
+                curve = exact_delta_curve(model, RULE13, grid, budget, realloc=realloc)
+                out.append(find_crossing_arrays(grid, curve, budget))
         fit_fixed = fit_boundary(fixed)
         fit_opt = fit_boundary(optimal)
         assert abs(fit_fixed.slope - fit_opt.slope) <= 0.02

@@ -132,19 +132,9 @@ class TestExactDelta:
     def test_curve_matches_pointwise(self):
         grid = np.geomspace(1e-3, 0.05, 10)
         curve = exact_delta_curve(DLB, RULE13, grid, 500.0)
-        for point, eps in zip(curve, grid):
-            assert point.delta == exact_delta(DLB, RULE13, float(eps), 500.0).delta
-
-    def test_user_supplied_excess_variance_hook(self):
-        # a correlated-sampling protocol replaces the independent penalty
-        eps, budget = 0.01, 1000.0
-        independent = exact_delta(DLB, RULE13, eps, budget).delta
-        hook = lambda e: 10.0 * e - 8.0 * e * e  # the independent A(eps)
-        assert exact_delta(
-            DLB, RULE13, eps, budget, excess_variance=hook
-        ).delta == pytest.approx(independent, rel=1e-12)
-        flat = exact_delta(DLB, RULE13, eps, budget, excess_variance=lambda e: 2.0)
-        assert flat.delta == pytest.approx(eps**2 - 2.0 / budget)
+        assert isinstance(curve, np.ndarray) and curve.shape == grid.shape
+        for value, eps in zip(curve, grid):
+            assert value == exact_delta(DLB, RULE13, float(eps), 500.0).delta
 
 
 class TestIntegerize:
@@ -194,7 +184,7 @@ class TestIntegerize:
         diffs, budgets = [], [10**3, 10**4, 10**5, 10**6]
         for budget in budgets:
             shots = integerize_allocation(rule.alloc, budget)
-            rounded = rule.with_alloc(shots / shots.sum())
+            rounded = build_rule(rule.scales, shots)
             d_real = exact_delta(DLB, rule, eps, float(budget)).delta
             d_int = exact_delta(DLB, rounded, eps, float(budget)).delta
             diffs.append(abs(d_real - d_int))
@@ -336,13 +326,6 @@ class TestCountTable:
         assert back.model_spec == table.model_spec
         assert back.rule_spec == table.rule_spec
         assert back.master_seed == table.master_seed
-
-    def test_cell_accessor_uses_scale_index_convention(self):
-        table = self.make_table()
-        shots, plus = table.cell(0, 0, -1, 0)  # unmitigated arm
-        assert shots == 500
-        shots0, _ = table.cell(0, 0, 0, 0)  # first extrapolation level
-        assert shots0 == 250
 
     def test_deltas_from_counts_hand_check(self):
         shots = np.full((1, 1, 3, 2), 4, dtype=np.int64)

@@ -13,6 +13,8 @@ from zneboundary.rules import (
     PenaltyConstants,
     build_rule,
     optimal_allocation,
+    penalty_constants,
+    small_noise_allocation,
     variance_penalty,
 )
 
@@ -81,11 +83,11 @@ class TestBuildRule:
         rule = build_rule([1, 3], alloc=[3, 1])
         assert rule.alloc == pytest.approx((0.75, 0.25))
 
-    def test_optimal_at_alloc_spec(self):
-        model = DeterministicLimitBinary(kappa=1.0)
-        rule = build_rule([1, 3], alloc=("optimal-at", 0.01, model))
-        direct = optimal_allocation(build_rule([1, 3]), model, 0.01)
-        assert rule.alloc == pytest.approx(direct)
+    def test_optimal_spec_carries_uniform_base_fractions(self):
+        # the engines reallocate per strength; the rule keeps the base split
+        assert build_rule([1, 3, 5], "optimal") == build_rule([1, 3, 5])
+        with pytest.raises(RuleError, match="unknown allocation spec"):
+            build_rule([1, 3], "optimal-ish")
 
     @pytest.mark.parametrize(
         "scales,message",
@@ -142,6 +144,26 @@ class TestVariancePenalty:
         rule = build_rule([1, 3])
         pen = variance_penalty(rule, q=1.0, nu=1.0)
         assert pen.k_opt == pytest.approx(4.5980762113533159, abs=1e-12)
+        assert (pen.k("fixed"), pen.k("optimal")) == (pen.k_fixed, pen.k_opt)
+        with pytest.raises(ValueError, match="'fixed' or 'optimal'"):
+            pen.k("uniform")
+
+    @pytest.mark.parametrize("scales", [(1, 3), (1, 3, 5), (1, 2, 4, 8)])
+    def test_small_noise_allocation_attains_k_opt(self, scales):
+        base = build_rule(scales)
+        for q in (0.0, 0.7, 1.0):
+            split = build_rule(scales, small_noise_allocation(base, q))
+            pen = variance_penalty(base, q=q, nu=1.3)
+            assert variance_penalty(split, q=q, nu=1.3).k_fixed == pytest.approx(
+                pen.k_opt, rel=1e-12
+            )
+
+    def test_fitted_penalty_accepts_negative_q(self):
+        # a q = 0 model fits q_hat slightly below zero; only declared inputs
+        # are range-checked
+        rule = build_rule([1, 3])
+        pen = penalty_constants(rule, q=-1e-3, nu=1.0)
+        assert pen.k_fixed == pytest.approx(3.5 + 0.5 * 3.0**-1e-3, rel=1e-12)
 
     def test_positive_for_nontrivial_rules(self):
         for scales in [(1, 2), (1, 3, 5), (1, 2, 4, 8)]:
