@@ -186,8 +186,7 @@ def fit_variance_exponent(
     window must be fixed before any boundary fit is read.
     """
     grid = np.geomspace(window[0], window[1], n_points)
-    v = [model.variance(float(e)) for e in grid]
-    return fit_variance_exponent_from_samples(grid, v, window)
+    return fit_variance_exponent_from_samples(grid, model.variance(grid), window)
 
 
 def fit_bias_from_samples(
@@ -218,9 +217,7 @@ def fit_bias_from_samples(
 def fit_bias(model, window: tuple[float, float], n_points: int = 40) -> BiasFit:
     """Bias fit on the model's exact mean curve (mu0 known exactly)."""
     grid = np.geomspace(window[0], window[1], n_points)
-    mu0 = model.mean(0.0)
-    shift = [model.mean(float(e)) - mu0 for e in grid]
-    return fit_bias_from_samples(grid, shift, window)
+    return fit_bias_from_samples(grid, model.mean(grid) - model.mean(0.0), window)
 
 
 def predict_slope(q_hat: float) -> float:

@@ -1,7 +1,8 @@
 """Exactly solvable noise-observable models.
 
 Each sampled model exposes the true mean curve ``mu(eps)``, the true
-single-shot variance ``v(eps)``, and a finite-shot sampler.  All sampled
+single-shot variance ``v(eps)``, and a finite-shot sampler.  The curves take
+one strength or a numpy array of them, elementwise.  All sampled
 models are binary (+/-1 outcomes), so ``v = 1 - mu^2`` holds exactly and a
 measurement cell reduces to a single plus-count drawn from
 ``Binomial(shots, (1 + mu)/2)``.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,18 +44,31 @@ __all__ = [
 ]
 
 
+def _libm_pow(base, exponent):
+    """``base ** exponent``, raising arrays element by element with libm ``pow``.
+
+    numpy's vectorized power loop rounds differently from ``pow`` on a few
+    percent of inputs, and the exact engine's golden outputs are pinned to
+    the scalar ``pow`` rounding.
+    """
+    if isinstance(base, np.ndarray):
+        return np.array([b ** exponent for b in base.ravel().tolist()]).reshape(base.shape)
+    return base ** exponent
+
+
 class NoiseObservableModel(ABC):
     """Behavior contract for sampled noise-observable models."""
 
-    #: largest admissible noise strength (inclusive unless noted by the model)
+    #: largest admissible noise strength (inclusive unless noted by the model);
+    #: cached, since the domain check reads it on every evaluation
     eps_max: float
 
     @abstractmethod
-    def mean(self, eps: float) -> float:
+    def mean(self, eps):
         """True expectation of the observable at noise strength ``eps``."""
 
     @abstractmethod
-    def variance(self, eps: float) -> float:
+    def variance(self, eps):
         """True single-shot variance at noise strength ``eps``."""
 
     @abstractmethod
@@ -94,19 +109,28 @@ class NoiseObservableModel(ABC):
             "nu": self.variance_level,
         }
 
-    def check_eps(self, eps: float) -> None:
-        if not (0.0 <= eps <= self.eps_max):
-            raise DomainError(
-                f"{type(self).__name__}: eps={eps!r} outside valid domain "
-                f"[0, {self.eps_max!r}]",
-                eps=eps,
-            )
+    def inside_domain(self, eps):
+        """True where ``eps`` (a strength or an array of them) is in the domain."""
+        return (0.0 <= eps) & (eps <= self.eps_max)
+
+    def _domain_message(self, eps: float) -> str:
+        return (f"{type(self).__name__}: eps={eps!r} outside valid domain "
+                f"[0, {self.eps_max!r}]")
+
+    def check_eps(self, eps) -> None:
+        """Raise DomainError naming the first strength of ``eps`` out of domain."""
+        inside = self.inside_domain(eps)
+        if inside is True or np.all(inside):  # ``is True``: one float, no numpy call
+            return
+        if np.ndim(eps):
+            eps = np.ravel(eps)[np.argmin(inside)].item()
+        raise DomainError(self._domain_message(eps), eps=eps)
 
 
 class BinaryObservableModel(NoiseObservableModel):
     """Base for +/-1 observables: exact variance identity and binomial sampler."""
 
-    def variance(self, eps: float) -> float:
+    def variance(self, eps):
         mu = self.mean(eps)
         return 1.0 - mu * mu
 
@@ -136,22 +160,21 @@ class LinearBiasBinary(BinaryObservableModel):
         if self.alpha == 0.0:
             raise ConfigError("alpha must be nonzero")
 
-    @property
+    @cached_property
     def eps_max(self) -> float:
         if self.alpha > 0:
             return (1.0 - self.mu0) / self.alpha
         return (-1.0 - self.mu0) / self.alpha
 
-    def mean(self, eps: float) -> float:
+    def mean(self, eps):
         self.check_eps(eps)
         return self.mu0 + self.alpha * eps
 
-    def check_eps(self, eps: float) -> None:
-        if eps < 0 or abs(self.mu0 + self.alpha * eps) > 1.0:
-            raise DomainError(
-                f"LinearBiasBinary: |mu0 + alpha*eps| <= 1 violated at eps={eps!r}",
-                eps=eps,
-            )
+    def inside_domain(self, eps):
+        return (eps >= 0) & (abs(self.mu0 + self.alpha * eps) <= 1.0)
+
+    def _domain_message(self, eps: float) -> str:
+        return f"LinearBiasBinary: |mu0 + alpha*eps| <= 1 violated at eps={eps!r}"
 
     bias_exponent = property(lambda self: 1.0)
     bias_amplitude = property(lambda self: self.alpha)
@@ -176,11 +199,11 @@ class DeterministicLimitBinary(BinaryObservableModel):
         if self.kappa <= 0:
             raise ConfigError(f"kappa must be positive, got {self.kappa}")
 
-    @property
+    @cached_property
     def eps_max(self) -> float:
         return 2.0 / self.kappa  # mean reaches -1
 
-    def mean(self, eps: float) -> float:
+    def mean(self, eps):
         self.check_eps(eps)
         return 1.0 - self.kappa * eps
 
@@ -212,21 +235,20 @@ class ProductContractionString(BinaryObservableModel):
         if self.ell < 1 or self.ell != int(self.ell):
             raise ConfigError(f"ell must be a positive integer, got {self.ell}")
 
-    @property
+    @cached_property
     def eps_max(self) -> float:
         return 1.0 / self.gamma  # exclusive: the contraction must stay positive
 
-    def check_eps(self, eps: float) -> None:
-        if eps < 0 or self.gamma * eps >= 1.0:
-            raise DomainError(
-                f"ProductContractionString: gamma*eps < 1 violated at eps={eps!r} "
-                f"(gamma={self.gamma})",
-                eps=eps,
-            )
+    def inside_domain(self, eps):
+        return (eps >= 0) & (self.gamma * eps < 1.0)
 
-    def mean(self, eps: float) -> float:
+    def _domain_message(self, eps: float) -> str:
+        return (f"ProductContractionString: gamma*eps < 1 violated at eps={eps!r} "
+                f"(gamma={self.gamma})")
+
+    def mean(self, eps):
         self.check_eps(eps)
-        return (1.0 - self.gamma * eps) ** self.ell
+        return _libm_pow(1.0 - self.gamma * eps, self.ell)
 
     bias_exponent = property(lambda self: 1.0)
     bias_amplitude = property(lambda self: -self.gamma * self.ell)
@@ -258,13 +280,13 @@ class PowerLeakageBinary(BinaryObservableModel):
         if self.r <= 0:
             raise ConfigError(f"r must be positive, got {self.r}")
 
-    @property
+    @cached_property
     def eps_max(self) -> float:
         return (2.0 / self.kappa) ** (1.0 / self.r)  # |mean| reaches 1 again
 
-    def mean(self, eps: float) -> float:
+    def mean(self, eps):
         self.check_eps(eps)
-        return self.sigma * (1.0 - self.kappa * eps**self.r)
+        return self.sigma * (1.0 - self.kappa * _libm_pow(eps, self.r))
 
     bias_exponent = property(lambda self: self.r)
     bias_amplitude = property(lambda self: -self.sigma * self.kappa)

@@ -76,12 +76,43 @@ class DeltaPoint:
     std_err: float | None = None
 
 
-def _resolve_alloc(model, rule: RichardsonRule, eps: float, realloc: str) -> np.ndarray:
+def _resolve_alloc(model, rule: RichardsonRule, eps, realloc: str) -> np.ndarray:
     if realloc == "fixed":
         return np.asarray(rule.alloc)
     if realloc == "optimal":
         return np.asarray(optimal_allocation(rule, model, eps))
     raise ValueError(f"realloc must be 'fixed' or 'optimal', got {realloc!r}")
+
+
+def _mse_terms(model, rule: RichardsonRule | None, eps, budget: float, realloc: str):
+    """Exact ``(bias, variance)`` arrays of both estimators along a 1-D grid.
+
+    The one implementation of the formulas above; returns ``(noisy, zne)``,
+    ``zne`` None without a rule.  Out-of-domain grids raise the error a
+    point-by-point loop meets first.  The golden outputs pin the rounding:
+    one BLAS dot per row for the bias (a gemv over the grid rounds
+    differently), libm ``pow`` in the models, and row sums of C-contiguous
+    ``(n, k+1)`` terms.
+    """
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
+    mu0 = model.mean(0.0)
+    eps = np.asarray(eps, dtype=float)
+    if rule is not None:
+        strengths = eps[:, None] * np.asarray(rule.scales)
+        inside = model.inside_domain(eps) & model.inside_domain(strengths).all(axis=1)
+        if not inside.all():
+            first = float(eps[np.argmin(inside)])
+            model.check_eps(first)
+            check_scaled_eps(model, first, rule.scales)
+    noisy = (model.mean(eps) - mu0, model.variance(eps) / budget)
+    if rule is None:
+        return noisy, None
+    pi = _resolve_alloc(model, rule, eps, realloc)
+    c = np.asarray(rule.coeffs)
+    bias = (model.mean(strengths)[:, None, :] @ c)[:, 0] - mu0
+    variance = (c**2 * model.variance(strengths) / pi).sum(axis=1) / budget
+    return noisy, (bias, variance)
 
 
 def exact_mse(
@@ -93,27 +124,12 @@ def exact_mse(
     realloc: str = "fixed",
 ) -> MseBreakdown:
     """Exact MSE breakdown of the unmitigated (rule=None) or extrapolated estimator."""
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
-    mu0 = model.mean(0.0)
-    if rule is None:
-        bias = model.mean(eps) - mu0
-        variance = model.variance(eps) / budget
-        tag = "noisy"
-    else:
-        check_scaled_eps(model, eps, rule.scales)
-        pi = _resolve_alloc(model, rule, eps, realloc)
-        c = np.asarray(rule.coeffs)
-        lam = np.asarray(rule.scales)
-        means = np.asarray([model.mean(l * eps) for l in lam])
-        variances = np.asarray([model.variance(l * eps) for l in lam])
-        bias = float(c @ means) - mu0
-        variance = float(np.sum(c**2 * variances / pi)) / budget
-        tag = "zne"
+    noisy, zne = _mse_terms(model, rule, [eps], budget, realloc)
+    bias, variance = (float(term[0]) for term in (noisy if zne is None else zne))
     bias_sq = bias * bias
     return MseBreakdown(
         bias=bias, bias_sq=bias_sq, variance=variance, mse=bias_sq + variance,
-        estimator_tag=tag,
+        estimator_tag="noisy" if zne is None else "zne",
     )
 
 
@@ -125,15 +141,9 @@ def exact_delta(
     *,
     realloc: str = "fixed",
 ) -> DeltaPoint:
-    """Exact MSE difference; monomial-balance models return their closed form."""
-    if isinstance(model, MonomialBalanceModel):
-        return DeltaPoint(eps=eps, budget=budget, delta=model.delta_mse(eps, budget),
-                          source="exact")
-    if rule is None:  # the estimator compared against itself
-        return DeltaPoint(eps=eps, budget=budget, delta=0.0, source="exact")
-    noisy = exact_mse(model, None, eps, budget)
-    zne = exact_mse(model, rule, eps, budget, realloc=realloc)
-    return DeltaPoint(eps=eps, budget=budget, delta=noisy.mse - zne.mse, source="exact")
+    """Exact MSE difference at one point: element 0 of :func:`exact_delta_curve`."""
+    delta = exact_delta_curve(model, rule, [eps], budget, realloc=realloc)[0]
+    return DeltaPoint(eps=eps, budget=budget, delta=float(delta), source="exact")
 
 
 def exact_delta_curve(
@@ -144,9 +154,18 @@ def exact_delta_curve(
     *,
     realloc: str = "fixed",
 ) -> np.ndarray:
-    """Exact delta at every grid point, at one fixed budget, as an array."""
-    return np.array([exact_delta(model, rule, float(e), budget, realloc=realloc).delta
-                     for e in eps_grid])
+    """Exact delta at every grid point, at one fixed budget, as an array.
+
+    Monomial-balance models return their closed form.
+    """
+    if isinstance(model, MonomialBalanceModel):
+        return np.array([model.delta_mse(float(e), budget) for e in eps_grid])
+    if rule is None:  # the estimator compared against itself
+        return np.zeros(len(eps_grid))
+    (noisy_bias, noisy_var), (zne_bias, zne_var) = _mse_terms(
+        model, rule, eps_grid, budget, realloc
+    )
+    return (noisy_bias * noisy_bias + noisy_var) - (zne_bias * zne_bias + zne_var)
 
 
 def integerize_allocation(alloc: Sequence[float], budget: int) -> np.ndarray:

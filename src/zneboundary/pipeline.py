@@ -18,6 +18,8 @@ delta or crossing table written for another configuration).
 from __future__ import annotations
 
 import csv
+import itertools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +27,9 @@ import numpy as np
 
 from . import __version__
 from .boundary import (
+    STATUS_CROSSED,
+    STATUS_NO_CROSSING,
+    STATUS_NO_NEGATIVE,
     CrossingEstimate,
     auto_window,
     find_crossing_arrays,
@@ -132,7 +137,15 @@ def _schema_comment(cfg: ExperimentConfig | None) -> str:
 
 
 def _data_lines(fh):
-    return (line for line in fh if not line.startswith("#"))
+    return (line for line in fh if line.strip() and not line.startswith("#"))
+
+
+def _check_columns(path, kind: str, header: list[str], columns: tuple[str, ...]) -> None:
+    if header != list(columns):
+        raise ConfigError(
+            f"{kind} {path}: column header {','.join(header)!r}, "
+            f"expected {','.join(columns)!r}"
+        )
 
 
 def _require_config_hash(path, cfg: ExperimentConfig, rerun: str) -> None:
@@ -148,51 +161,113 @@ def _require_config_hash(path, cfg: ExperimentConfig, rerun: str) -> None:
         )
 
 
+_DELTA_COLUMNS = ("B", "eps", "delta", "std_err", "source")
+_DELTA_SOURCES = ("exact", "monte_carlo")
+
+
 def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig | None = None) -> None:
+    """Write the delta table, formatting one budget block per write.
+
+    Fields are ``repr`` floats, ``std_err`` is empty for the exact engine and
+    rows end in ``\\r\\n``: the bytes ``csv.writer`` produces.
+    """
+    row = ",%r,%r," + ("" if sweep.std_err is None else "%r") + f",{sweep.source}\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(_schema_comment(cfg) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["B", "eps", "delta", "std_err", "source"])
+        fh.write(",".join(_DELTA_COLUMNS) + "\r\n")
         for b_idx, budget in enumerate(sweep.budgets):
-            for e_idx, eps in enumerate(sweep.eps_grids[b_idx]):
-                err = "" if sweep.std_err is None else repr(float(sweep.std_err[b_idx, e_idx]))
-                writer.writerow(
-                    [repr(float(budget)), repr(float(eps)),
-                     repr(float(sweep.delta[b_idx, e_idx])), err, sweep.source]
-                )
+            cols = [sweep.eps_grids[b_idx], sweep.delta[b_idx]]
+            if sweep.std_err is not None:
+                cols.append(sweep.std_err[b_idx])
+            block = np.column_stack(cols)
+            fh.write((repr(float(budget)) + row) * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
-    """Load a delta table; with ``cfg``, it must have been written for ``cfg``."""
+    """Load a delta table, one budget block per ``np.loadtxt`` call.
+
+    With ``cfg``, the table must have been written for ``cfg``.  A wrong
+    column header, a budget with another row count than the first, budgets
+    out of ascending order, or a number that does not parse raises
+    :class:`ConfigError` naming the file and the first offending data row.
+    """
     if cfg is not None:
         _require_config_hash(path, cfg, "`zneboundary sweep`")
     budgets: list[float] = []
-    rows: dict[float, list[tuple[float, float, float | None]]] = {}
-    source = "exact"
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(_data_lines(fh)):
-            budget = float(row["B"])
-            if budget not in rows:
-                budgets.append(budget)
-                rows[budget] = []
-            err = float(row["std_err"]) if row["std_err"] else None
-            rows[budget].append((float(row["eps"]), float(row["delta"]), err))
-            source = row["source"]
-    if not budgets:
-        raise ConfigError(f"delta table {path} is empty")
     eps_grids, deltas, errs = [], [], []
-    for budget in budgets:
-        cells = rows[budget]
-        eps_grids.append(tuple(c[0] for c in cells))
-        deltas.append([c[1] for c in cells])
-        errs.append([c[2] for c in cells])
-    has_err = errs[0][0] is not None
+    with open(path) as fh:
+        line = fh.readline()
+        while line.startswith("#"):
+            line = fh.readline()
+        _check_columns(path, "delta table", line.rstrip("\n").split(","), _DELTA_COLUMNS)
+        start = fh.tell()
+        first = fh.readline().rstrip("\n").split(",")
+        if first == [""]:
+            raise ConfigError(f"delta table {path} is empty")
+        if first[-1] not in _DELTA_SOURCES:
+            raise ConfigError(f"delta table {path}: data row 1 {','.join(first)!r}: "
+                              f"source must be one of {_DELTA_SOURCES}")
+        usecols = (0, 1, 2, 3) if len(first) > 4 and first[3] else (0, 1, 2)
+        n_eps = 1  # the rows of the first budget set the block length
+        while fh.readline().split(",", 1)[0] == first[0]:
+            n_eps += 1
+        fh.seek(start)
+        n_read = 0
+        while True:
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(fh, delimiter=",", usecols=usecols, max_rows=n_eps,
+                                      ndmin=2, comments=None)
+            except ValueError as err:
+                raise ConfigError(
+                    f"delta table {path}: {_bad_number(path, n_read + 1, usecols) or err}"
+                ) from err
+            if not len(rows):
+                break
+            budget = float(rows[0, 0])
+            where = f"delta table {path}: data row {n_read + 1} (B={budget!r})"
+            other = np.flatnonzero(rows[:, 0] != budget)
+            n_rows = other[0] if other.size else len(rows)
+            if n_rows != n_eps:
+                raise ConfigError(f"{where}: budget has {n_rows} rows, the first {n_eps}")
+            if budgets and not budget > budgets[-1]:
+                raise ConfigError(f"{where}: budgets must be strictly ascending")
+            budgets.append(budget)
+            eps_grids.append(tuple(rows[:, 1].tolist()))
+            deltas.append(rows[:, 2])
+            if len(usecols) == 4:
+                errs.append(rows[:, 3])
+            n_read += n_eps
     return SweepResult(
-        budgets=tuple(budgets), eps_grids=tuple(eps_grids),
-        delta=np.asarray(deltas),
-        std_err=np.asarray(errs, dtype=float) if has_err else None,
-        source=source, counts=None,
+        budgets=tuple(budgets), eps_grids=tuple(eps_grids), delta=np.asarray(deltas),
+        std_err=np.asarray(errs) if errs else None, source=first[-1], counts=None,
     )
+
+
+def _bad_number(path, first_row: int, usecols: tuple[int, ...]) -> str | None:
+    """Name the first data row from ``first_row`` on with a field that is no float."""
+    with open(path) as fh:
+        rows = itertools.islice(_data_lines(fh), first_row, None)  # past the header
+        for number, line in enumerate(rows, first_row):
+            fields = line.rstrip("\n").split(",")
+            bad = [_DELTA_COLUMNS[j] for j in usecols
+                   if j >= len(fields) or not _is_float(fields[j])]
+            if bad:
+                return f"data row {number} {line.strip()!r}: {', '.join(bad)} not a number"
+    return None
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_CROSSING_COLUMNS = ("B", "eps_star", "status", "bracket_lo", "bracket_hi")
+_CROSSING_STATUSES = (STATUS_CROSSED, STATUS_NO_NEGATIVE, STATUS_NO_CROSSING)
 
 
 def write_crossings_csv(
@@ -201,7 +276,7 @@ def write_crossings_csv(
     with open(path, "w", newline="") as fh:
         fh.write(_schema_comment(cfg) + "\n")
         writer = csv.writer(fh)
-        writer.writerow(["B", "eps_star", "status", "bracket_lo", "bracket_hi"])
+        writer.writerow(_CROSSING_COLUMNS)
         for c in crossings:
             writer.writerow([
                 repr(float(c.budget)),
@@ -213,22 +288,44 @@ def write_crossings_csv(
 
 
 def read_crossings_csv(path, cfg: ExperimentConfig | None = None) -> list[CrossingEstimate]:
-    """Load a crossing table; with ``cfg``, it must have been written for ``cfg``."""
+    """Load a crossing table; with ``cfg``, it must have been written for ``cfg``.
+
+    A wrong column header or a malformed row raises :class:`ConfigError`
+    naming the file and the first offending data row.
+    """
     if cfg is not None:
         _require_config_hash(path, cfg, "`zneboundary sweep`, then `zneboundary boundary`")
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(_data_lines(fh)):
-            out.append(CrossingEstimate(
-                budget=float(row["B"]),
-                eps_star=float(row["eps_star"]) if row["eps_star"] else None,
-                status=row["status"],
-                bracket_lo=float(row["bracket_lo"]) if row["bracket_lo"] else None,
-                bracket_hi=float(row["bracket_hi"]) if row["bracket_hi"] else None,
-            ))
+        rows = csv.reader(_data_lines(fh))
+        _check_columns(path, "crossing table", next(rows, []), _CROSSING_COLUMNS)
+        for number, row in enumerate(rows, 1):
+            try:
+                out.append(_crossing_from_row(row))
+            except ValueError as err:
+                raise ConfigError(
+                    f"crossing table {path}: data row {number} {','.join(row)!r}: {err}"
+                ) from err
     if not out:
         raise ConfigError(f"crossing table {path} is empty")
     return out
+
+
+def _crossing_from_row(row: list[str]) -> CrossingEstimate:
+    if len(row) != len(_CROSSING_COLUMNS):
+        raise ValueError(f"{len(row)} fields, expected {len(_CROSSING_COLUMNS)}")
+    budget, eps_star, status, lo, hi = row
+    if status not in _CROSSING_STATUSES:
+        raise ValueError(f"status must be one of {_CROSSING_STATUSES}")
+    if (status == STATUS_CROSSED) != bool(eps_star):
+        raise ValueError("eps_star must be given exactly when the status is crossed")
+    return CrossingEstimate(
+        budget=float(budget),
+        eps_star=float(eps_star) if eps_star else None,
+        status=status,
+        bracket_lo=float(lo) if lo else None,
+        bracket_hi=float(hi) if hi else None,
+    )
 
 
 def write_variance_csv(path, cfg: ExperimentConfig, n_points: int = 60) -> bool:
@@ -242,8 +339,8 @@ def write_variance_csv(path, cfg: ExperimentConfig, n_points: int = 60) -> bool:
         fh.write(_schema_comment(cfg) + "\n")
         writer = csv.writer(fh)
         writer.writerow(["eps", "variance"])
-        for eps in grid:
-            writer.writerow([repr(float(eps)), repr(float(model.variance(float(eps))))])
+        for eps, variance in zip(grid.tolist(), model.variance(grid).tolist()):
+            writer.writerow([repr(eps), repr(variance)])
     return True
 
 

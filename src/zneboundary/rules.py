@@ -220,22 +220,28 @@ def small_noise_allocation(rule: RichardsonRule, q: float) -> tuple[float, ...]:
     return tuple(float(x) for x in w / w.sum())
 
 
-def optimal_allocation(rule: RichardsonRule, model, eps: float) -> tuple[float, ...]:
+def optimal_allocation(rule: RichardsonRule, model, eps):
     """Variance-optimal shot fractions at noise strength ``eps``.
 
     The Lagrange optimum weights each level by ``|c_j| * sqrt(v(lam_j eps))``.
     Levels with exactly zero variance are degenerate in the optimum and get
     the floor fraction before renormalization; if every level has zero
-    variance the allocation is undefined.
+    variance the allocation is undefined.  For a 1-D array of ``n``
+    strengths the result is an ``(n, k+1)`` array, one row per strength;
+    for a single strength it is row 0, as a tuple.
     """
     lam = np.asarray(rule.scales)
     c = np.asarray(rule.coeffs)
-    v = np.asarray([float(model.variance(l * eps)) for l in lam])
-    if np.any(v < 0):
-        raise AllocationError(f"negative variance at scaled strengths {list(lam * eps)}")
+    strengths = np.reshape(np.asarray(eps, dtype=float), (-1, 1)) * lam
+    v = np.broadcast_to(model.variance(strengths), strengths.shape)
+    negative = np.any(v < 0, axis=1)
+    if negative.any():
+        raise AllocationError(
+            f"negative variance at scaled strengths {list(strengths[np.argmax(negative)])}"
+        )
     w = np.abs(c) * np.sqrt(v)
-    if np.all(w == 0):
+    if np.any(np.all(w == 0, axis=1)):
         raise AllocationError("degenerate variance, allocation undefined")
-    pi = np.where(w > 0, w / w.sum(), MIN_ALLOC_FRACTION)
-    pi = pi / pi.sum()
-    return tuple(float(x) for x in pi)
+    pi = np.where(w > 0, w / w.sum(axis=1, keepdims=True), MIN_ALLOC_FRACTION)
+    pi = pi / pi.sum(axis=1, keepdims=True)
+    return pi if np.ndim(eps) else tuple(float(x) for x in pi[0])

@@ -2,15 +2,21 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zneboundary.boundary import CrossingEstimate
 from zneboundary.cli import main
 from zneboundary.config import load_config, parse_config
 from zneboundary.errors import ConfigError
 from zneboundary.pipeline import (
+    SweepResult,
     build_report,
     crossings_from_sweep,
     read_crossings_csv,
@@ -250,6 +256,154 @@ class TestPipelineArtifacts:
         assert json.dumps(report, sort_keys=True) == json.dumps(
             build_report(cfg, crossings, sweep.counts), sort_keys=True
         )
+
+
+class TestArtifactReaderErrors:
+    """A malformed delta or crossing table is refused with the file and row named."""
+
+    @staticmethod
+    def corrupt(tmp_path, name, write, read, edit):
+        path = tmp_path / name
+        write(path)
+        lines = path.read_text().splitlines(keepends=True)
+        edit(lines)  # lines[0] is the schema comment, lines[1] the column header
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError) as err:
+            read(path)
+        assert str(path) in str(err.value)
+        return str(err.value)
+
+    SWEEP = dict(DLB_EXACT, budgets={"values": [1e4, 1e5, 1e6]})
+
+    def delta(self, tmp_path, edit):
+        sweep = run_sweep(parse_config(self.SWEEP))
+        return self.corrupt(tmp_path, "delta.csv", lambda p: write_delta_csv(p, sweep),
+                            read_delta_csv, edit)
+
+    def crossings(self, tmp_path, edit):
+        crossings = [
+            CrossingEstimate(1e4, 0.001, "crossed", 0.0009, 0.0011),
+            CrossingEstimate(1e5, None, "no_negative_region"),
+        ]
+        return self.corrupt(tmp_path, "cross.csv",
+                            lambda p: write_crossings_csv(p, crossings),
+                            read_crossings_csv, edit)
+
+    def test_delta_budget_with_fewer_rows(self, tmp_path):
+        n_eps = len(run_sweep(parse_config(self.SWEEP)).eps_grids[0])
+        msg = self.delta(tmp_path, lambda lines: lines.pop(2 + n_eps + 3))
+        assert f"data row {n_eps + 1} (B=100000.0): budget has {n_eps - 1} rows, " \
+               f"the first {n_eps}" in msg
+
+    def test_delta_non_numeric_value(self, tmp_path):
+        def edit(lines):
+            lines[6] = lines[6].replace(lines[6].split(",")[2], "oops")
+        msg = self.delta(tmp_path, edit)
+        assert "data row 5 " in msg and "delta not a number" in msg
+
+    def test_delta_missing_std_err_column(self, tmp_path):
+        def edit(lines):
+            for i in range(1, len(lines)):
+                lines[i] = lines[i].replace(",std_err,", ",").replace(",,", ",")
+        msg = self.delta(tmp_path, edit)
+        assert "column header 'B,eps,delta,source'" in msg
+
+    def test_delta_truncated_row(self, tmp_path):
+        def edit(lines):
+            lines[4] = lines[4].split(",")[0] + "\r\n"
+        msg = self.delta(tmp_path, edit)
+        assert "data row 3 " in msg and "eps, delta not a number" in msg
+
+    def test_delta_short_last_budget(self, tmp_path):
+        msg = self.delta(tmp_path, lambda lines: lines.pop())
+        assert "(B=1000000.0): budget has" in msg
+
+    def test_delta_budgets_out_of_order(self, tmp_path):
+        def edit(lines):
+            lines[2:] = sorted(lines[2:], key=lambda line: -float(line.split(",")[0]))
+        msg = self.delta(tmp_path, edit)
+        assert "budgets must be strictly ascending" in msg
+
+    def test_crossings_non_numeric_value(self, tmp_path):
+        def edit(lines):
+            lines[2] = lines[2].replace("0.001,", "abc,")
+        msg = self.crossings(tmp_path, edit)
+        assert "data row 1 " in msg and "could not convert" in msg
+
+    def test_crossings_missing_column(self, tmp_path):
+        def edit(lines):
+            for i in range(1, len(lines)):
+                lines[i] = lines[i].rsplit(",", 1)[0] + "\r\n"
+        msg = self.crossings(tmp_path, edit)
+        assert "column header 'B,eps_star,status,bracket_lo'" in msg
+
+    def test_crossings_unknown_status(self, tmp_path):
+        def edit(lines):
+            lines[3] = lines[3].replace("no_negative_region", "maybe")
+        msg = self.crossings(tmp_path, edit)
+        assert "data row 2 " in msg and "status must be one of" in msg
+
+    def test_crossings_crossed_without_eps_star(self, tmp_path):
+        def edit(lines):
+            lines[2] = lines[2].replace("0.001,", ",")
+        msg = self.crossings(tmp_path, edit)
+        assert "data row 1 " in msg and "eps_star must be given" in msg
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sweeps(draw, monte_carlo):
+    budgets = draw(st.lists(st.floats(1.0, 1e15), min_size=1, max_size=4, unique=True))
+    n_eps = draw(st.integers(1, 5))
+    cells = st.lists(finite, min_size=n_eps, max_size=n_eps)
+    grids = tuple(tuple(draw(cells)) for _ in budgets)
+    delta = np.array([draw(cells) for _ in budgets])
+    std_err = np.array([draw(cells) for _ in budgets]) if monte_carlo else None
+    return SweepResult(
+        budgets=tuple(sorted(budgets)), eps_grids=grids, delta=delta, std_err=std_err,
+        source="monte_carlo" if monte_carlo else "exact", counts=None,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans().flatmap(sweeps))
+def test_delta_csv_round_trip_property(sweep):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+        write_delta_csv(first, sweep)
+        back = read_delta_csv(first)
+        assert back.budgets == sweep.budgets and back.eps_grids == sweep.eps_grids
+        assert back.source == sweep.source
+        assert np.array_equal(back.delta.view(np.uint64), sweep.delta.view(np.uint64))
+        if sweep.std_err is None:
+            assert back.std_err is None
+        else:
+            assert np.array_equal(back.std_err.view(np.uint64), sweep.std_err.view(np.uint64))
+        write_delta_csv(second, back)
+        assert second.read_bytes() == first.read_bytes()
+
+
+@st.composite
+def crossing_rows(draw):
+    budget = draw(st.floats(1.0, 1e15))
+    if draw(st.booleans()):
+        return CrossingEstimate(budget, draw(finite), "crossed", draw(finite), draw(finite))
+    status = draw(st.sampled_from(["no_negative_region", "no_crossing_in_window"]))
+    return CrossingEstimate(budget, None, status)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(crossing_rows(), min_size=1, max_size=6))
+def test_crossings_csv_round_trip_property(crossings):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+        write_crossings_csv(first, crossings)
+        back = read_crossings_csv(first)
+        assert back == crossings
+        write_crossings_csv(second, back)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestCli:

@@ -86,6 +86,21 @@ class TestDomains:
         with pytest.raises(DomainError):
             m.mean(1.01)
 
+    @pytest.mark.parametrize("model", ALL_BINARY, ids=lambda m: type(m).__name__)
+    def test_nan_is_out_of_domain(self, model):
+        with pytest.raises(DomainError):
+            model.mean(float("nan"))
+
+    @pytest.mark.parametrize("model", ALL_BINARY, ids=lambda m: type(m).__name__)
+    def test_array_curves_match_scalar_curves(self, model):
+        grid = np.linspace(0.0, model.eps_max * 0.999, 7)
+        assert model.mean(grid).tolist() == [model.mean(float(e)) for e in grid]
+        assert model.variance(grid).tolist() == [model.variance(float(e)) for e in grid]
+        with pytest.raises(DomainError) as err:
+            model.mean(np.append(grid, [2 * model.eps_max, 3 * model.eps_max]))
+        assert err.value.eps == 2 * model.eps_max
+        assert f"eps={2 * model.eps_max!r}" in str(err.value)
+
     def test_scaled_check_names_pair(self):
         m = DeterministicLimitBinary(kappa=1.0)
         with pytest.raises(DomainError, match="lambda=5") as err:

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zneboundary.errors import AllocationError, ConfigError, ModelError
+from zneboundary.errors import AllocationError, ConfigError, DomainError, ModelError
 from zneboundary.models import (
     DeterministicLimitBinary,
     LinearBiasBinary,
     MonomialBalanceModel,
+    PowerLeakageBinary,
     ProductContractionString,
+    check_scaled_eps,
+    scaled_domain_max,
 )
 from zneboundary.mse import (
     CountTable,
@@ -135,6 +138,97 @@ class TestExactDelta:
         assert isinstance(curve, np.ndarray) and curve.shape == grid.shape
         for value, eps in zip(curve, grid):
             assert value == exact_delta(DLB, RULE13, float(eps), 500.0).delta
+
+
+def reference_optimal_allocation(rule, model, eps):
+    """Point-by-point optimal split, as computed before the array kernel."""
+    lam = np.asarray(rule.scales)
+    c = np.asarray(rule.coeffs)
+    v = np.asarray([float(model.variance(l * eps)) for l in lam])
+    w = np.abs(c) * np.sqrt(v)
+    pi = np.where(w > 0, w / w.sum(), 1e-6)
+    return pi / pi.sum()
+
+
+def reference_mse(model, rule, eps, budget, realloc="fixed"):
+    """Point-by-point exact MSE, as computed before the array kernel."""
+    mu0 = model.mean(0.0)
+    if rule is None:
+        bias = model.mean(eps) - mu0
+        variance = model.variance(eps) / budget
+    else:
+        check_scaled_eps(model, eps, rule.scales)
+        pi = (np.asarray(rule.alloc) if realloc == "fixed"
+              else reference_optimal_allocation(rule, model, eps))
+        c = np.asarray(rule.coeffs)
+        lam = np.asarray(rule.scales)
+        means = np.asarray([model.mean(l * eps) for l in lam])
+        variances = np.asarray([model.variance(l * eps) for l in lam])
+        bias = float(c @ means) - mu0
+        variance = float(np.sum(c**2 * variances / pi)) / budget
+    return bias * bias + variance
+
+
+def reference_delta(model, rule, eps, budget, realloc="fixed"):
+    if isinstance(model, MonomialBalanceModel):
+        return model.delta_mse(eps, budget)
+    return reference_mse(model, None, eps, budget) - reference_mse(
+        model, rule, eps, budget, realloc
+    )
+
+
+KERNEL_MODELS = {
+    "lbb": LBB,
+    "dlb": DLB,
+    "pcs": ProductContractionString(gamma=0.1, ell=5),
+    "plb": PowerLeakageBinary(sigma=-1, kappa=0.5, r=1.5),
+    "monomial": MonomialBalanceModel(p=1, q=1.0, d_p=1.0, k_q=2.0, l_b=0.5, l_v=0.3),
+}
+
+
+class TestExactKernelMatchesPointwiseReference:
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    @pytest.mark.parametrize("scales", [[1, 3], [1, 3, 5], [1, 2, 4, 8]], ids=str)
+    @pytest.mark.parametrize("realloc", ["fixed", "optimal"])
+    def test_curve_bit_identical(self, name, scales, realloc):
+        model, rule = KERNEL_MODELS[name], build_rule(scales)
+        top = min(scaled_domain_max(model, rule.scales), 1.0) * (1 - 1e-9)
+        grid = np.geomspace(top * 1e-6, top, 150)
+        for budget in (1e3, 3.7e6):
+            curve = exact_delta_curve(model, rule, grid, budget, realloc=realloc)
+            ref = np.array([reference_delta(model, rule, float(e), budget, realloc)
+                            for e in grid])
+            assert np.array_equal(curve.view(np.uint64), ref.view(np.uint64))
+            for i in (0, 77, 149):
+                point = exact_delta(model, rule, float(grid[i]), budget, realloc=realloc)
+                assert point.delta == curve[i]
+
+    @pytest.mark.parametrize("realloc", ["fixed", "optimal"])
+    def test_exact_mse_bit_identical(self, realloc):
+        rule = build_rule([1, 3, 5])
+        for model in (LBB, KERNEL_MODELS["pcs"], KERNEL_MODELS["plb"]):
+            for eps in (1e-4, 0.01, 0.05):
+                assert exact_mse(model, None, eps, 900.0).mse == reference_mse(
+                    model, None, eps, 900.0)
+                assert exact_mse(model, rule, eps, 900.0, realloc=realloc).mse == (
+                    reference_mse(model, rule, eps, 900.0, realloc))
+
+    @pytest.mark.parametrize("model,grid", [
+        (DLB, [0.1, 0.8, 2.5]),      # a scaled level leaves the domain first
+        (DLB, [0.1, 2.5, 0.8]),      # the strength itself leaves it first
+        (DLB, [-0.01, 0.1]),
+        (LBB, [0.01, 0.2, 0.3]),
+        (ProductContractionString(gamma=0.1, ell=5), [0.5, 2.5, 12.0]),
+    ])
+    def test_out_of_domain_grid_raises_the_pointwise_error(self, model, grid):
+        rule = build_rule([1, 3])
+        with pytest.raises(DomainError) as ref:
+            for eps in grid:
+                reference_delta(model, rule, eps, 100.0)
+        with pytest.raises(DomainError) as got:
+            exact_delta_curve(model, rule, np.asarray(grid), 100.0)
+        assert str(got.value) == str(ref.value)
+        assert (got.value.eps, got.value.scale) == (ref.value.eps, ref.value.scale)
 
 
 class TestIntegerize:

@@ -253,8 +253,8 @@ class TestOptimalAllocation:
         rule = build_rule([1, 3])
 
         class ShiftedZero:
-            def variance(self, eps):
-                return model.variance(eps) if eps > 0.015 else 0.0
+            def variance(self, eps):  # elementwise, like the package's models
+                return np.where(eps > 0.015, model.variance(eps), 0.0)
 
         pi = optimal_allocation(rule, ShiftedZero(), 0.01)
         assert pi[0] == pytest.approx(1e-6 / (1 + 1e-6) , rel=1e-6)
