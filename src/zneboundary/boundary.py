@@ -32,6 +32,8 @@ __all__ = [
     "RegimeReport",
     "BudgetBracket",
     "LocalOptimalityResult",
+    "check_crossing_grid",
+    "first_crossings",
     "find_crossing_arrays",
     "classify_regime",
     "theoretical_boundary",
@@ -88,6 +90,37 @@ class RegimeReport:
         }
 
 
+def check_crossing_grid(eps: np.ndarray, n_delta: int) -> None:
+    """Raise ValueError unless ``eps`` is a crossing grid for ``n_delta`` values."""
+    if eps.size != n_delta:
+        raise ValueError("eps and delta must have equal length")
+    if eps.size < 3:
+        raise ValueError(f"need at least 3 grid points, got {eps.size}")
+    if np.any(np.diff(eps) <= 0):
+        raise ValueError("eps grid must be strictly increasing")
+
+
+def first_crossings(eps: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First harm-to-help sign change on every row of an ``(n_budgets, n_eps)`` table.
+
+    Row ``b`` of ``eps`` is the grid of row ``b`` of ``delta``, already
+    checked by :func:`check_crossing_grid`.  A crossing is the first ``i``
+    with ``delta[i] < 0 <= delta[i+1]``, interpolated linearly in eps; an
+    exact zero at ``i+1`` is the crossing itself.  Returns ``(lower,
+    eps_star)``: the lower bracket index, -1 in rows without a crossing, and
+    the crossing, NaN in those rows.
+    """
+    sign_change = (delta[:, :-1] < 0) & (delta[:, 1:] >= 0)
+    lower = np.where(sign_change.any(axis=1), sign_change.argmax(axis=1), -1)
+    eps_star = np.full(len(delta), np.nan)
+    rows = np.flatnonzero(lower >= 0)
+    i = lower[rows]
+    e_lo, e_hi = eps[rows, i], eps[rows, i + 1]
+    lo, hi = delta[rows, i], delta[rows, i + 1]
+    eps_star[rows] = np.where(hi == 0.0, e_hi, e_lo + (e_hi - e_lo) * (-lo) / (hi - lo))
+    return lower, eps_star
+
+
 def find_crossing_arrays(
     eps: np.ndarray, delta: np.ndarray, budget: float
 ) -> CrossingEstimate:
@@ -95,32 +128,21 @@ def find_crossing_arrays(
 
     Requires at least one strictly negative value before the crossing (a
     zero at the origin of zero-variance models is not a boundary).  An exact
-    zero at the upper bracket point is treated as the crossing itself.
+    zero at the upper bracket point is treated as the crossing itself.  The
+    one-row form of :func:`first_crossings`.
     """
     eps = np.asarray(eps, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    if eps.size != delta.size:
-        raise ValueError("eps and delta must have equal length")
-    if eps.size < 3:
-        raise ValueError(f"need at least 3 grid points, got {eps.size}")
-    if np.any(np.diff(eps) <= 0):
-        raise ValueError("eps grid must be strictly increasing")
-
-    negative = np.nonzero(delta < 0)[0]
-    if negative.size == 0:
-        return CrossingEstimate(budget=budget, eps_star=None, status=STATUS_NO_NEGATIVE)
-    for i in range(int(negative[0]), eps.size - 1):
-        lo, hi = delta[i], delta[i + 1]
-        if lo < 0 <= hi:
-            if hi == 0.0:
-                eps_star = float(eps[i + 1])
-            else:
-                eps_star = float(eps[i] + (eps[i + 1] - eps[i]) * (-lo) / (hi - lo))
-            return CrossingEstimate(
-                budget=budget, eps_star=eps_star, status=STATUS_CROSSED,
-                bracket_lo=float(eps[i]), bracket_hi=float(eps[i + 1]),
-            )
-    return CrossingEstimate(budget=budget, eps_star=None, status=STATUS_NO_CROSSING)
+    check_crossing_grid(eps, delta.size)
+    lower, eps_star = first_crossings(eps[None, :], delta[None, :])
+    i = int(lower[0])
+    if i >= 0:
+        return CrossingEstimate(
+            budget=budget, eps_star=float(eps_star[0]), status=STATUS_CROSSED,
+            bracket_lo=float(eps[i]), bracket_hi=float(eps[i + 1]),
+        )
+    status = STATUS_NO_CROSSING if np.any(delta < 0) else STATUS_NO_NEGATIVE
+    return CrossingEstimate(budget=budget, eps_star=None, status=status)
 
 
 def classify_regime(

@@ -134,13 +134,17 @@ class BinaryObservableModel(NoiseObservableModel):
         mu = self.mean(eps)
         return 1.0 - mu * mu
 
+    def plus_probability(self, eps):
+        """Single-shot probability ``(1 + mu)/2`` of a +1 outcome, elementwise.
+
+        Clipped to [0, 1] to guard roundoff at the deterministic endpoints.
+        """
+        return np.clip(0.5 * (1.0 + self.mean(eps)), 0.0, 1.0)
+
     def sample_counts(self, eps: float, shots: int, rng: np.random.Generator) -> int:
         if shots < 1 or shots != int(shots):
             raise ModelError(f"shots must be a positive integer, got {shots!r}")
-        p_plus = 0.5 * (1.0 + self.mean(eps))
-        # guard roundoff at the deterministic endpoints
-        p_plus = min(max(p_plus, 0.0), 1.0)
-        return int(rng.binomial(int(shots), p_plus))
+        return int(rng.binomial(int(shots), float(self.plus_probability(eps))))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ bit-identical results.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -34,7 +35,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllocationError, ConfigError, ModelError
-from .models import MonomialBalanceModel, NoiseObservableModel, check_scaled_eps
+from .models import (
+    BinaryObservableModel,
+    MonomialBalanceModel,
+    NoiseObservableModel,
+    check_scaled_eps,
+)
 from .rules import RichardsonRule, optimal_allocation
 
 __all__ = [
@@ -349,7 +355,8 @@ class CountTable:
                 )
             n_read = 0
             while n_read < n_cells:
-                rows = _read_count_block(fh, min(block_rows, n_cells - n_read), csv_path)
+                rows = _read_count_block(fh, min(block_rows, n_cells - n_read), csv_path,
+                                         n_read + 1)
                 if not len(rows):
                     break
                 idx = rows[:, :4] + (0, 0, 1, 0)  # scale_idx -1 is arm slot 0
@@ -397,25 +404,54 @@ def _describe_row(row) -> str:
     return "(" + ", ".join(f"{col}={int(v)}" for col, v in zip(_COUNT_COLUMNS, row)) + ")"
 
 
-def _read_count_block(fh, max_rows: int, csv_path) -> np.ndarray:
-    """Up to ``max_rows`` integer rows from the current position of ``fh``."""
+def _read_count_block(fh, max_rows: int, csv_path, first_row: int) -> np.ndarray:
+    """Up to ``max_rows`` integer rows from ``fh``, the first being data row ``first_row``."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, comments=None,
                               max_rows=max_rows, ndmin=2)
     except ValueError as err:
-        raise ConfigError(f"count table {csv_path}: {err}") from err
+        raise ConfigError(
+            f"count table {csv_path}: {_bad_count_row(csv_path, first_row) or err}"
+        ) from err
     if rows.size and rows.shape[1] != len(_COUNT_COLUMNS):
         raise ConfigError(
-            f"count table {csv_path}: rows have {rows.shape[1]} columns, "
+            f"count table {csv_path}: data row {first_row}: {rows.shape[1]} fields, "
             f"expected {len(_COUNT_COLUMNS)}"
         )
     return rows
 
 
+def _bad_count_row(csv_path, first_row: int) -> str | None:
+    """Name the first data row from ``first_row`` on that is not six integers."""
+    with open(csv_path) as fh:
+        lines = (line for line in fh if line.strip())
+        line = next(lines, "")
+        while line.startswith("#"):
+            line = next(lines, "")
+        # ``lines`` is past the column header
+        for number, line in enumerate(itertools.islice(lines, first_row - 1, None), first_row):
+            fields = line.strip().split(",")
+            if len(fields) != len(_COUNT_COLUMNS):
+                return (f"data row {number} {line.strip()!r}: {len(fields)} fields, "
+                        f"expected {len(_COUNT_COLUMNS)}")
+            bad = [col for col, text in zip(_COUNT_COLUMNS, fields) if not _is_int64(text)]
+            if bad:
+                return (f"data row {number} {line.strip()!r}: {', '.join(bad)} "
+                        "not a 64-bit integer")
+    return None
+
+
+def _is_int64(text: str) -> bool:
+    try:
+        return -(2**63) <= int(text) < 2**63
+    except ValueError:
+        return False
+
+
 def sample_count_table(
-    model: NoiseObservableModel,
+    model: BinaryObservableModel,
     rule: RichardsonRule,
     budgets: Sequence[int],
     eps_grids: Sequence[Sequence[float]],
@@ -427,10 +463,12 @@ def sample_count_table(
     """Draw the full raw-count table for an experiment grid.
 
     Cell (b, e, arm, rep) draws from the stream ``cell_stream(master_seed,
-    b, e, arm, rep)`` would return, so tables match a cell-by-cell loop
-    bit for bit; the keys are derived one budget at a time.
+    b, e, arm, rep)`` would return, with the probability ``sample_counts``
+    would use, so tables match a cell-by-cell loop bit for bit; the keys and
+    the arm probabilities are derived one budget at a time.  The counts are
+    plus-counts of +/-1 outcomes, so the model must be binary.
     """
-    if not isinstance(model, NoiseObservableModel):
+    if not isinstance(model, BinaryObservableModel):
         raise ModelError("model has no sampler")
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
@@ -449,7 +487,7 @@ def sample_count_table(
     # reset restores the buffer fields as well: a stale ``buffer_pos`` would
     # hand the next cell the previous cell's leftover draws.
     bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
+    binomial = np.random.Generator(bitgen).binomial
     key = [0, 0]
     fresh = {
         "bit_generator": "Philox",
@@ -460,22 +498,24 @@ def sample_count_table(
         "uinteger": 0,
     }
     for b_idx, budget in enumerate(budgets):
-        k0, k1 = _budget_keys(master_seed, b_idx, (n_eps, n_arms, replicates))
-        for e_idx, eps in enumerate(eps_grids[b_idx]):
-            eps = float(eps)
-            check_scaled_eps(model, eps, rule.scales)
-            pi = _resolve_alloc(model, rule, eps, realloc)
-            level_shots = integerize_allocation(pi, budget)
-            cell_shots = [budget] + level_shots.tolist()
-            strengths = [eps] + [float(lam) * eps for lam in rule.scales]
-            keys = zip(k0[e_idx].tolist(), k1[e_idx].tolist())
-            for arm, (n, strength, arm_keys) in enumerate(zip(cell_shots, strengths, keys)):
-                draws = []
-                for key[0], key[1] in zip(*arm_keys):  # re-keys ``fresh``
-                    bitgen.state = fresh
-                    draws.append(model.sample_counts(strength, n, rng))
-                shots[b_idx, e_idx, arm] = n
-                plus[b_idx, e_idx, arm] = draws
+        eps = np.asarray(eps_grids[b_idx], dtype=float)
+        for e_idx, e in enumerate(eps.tolist()):
+            check_scaled_eps(model, e, rule.scales)
+            shots[b_idx, e_idx, 0] = budget
+            pi = _resolve_alloc(model, rule, e, realloc)
+            shots[b_idx, e_idx, 1:] = integerize_allocation(pi, budget)[:, None]
+        # arm 0 is the base strength, arm 1+j the scaled level j
+        strengths = np.column_stack((eps, eps[:, None] * np.asarray(rule.scales)))
+        p_cell = np.broadcast_to(model.plus_probability(strengths)[:, :, None],
+                                 shots.shape[1:])
+        k0, k1 = _budget_keys(master_seed, b_idx, shots.shape[1:])
+        draws = []
+        for key[0], key[1], n, p in zip(k0.ravel().tolist(), k1.ravel().tolist(),
+                                        shots[b_idx].ravel().tolist(),
+                                        p_cell.ravel().tolist()):
+            bitgen.state = fresh  # re-keyed through ``key``
+            draws.append(binomial(n, p))
+        plus[b_idx] = np.reshape(draws, shots.shape[1:])
     return CountTable(
         budgets=tuple(budgets),
         eps_grids=tuple(tuple(float(x) for x in g) for g in eps_grids),
@@ -497,19 +537,22 @@ def deltas_from_counts(
     errors are measured against the exact ideal value ``mu0``, so the
     replicate mean is an unbiased estimate of the exact MSE difference.
     """
-    mu_hat = 2.0 * table.plus / table.shots - 1.0
-    c = np.asarray(coeffs)
-    noisy_err = (mu_hat[:, :, 0, :] - mu0) ** 2
-    zne_est = np.tensordot(mu_hat[:, :, 1:, :], c, axes=([2], [0]))
-    zne_err = (zne_est - mu0) ** 2
-    diff = noisy_err - zne_err
+    diff = _squared_error_diffs(table.plus, table.shots, coeffs, mu0)
     delta = diff.mean(axis=2)
     std_err = diff.std(axis=2, ddof=1) / np.sqrt(table.n_replicates)
     return delta, std_err
 
 
+def _squared_error_diffs(plus, shots, coeffs, mu0: float) -> np.ndarray:
+    """Per-replicate ``noisy - zne`` squared errors, shape (n_budgets, n_eps, n_reps)."""
+    mu_hat = 2.0 * plus / shots - 1.0
+    noisy_err = (mu_hat[:, :, 0, :] - mu0) ** 2
+    zne_est = np.tensordot(mu_hat[:, :, 1:, :], np.asarray(coeffs), axes=([2], [0]))
+    return noisy_err - (zne_est - mu0) ** 2
+
+
 def mc_delta(
-    model: NoiseObservableModel,
+    model: BinaryObservableModel,
     rule: RichardsonRule,
     eps: float,
     budget: int,

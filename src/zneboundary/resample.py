@@ -16,7 +16,6 @@ reduction is order-independent, so results do not depend on scheduling.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import find_crossing_arrays
+from .boundary import check_crossing_grid, first_crossings
 from .errors import ConfigError, FitError
 from .fits import (
     fit_bias_from_samples,
@@ -33,7 +32,7 @@ from .fits import (
     plugin_constant,
 )
 from .models import model_from_spec
-from .mse import CountTable, _splitmix64, deltas_from_counts
+from .mse import CountTable, _splitmix64, _squared_error_diffs
 from .rules import build_rule, penalty_constants
 
 __all__ = ["BootstrapResult", "bootstrap_pipeline", "count_pipeline", "KNOWN_STATISTICS"]
@@ -86,62 +85,84 @@ def count_pipeline(
     outcome is deterministic (empirical variance zero) cannot enter the
     log-log fit and are dropped.
     """
-    model = model_from_spec(table.model_spec)
-    rule = build_rule(table.rule_spec["scales"], table.rule_spec["alloc"])
-    mu0 = model.mean(0.0)
-    work = table if plus is None else dataclasses.replace(table, plus=plus)
+    estimate = _TableEstimator(table, variance_window, bias_window, allocation)
+    return estimate(table.plus if plus is None else plus)
 
-    delta, _ = deltas_from_counts(work, rule.coeffs, mu0)
-    stats: dict[str, float] = {}
-    crossed: list[tuple[float, float]] = []
-    for b_idx, budget in enumerate(table.budgets):
-        est = find_crossing_arrays(
-            np.asarray(table.eps_grids[b_idx]), delta[b_idx], float(budget)
-        )
-        stats[f"eps_star[{budget:g}]"] = est.eps_star if est.crossed else float("nan")
-        if est.crossed:
-            crossed.append((float(budget), est.eps_star))
 
-    if len(crossed) >= 3:
-        fit = fit_loglog(crossed)
-        stats["s_obs"] = fit.slope
-        stats["c_fit"] = fit.c_fit
-    else:
-        stats["s_obs"] = float("nan")
-        stats["c_fit"] = float("nan")
+class _TableEstimator:
+    """:func:`count_pipeline` for one table, built once and applied to plus counts.
 
-    q_hat = alpha_hat = float("nan")
-    if variance_window is not None or bias_window is not None:
-        # pooled unmitigated-arm estimates per (budget, eps) grid point
-        pooled_plus = work.plus[:, :, 0, :].sum(axis=2)
-        pooled_shots = work.shots[:, :, 0, :].sum(axis=2)
-        mu_hat = 2.0 * pooled_plus / pooled_shots - 1.0
-        eps_flat = np.asarray(table.eps_grids, dtype=float).ravel()
-        mu_flat = mu_hat.ravel()
-    if variance_window is not None:
-        v_hat = 1.0 - mu_flat**2
-        usable = v_hat > 0
-        try:
-            qfit = fit_variance_exponent_from_samples(
-                eps_flat[usable], v_hat[usable], variance_window
-            )
-            q_hat = qfit.q_hat
-            stats["nu_hat"] = qfit.nu_hat
-        except FitError:
-            stats["nu_hat"] = float("nan")
-        stats["q_hat"] = q_hat
-    if bias_window is not None:
-        try:
-            bfit = fit_bias_from_samples(eps_flat, mu_flat - mu0, bias_window)
-            alpha_hat = bfit.alpha_hat
-        except FitError:
-            pass
-        stats["alpha_hat"] = alpha_hat
+    Holds what every replicate shares: the model's ideal value, the rule,
+    the checked eps grids and the pooled unmitigated-arm shots.  Nothing in
+    it changes after construction, so threads may share one instance.
+    """
 
-    if variance_window is not None and bias_window is not None:
-        stats["c_plugin"] = _plugin_constant(rule, stats.get("nu_hat", float("nan")),
-                                             q_hat, alpha_hat, allocation)
-    return stats
+    def __init__(self, table: CountTable, variance_window, bias_window, allocation: str):
+        self.rule = build_rule(table.rule_spec["scales"], table.rule_spec["alloc"])
+        self.mu0 = model_from_spec(table.model_spec).mean(0.0)
+        self.coeffs = np.asarray(self.rule.coeffs)
+        self.eps = np.asarray(table.eps_grids, dtype=float)
+        for grid in self.eps:
+            check_crossing_grid(grid, grid.size)
+        self.shots = table.shots
+        self.budgets = [float(b) for b in table.budgets]
+        self.eps_star_names = [f"eps_star[{b:g}]" for b in table.budgets]
+        self.pooled_shots = table.shots[:, :, 0, :].sum(axis=2)
+        self.variance_window = variance_window
+        self.bias_window = bias_window
+        self.allocation = allocation
+
+    def __call__(self, plus: np.ndarray) -> dict[str, float]:
+        if plus.shape != self.shots.shape:
+            raise ValueError(f"plus counts have shape {plus.shape}, "
+                             f"expected the table's {self.shots.shape}")
+        if np.any(plus < 0) or np.any(plus > self.shots):
+            raise ValueError("plus counts must lie in [0, shots]")
+        delta = _squared_error_diffs(plus, self.shots, self.coeffs, self.mu0).mean(axis=2)
+        lower, eps_star = first_crossings(self.eps, delta)
+        eps_star = eps_star.tolist()
+        stats: dict[str, float] = dict(zip(self.eps_star_names, eps_star))
+        crossed = [(b, e) for b, e, i in zip(self.budgets, eps_star, lower) if i >= 0]
+
+        if len(crossed) >= 3:
+            fit = fit_loglog(crossed)
+            stats["s_obs"] = fit.slope
+            stats["c_fit"] = fit.c_fit
+        else:
+            stats["s_obs"] = float("nan")
+            stats["c_fit"] = float("nan")
+
+        q_hat = alpha_hat = float("nan")
+        variance_window, bias_window = self.variance_window, self.bias_window
+        if variance_window is not None or bias_window is not None:
+            # pooled unmitigated-arm estimates per (budget, eps) grid point
+            pooled_plus = plus[:, :, 0, :].sum(axis=2)
+            mu_flat = (2.0 * pooled_plus / self.pooled_shots - 1.0).ravel()
+            eps_flat = self.eps.ravel()
+        if variance_window is not None:
+            v_hat = 1.0 - mu_flat**2
+            usable = v_hat > 0
+            try:
+                qfit = fit_variance_exponent_from_samples(
+                    eps_flat[usable], v_hat[usable], variance_window
+                )
+                q_hat = qfit.q_hat
+                stats["nu_hat"] = qfit.nu_hat
+            except FitError:
+                stats["nu_hat"] = float("nan")
+            stats["q_hat"] = q_hat
+        if bias_window is not None:
+            try:
+                bfit = fit_bias_from_samples(eps_flat, mu_flat - self.mu0, bias_window)
+                alpha_hat = bfit.alpha_hat
+            except FitError:
+                pass
+            stats["alpha_hat"] = alpha_hat
+
+        if variance_window is not None and bias_window is not None:
+            stats["c_plugin"] = _plugin_constant(self.rule, stats.get("nu_hat", float("nan")),
+                                                 q_hat, alpha_hat, self.allocation)
+        return stats
 
 
 def _plugin_constant(rule, nu_hat: float, q_hat: float, alpha_hat: float,
@@ -178,7 +199,8 @@ def bootstrap_pipeline(
     ``statistics`` draws from ``eps_star`` (one result per budget),
     ``s_obs``, ``c_fit``, ``q_hat``, ``alpha_hat``, and ``c_plugin``; the
     regression statistics require their pre-registered windows, and
-    ``allocation`` is passed to :func:`count_pipeline`.  Replicates
+    ``allocation`` is as in :func:`count_pipeline`, whose estimator is
+    built once and applied to the table and to every replicate.  Replicates
     whose statistic is unavailable (e.g. every budget censored) are counted
     in ``missing_fraction`` and excluded from the interval, never silently
     dropped from the report.
@@ -211,15 +233,13 @@ def bootstrap_pipeline(
         else:
             names.append(stat)
 
-    pipeline_kw = dict(variance_window=var_win, bias_window=bias_win,
-                       allocation=allocation)
-    point = count_pipeline(table, **pipeline_kw)
+    estimate = _TableEstimator(table, var_win, bias_win, allocation)
+    point = estimate(table.plus)
     p_hat = table.plus / table.shots
 
     def one_replicate(rep_idx: int) -> dict[str, float]:
         rng = _replicate_stream(seed, rep_idx)
-        plus = rng.binomial(table.shots, p_hat)
-        return count_pipeline(table, plus=plus, **pipeline_kw)
+        return estimate(rng.binomial(table.shots, p_hat))
 
     n_threads = max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
     if n_threads == 1:

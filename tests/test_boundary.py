@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zneboundary.boundary import (
     STATUS_CROSSED,
@@ -10,7 +12,9 @@ from zneboundary.boundary import (
     auto_window,
     budget_bracket,
     classify_regime,
+    CrossingEstimate,
     find_crossing_arrays,
+    first_crossings,
     geometric_grid,
     local_optimality_check,
     theoretical_boundary,
@@ -106,6 +110,62 @@ class TestFindCrossing:
                 assert est.bracket_lo < est.eps_star <= est.bracket_hi
                 i = list(grid).index(est.bracket_lo)
                 assert delta[i] < 0 <= delta[i + 1]
+
+
+def reference_crossing(eps, delta, budget):
+    """The point-by-point scan ``find_crossing_arrays`` used before the batched form."""
+    negative = np.nonzero(delta < 0)[0]
+    if negative.size == 0:
+        return CrossingEstimate(budget=budget, eps_star=None, status=STATUS_NO_NEGATIVE)
+    for i in range(int(negative[0]), eps.size - 1):
+        lo, hi = delta[i], delta[i + 1]
+        if lo < 0 <= hi:
+            if hi == 0.0:
+                eps_star = float(eps[i + 1])
+            else:
+                eps_star = float(eps[i] + (eps[i + 1] - eps[i]) * (-lo) / (hi - lo))
+            return CrossingEstimate(
+                budget=budget, eps_star=eps_star, status=STATUS_CROSSED,
+                bracket_lo=float(eps[i]), bracket_hi=float(eps[i + 1]),
+            )
+    return CrossingEstimate(budget=budget, eps_star=None, status=STATUS_NO_CROSSING)
+
+
+@st.composite
+def delta_tables(draw):
+    """(eps, delta): one strictly increasing grid per row, values with exact zeros."""
+    n_rows, n_eps = draw(st.integers(1, 4)), draw(st.integers(3, 9))
+    steps = st.lists(st.floats(1e-6, 1.0), min_size=n_eps, max_size=n_eps)
+    eps = np.cumsum([draw(steps) for _ in range(n_rows)], axis=1)
+    value = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-10.0, 10.0, allow_nan=False)
+    delta = np.array([draw(st.lists(value, min_size=n_eps, max_size=n_eps))
+                      for _ in range(n_rows)])
+    return eps, delta
+
+
+GRID5 = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(delta_tables())
+@example((GRID5, np.array([[-1.0, -0.5, 0.0, 2.0, 3.0]])))   # exact zero at upper bracket
+@example((GRID5, np.array([[-1.0, -2.0, -0.5, -0.1, -3.0]])))  # all negative
+@example((GRID5, np.array([[0.0, 1.0, 0.0, 2.0, 0.5]])))    # no negatives
+@example((GRID5, np.array([[0.0, 0.0, -1.0, -1.0, 1.0]])))  # zeros before the first negative
+@example((np.vstack([GRID5[0], GRID5[0] * 2]),
+          np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [-1.0, -1.0, -1.0, -1.0, -1.0]])))
+def test_batched_crossings_match_one_row_form(table):
+    eps, delta = table
+    lower, eps_star = first_crossings(eps, delta)
+    for b in range(len(delta)):
+        est = find_crossing_arrays(eps[b], delta[b], budget=float(b + 1))
+        assert est == reference_crossing(eps[b], delta[b], float(b + 1))
+        if est.crossed:
+            assert np.float64(est.eps_star).view(np.uint64) == eps_star[b].view(np.uint64)
+            assert (est.bracket_lo, est.bracket_hi) == (eps[b, lower[b]], eps[b, lower[b] + 1])
+        else:
+            assert lower[b] == -1 and np.isnan(eps_star[b])
 
 
 class TestClassifyRegime:

@@ -328,22 +328,55 @@ def reference_table(model, rule, budgets, eps_grids, replicates, seed, realloc):
 
 
 class TestTableSamplerMatchesCellStreams:
-    CASES = {
-        "dlb13": (DLB, [1, 3], [[0.01, 0.02, 0.05], [0.005, 0.01, 0.03]]),
-        "pcs135": (ProductContractionString(gamma=0.1, ell=5), [1, 3, 5],
-                   [[0.01, 0.05, 0.2], [0.02, 0.1, 0.3]]),
-    }
+    """The table sampler against a ``cell_stream`` + ``sample_counts`` loop."""
 
-    @pytest.mark.parametrize("case", sorted(CASES))
+    MODELS = {
+        "dlb": DLB,
+        "pcs": ProductContractionString(gamma=0.1, ell=5),
+        "lbb": LinearBiasBinary(mu0=0.2, alpha=-0.5),
+        "plb": PowerLeakageBinary(sigma=-1, kappa=0.5, r=2.0),
+    }
+    RULES = {"13": [1, 3], "135": [1, 3, 5]}
+    CASES = ["dlb13", "dlb135", "lbb13", "lbb135", "pcs13", "pcs135", "plb13", "plb135"]
+    GRIDS = [[0.01, 0.05, 0.2], [0.02, 0.1, 0.3]]
+
+    @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("realloc", ["fixed", "optimal"])
     @pytest.mark.parametrize("seed", [0, 77, 2**63 + 5, -1])
     def test_cell_for_cell(self, case, realloc, seed):
-        model, scales, grids = self.CASES[case]
-        rule, budgets = build_rule(scales), [300, 3000]
-        table = sample_count_table(model, rule, budgets, grids, 3, seed, realloc=realloc)
-        shots, plus = reference_table(model, rule, budgets, grids, 3, seed, realloc)
+        model, rule, budgets = self.MODELS[case[:3]], build_rule(self.RULES[case[3:]]), [300, 3000]
+        table = sample_count_table(model, rule, budgets, self.GRIDS, 3, seed, realloc=realloc)
+        shots, plus = reference_table(model, rule, budgets, self.GRIDS, 3, seed, realloc)
         assert np.array_equal(table.shots, shots)
         assert np.array_equal(table.plus, plus)
+
+    # messages, eps and scale of the DomainError the per-cell sampler raised
+    OUT_OF_DOMAIN = {
+        "dlb": ([1, 3], [[0.1, 0.7]], 0.7, 3.0,
+                "scaled strength lambda*eps out of domain at (eps=0.7, lambda=3.0): "
+                "DeterministicLimitBinary: eps=2.0999999999999996 outside valid domain "
+                "[0, 2.0]"),
+        "pcs": ([1, 3, 5], [[0.5, 2.0]], 2.0, 5.0,
+                "scaled strength lambda*eps out of domain at (eps=2.0, lambda=5.0): "
+                "ProductContractionString: gamma*eps < 1 violated at eps=10.0 (gamma=0.1)"),
+        "lbb": ([1, 3], [[0.1, 0.2], [0.3, 0.6]], 0.6, 3.0,
+                "scaled strength lambda*eps out of domain at (eps=0.6, lambda=3.0): "
+                "LinearBiasBinary: |mu0 + alpha*eps| <= 1 violated at eps=1.7999999999999998"),
+        "plb": ([1, 3, 5], [[0.01, 0.5]], 0.5, 5.0,
+                "scaled strength lambda*eps out of domain at (eps=0.5, lambda=5.0): "
+                "PowerLeakageBinary: eps=2.5 outside valid domain [0, 2.0]"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_DOMAIN))
+    @pytest.mark.parametrize("realloc", ["fixed", "optimal"])
+    def test_out_of_domain_scaled_strength(self, name, realloc):
+        model = {"lbb": LinearBiasBinary(mu0=0.2, alpha=0.5)}.get(name, self.MODELS[name])
+        scales, grids, eps, scale, message = self.OUT_OF_DOMAIN[name]
+        with pytest.raises(DomainError) as err:
+            sample_count_table(model, build_rule(scales), [100] * len(grids), grids, 2, 3,
+                               realloc=realloc)
+        assert str(err.value) == message
+        assert (err.value.eps, err.value.scale) == (eps, scale)
 
     def test_counts_csv_bytes_pinned(self, tmp_path):
         # stream-version tripwire: a different digest means the random
@@ -509,7 +542,21 @@ class TestCountTableRowValidation:
     def test_malformed_row(self, tmp_path):
         def edit(lines):
             lines[3] = "0,0,-1,1,500\n"
-        self.corrupt(tmp_path, edit)
+        msg = self.corrupt(tmp_path, edit)
+        assert "data row 2 '0,0,-1,1,500': 5 fields, expected 6" in msg
+
+    def test_malformed_number_names_absolute_row(self, tmp_path):
+        # data row 40 lies in the second budget's block of 36 rows
+        def edit(lines):
+            lines[41] = "1,x0,0,1,1000,997\n"
+        msg = self.corrupt(tmp_path, edit)
+        assert "data row 40 '1,x0,0,1,1000,997': eps_idx not a 64-bit integer" in msg
+
+    def test_overflowing_number_names_absolute_row(self, tmp_path):
+        def edit(lines):
+            lines[40] = "1,0,0,0,99999999999999999999,997\n"
+        msg = self.corrupt(tmp_path, edit)
+        assert "data row 39 " in msg and "shots not a 64-bit integer" in msg
 
 
 @st.composite

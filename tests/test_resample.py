@@ -1,5 +1,8 @@
 """Raw-count bootstrap: label preservation, determinism, and intervals."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,12 @@ from zneboundary.boundary import auto_window
 from zneboundary.errors import ConfigError
 from zneboundary.models import DeterministicLimitBinary
 from zneboundary.mse import CountTable, sample_count_table
-from zneboundary.resample import BootstrapResult, bootstrap_pipeline, count_pipeline
+from zneboundary.resample import (
+    KNOWN_STATISTICS,
+    BootstrapResult,
+    bootstrap_pipeline,
+    count_pipeline,
+)
 from zneboundary.rules import build_rule
 
 DLB = DeterministicLimitBinary(kappa=1.0)
@@ -43,6 +51,23 @@ class TestCountPipeline:
         stats = count_pipeline(table)
         assert "q_hat" not in stats
         assert "s_obs" in stats
+
+    def test_resampled_counts_are_range_checked(self):
+        table = small_table(replicates=4)
+        for value in (-1, table.shots[1, 2, 1, 3] + 1):
+            bad = table.plus.copy()
+            bad[1, 2, 1, 3] = value
+            with pytest.raises(ValueError, match=r"\[0, shots\]"):
+                count_pipeline(table, plus=bad)
+        with pytest.raises(ValueError, match="shape"):
+            count_pipeline(table, plus=table.plus[..., :2])
+
+    def test_short_grid_rejected(self):
+        table = small_table(replicates=4)
+        table.eps_grids = tuple(g[:2] for g in table.eps_grids)
+        table.shots, table.plus = table.shots[:, :2], table.plus[:, :2]
+        with pytest.raises(ValueError, match="at least 3 grid points"):
+            count_pipeline(table)
 
 
 class TestBootstrapPipeline:
@@ -117,3 +142,28 @@ class TestBootstrapPipeline:
             bootstrap_pipeline(table, ["alpha_hat"], 100, seed=0)
         with pytest.raises(ConfigError, match="level"):
             bootstrap_pipeline(table, ["s_obs"], 100, seed=0, level=1.5)
+
+
+class TestPinnedBootstrap:
+    """sha256 of ``as_dict()`` output, recorded before the per-table estimator."""
+
+    DIGESTS = {
+        "fixed": "f43b2a997720a220767c64c67dbd3c1832adcbeac4b72ee1639a08f7fbe39512",
+        "optimal": "116aa5e68f7d0b9332fb8f5a8d21f07ab2ba33059d87cca2707acd401ad298ec",
+    }
+
+    @pytest.mark.parametrize("allocation", ["fixed", "optimal"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_all_statistics_pinned(self, allocation, threads, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", threads)
+        budgets = (1000, 4000, 16000, 64000)
+        grids = [auto_window(DLB, RULE13, b, span=(0.2, 5.0), points_per_decade=12).tolist()
+                 for b in budgets]
+        table = sample_count_table(DLB, RULE13, list(budgets), grids, 12, 11,
+                                   realloc=allocation)
+        results = bootstrap_pipeline(
+            table, list(KNOWN_STATISTICS), 100, seed=21,
+            variance_window=(2e-3, 5e-2), bias_window=(2e-3, 5e-2), allocation=allocation,
+        )
+        text = json.dumps([r.as_dict() for r in results], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[allocation]
