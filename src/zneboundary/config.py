@@ -38,7 +38,6 @@ __all__ = ["ExperimentConfig", "load_config", "parse_config", "config_hash"]
 DEFAULT_GRID = {"mode": "auto", "span": [0.1, 10.0], "points_per_decade": 40}
 DEFAULT_REPLICATES = 100  # Monte Carlo replicates unless configured
 DEFAULT_BOOTSTRAP = {"n_replicates": 1000, "level": 0.95}
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,14 @@ bit-identical results.
 
 from __future__ import annotations
 
-import itertools
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .artifacts import SCHEMA_VERSION, begin_table, check_schema, open_table, read_block
 from .errors import AllocationError, ConfigError, ModelError
 from .models import (
     BinaryObservableModel,
@@ -56,9 +55,6 @@ __all__ = [
     "sample_count_table",
     "deltas_from_counts",
 ]
-
-COUNTS_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class MseBreakdown:
@@ -297,7 +293,7 @@ class CountTable:
 
     def header(self) -> dict:
         return {
-            "schema_version": COUNTS_SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "model": self.model_spec,
             "rule": self.rule_spec,
             "budgets": list(self.budgets),
@@ -316,8 +312,7 @@ class CountTable:
         nb, ne, ns, nr = self.shots.shape
         e, s, r = np.indices((ne, ns, nr)).reshape(3, -1)
         with open(csv_path, "w", newline="") as fh:
-            fh.write(f"# zneboundary-schema={COUNTS_SCHEMA_VERSION}\n")
-            fh.write(",".join(_COUNT_COLUMNS) + "\r\n")
+            begin_table(fh, _COUNT_COLUMNS)
             for b in range(nb):
                 block = np.column_stack(
                     (np.full_like(e, b), e, s - 1, r,
@@ -330,33 +325,41 @@ class CountTable:
     def read(cls, csv_path, header_path) -> "CountTable":
         """Load a table written by :meth:`write`, one budget block at a time.
 
-        Every cell must appear exactly once, in any order; a wrong column
-        header, an out-of-range index, a duplicate, a missing or an extra row
-        raises :class:`ConfigError` naming the file and the first such row.
+        The JSON header must carry this schema version, every field the
+        table's shape needs and one eps grid per budget, all of one length.  Every cell must
+        appear exactly once, in any order; a wrong column header, an
+        out-of-range index, a duplicate, a missing or an extra row raises
+        :class:`ConfigError` naming the file and the first such row.
         """
-        header = json.loads(Path(header_path).read_text())
-        budgets = tuple(int(b) for b in header["budgets"])
-        eps_grids = tuple(tuple(float(x) for x in g) for g in header["eps_grids"])
-        scales = tuple(float(s) for s in header["scales"])
-        shape = (len(budgets), len(eps_grids[0]), len(scales) + 1, int(header["replicates"]))
+        head = f"count header {header_path}"
+        try:
+            header = json.loads(Path(header_path).read_text())
+            check_schema(head, header.get("schema_version"))
+            budgets = tuple(int(b) for b in header["budgets"])
+            eps_grids = tuple(tuple(float(x) for x in g) for g in header["eps_grids"])
+            scales = tuple(float(s) for s in header["scales"])
+            n_reps, master_seed = int(header["replicates"]), int(header["master_seed"])
+        except KeyError as err:
+            raise ConfigError(f"{head}: no {err.args[0]!r} field") from err
+        except (AttributeError, TypeError, ValueError) as err:
+            raise ConfigError(f"{head}: {err}") from err
+        if not budgets or len(eps_grids) != len(budgets):
+            raise ConfigError(f"{head}: {len(eps_grids)} eps grids for {len(budgets)} budgets")
+        if len({len(g) for g in eps_grids}) > 1:
+            raise ConfigError(f"{head}: eps grids of unequal lengths "
+                              f"{', '.join(str(len(g)) for g in eps_grids)}")
+        shape = (len(budgets), len(eps_grids[0]), len(scales) + 1, n_reps)
         n_cells = int(np.prod(shape))
         block_rows = n_cells // shape[0]
         shots = np.zeros(n_cells, dtype=np.int64)
         plus = np.zeros(n_cells, dtype=np.int64)
         seen = np.zeros(n_cells, dtype=bool)
-        with open(csv_path) as fh:
-            line = fh.readline()
-            while line.startswith("#"):
-                line = fh.readline()
-            if line.rstrip("\n").split(",") != list(_COUNT_COLUMNS):
-                raise ConfigError(
-                    f"count table {csv_path}: column header {line.strip()!r}, "
-                    f"expected {','.join(_COUNT_COLUMNS)!r}"
-                )
+        where = f"count table {csv_path}"
+        with open_table(csv_path, where, _COUNT_COLUMNS) as fh:
             n_read = 0
             while n_read < n_cells:
-                rows = _read_count_block(fh, min(block_rows, n_cells - n_read), csv_path,
-                                         n_read + 1)
+                rows = read_block(fh, where, _COUNT_COLUMNS, min(block_rows, n_cells - n_read),
+                                  n_read + 1, dtype=np.int64)
                 if not len(rows):
                     break
                 idx = rows[:, :4] + (0, 0, 1, 0)  # scale_idx -1 is arm slot 0
@@ -368,8 +371,7 @@ class CountTable:
                 if np.any(bad | repeat):
                     i = int(np.argmax(bad | repeat))
                     raise ConfigError(
-                        f"count table {csv_path}: data row {n_read + i + 1} "
-                        f"{_describe_row(rows[i])}: "
+                        f"{where}: data row {n_read + i + 1} {_describe_row(rows[i])}: "
                         + ("index out of range" if bad[i] else "duplicate cell")
                     )
                 seen[flat] = True
@@ -379,19 +381,19 @@ class CountTable:
             for line in fh:
                 if line.strip():
                     raise ConfigError(
-                        f"count table {csv_path}: data row {n_read + 1} {line.strip()!r}: "
+                        f"{where}: data row {n_read + 1} {line.strip()!r}: "
                         f"extra row beyond the table's {n_cells} cells"
                     )
         if not seen.all():
             cell = np.unravel_index(int(np.argmin(seen)), shape)
             raise ConfigError(
-                f"count table {csv_path}: no row for cell "
+                f"{where}: no row for cell "
                 f"{_describe_row(np.subtract(cell, (0, 0, 1, 0)))}"
             )
         return cls(
             budgets=budgets, eps_grids=eps_grids, scales=scales,
             shots=shots.reshape(shape), plus=plus.reshape(shape),
-            master_seed=int(header["master_seed"]),
+            master_seed=master_seed,
             model_spec=header.get("model", {}), rule_spec=header.get("rule", {}),
         )
 
@@ -402,52 +404,6 @@ _COUNT_ROW = "%d,%d,%d,%d,%d,%d\r\n"
 
 def _describe_row(row) -> str:
     return "(" + ", ".join(f"{col}={int(v)}" for col, v in zip(_COUNT_COLUMNS, row)) + ")"
-
-
-def _read_count_block(fh, max_rows: int, csv_path, first_row: int) -> np.ndarray:
-    """Up to ``max_rows`` integer rows from ``fh``, the first being data row ``first_row``."""
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, comments=None,
-                              max_rows=max_rows, ndmin=2)
-    except ValueError as err:
-        raise ConfigError(
-            f"count table {csv_path}: {_bad_count_row(csv_path, first_row) or err}"
-        ) from err
-    if rows.size and rows.shape[1] != len(_COUNT_COLUMNS):
-        raise ConfigError(
-            f"count table {csv_path}: data row {first_row}: {rows.shape[1]} fields, "
-            f"expected {len(_COUNT_COLUMNS)}"
-        )
-    return rows
-
-
-def _bad_count_row(csv_path, first_row: int) -> str | None:
-    """Name the first data row from ``first_row`` on that is not six integers."""
-    with open(csv_path) as fh:
-        lines = (line for line in fh if line.strip())
-        line = next(lines, "")
-        while line.startswith("#"):
-            line = next(lines, "")
-        # ``lines`` is past the column header
-        for number, line in enumerate(itertools.islice(lines, first_row - 1, None), first_row):
-            fields = line.strip().split(",")
-            if len(fields) != len(_COUNT_COLUMNS):
-                return (f"data row {number} {line.strip()!r}: {len(fields)} fields, "
-                        f"expected {len(_COUNT_COLUMNS)}")
-            bad = [col for col, text in zip(_COUNT_COLUMNS, fields) if not _is_int64(text)]
-            if bad:
-                return (f"data row {number} {line.strip()!r}: {', '.join(bad)} "
-                        "not a 64-bit integer")
-    return None
-
-
-def _is_int64(text: str) -> bool:
-    try:
-        return -(2**63) <= int(text) < 2**63
-    except ValueError:
-        return False
 
 
 def sample_count_table(

@@ -11,17 +11,14 @@ A run flows sweep -> boundary -> fit:
 
 All artifacts are plain CSV plus one JSON report; column orders are fixed.
 Re-running any stage with the same configuration and seed reproduces every
-byte (CSVs and reports embed the configuration hash, and a stage refuses a
-delta or crossing table written for another configuration).
+byte (the delta, crossing and variance CSVs and the report embed the
+configuration hash, and a stage refuses a delta or crossing table written for
+another configuration).
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +32,8 @@ from .boundary import (
     find_crossing_arrays,
     theoretical_boundary,
 )
-from .config import SCHEMA_VERSION, ExperimentConfig
+from .artifacts import SCHEMA_VERSION, begin_table, open_table, read_block
+from .config import ExperimentConfig
 from .errors import ConfigError, FitError, RegimeError
 from .fits import constant_check, fit_bias, fit_boundary, fit_variance_exponent, predict_slope
 from .models import MonomialBalanceModel
@@ -125,41 +123,7 @@ def crossings_from_sweep(sweep: SweepResult) -> list[CrossingEstimate]:
 
 
 # ---------------------------------------------------------------------------
-# CSV artifacts (fixed column orders; one leading comment line carries the
-# schema version and pre-registration marker)
-
-def _schema_comment(cfg: ExperimentConfig | None) -> str:
-    parts = [f"# zneboundary-schema={SCHEMA_VERSION}"]
-    if cfg is not None:
-        parts.append(f"config_hash={cfg.hash()}")
-        parts.append("pre_registered=true")
-    return " ".join(parts)
-
-
-def _data_lines(fh):
-    return (line for line in fh if line.strip() and not line.startswith("#"))
-
-
-def _check_columns(path, kind: str, header: list[str], columns: tuple[str, ...]) -> None:
-    if header != list(columns):
-        raise ConfigError(
-            f"{kind} {path}: column header {','.join(header)!r}, "
-            f"expected {','.join(columns)!r}"
-        )
-
-
-def _require_config_hash(path, cfg: ExperimentConfig, rerun: str) -> None:
-    """Refuse an artifact whose leading comment does not carry ``cfg``'s hash."""
-    with open(path, newline="") as fh:
-        tokens = fh.readline().split()
-    found = next((t.partition("=")[2] for t in tokens if t.startswith("config_hash=")), None)
-    if found != cfg.hash():
-        carried = "no config_hash" if found is None else f"config_hash {found}"
-        raise ConfigError(
-            f"{path} carries {carried}, not the current configuration's "
-            f"{cfg.hash()}; rerun {rerun}"
-        )
-
+# CSV artifacts (fixed column orders; the format itself is in ``artifacts``)
 
 _DELTA_COLUMNS = ("B", "eps", "delta", "std_err", "source")
 _DELTA_SOURCES = ("exact", "monte_carlo")
@@ -168,13 +132,11 @@ _DELTA_SOURCES = ("exact", "monte_carlo")
 def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig | None = None) -> None:
     """Write the delta table, formatting one budget block per write.
 
-    Fields are ``repr`` floats, ``std_err`` is empty for the exact engine and
-    rows end in ``\\r\\n``: the bytes ``csv.writer`` produces.
+    Fields are ``repr`` floats and ``std_err`` is empty for the exact engine.
     """
     row = ",%r,%r," + ("" if sweep.std_err is None else "%r") + f",{sweep.source}\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(_schema_comment(cfg) + "\n")
-        fh.write(",".join(_DELTA_COLUMNS) + "\r\n")
+        begin_table(fh, _DELTA_COLUMNS, cfg)
         for b_idx, budget in enumerate(sweep.budgets):
             cols = [sweep.eps_grids[b_idx], sweep.delta[b_idx]]
             if sweep.std_err is not None:
@@ -184,28 +146,23 @@ def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig | None = Non
 
 
 def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
-    """Load a delta table, one budget block per ``np.loadtxt`` call.
+    """Load a delta table, one budget block at a time.
 
-    With ``cfg``, the table must have been written for ``cfg``.  A wrong
-    column header, a budget with another row count than the first, budgets
-    out of ascending order, or a number that does not parse raises
-    :class:`ConfigError` naming the file and the first offending data row.
+    With ``cfg``, the table must have been written for ``cfg``.  Besides the
+    format errors of :func:`artifacts.open_table` and :func:`artifacts.read_block`,
+    a budget with another row count than the first or budgets out of
+    ascending order raise :class:`ConfigError` naming the first offending row.
     """
-    if cfg is not None:
-        _require_config_hash(path, cfg, "`zneboundary sweep`")
+    where = f"delta table {path}"
     budgets: list[float] = []
     eps_grids, deltas, errs = [], [], []
-    with open(path) as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            line = fh.readline()
-        _check_columns(path, "delta table", line.rstrip("\n").split(","), _DELTA_COLUMNS)
+    with open_table(path, where, _DELTA_COLUMNS, cfg, "`zneboundary sweep`") as fh:
         start = fh.tell()
         first = fh.readline().rstrip("\n").split(",")
         if first == [""]:
-            raise ConfigError(f"delta table {path} is empty")
+            raise ConfigError(f"{where} is empty")
         if first[-1] not in _DELTA_SOURCES:
-            raise ConfigError(f"delta table {path}: data row 1 {','.join(first)!r}: "
+            raise ConfigError(f"{where}: data row 1 {','.join(first)!r}: "
                               f"source must be one of {_DELTA_SOURCES}")
         usecols = (0, 1, 2, 3) if len(first) > 4 and first[3] else (0, 1, 2)
         n_eps = 1  # the rows of the first budget set the block length
@@ -213,26 +170,15 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
             n_eps += 1
         fh.seek(start)
         n_read = 0
-        while True:
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(fh, delimiter=",", usecols=usecols, max_rows=n_eps,
-                                      ndmin=2, comments=None)
-            except ValueError as err:
-                raise ConfigError(
-                    f"delta table {path}: {_bad_number(path, n_read + 1, usecols) or err}"
-                ) from err
-            if not len(rows):
-                break
+        while len(rows := read_block(fh, where, _DELTA_COLUMNS, n_eps, n_read + 1, usecols)):
             budget = float(rows[0, 0])
-            where = f"delta table {path}: data row {n_read + 1} (B={budget!r})"
+            at = f"{where}: data row {n_read + 1} (B={budget!r})"
             other = np.flatnonzero(rows[:, 0] != budget)
             n_rows = other[0] if other.size else len(rows)
             if n_rows != n_eps:
-                raise ConfigError(f"{where}: budget has {n_rows} rows, the first {n_eps}")
+                raise ConfigError(f"{at}: budget has {n_rows} rows, the first {n_eps}")
             if budgets and not budget > budgets[-1]:
-                raise ConfigError(f"{where}: budgets must be strictly ascending")
+                raise ConfigError(f"{at}: budgets must be strictly ascending")
             budgets.append(budget)
             eps_grids.append(tuple(rows[:, 1].tolist()))
             deltas.append(rows[:, 2])
@@ -245,69 +191,42 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
     )
 
 
-def _bad_number(path, first_row: int, usecols: tuple[int, ...]) -> str | None:
-    """Name the first data row from ``first_row`` on with a field that is no float."""
-    with open(path) as fh:
-        rows = itertools.islice(_data_lines(fh), first_row, None)  # past the header
-        for number, line in enumerate(rows, first_row):
-            fields = line.rstrip("\n").split(",")
-            bad = [_DELTA_COLUMNS[j] for j in usecols
-                   if j >= len(fields) or not _is_float(fields[j])]
-            if bad:
-                return f"data row {number} {line.strip()!r}: {', '.join(bad)} not a number"
-    return None
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 _CROSSING_COLUMNS = ("B", "eps_star", "status", "bracket_lo", "bracket_hi")
 _CROSSING_STATUSES = (STATUS_CROSSED, STATUS_NO_NEGATIVE, STATUS_NO_CROSSING)
+
+
+def _field(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
 
 
 def write_crossings_csv(
     path, crossings: list[CrossingEstimate], cfg: ExperimentConfig | None = None
 ) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(_schema_comment(cfg) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(_CROSSING_COLUMNS)
+        begin_table(fh, _CROSSING_COLUMNS, cfg)
         for c in crossings:
-            writer.writerow([
-                repr(float(c.budget)),
-                "" if c.eps_star is None else repr(float(c.eps_star)),
-                c.status,
-                "" if c.bracket_lo is None else repr(float(c.bracket_lo)),
-                "" if c.bracket_hi is None else repr(float(c.bracket_hi)),
-            ])
+            fh.write(f"{_field(c.budget)},{_field(c.eps_star)},{c.status},"
+                     f"{_field(c.bracket_lo)},{_field(c.bracket_hi)}\r\n")
 
 
 def read_crossings_csv(path, cfg: ExperimentConfig | None = None) -> list[CrossingEstimate]:
     """Load a crossing table; with ``cfg``, it must have been written for ``cfg``.
 
-    A wrong column header or a malformed row raises :class:`ConfigError`
-    naming the file and the first offending data row.
+    Besides the format errors of :func:`artifacts.open_table`, a malformed
+    row raises :class:`ConfigError` naming the first offending data row.
     """
-    if cfg is not None:
-        _require_config_hash(path, cfg, "`zneboundary sweep`, then `zneboundary boundary`")
+    where = f"crossing table {path}"
     out = []
-    with open(path, newline="") as fh:
-        rows = csv.reader(_data_lines(fh))
-        _check_columns(path, "crossing table", next(rows, []), _CROSSING_COLUMNS)
+    rerun = "`zneboundary sweep`, then `zneboundary boundary`"
+    with open_table(path, where, _CROSSING_COLUMNS, cfg, rerun) as fh:
+        rows = (line.rstrip("\n").split(",") for line in fh if line.strip())
         for number, row in enumerate(rows, 1):
             try:
                 out.append(_crossing_from_row(row))
             except ValueError as err:
-                raise ConfigError(
-                    f"crossing table {path}: data row {number} {','.join(row)!r}: {err}"
-                ) from err
+                raise ConfigError(f"{where}: data row {number} {','.join(row)!r}: {err}") from err
     if not out:
-        raise ConfigError(f"crossing table {path} is empty")
+        raise ConfigError(f"{where} is empty")
     return out
 
 
@@ -336,11 +255,9 @@ def write_variance_csv(path, cfg: ExperimentConfig, n_points: int = 60) -> bool:
         return False
     grid = np.geomspace(window[0], window[1], n_points)
     with open(path, "w", newline="") as fh:
-        fh.write(_schema_comment(cfg) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "variance"])
+        begin_table(fh, ("eps", "variance"), cfg)
         for eps, variance in zip(grid.tolist(), model.variance(grid).tolist()):
-            writer.writerow([repr(eps), repr(variance)])
+            fh.write(f"{eps!r},{variance!r}\r\n")
     return True
 
 

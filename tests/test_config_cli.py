@@ -349,6 +349,29 @@ class TestArtifactReaderErrors:
         msg = self.crossings(tmp_path, edit)
         assert "data row 1 " in msg and "eps_star must be given" in msg
 
+    @staticmethod
+    def other_schema(lines):
+        lines[0] = lines[0].replace("zneboundary-schema=1", "zneboundary-schema=9")
+
+    def test_delta_other_schema_version(self, tmp_path):
+        msg = self.delta(tmp_path, self.other_schema)
+        assert "carries schema version 9, expected 1" in msg
+
+    def test_delta_missing_schema_comment(self, tmp_path):
+        msg = self.delta(tmp_path, lambda lines: lines.pop(0))
+        assert "carries no schema version, expected 1" in msg
+
+    def test_crossings_other_schema_version(self, tmp_path):
+        msg = self.crossings(tmp_path, self.other_schema)
+        assert "carries schema version 9, expected 1" in msg
+
+    def test_schema_checked_before_config_hash(self, tmp_path):
+        cfg = parse_config(self.SWEEP)
+        sweep = run_sweep(cfg)
+        msg = self.corrupt(tmp_path, "delta.csv", lambda p: write_delta_csv(p, sweep),
+                           lambda p: read_delta_csv(p, cfg), self.other_schema)
+        assert "carries schema version 9, expected 1" in msg
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 

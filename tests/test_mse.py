@@ -1,6 +1,7 @@
 """Exact and Monte Carlo MSE engines, count tables, and integerization."""
 
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -490,19 +491,26 @@ class TestCountTable:
         assert np.array_equal(back.plus, table.plus)
 
 
+def _without(key):
+    return lambda header: json.dumps({k: v for k, v in header.items() if k != key})
+
+
 class TestCountTableRowValidation:
     """Each corruption of a written table is rejected with the file and row named."""
 
-    def corrupt(self, tmp_path, edit):
+    def corrupt(self, tmp_path, edit, edit_header=None):
+        """Apply ``edit`` to the CSV lines, ``edit_header`` (parsed JSON -> text) to the header."""
         table = TestCountTable().make_table()
         csv_path, header_path = tmp_path / "counts.csv", tmp_path / "counts.json"
         table.write(csv_path, header_path)
         lines = csv_path.read_text().splitlines(keepends=True)
         edit(lines)  # lines[0] is the schema comment, lines[1] the header
         csv_path.write_text("".join(lines))
+        if edit_header is not None:
+            header_path.write_text(edit_header(json.loads(header_path.read_text())))
         with pytest.raises(ConfigError) as err:
             CountTable.read(csv_path, header_path)
-        assert str(csv_path) in str(err.value)
+        assert str(header_path if edit_header else csv_path) in str(err.value)
         return str(err.value)
 
     def test_missing_row(self, tmp_path):
@@ -557,6 +565,33 @@ class TestCountTableRowValidation:
             lines[40] = "1,0,0,0,99999999999999999999,997\n"
         msg = self.corrupt(tmp_path, edit)
         assert "data row 39 " in msg and "shots not a 64-bit integer" in msg
+
+    def test_other_schema_version(self, tmp_path):
+        def edit(lines):
+            lines[0] = "# zneboundary-schema=9\n"
+        msg = self.corrupt(tmp_path, edit)
+        assert "carries schema version 9, expected 1" in msg
+
+    def test_header_other_schema_version(self, tmp_path):
+        def edit_header(header):
+            return json.dumps({**header, "schema_version": 7})
+        msg = self.corrupt(tmp_path, lambda lines: None, edit_header)
+        assert "carries schema version 7, expected 1" in msg
+
+    @pytest.mark.parametrize("edit_header, expected", [
+        (lambda header: json.dumps(header)[:-1], "Expecting"),
+        *[(_without(key), f"no '{key}' field")
+          for key in ("budgets", "eps_grids", "scales", "replicates", "master_seed")],
+        (lambda header: json.dumps({**header, "budgets": [], "eps_grids": []}),
+         "0 eps grids for 0 budgets"),
+        (lambda header: json.dumps({**header, "eps_grids": header["eps_grids"][:1]}),
+         "1 eps grids for 2 budgets"),
+        (lambda header: json.dumps({**header, "eps_grids": [[0.01, 0.02], [0.005]]}),
+         "eps grids of unequal lengths 2, 1"),
+    ], ids=["not_json", "no_budgets", "no_eps_grids", "no_scales", "no_replicates",
+            "no_master_seed", "no_budgets_listed", "grid_count", "grid_lengths"])
+    def test_malformed_header(self, tmp_path, edit_header, expected):
+        assert expected in self.corrupt(tmp_path, lambda lines: None, edit_header)
 
 
 @st.composite
