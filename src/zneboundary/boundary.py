@@ -17,7 +17,7 @@ without a qualifying sign change are reported as censored, never guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -185,19 +185,13 @@ def classify_regime(
     return RegimeReport(p=p, q=q, regime="supercritical", d_p=d_p, k_q=k_q)
 
 
-def theoretical_boundary(
-    model,
-    rule: RichardsonRule | None,
-    *,
-    allocation: str = "fixed",
-) -> RegimeReport:
+def theoretical_boundary(model, rule: RichardsonRule | None) -> RegimeReport:
     """Regime report predicted from a model's declared constants and a rule.
 
     For sampled models the leading squared-bias improvement is
     ``D_p = A_p^2 (1 - rho_p^2)`` with ``rho_p = sum_j c_j lam_j^p`` (zero
-    whenever p <= rule order), and the variance penalty comes from the
-    declared (q, nu) via the rule; ``allocation="optimal"`` uses the
-    optimal-allocation penalty instead of the rule's own.
+    whenever p <= rule order), and the variance penalty is the one the rule
+    pays at the declared (q, nu): ``K_opt`` if it reallocates, else ``K_fixed``.
     """
     if isinstance(model, MonomialBalanceModel):
         return classify_regime(
@@ -219,7 +213,7 @@ def theoretical_boundary(
         )
     d_p = amp * amp * (1.0 - rho_p * rho_p)
     pen = variance_penalty(rule, model.variance_exponent, model.variance_level)
-    return classify_regime(p, model.variance_exponent, d_p, pen.k(allocation))
+    return classify_regime(p, model.variance_exponent, d_p, pen.k)
 
 
 @dataclass(frozen=True)
@@ -304,8 +298,6 @@ def local_optimality_check(
     regime: RegimeReport,
     s_prime: float,
     budgets: Sequence[float],
-    *,
-    realloc: str = "fixed",
 ) -> LocalOptimalityResult:
     """Check that eps_B = B^(-s') stays in the harm region for large budgets.
 
@@ -322,7 +314,7 @@ def local_optimality_check(
     deltas = []
     for b in budgets:
         eps_b = b ** (-s_prime)
-        deltas.append(exact_delta(model, rule, eps_b, b, realloc=realloc).delta)
+        deltas.append(exact_delta(model, rule, eps_b, b).delta)
     onset = None
     for i, d in enumerate(deltas):
         if all(x < 0 for x in deltas[i:]):
@@ -355,11 +347,13 @@ def auto_window(
 
     The window is ``[span[0] * C B^(-r), span[1] * C B^(-r)]``, fixed by the
     declared model constants before any data is seen, and truncated to keep
-    every scaled level inside the model's domain.  Every budget gets the
-    same number of points, so crossings resolve with equal relative
-    resolution across the ladder.
+    every scaled level inside the model's domain.  ``C`` is the base split's
+    (``K_fixed``) constant, so an optimal-allocation rule gets its base
+    split's window.  Every budget gets the same number of points, so
+    crossings resolve with equal relative resolution across the ladder.
     """
-    regime = theoretical_boundary(model, rule)
+    base = None if rule is None else replace(rule, optimal=False)
+    regime = theoretical_boundary(model, base)
     if regime.regime != "subcritical":
         raise RegimeError(
             f"auto window needs a shrinking boundary; regime is {regime.regime}"

@@ -45,7 +45,7 @@ from .pipeline import (
     write_delta_csv,
     write_variance_csv,
 )
-from .rules import allocation_mode, build_rule, small_noise_allocation, variance_penalty
+from .rules import build_rule, small_noise_allocation, variance_penalty
 from .validate import run_battery
 
 EXIT_OK = 0
@@ -68,12 +68,11 @@ def _parse_alloc(text: str):
 
 
 def cmd_rule(args) -> int:
-    alloc = _parse_alloc(args.alloc)
-    rule = build_rule(_parse_scales(args.scales), alloc)
+    rule = build_rule(_parse_scales(args.scales), _parse_alloc(args.alloc))
     print(f"scales:       {list(rule.scales)}")
     print(f"coefficients: {list(rule.coeffs)}")
     print(f"allocation:   {list(rule.alloc)}" + (" (optimal varies with eps)"
-                                                 if alloc == "optimal" else ""))
+                                                 if rule.optimal else ""))
     residuals = rule.identity_residuals()
     print(f"identity residuals (m = 0..{rule.order}): "
           + ", ".join(f"{r:.2e}" for r in residuals))
@@ -97,7 +96,7 @@ def _sweep_paths(cfg):
 
 
 def _run_and_write_sweep(cfg, paths) -> "object":
-    Path(cfg.output.get("dir", ".")).mkdir(parents=True, exist_ok=True)
+    Path(cfg.output["dir"]).mkdir(parents=True, exist_ok=True)
     sweep = run_sweep(cfg)
     write_delta_csv(paths["delta"], sweep, cfg)
     print(f"wrote {paths['delta']}")
@@ -146,7 +145,7 @@ def cmd_fit(args) -> int:
             raise ConfigError(
                 f"missing raw counts {paths['counts_csv']}; run `zneboundary sweep` first"
             )
-        counts = CountTable.read(paths["counts_csv"], paths["counts_json"])
+        counts = CountTable.read(paths["counts_csv"], paths["counts_json"], cfg)
     report = build_report(cfg, crossings, counts)
     paths["report"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {paths['report']}")
@@ -187,11 +186,10 @@ def cmd_plan(args) -> int:
     else:
         if args.scales is None or args.nu is None:
             raise ConfigError("plan needs --k-q, or --scales and --nu to derive it")
-        alloc = _parse_alloc(args.alloc)
-        rule = build_rule(_parse_scales(args.scales), alloc)
-        mode = allocation_mode(alloc)
-        k_q = variance_penalty(rule, args.q, args.nu).k(mode)
-        print(f"variance penalty: K = {k_q:.6g} ({mode} allocation)")
+        rule = build_rule(_parse_scales(args.scales), _parse_alloc(args.alloc))
+        k_q = variance_penalty(rule, args.q, args.nu).k
+        print(f"variance penalty: K = {k_q:.6g} "
+              f"({'optimal' if rule.optimal else 'fixed'} allocation)")
 
     try:
         regime = classify_regime(args.p, args.q, d_p, k_q)

@@ -31,7 +31,7 @@ import yaml
 
 from .errors import ConfigError
 from .models import MonomialBalanceModel, model_from_spec
-from .rules import RichardsonRule, allocation_mode, build_rule
+from .rules import RichardsonRule, build_rule
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config", "config_hash"]
 
@@ -54,10 +54,6 @@ class ExperimentConfig:
     seed: int | None
     output: dict
     raw: dict = field(repr=False)
-
-    @property
-    def realloc(self) -> str:
-        return allocation_mode(self.rule_spec.get("alloc"))
 
     def model(self):
         return model_from_spec(self.model_spec)
@@ -87,8 +83,7 @@ class ExperimentConfig:
         return config_hash(self.raw)
 
     def out_path(self, suffix: str) -> Path:
-        out = self.output
-        return Path(out.get("dir", ".")) / f"{out.get('prefix', 'run')}_{suffix}"
+        return Path(self.output["dir"]) / f"{self.output['prefix']}_{suffix}"
 
 
 def config_hash(raw: dict) -> str:
@@ -169,10 +164,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         eps = grid.get("eps")
         if not eps:
             raise ConfigError("explicit grid needs at least one eps value")
-        if sorted(eps) != list(eps) or eps[0] <= 0:
-            raise ConfigError("explicit grid must be positive ascending")
+        if any(b <= a for a, b in zip(eps, eps[1:])) or eps[0] <= 0:
+            raise ConfigError("explicit grid must be positive and strictly ascending, got "
+                              + ", ".join(f"{e:g}" for e in eps))
     elif grid["mode"] == "auto":
-        span = grid.get("span", [0.1, 10.0])
+        span = grid["span"]
         if not 0 < float(span[0]) < float(span[1]):
             raise ConfigError(f"auto-grid span must be increasing positive, got {span}")
     else:

@@ -240,8 +240,6 @@ def constant_check(
     bias_fit: BiasFit,
     rule: RichardsonRule,
     c_theory: float,
-    *,
-    allocation: str = "fixed",
 ) -> ConstantCheck:
     """Compare the fitted boundary constant against theory and plug-in values.
 
@@ -259,7 +257,7 @@ def constant_check(
     q_hat = variance_fit.q_hat
     if q_hat >= 2:
         raise FitError(f"q_hat = {q_hat} >= 2: plug-in constant undefined")
-    k_hat = penalty_constants(rule, q_hat, variance_fit.nu_hat).k(allocation)
+    k_hat = penalty_constants(rule, q_hat, variance_fit.nu_hat).k
     c_fit = boundary_fit.c_fit
     return ConstantCheck(
         c_theory=float(c_theory),

@@ -78,15 +78,12 @@ class DeltaPoint:
     std_err: float | None = None
 
 
-def _resolve_alloc(model, rule: RichardsonRule, eps, realloc: str) -> np.ndarray:
-    if realloc == "fixed":
-        return np.asarray(rule.alloc)
-    if realloc == "optimal":
-        return np.asarray(optimal_allocation(rule, model, eps))
-    raise ValueError(f"realloc must be 'fixed' or 'optimal', got {realloc!r}")
+def _resolve_alloc(model, rule: RichardsonRule, eps) -> np.ndarray:
+    """The rule's split at ``eps``: per strength if it reallocates, else fixed."""
+    return np.asarray(optimal_allocation(rule, model, eps) if rule.optimal else rule.alloc)
 
 
-def _mse_terms(model, rule: RichardsonRule | None, eps, budget: float, realloc: str):
+def _mse_terms(model, rule: RichardsonRule | None, eps, budget: float):
     """Exact ``(bias, variance)`` arrays of both estimators along a 1-D grid.
 
     The one implementation of the formulas above; returns ``(noisy, zne)``,
@@ -110,23 +107,17 @@ def _mse_terms(model, rule: RichardsonRule | None, eps, budget: float, realloc: 
     noisy = (model.mean(eps) - mu0, model.variance(eps) / budget)
     if rule is None:
         return noisy, None
-    pi = _resolve_alloc(model, rule, eps, realloc)
+    pi = _resolve_alloc(model, rule, eps)
     c = np.asarray(rule.coeffs)
     bias = (model.mean(strengths)[:, None, :] @ c)[:, 0] - mu0
     variance = (c**2 * model.variance(strengths) / pi).sum(axis=1) / budget
     return noisy, (bias, variance)
 
 
-def exact_mse(
-    model: NoiseObservableModel,
-    rule: RichardsonRule | None,
-    eps: float,
-    budget: float,
-    *,
-    realloc: str = "fixed",
-) -> MseBreakdown:
+def exact_mse(model: NoiseObservableModel, rule: RichardsonRule | None, eps: float,
+              budget: float) -> MseBreakdown:
     """Exact MSE breakdown of the unmitigated (rule=None) or extrapolated estimator."""
-    noisy, zne = _mse_terms(model, rule, [eps], budget, realloc)
+    noisy, zne = _mse_terms(model, rule, [eps], budget)
     bias, variance = (float(term[0]) for term in (noisy if zne is None else zne))
     bias_sq = bias * bias
     return MseBreakdown(
@@ -135,27 +126,14 @@ def exact_mse(
     )
 
 
-def exact_delta(
-    model,
-    rule: RichardsonRule | None,
-    eps: float,
-    budget: float,
-    *,
-    realloc: str = "fixed",
-) -> DeltaPoint:
+def exact_delta(model, rule: RichardsonRule | None, eps: float, budget: float) -> DeltaPoint:
     """Exact MSE difference at one point: element 0 of :func:`exact_delta_curve`."""
-    delta = exact_delta_curve(model, rule, [eps], budget, realloc=realloc)[0]
+    delta = exact_delta_curve(model, rule, [eps], budget)[0]
     return DeltaPoint(eps=eps, budget=budget, delta=float(delta), source="exact")
 
 
-def exact_delta_curve(
-    model,
-    rule: RichardsonRule | None,
-    eps_grid: Sequence[float],
-    budget: float,
-    *,
-    realloc: str = "fixed",
-) -> np.ndarray:
+def exact_delta_curve(model, rule: RichardsonRule | None, eps_grid: Sequence[float],
+                      budget: float) -> np.ndarray:
     """Exact delta at every grid point, at one fixed budget, as an array.
 
     Monomial-balance models return their closed form.
@@ -164,9 +142,7 @@ def exact_delta_curve(
         return np.array([model.delta_mse(float(e), budget) for e in eps_grid])
     if rule is None:  # the estimator compared against itself
         return np.zeros(len(eps_grid))
-    (noisy_bias, noisy_var), (zne_bias, zne_var) = _mse_terms(
-        model, rule, eps_grid, budget, realloc
-    )
+    (noisy_bias, noisy_var), (zne_bias, zne_var) = _mse_terms(model, rule, eps_grid, budget)
     return (noisy_bias * noisy_bias + noisy_var) - (zne_bias * zne_bias + zne_var)
 
 
@@ -322,14 +298,16 @@ class CountTable:
         Path(header_path).write_text(json.dumps(self.header(), indent=2, sort_keys=True))
 
     @classmethod
-    def read(cls, csv_path, header_path) -> "CountTable":
+    def read(cls, csv_path, header_path, cfg=None) -> "CountTable":
         """Load a table written by :meth:`write`, one budget block at a time.
 
         The JSON header must carry this schema version, every field the
-        table's shape needs and one eps grid per budget, all of one length.  Every cell must
-        appear exactly once, in any order; a wrong column header, an
-        out-of-range index, a duplicate, a missing or an extra row raises
-        :class:`ConfigError` naming the file and the first such row.
+        table's shape needs and one eps grid per budget, all of one length;
+        with ``cfg``, its model, rule, budgets, replicates and master seed
+        must be ``cfg``'s.  Every cell must appear exactly once, in any
+        order; a wrong column header, an out-of-range index, a duplicate, a
+        missing or an extra row raises :class:`ConfigError` naming the file
+        and the first such row.
         """
         head = f"count header {header_path}"
         try:
@@ -343,6 +321,8 @@ class CountTable:
             raise ConfigError(f"{head}: no {err.args[0]!r} field") from err
         except (AttributeError, TypeError, ValueError) as err:
             raise ConfigError(f"{head}: {err}") from err
+        if cfg is not None:
+            _check_experiment(head, header, cfg)
         if not budgets or len(eps_grids) != len(budgets):
             raise ConfigError(f"{head}: {len(eps_grids)} eps grids for {len(budgets)} budgets")
         if len({len(g) for g in eps_grids}) > 1:
@@ -402,6 +382,19 @@ _COUNT_COLUMNS = ("budget_idx", "eps_idx", "scale_idx", "rep_idx", "shots", "plu
 _COUNT_ROW = "%d,%d,%d,%d,%d,%d\r\n"
 
 
+def _check_experiment(head: str, header: dict, cfg) -> None:
+    """Refuse a count header that another configuration's sweep wrote."""
+    expected = {
+        "model": cfg.model().spec(), "rule": cfg.rule().spec(),
+        "budgets": [int(b) for b in cfg.budgets],
+        "replicates": cfg.replicates, "master_seed": cfg.seed,
+    }
+    for key, value in expected.items():
+        if header.get(key) != value:
+            raise ConfigError(f"{head}: {key} {header.get(key)!r}, not the configuration's "
+                              f"{value!r}; rerun `zneboundary sweep`")
+
+
 def _describe_row(row) -> str:
     return "(" + ", ".join(f"{col}={int(v)}" for col, v in zip(_COUNT_COLUMNS, row)) + ")"
 
@@ -413,16 +406,15 @@ def sample_count_table(
     eps_grids: Sequence[Sequence[float]],
     replicates: int,
     master_seed: int,
-    *,
-    realloc: str = "fixed",
 ) -> CountTable:
     """Draw the full raw-count table for an experiment grid.
 
     Cell (b, e, arm, rep) draws from the stream ``cell_stream(master_seed,
     b, e, arm, rep)`` would return, with the probability ``sample_counts``
-    would use, so tables match a cell-by-cell loop bit for bit; the keys and
-    the arm probabilities are derived one budget at a time.  The counts are
-    plus-counts of +/-1 outcomes, so the model must be binary.
+    would use, so tables match a cell-by-cell loop bit for bit; the keys,
+    the arm probabilities and a fixed split's level shots are derived one
+    budget at a time.  The counts are plus-counts of +/-1 outcomes, so the
+    model must be binary.
     """
     if not isinstance(model, BinaryObservableModel):
         raise ModelError("model has no sampler")
@@ -455,11 +447,13 @@ def sample_count_table(
     }
     for b_idx, budget in enumerate(budgets):
         eps = np.asarray(eps_grids[b_idx], dtype=float)
+        level_shots = None  # a fixed split's, after the first eps's domain check
         for e_idx, e in enumerate(eps.tolist()):
             check_scaled_eps(model, e, rule.scales)
-            shots[b_idx, e_idx, 0] = budget
-            pi = _resolve_alloc(model, rule, e, realloc)
-            shots[b_idx, e_idx, 1:] = integerize_allocation(pi, budget)[:, None]
+            if rule.optimal or level_shots is None:
+                level_shots = integerize_allocation(_resolve_alloc(model, rule, e), budget)
+            shots[b_idx, e_idx, 1:] = level_shots[:, None]
+        shots[b_idx, :, 0] = budget
         # arm 0 is the base strength, arm 1+j the scaled level j
         strengths = np.column_stack((eps, eps[:, None] * np.asarray(rule.scales)))
         p_cell = np.broadcast_to(model.plus_probability(strengths)[:, :, None],
@@ -514,17 +508,13 @@ def mc_delta(
     budget: int,
     replicates: int,
     master_seed: int,
-    *,
-    realloc: str = "fixed",
 ) -> tuple[DeltaPoint, CountTable]:
     """Monte Carlo MSE difference at a single (eps, budget) cell.
 
     The drawn counts are returned alongside the estimate so the raw data can
     be persisted and later bootstrap-resampled.
     """
-    table = sample_count_table(
-        model, rule, [budget], [[eps]], replicates, master_seed, realloc=realloc
-    )
+    table = sample_count_table(model, rule, [budget], [[eps]], replicates, master_seed)
     mu0 = model.mean(0.0)
     delta, std_err = deltas_from_counts(table, rule.coeffs, mu0)
     point = DeltaPoint(

@@ -13,7 +13,7 @@ All artifacts are plain CSV plus one JSON report; column orders are fixed.
 Re-running any stage with the same configuration and seed reproduces every
 byte (the delta, crossing and variance CSVs and the report embed the
 configuration hash, and a stage refuses a delta or crossing table written for
-another configuration).
+another configuration; ``fit`` refuses counts drawn for another one).
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         table = sample_count_table(
             model, rule, [int(b) for b in cfg.budgets],
             [g.tolist() for g in grids], cfg.replicates, cfg.seed,
-            realloc=cfg.realloc,
         )
         delta, std_err = deltas_from_counts(table, rule.coeffs, model.mean(0.0))
         return SweepResult(
@@ -103,9 +102,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         )
     delta = np.empty((len(cfg.budgets), len(grids[0])))
     for b_idx, budget in enumerate(cfg.budgets):
-        delta[b_idx] = exact_delta_curve(
-            model, rule, grids[b_idx], float(budget), realloc=cfg.realloc
-        )
+        delta[b_idx] = exact_delta_curve(model, rule, grids[b_idx], float(budget))
     return SweepResult(
         budgets=cfg.budgets,
         eps_grids=tuple(tuple(float(e) for e in g) for g in grids),
@@ -297,7 +294,7 @@ def build_report(
     }
 
     try:
-        regime = theoretical_boundary(model, rule, allocation=cfg.realloc)
+        regime = theoretical_boundary(model, rule)
         report["regime"] = regime.as_dict()
     except RegimeError as err:
         regime = None
@@ -334,19 +331,13 @@ def build_report(
 
     if boundary_fit and var_fit and bias_fit and regime and regime.c_pq:
         try:
-            check = constant_check(
-                boundary_fit, var_fit, bias_fit, rule, regime.c_pq,
-                allocation=cfg.realloc,
-            )
+            check = constant_check(boundary_fit, var_fit, bias_fit, rule, regime.c_pq)
             report["constant_check"] = check.as_dict()
         except FitError as err:
             report["constant_check"] = {"error": str(err)}
 
     if counts is not None:
-        point_stats = count_pipeline(
-            counts, variance_window=var_win, bias_window=bias_win,
-            allocation=cfg.realloc,
-        )
+        point_stats = count_pipeline(counts, variance_window=var_win, bias_window=bias_win)
         report["count_estimates"] = point_stats
         if cfg.bootstrap:
             results = bootstrap_pipeline(
@@ -357,7 +348,6 @@ def build_report(
                 level=float(cfg.bootstrap["level"]),
                 variance_window=var_win,
                 bias_window=bias_win,
-                allocation=cfg.realloc,
             )
             report["bootstrap"] = [r.as_dict() for r in results]
 

@@ -69,23 +69,21 @@ def count_pipeline(
     variance_window: tuple[float, float] | None = None,
     bias_window: tuple[float, float] | None = None,
     plus: np.ndarray | None = None,
-    allocation: str = "fixed",
 ) -> dict[str, float]:
     """Full estimation pipeline over one (possibly resampled) count table.
 
     Returns a flat mapping of statistic name to value, with NaN marking
     statistics a table cannot support (fewer than three crossed budgets, too
     few usable points in a regression window).  ``plus`` substitutes
-    resampled counts without copying the table.  ``allocation`` (``"fixed"``
-    or ``"optimal"``) picks the penalty behind ``c_plugin``, which the table
-    cannot tell: it stores only the base fractions.
+    resampled counts without copying the table.  ``c_plugin`` uses the
+    penalty of the rule in the table's header.
 
     The empirical variance curve uses the unmitigated-arm cells only: counts
     are pooled over replicates per (budget, eps), and cells whose pooled
     outcome is deterministic (empirical variance zero) cannot enter the
     log-log fit and are dropped.
     """
-    estimate = _TableEstimator(table, variance_window, bias_window, allocation)
+    estimate = _TableEstimator(table, variance_window, bias_window)
     return estimate(table.plus if plus is None else plus)
 
 
@@ -97,7 +95,7 @@ class _TableEstimator:
     it changes after construction, so threads may share one instance.
     """
 
-    def __init__(self, table: CountTable, variance_window, bias_window, allocation: str):
+    def __init__(self, table: CountTable, variance_window, bias_window):
         self.rule = build_rule(table.rule_spec["scales"], table.rule_spec["alloc"])
         self.mu0 = model_from_spec(table.model_spec).mean(0.0)
         self.coeffs = np.asarray(self.rule.coeffs)
@@ -110,7 +108,6 @@ class _TableEstimator:
         self.pooled_shots = table.shots[:, :, 0, :].sum(axis=2)
         self.variance_window = variance_window
         self.bias_window = bias_window
-        self.allocation = allocation
 
     def __call__(self, plus: np.ndarray) -> dict[str, float]:
         if plus.shape != self.shots.shape:
@@ -161,17 +158,16 @@ class _TableEstimator:
 
         if variance_window is not None and bias_window is not None:
             stats["c_plugin"] = _plugin_constant(self.rule, stats.get("nu_hat", float("nan")),
-                                                 q_hat, alpha_hat, self.allocation)
+                                                 q_hat, alpha_hat)
         return stats
 
 
-def _plugin_constant(rule, nu_hat: float, q_hat: float, alpha_hat: float,
-                     allocation: str) -> float:
+def _plugin_constant(rule, nu_hat: float, q_hat: float, alpha_hat: float) -> float:
     if not np.isfinite(nu_hat) or not np.isfinite(q_hat) or not np.isfinite(alpha_hat):
         return float("nan")
     if q_hat >= 2 or alpha_hat == 0:
         return float("nan")
-    k_hat = penalty_constants(rule, q_hat, nu_hat).k(allocation)
+    k_hat = penalty_constants(rule, q_hat, nu_hat).k
     if k_hat <= 0:
         return float("nan")
     return plugin_constant(k_hat, alpha_hat, q_hat)
@@ -192,18 +188,16 @@ def bootstrap_pipeline(
     level: float = 0.95,
     variance_window: tuple[float, float] | None = None,
     bias_window: tuple[float, float] | None = None,
-    allocation: str = "fixed",
 ) -> list[BootstrapResult]:
     """Percentile bootstrap over the raw counts for the requested statistics.
 
     ``statistics`` draws from ``eps_star`` (one result per budget),
     ``s_obs``, ``c_fit``, ``q_hat``, ``alpha_hat``, and ``c_plugin``; the
-    regression statistics require their pre-registered windows, and
-    ``allocation`` is as in :func:`count_pipeline`, whose estimator is
-    built once and applied to the table and to every replicate.  Replicates
-    whose statistic is unavailable (e.g. every budget censored) are counted
-    in ``missing_fraction`` and excluded from the interval, never silently
-    dropped from the report.
+    regression statistics require their pre-registered windows.  The
+    estimator of :func:`count_pipeline` is built once and applied to the
+    table and to every replicate.  Replicates whose statistic is unavailable
+    (e.g. every budget censored) are counted in ``missing_fraction`` and
+    excluded from the interval, never silently dropped from the report.
 
     The number of worker threads comes from the ``ZNEBOUNDARY_THREADS``
     environment variable (default 1); results are independent of it.
@@ -233,7 +227,7 @@ def bootstrap_pipeline(
         else:
             names.append(stat)
 
-    estimate = _TableEstimator(table, var_win, bias_win, allocation)
+    estimate = _TableEstimator(table, var_win, bias_win)
     point = estimate(table.plus)
     p_hat = table.plus / table.shots
 

@@ -7,6 +7,9 @@ A rule of order ``k`` combines estimates taken at noise-scale factors
 
 which cancels the first ``k`` powers of the bias expansion.  Shots are split
 across the levels by allocation fractions ``pi_j > 0`` summing to one.  The
+rule owns its allocation policy: a fixed split (uniform or explicit
+weights), or per-strength optimal reallocation around uniform base
+fractions, which every engine, fit and report reads from the rule.  The
 coefficient magnitudes always satisfy ``sum_j |c_j| > 1`` for ``k >= 1``, so
 a nontrivial rule pays a strictly positive variance penalty: if the
 single-shot variance scales like ``nu * eps^q``, the leading excess variance
@@ -16,7 +19,8 @@ with
     K_fixed = nu * [ sum_j c_j^2 lam_j^q / pi_j - 1 ]          (given pi)
     K_opt   = nu * [ ( sum_j |c_j| lam_j^(q/2) )^2 - 1 ]        (best pi)
 
-``K_opt <= K_fixed`` for every allocation (Cauchy-Schwarz).
+``K_opt <= K_fixed`` for every allocation (Cauchy-Schwarz).  A fixed split
+pays ``K_fixed``, an optimal-allocation rule ``K_opt``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "variance_penalty",
     "penalty_constants",
     "small_noise_allocation",
-    "allocation_mode",
     "optimal_allocation",
 ]
 
@@ -52,11 +55,16 @@ MIN_ALLOC_FRACTION = 1e-6
 
 @dataclass(frozen=True)
 class RichardsonRule:
-    """An immutable fixed extrapolation rule: scales, coefficients, allocation."""
+    """An immutable fixed extrapolation rule: scales, coefficients, allocation.
+
+    ``alloc`` is the fixed split; with ``optimal`` set it is only the base
+    split, and the engines reallocate per noise strength.
+    """
 
     scales: tuple[float, ...]
     coeffs: tuple[float, ...]
     alloc: tuple[float, ...]
+    optimal: bool = False
 
     @property
     def order(self) -> int:
@@ -71,7 +79,9 @@ class RichardsonRule:
         return tuple(float(abs(r)) for r in _exact_residuals(self.scales, self.coeffs))
 
     def spec(self) -> dict:
-        return {"scales": list(self.scales), "alloc": list(self.alloc)}
+        """``{"scales", "alloc"}`` that :func:`build_rule` turns back into this rule."""
+        return {"scales": list(self.scales),
+                "alloc": "optimal" if self.optimal else list(self.alloc)}
 
 
 @dataclass(frozen=True)
@@ -86,22 +96,21 @@ class PenaltyConstants:
     nu: float
     k_fixed: float
     k_opt: float
+    optimal: bool = False
 
-    def k(self, allocation: str) -> float:
-        """``k_fixed`` for ``"fixed"`` allocation, ``k_opt`` for ``"optimal"``."""
-        if allocation == "fixed":
-            return self.k_fixed
-        if allocation == "optimal":
-            return self.k_opt
-        raise ValueError(f"allocation must be 'fixed' or 'optimal', got {allocation!r}")
+    @property
+    def k(self) -> float:
+        """The penalty the rule pays: ``k_opt`` if it reallocates, else ``k_fixed``."""
+        return self.k_opt if self.optimal else self.k_fixed
 
 
 def build_rule(scales: Sequence[float], alloc="uniform") -> RichardsonRule:
     """Construct a rule from its scale factors and an allocation spec.
 
     ``alloc`` is ``"uniform"``, ``"optimal"``, or an explicit sequence of
-    positive weights (normalized to fractions).  ``"optimal"`` gives uniform
-    base fractions, which the engines reallocate per noise strength.
+    positive weights (normalized to fractions).  ``"optimal"`` gives an
+    ``optimal`` rule with uniform base fractions, which the engines
+    reallocate per noise strength.
 
     Coefficients are obtained from the scale-power linear system with partial
     pivoting plus one step of iterative refinement; scale sets whose system
@@ -150,13 +159,15 @@ def build_rule(scales: Sequence[float], alloc="uniform") -> RichardsonRule:
 
     scales_t = tuple(float(x) for x in lam)
     coeffs_t = tuple(float(x) for x in c)
+    # isinstance first: an ndarray ``alloc == "optimal"`` compares elementwise
+    optimal = isinstance(alloc, str) and alloc == "optimal"
     if isinstance(alloc, str):
         if alloc not in ("uniform", "optimal"):
             raise RuleError(f"unknown allocation spec {alloc!r}")
         fractions = tuple([1.0 / (k + 1)] * (k + 1))
     else:
         fractions = _validate_alloc(alloc, k + 1)
-    return RichardsonRule(scales_t, coeffs_t, fractions)
+    return RichardsonRule(scales_t, coeffs_t, fractions, optimal)
 
 
 def _exact_residuals(scales, coeffs) -> list[Fraction]:
@@ -183,11 +194,6 @@ def _validate_alloc(alloc: Sequence[float], n: int) -> tuple[float, ...]:
     return tuple(float(x) for x in w)
 
 
-def allocation_mode(alloc) -> str:
-    """``"optimal"`` (reallocate per strength) for that spec, else ``"fixed"``."""
-    return "optimal" if alloc == "optimal" else "fixed"
-
-
 def variance_penalty(rule: RichardsonRule, q: float, nu: float) -> PenaltyConstants:
     """Penalty constants of ``rule`` for a declared variance curve ``nu * eps^q``."""
     if nu < 0:
@@ -207,7 +213,7 @@ def penalty_constants(rule: RichardsonRule, q: float, nu: float) -> PenaltyConst
     pi = np.asarray(rule.alloc)
     k_fixed = nu * (float(np.sum(c**2 * lam**q / pi)) - 1.0)
     k_opt = nu * (float(np.sum(_small_noise_weights(rule, q))) ** 2 - 1.0)
-    return PenaltyConstants(q=q, nu=nu, k_fixed=k_fixed, k_opt=k_opt)
+    return PenaltyConstants(q=q, nu=nu, k_fixed=k_fixed, k_opt=k_opt, optimal=rule.optimal)
 
 
 def _small_noise_weights(rule: RichardsonRule, q: float) -> np.ndarray:

@@ -55,14 +55,13 @@ class CheckResult:
         }
 
 
-def _crossing(model, rule, grid, budget, realloc="fixed"):
-    curve = exact_delta_curve(model, rule, grid, budget, realloc=realloc)
-    return find_crossing_arrays(grid, curve, budget)
+def _crossing(model, rule, grid, budget):
+    return find_crossing_arrays(grid, exact_delta_curve(model, rule, grid, budget), budget)
 
 
-def _crossings(model, rule, budgets, *, span=(0.1, 10.0), ppd=40, realloc="fixed"):
+def _crossings(model, rule, budgets, *, span=(0.1, 10.0), ppd=40):
     grids = [auto_window(model, rule, b, span=span, points_per_decade=ppd) for b in budgets]
-    return [_crossing(model, rule, g, float(b), realloc) for g, b in zip(grids, budgets)]
+    return [_crossing(model, rule, g, float(b)) for g, b in zip(grids, budgets)]
 
 
 def check_rule_identities() -> str:
@@ -208,14 +207,14 @@ def check_qhat_slope_chain() -> str:
 
 def check_allocation_invariance() -> str:
     """Optimal vs uniform allocation: same exponent, smaller constant."""
-    rule = build_rule([1, 3])
+    rule, optimal = build_rule([1, 3]), build_rule([1, 3], "optimal")
     details = []
     for model, budgets in [
         (DeterministicLimitBinary(kappa=1.0), np.geomspace(1e4, 1e7, 10)),
         (LinearBiasBinary(mu0=0.5, alpha=1.0), np.geomspace(1e4, 1e7, 10)),
     ]:
         fit_uni = fit_boundary(_crossings(model, rule, budgets))
-        fit_opt = fit_boundary(_crossings(model, rule, budgets, realloc="optimal"))
+        fit_opt = fit_boundary(_crossings(model, optimal, budgets))
         name = type(model).__name__
         if abs(fit_uni.slope - fit_opt.slope) > 0.02:
             raise AssertionError(

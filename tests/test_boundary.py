@@ -248,11 +248,18 @@ class TestTheoreticalBoundary:
         assert rep.d_p == pytest.approx(1.0 - rho**2, rel=1e-12)
 
     def test_optimal_allocation_lowers_constant(self):
-        fixed = theoretical_boundary(DLB, RULE13, allocation="fixed")
-        optimal = theoretical_boundary(DLB, RULE13, allocation="optimal")
+        fixed = theoretical_boundary(DLB, RULE13)
+        optimal = theoretical_boundary(DLB, build_rule([1, 3], "optimal"))
         assert optimal.k_q < fixed.k_q
         assert optimal.c_pq < fixed.c_pq
         assert optimal.exponent == fixed.exponent
+
+    def test_auto_window_centres_on_the_base_split(self):
+        # the window is fixed before any data, from the K_fixed boundary guess
+        optimal = build_rule([1, 3, 5], "optimal")
+        for budget in (1e3, 1e6):
+            assert np.array_equal(auto_window(DLB, optimal, budget),
+                                  auto_window(DLB, build_rule([1, 3, 5]), budget))
 
     def test_monomial_passthrough(self):
         m = MonomialBalanceModel(p=2, q=1, d_p=4.0, k_q=8.0)

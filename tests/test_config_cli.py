@@ -118,8 +118,15 @@ class TestConfig:
     def test_optimal_alloc_realloc_flag(self):
         raw = dict(DLB_EXACT, rule={"scales": [1, 3], "alloc": "optimal"})
         cfg = parse_config(raw)
-        assert cfg.realloc == "optimal"
+        assert cfg.rule().optimal
         assert cfg.rule().alloc == (0.5, 0.5)  # uniform base fractions
+
+    @pytest.mark.parametrize("eps", [[0.001, 0.002, 0.002, 0.004], [0.002, 0.001, 0.004]])
+    def test_explicit_grid_must_be_strictly_ascending(self, eps):
+        raw = dict(DLB_EXACT, grid={"mode": "explicit", "eps": eps})
+        with pytest.raises(ConfigError, match="strictly ascending, got "
+                           + ", ".join(f"{e:g}" for e in eps)):
+            parse_config(raw)
 
 
 class TestPipelineArtifacts:
@@ -189,8 +196,8 @@ class TestPipelineArtifacts:
         cfg = parse_config(raw)
         sweep = run_sweep(cfg)
         table = sweep.counts
-        # stored rule spec carries explicit base fractions, not the keyword
-        assert table.rule_spec["alloc"] == [0.5, 0.5]
+        # the stored rule spec carries the policy, so the rule round-trips
+        assert table.rule_spec["alloc"] == "optimal"
         # optimal split weights the base level more than the amplified one
         level_shots = table.shots[0, 0, 1:, 0]
         assert level_shots[0] > level_shots[1]
@@ -201,8 +208,8 @@ class TestPipelineArtifacts:
         )
 
     def test_monte_carlo_optimal_allocation_c_plugin(self):
-        # c_plugin must use K_opt under per-strength reallocation, even though
-        # the count table stores only the uniform base fractions
+        # c_plugin must use K_opt under per-strength reallocation, which the
+        # count table's rule spec carries
         plugins = {}
         for alloc in ("uniform", "optimal"):
             raw = dict(DLB_MC, rule={"scales": [1, 3], "alloc": alloc},
@@ -499,6 +506,42 @@ class TestCli:
         write_delta_csv(tmp_path / "dlb_delta.csv", run_sweep(parse_config(raw)))
         assert main(["boundary", "--config", str(cfg_path)]) == 2
         assert "carries no config_hash" in capsys.readouterr().err
+
+    def test_fit_refuses_counts_of_another_configuration(self, tmp_path, capsys):
+        raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]}, bootstrap=None,
+                   engine={"kind": "monte_carlo", "replicates": 8}, seed=1,
+                   output={"dir": str(tmp_path), "prefix": "m"})
+        cfg_path = write_cfg(tmp_path, raw)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert main(["boundary", "--config", str(cfg_path)]) == 0
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--set", "seed=2", "--set", "output.prefix=other"]) == 0
+        for suffix in ("counts.csv", "counts.json"):
+            (tmp_path / f"m_{suffix}").write_bytes((tmp_path / f"other_{suffix}").read_bytes())
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"count header {tmp_path / 'm_counts.json'}: master_seed 2, " in err
+        assert "configuration's 1; rerun `zneboundary sweep`" in err
+        assert not (tmp_path / "m_report.json").exists()
+
+    def test_fit_refuses_optimal_counts_without_the_policy(self, tmp_path, capsys):
+        # a header that stores the base fractions in place of "optimal" would
+        # give c_plugin the fixed-split penalty
+        raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]}, bootstrap=None,
+                   rule={"scales": [1, 3], "alloc": "optimal"},
+                   engine={"kind": "monte_carlo", "replicates": 8},
+                   output={"dir": str(tmp_path), "prefix": "m"})
+        cfg_path = write_cfg(tmp_path, raw)
+        assert main(["boundary", "--config", str(cfg_path)]) == 0
+        assert main(["fit", "--config", str(cfg_path)]) == 0
+        header_path = tmp_path / "m_counts.json"
+        header = json.loads(header_path.read_text())
+        header["rule"]["alloc"] = [0.5, 0.5]
+        header_path.write_text(json.dumps(header))
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        assert "rule {'alloc': [0.5, 0.5], " in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]},

@@ -217,8 +217,8 @@ class TestConsistencyChain:
         fixed, optimal = [], []
         for budget in budgets:
             grid = auto_window(model, RULE13, budget)
-            for realloc, out in (("fixed", fixed), ("optimal", optimal)):
-                curve = exact_delta_curve(model, RULE13, grid, budget, realloc=realloc)
+            for rule, out in ((RULE13, fixed), (build_rule([1, 3], "optimal"), optimal)):
+                curve = exact_delta_curve(model, rule, grid, budget)
                 out.append(find_crossing_arrays(grid, curve, budget))
         fit_fixed = fit_boundary(fixed)
         fit_opt = fit_boundary(optimal)

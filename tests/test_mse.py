@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zneboundary import mse as mse_module
 from zneboundary.errors import AllocationError, ConfigError, DomainError, ModelError
 from zneboundary.models import (
     DeterministicLimitBinary,
@@ -36,6 +37,7 @@ from zneboundary.rules import build_rule, optimal_allocation
 DLB = DeterministicLimitBinary(kappa=1.0)
 LBB = LinearBiasBinary(mu0=0.5, alpha=1.0)
 RULE13 = build_rule([1, 3])
+POLICIES = {"fixed": "uniform", "optimal": "optimal"}  # policy -> build_rule alloc spec
 
 
 class TestExactMse:
@@ -151,7 +153,7 @@ def reference_optimal_allocation(rule, model, eps):
     return pi / pi.sum()
 
 
-def reference_mse(model, rule, eps, budget, realloc="fixed"):
+def reference_mse(model, rule, eps, budget):
     """Point-by-point exact MSE, as computed before the array kernel."""
     mu0 = model.mean(0.0)
     if rule is None:
@@ -159,8 +161,8 @@ def reference_mse(model, rule, eps, budget, realloc="fixed"):
         variance = model.variance(eps) / budget
     else:
         check_scaled_eps(model, eps, rule.scales)
-        pi = (np.asarray(rule.alloc) if realloc == "fixed"
-              else reference_optimal_allocation(rule, model, eps))
+        pi = (reference_optimal_allocation(rule, model, eps) if rule.optimal
+              else np.asarray(rule.alloc))
         c = np.asarray(rule.coeffs)
         lam = np.asarray(rule.scales)
         means = np.asarray([model.mean(l * eps) for l in lam])
@@ -170,12 +172,10 @@ def reference_mse(model, rule, eps, budget, realloc="fixed"):
     return bias * bias + variance
 
 
-def reference_delta(model, rule, eps, budget, realloc="fixed"):
+def reference_delta(model, rule, eps, budget):
     if isinstance(model, MonomialBalanceModel):
         return model.delta_mse(eps, budget)
-    return reference_mse(model, None, eps, budget) - reference_mse(
-        model, rule, eps, budget, realloc
-    )
+    return reference_mse(model, None, eps, budget) - reference_mse(model, rule, eps, budget)
 
 
 KERNEL_MODELS = {
@@ -190,29 +190,28 @@ KERNEL_MODELS = {
 class TestExactKernelMatchesPointwiseReference:
     @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
     @pytest.mark.parametrize("scales", [[1, 3], [1, 3, 5], [1, 2, 4, 8]], ids=str)
-    @pytest.mark.parametrize("realloc", ["fixed", "optimal"])
-    def test_curve_bit_identical(self, name, scales, realloc):
-        model, rule = KERNEL_MODELS[name], build_rule(scales)
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_curve_bit_identical(self, name, scales, policy):
+        model, rule = KERNEL_MODELS[name], build_rule(scales, POLICIES[policy])
         top = min(scaled_domain_max(model, rule.scales), 1.0) * (1 - 1e-9)
         grid = np.geomspace(top * 1e-6, top, 150)
         for budget in (1e3, 3.7e6):
-            curve = exact_delta_curve(model, rule, grid, budget, realloc=realloc)
-            ref = np.array([reference_delta(model, rule, float(e), budget, realloc)
-                            for e in grid])
+            curve = exact_delta_curve(model, rule, grid, budget)
+            ref = np.array([reference_delta(model, rule, float(e), budget) for e in grid])
             assert np.array_equal(curve.view(np.uint64), ref.view(np.uint64))
             for i in (0, 77, 149):
-                point = exact_delta(model, rule, float(grid[i]), budget, realloc=realloc)
+                point = exact_delta(model, rule, float(grid[i]), budget)
                 assert point.delta == curve[i]
 
-    @pytest.mark.parametrize("realloc", ["fixed", "optimal"])
-    def test_exact_mse_bit_identical(self, realloc):
-        rule = build_rule([1, 3, 5])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_exact_mse_bit_identical(self, policy):
+        rule = build_rule([1, 3, 5], POLICIES[policy])
         for model in (LBB, KERNEL_MODELS["pcs"], KERNEL_MODELS["plb"]):
             for eps in (1e-4, 0.01, 0.05):
                 assert exact_mse(model, None, eps, 900.0).mse == reference_mse(
                     model, None, eps, 900.0)
-                assert exact_mse(model, rule, eps, 900.0, realloc=realloc).mse == (
-                    reference_mse(model, rule, eps, 900.0, realloc))
+                assert exact_mse(model, rule, eps, 900.0).mse == (
+                    reference_mse(model, rule, eps, 900.0))
 
     @pytest.mark.parametrize("model,grid", [
         (DLB, [0.1, 0.8, 2.5]),      # a scaled level leaves the domain first
@@ -308,14 +307,14 @@ class TestCellStreams:
         assert a != b
 
 
-def reference_table(model, rule, budgets, eps_grids, replicates, seed, realloc):
+def reference_table(model, rule, budgets, eps_grids, replicates, seed):
     """Cell-by-cell sampling through the documented single-cell stream."""
     shape = (len(budgets), len(eps_grids[0]), len(rule.scales) + 1, replicates)
     shots = np.zeros(shape, dtype=np.int64)
     plus = np.zeros(shape, dtype=np.int64)
     for b, budget in enumerate(budgets):
         for e, eps in enumerate(eps_grids[b]):
-            alloc = rule.alloc if realloc == "fixed" else optimal_allocation(rule, model, eps)
+            alloc = optimal_allocation(rule, model, eps) if rule.optimal else rule.alloc
             arm_shots = [budget, *integerize_allocation(alloc, budget)]
             strengths = [eps, *(lam * eps for lam in rule.scales)]
             for arm in range(shape[2]):
@@ -342,12 +341,13 @@ class TestTableSamplerMatchesCellStreams:
     GRIDS = [[0.01, 0.05, 0.2], [0.02, 0.1, 0.3]]
 
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("realloc", ["fixed", "optimal"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("seed", [0, 77, 2**63 + 5, -1])
-    def test_cell_for_cell(self, case, realloc, seed):
-        model, rule, budgets = self.MODELS[case[:3]], build_rule(self.RULES[case[3:]]), [300, 3000]
-        table = sample_count_table(model, rule, budgets, self.GRIDS, 3, seed, realloc=realloc)
-        shots, plus = reference_table(model, rule, budgets, self.GRIDS, 3, seed, realloc)
+    def test_cell_for_cell(self, case, policy, seed):
+        model, budgets = self.MODELS[case[:3]], [300, 3000]
+        rule = build_rule(self.RULES[case[3:]], POLICIES[policy])
+        table = sample_count_table(model, rule, budgets, self.GRIDS, 3, seed)
+        shots, plus = reference_table(model, rule, budgets, self.GRIDS, 3, seed)
         assert np.array_equal(table.shots, shots)
         assert np.array_equal(table.plus, plus)
 
@@ -369,15 +369,34 @@ class TestTableSamplerMatchesCellStreams:
     }
 
     @pytest.mark.parametrize("name", sorted(OUT_OF_DOMAIN))
-    @pytest.mark.parametrize("realloc", ["fixed", "optimal"])
-    def test_out_of_domain_scaled_strength(self, name, realloc):
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_out_of_domain_scaled_strength(self, name, policy):
         model = {"lbb": LinearBiasBinary(mu0=0.2, alpha=0.5)}.get(name, self.MODELS[name])
         scales, grids, eps, scale, message = self.OUT_OF_DOMAIN[name]
         with pytest.raises(DomainError) as err:
-            sample_count_table(model, build_rule(scales), [100] * len(grids), grids, 2, 3,
-                               realloc=realloc)
+            sample_count_table(model, build_rule(scales, POLICIES[policy]),
+                               [100] * len(grids), grids, 2, 3)
         assert str(err.value) == message
         assert (err.value.eps, err.value.scale) == (eps, scale)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_domain_error_before_allocation_error(self, policy):
+        # per eps the domain check comes first; a budget of 3 cannot feed 4 levels
+        rule = build_rule([1, 2, 3, 4], POLICIES[policy])
+        with pytest.raises(DomainError, match="eps=0.7, lambda=3.0"):
+            sample_count_table(DLB, rule, [3], [[0.7, 0.01]], 2, 0)
+        with pytest.raises(AllocationError, match="budget 3 too small"):
+            sample_count_table(DLB, rule, [3], [[0.01, 0.7]], 2, 0)
+
+    @pytest.mark.parametrize("policy,calls", [("fixed", 2), ("optimal", 6)])
+    def test_fixed_split_integerized_once_per_budget(self, policy, calls, monkeypatch):
+        seen = []
+        real = mse_module.integerize_allocation
+        monkeypatch.setattr(mse_module, "integerize_allocation",
+                            lambda pi, budget: seen.append(budget) or real(pi, budget))
+        sample_count_table(DLB, build_rule([1, 3], POLICIES[policy]), [300, 3000],
+                           self.GRIDS, 2, 5)
+        assert len(seen) == calls
 
     def test_counts_csv_bytes_pinned(self, tmp_path):
         # stream-version tripwire: a different digest means the random

@@ -157,13 +157,13 @@ class TestPinnedBootstrap:
     def test_all_statistics_pinned(self, allocation, threads, monkeypatch):
         monkeypatch.setenv("ZNEBOUNDARY_THREADS", threads)
         budgets = (1000, 4000, 16000, 64000)
-        grids = [auto_window(DLB, RULE13, b, span=(0.2, 5.0), points_per_decade=12).tolist()
+        rule = build_rule([1, 3], {"fixed": "uniform", "optimal": "optimal"}[allocation])
+        grids = [auto_window(DLB, rule, b, span=(0.2, 5.0), points_per_decade=12).tolist()
                  for b in budgets]
-        table = sample_count_table(DLB, RULE13, list(budgets), grids, 12, 11,
-                                   realloc=allocation)
+        table = sample_count_table(DLB, rule, list(budgets), grids, 12, 11)
         results = bootstrap_pipeline(
             table, list(KNOWN_STATISTICS), 100, seed=21,
-            variance_window=(2e-3, 5e-2), bias_window=(2e-3, 5e-2), allocation=allocation,
+            variance_window=(2e-3, 5e-2), bias_window=(2e-3, 5e-2),
         )
         text = json.dumps([r.as_dict() for r in results], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[allocation]

@@ -1,5 +1,8 @@
 """Rule construction, identities, penalties, and allocations."""
 
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -84,8 +87,17 @@ class TestBuildRule:
         assert rule.alloc == pytest.approx((0.75, 0.25))
 
     def test_optimal_spec_carries_uniform_base_fractions(self):
-        # the engines reallocate per strength; the rule keeps the base split
-        assert build_rule([1, 3, 5], "optimal") == build_rule([1, 3, 5])
+        # the engines reallocate per strength around the rule's base split,
+        # and the rule, not its callers, knows that it does
+        optimal, uniform = build_rule([1, 3, 5], "optimal"), build_rule([1, 3, 5])
+        assert optimal.optimal and not uniform.optimal
+        assert optimal.alloc == uniform.alloc == pytest.approx((1 / 3,) * 3)
+        assert optimal != uniform
+        assert optimal.spec() == {"scales": [1.0, 3.0, 5.0], "alloc": "optimal"}
+        assert build_rule(**optimal.spec()) == optimal
+        assert build_rule(**uniform.spec()) == uniform
+        # an array spec is weights, never compared elementwise with "optimal"
+        assert not build_rule([1, 3], np.array([1.0, 1.0])).optimal
         with pytest.raises(RuleError, match="unknown allocation spec"):
             build_rule([1, 3], "optimal-ish")
 
@@ -144,9 +156,10 @@ class TestVariancePenalty:
         rule = build_rule([1, 3])
         pen = variance_penalty(rule, q=1.0, nu=1.0)
         assert pen.k_opt == pytest.approx(4.5980762113533159, abs=1e-12)
-        assert (pen.k("fixed"), pen.k("optimal")) == (pen.k_fixed, pen.k_opt)
-        with pytest.raises(ValueError, match="'fixed' or 'optimal'"):
-            pen.k("uniform")
+        # the penalty a rule pays follows its allocation policy
+        assert pen.k == pen.k_fixed
+        optimal = variance_penalty(build_rule([1, 3], "optimal"), q=1.0, nu=1.0)
+        assert (optimal.k, optimal.k_fixed, optimal.k_opt) == (pen.k_opt, pen.k_fixed, pen.k_opt)
 
     @pytest.mark.parametrize("scales", [(1, 3), (1, 3, 5), (1, 2, 4, 8)])
     def test_small_noise_allocation_attains_k_opt(self, scales):
@@ -267,3 +280,32 @@ class TestOptimalAllocation:
 
         with pytest.raises(AllocationError, match="allocation undefined"):
             optimal_allocation(build_rule([1, 3]), Degenerate(), 0.01)
+
+
+def _package_callables():
+    """Every function, class and method the package's modules define."""
+    import zneboundary
+
+    for info in pkgutil.iter_modules(zneboundary.__path__):
+        module = importlib.import_module(f"zneboundary.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):  # its signature is that of its __init__
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # class/static methods
+                    if inspect.isfunction(member):
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+def test_no_callable_takes_an_allocation_policy_argument():
+    # the rule owns its allocation policy; no caller re-supplies it
+    checked = []
+    for qualname, obj in _package_callables():
+        params = inspect.signature(obj).parameters
+        assert not {"realloc", "allocation"} & set(params), qualname
+        checked.append(qualname)
+    assert {"mse.sample_count_table", "resample._TableEstimator.__init__",
+            "boundary.theoretical_boundary", "fits.constant_check"} <= set(checked)
