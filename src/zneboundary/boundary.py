@@ -17,7 +17,7 @@ without a qualifying sign change are reported as censored, never guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -83,11 +83,7 @@ class RegimeReport:
         return self.c_pq * budget**self.exponent
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p, "q": self.q, "regime": self.regime,
-            "d_p": self.d_p, "k_q": self.k_q, "c_pq": self.c_pq,
-            "exponent": self.exponent, "b_star": self.b_star, "eta": self.eta,
-        }
+        return asdict(self)
 
 
 def check_crossing_grid(eps: np.ndarray, n_delta: int) -> None:

@@ -8,7 +8,7 @@ A configuration is a flat-sectioned YAML (or JSON) file:
                # or {mode: explicit, eps: [...]}
     budgets:   {lo: 1.0e3, hi: 1.0e7, per_decade: 3}   # or {values: [...]}
     engine:    {kind: exact}                            # or monte_carlo + replicates
-    windows:   {variance: [1.0e-4, 1.0e-3], bias: [1.0e-4, 1.0e-3], n_points: 40}
+    windows:   {variance: [1.0e-4, 1.0e-3], bias: [1.0e-4, 1.0e-3]}
     bootstrap: {statistics: [s_obs, c_fit], n_replicates: 1000, level: 0.95, seed: 7}
     seed:      12345                                    # mandatory for monte_carlo
     output:    {dir: out, prefix: run}
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,7 @@ import yaml
 
 from .errors import ConfigError
 from .models import MonomialBalanceModel, model_from_spec
+from .resample import check_bootstrap
 from .rules import RichardsonRule, build_rule
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config", "config_hash"]
@@ -107,16 +109,42 @@ def _apply_override(raw: dict, assignment: str) -> None:
         raise ConfigError(f"unparsable override value {value!r}: {err}") from err
 
 
+def _number(key: str, value, integer: bool = False):
+    """``value`` as a finite float (an int with ``integer``), or a ConfigError naming ``key``."""
+    try:
+        number = value if integer and isinstance(value, int) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number) or (integer and number != int(number)):
+        raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    return int(number) if integer else number
+
+
+def _numbers(key: str, values) -> list[float]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return [_number(key, v) for v in values]
+
+
+def _pair(key: str, value) -> tuple[float, float]:
+    """A ``[lo, hi]`` pair with ``0 < lo < hi``; else a ConfigError naming ``key``."""
+    pair = _numbers(key, value)
+    if len(pair) != 2 or not 0 < pair[0] < pair[1]:
+        raise ConfigError(f"{key} must be [lo, hi] with 0 < lo < hi, got {value!r}")
+    return pair[0], pair[1]
+
+
 def _expand_budgets(spec) -> tuple[float, ...]:
     if isinstance(spec, (list, tuple)):
-        values = [float(b) for b in spec]
+        values = _numbers("budgets", spec)
     elif isinstance(spec, dict) and "values" in spec:
-        values = [float(b) for b in spec["values"]]
+        values = _numbers("budgets.values", spec["values"])
     elif isinstance(spec, dict) and {"lo", "hi", "per_decade"} <= set(spec):
-        lo, hi = float(spec["lo"]), float(spec["hi"])
+        lo, hi = _number("budgets.lo", spec["lo"]), _number("budgets.hi", spec["hi"])
         if not 0 < lo < hi:
             raise ConfigError(f"budget ladder needs 0 < lo < hi, got {spec}")
-        per_decade = int(spec["per_decade"])
+        per_decade = _number("budgets.per_decade", spec["per_decade"], integer=True)
         n = int(round(np.log10(hi / lo) * per_decade)) + 1
         values = list(np.geomspace(lo, hi, max(n, 2)))
     else:
@@ -161,16 +189,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     grid = {**DEFAULT_GRID, **raw.get("grid", {})}
     if grid["mode"] == "explicit":
-        eps = grid.get("eps")
-        if not eps:
+        if not grid.get("eps"):
             raise ConfigError("explicit grid needs at least one eps value")
+        eps = _numbers("grid.eps", grid["eps"])
         if any(b <= a for a, b in zip(eps, eps[1:])) or eps[0] <= 0:
             raise ConfigError("explicit grid must be positive and strictly ascending, got "
                               + ", ".join(f"{e:g}" for e in eps))
     elif grid["mode"] == "auto":
-        span = grid["span"]
-        if not 0 < float(span[0]) < float(span[1]):
-            raise ConfigError(f"auto-grid span must be increasing positive, got {span}")
+        _pair("grid.span", grid["span"])
+        _number("grid.points_per_decade", grid["points_per_decade"], integer=True)
     else:
         raise ConfigError(f"grid mode must be auto or explicit, got {grid['mode']!r}")
 
@@ -195,14 +222,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("monomial balance models have no sampler; use the exact engine")
         if any(b != int(b) for b in budgets):
             raise ConfigError("monte_carlo budgets must be integers")
-        if int(engine.get("replicates", DEFAULT_REPLICATES)) < 2:
+        replicates = engine.get("replicates", DEFAULT_REPLICATES)
+        if _number("engine.replicates", replicates, integer=True) < 2:
             raise ConfigError("monte_carlo needs at least 2 replicates")
 
     windows = raw.get("windows", {})
-    for name in ("variance", "bias"):
-        win = windows.get(name)
-        if win is not None and not (len(win) == 2 and 0 < float(win[0]) < float(win[1])):
-            raise ConfigError(f"{name} window must be [lo, hi] with 0 < lo < hi, got {win}")
+    unknown = set(windows) - {"variance", "bias"}
+    if unknown:
+        raise ConfigError(f"unknown windows keys {sorted(unknown)}; known: bias, variance")
+    fit_windows = {name: _pair(f"windows.{name}", win) for name, win in windows.items()
+                   if win is not None}
 
     bootstrap = raw.get("bootstrap")
     if bootstrap is not None:
@@ -213,6 +242,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("bootstrap section needs a statistics list")
         if "seed" not in bootstrap:
             raise ConfigError("bootstrap section needs its own seed")
+        if not isinstance(bootstrap["statistics"], list):
+            raise ConfigError(f"bootstrap.statistics must be a list, "
+                              f"got {bootstrap['statistics']!r}")
+        for key in ("n_replicates", "seed"):
+            bootstrap[key] = _number(f"bootstrap.{key}", bootstrap[key], integer=True)
+        bootstrap["level"] = _number("bootstrap.level", bootstrap["level"])
+        check_bootstrap(bootstrap["statistics"], bootstrap["n_replicates"], bootstrap["level"],
+                        fit_windows.get("variance"), fit_windows.get("bias"))
 
     return ExperimentConfig(
         model_spec=model_spec,
@@ -222,7 +259,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         engine=engine,
         windows=windows,
         bootstrap=bootstrap,
-        seed=None if seed is None else int(seed),
+        seed=None if seed is None else _number("seed", seed, integer=True),
         output={"dir": ".", "prefix": "run", **raw.get("output", {})},
         raw=raw,
     )

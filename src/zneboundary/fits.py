@@ -15,7 +15,7 @@ both the declared-theory constant and the plug-in estimate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +32,7 @@ __all__ = [
     "fit_loglog",
     "fit_boundary",
     "fit_variance_exponent",
-    "fit_variance_exponent_from_samples",
     "fit_bias",
-    "fit_bias_from_samples",
     "predict_slope",
     "plugin_constant",
     "constant_check",
@@ -56,11 +54,7 @@ class BoundaryFit:
         return math.exp(self.intercept)
 
     def as_dict(self) -> dict:
-        return {
-            "slope": self.slope, "intercept": self.intercept, "c_fit": self.c_fit,
-            "r_squared": self.r_squared, "n_points": self.n_points,
-            "censored_budgets": list(self.censored_budgets),
-        }
+        return {**asdict(self), "c_fit": self.c_fit}
 
 
 @dataclass(frozen=True)
@@ -77,10 +71,7 @@ class VarianceExponentFit:
         return math.exp(self.log_nu_hat)
 
     def as_dict(self) -> dict:
-        return {
-            "q_hat": self.q_hat, "log_nu_hat": self.log_nu_hat, "nu_hat": self.nu_hat,
-            "window": list(self.window), "r_squared": self.r_squared,
-        }
+        return {**asdict(self), "nu_hat": self.nu_hat}
 
 
 @dataclass(frozen=True)
@@ -93,10 +84,7 @@ class BiasFit:
     alpha_se: float
 
     def as_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat, "beta_hat": self.beta_hat,
-            "alpha_se": self.alpha_se, "window": list(self.window),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -110,10 +98,7 @@ class ConstantCheck:
     c_hat_plugin: float
 
     def as_dict(self) -> dict:
-        return {
-            "c_theory": self.c_theory, "c_fit": self.c_fit, "rel_error": self.rel_error,
-            "k_hat": self.k_hat, "c_hat_plugin": self.c_hat_plugin,
-        }
+        return asdict(self)
 
 
 def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -155,7 +140,7 @@ def fit_boundary(crossings: Sequence[CrossingEstimate]) -> BoundaryFit:
     return fit_loglog(crossed, censored)
 
 
-def fit_variance_exponent_from_samples(
+def fit_variance_exponent(
     eps: Sequence[float],
     variances: Sequence[float],
     window: tuple[float, float],
@@ -177,19 +162,7 @@ def fit_variance_exponent_from_samples(
     )
 
 
-def fit_variance_exponent(
-    model, window: tuple[float, float], n_points: int = 40
-) -> VarianceExponentFit:
-    """Variance-exponent fit on the model's exact curve.
-
-    When the exact variance curve is available it is used directly; the
-    window must be fixed before any boundary fit is read.
-    """
-    grid = np.geomspace(window[0], window[1], n_points)
-    return fit_variance_exponent_from_samples(grid, model.variance(grid), window)
-
-
-def fit_bias_from_samples(
+def fit_bias(
     eps: Sequence[float],
     mean_shift: Sequence[float],
     window: tuple[float, float],
@@ -214,12 +187,6 @@ def fit_bias_from_samples(
     )
 
 
-def fit_bias(model, window: tuple[float, float], n_points: int = 40) -> BiasFit:
-    """Bias fit on the model's exact mean curve (mu0 known exactly)."""
-    grid = np.geomspace(window[0], window[1], n_points)
-    return fit_bias_from_samples(grid, model.mean(grid) - model.mean(0.0), window)
-
-
 def predict_slope(q_hat: float) -> float:
     """Predicted boundary slope -1/(2 - q_hat) for linear leading bias."""
     if q_hat >= 2:
@@ -229,9 +196,24 @@ def predict_slope(q_hat: float) -> float:
     return -1.0 / (2.0 - q_hat)
 
 
-def plugin_constant(k_hat: float, alpha_hat: float, q_hat: float) -> float:
-    """Plug-in boundary constant ``(K_hat / alpha_hat^2)^(1/(2 - q_hat))``."""
-    return (k_hat / alpha_hat**2) ** (1.0 / (2.0 - q_hat))
+def plugin_constant(
+    rule: RichardsonRule, q_hat: float, nu_hat: float, alpha_hat: float
+) -> tuple[float, float]:
+    """``(K_hat, C_hat)``: the rule's penalty at the fitted ``(q_hat, nu_hat)`` and
+    ``C_hat = (K_hat / alpha_hat^2)^(1/(2 - q_hat))``, or a :class:`FitError` where
+    undefined (``q_hat >= 2``, a NaN estimate, ``alpha_hat == 0``, ``K_hat <= 0``).
+    """
+    if q_hat >= 2:
+        raise FitError(f"q_hat = {q_hat} >= 2: plug-in constant undefined")
+    if not np.all(np.isfinite([q_hat, nu_hat, alpha_hat])):
+        raise FitError(f"plug-in constant undefined for q_hat = {q_hat}, "
+                       f"nu_hat = {nu_hat}, alpha_hat = {alpha_hat}")
+    if alpha_hat == 0:
+        raise FitError("alpha_hat = 0: plug-in constant undefined")
+    k_hat = penalty_constants(rule, q_hat, nu_hat).k
+    if k_hat <= 0:
+        raise FitError(f"K_hat = {k_hat} <= 0: plug-in constant undefined")
+    return k_hat, (k_hat / alpha_hat**2) ** (1.0 / (2.0 - q_hat))
 
 
 def constant_check(
@@ -254,15 +236,13 @@ def constant_check(
             f"(alpha_hat = {bias_fit.alpha_hat:.3e} within one standard error "
             f"{bias_fit.alpha_se:.3e} of zero)"
         )
-    q_hat = variance_fit.q_hat
-    if q_hat >= 2:
-        raise FitError(f"q_hat = {q_hat} >= 2: plug-in constant undefined")
-    k_hat = penalty_constants(rule, q_hat, variance_fit.nu_hat).k
+    k_hat, c_hat = plugin_constant(rule, variance_fit.q_hat, variance_fit.nu_hat,
+                                   bias_fit.alpha_hat)
     c_fit = boundary_fit.c_fit
     return ConstantCheck(
         c_theory=float(c_theory),
         c_fit=c_fit,
         rel_error=abs(c_fit - c_theory) / abs(c_theory),
         k_hat=k_hat,
-        c_hat_plugin=plugin_constant(k_hat, bias_fit.alpha_hat, q_hat),
+        c_hat_plugin=c_hat,
     )

@@ -302,12 +302,12 @@ class CountTable:
         """Load a table written by :meth:`write`, one budget block at a time.
 
         The JSON header must carry this schema version, every field the
-        table's shape needs and one eps grid per budget, all of one length;
-        with ``cfg``, its model, rule, budgets, replicates and master seed
-        must be ``cfg``'s.  Every cell must appear exactly once, in any
-        order; a wrong column header, an out-of-range index, a duplicate, a
-        missing or an extra row raises :class:`ConfigError` naming the file
-        and the first such row.
+        table's shape needs and one strictly ascending eps grid per budget,
+        all of one length; with ``cfg``, its model, rule, budgets, replicates
+        and master seed must be ``cfg``'s.  Every cell must appear exactly
+        once, in any order; a wrong column header, an out-of-range index, a
+        duplicate, a missing or an extra row raises :class:`ConfigError`
+        naming the file and the first such row.
         """
         head = f"count header {header_path}"
         try:
@@ -328,6 +328,9 @@ class CountTable:
         if len({len(g) for g in eps_grids}) > 1:
             raise ConfigError(f"{head}: eps grids of unequal lengths "
                               f"{', '.join(str(len(g)) for g in eps_grids)}")
+        for budget, grid in zip(budgets, eps_grids):
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ConfigError(f"{head}: eps grid of budget {budget} is not strictly ascending")
         shape = (len(budgets), len(eps_grids[0]), len(scales) + 1, n_reps)
         n_cells = int(np.prod(shape))
         block_rows = n_cells // shape[0]

@@ -53,6 +53,9 @@ __all__ = [
     "write_variance_csv",
 ]
 
+EXACT_FIT_POINTS = 40  # samples of the model's exact curves in a fit window
+VARIANCE_CSV_POINTS = 60  # rows of the plot-ready variance curve
+
 
 @dataclass
 class SweepResult:
@@ -147,7 +150,7 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
 
     With ``cfg``, the table must have been written for ``cfg``.  Besides the
     format errors of :func:`artifacts.open_table` and :func:`artifacts.read_block`,
-    a budget with another row count than the first or budgets out of
+    a budget with another row count than the first, eps or budgets out of
     ascending order raise :class:`ConfigError` naming the first offending row.
     """
     where = f"delta table {path}"
@@ -174,6 +177,9 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
             n_rows = other[0] if other.size else len(rows)
             if n_rows != n_eps:
                 raise ConfigError(f"{at}: budget has {n_rows} rows, the first {n_eps}")
+            if (down := np.flatnonzero(np.diff(rows[:, 1]) <= 0)).size:
+                raise ConfigError(f"{where}: data row {n_read + down[0] + 2} (B={budget!r}): "
+                                  "eps must be strictly ascending within a budget")
             if budgets and not budget > budgets[-1]:
                 raise ConfigError(f"{at}: budgets must be strictly ascending")
             budgets.append(budget)
@@ -244,13 +250,13 @@ def _crossing_from_row(row: list[str]) -> CrossingEstimate:
     )
 
 
-def write_variance_csv(path, cfg: ExperimentConfig, n_points: int = 60) -> bool:
+def write_variance_csv(path, cfg: ExperimentConfig) -> bool:
     """Plot-ready exact variance curve over the pre-registered window."""
     window = cfg.variance_window()
     model = cfg.model()
     if window is None or isinstance(model, MonomialBalanceModel):
         return False
-    grid = np.geomspace(window[0], window[1], n_points)
+    grid = np.geomspace(window[0], window[1], VARIANCE_CSV_POINTS)
     with open(path, "w", newline="") as fh:
         begin_table(fh, ("eps", "variance"), cfg)
         for eps, variance in zip(grid.tolist(), model.variance(grid).tolist()):
@@ -319,14 +325,16 @@ def build_report(
     var_win, bias_win = cfg.variance_window(), cfg.bias_window()
     sampled = not isinstance(model, MonomialBalanceModel)
     if sampled and var_win:
-        var_fit = fit_variance_exponent(model, var_win, int(cfg.windows.get("n_points", 40)))
+        grid = np.geomspace(*var_win, EXACT_FIT_POINTS)
+        var_fit = fit_variance_exponent(grid, model.variance(grid), var_win)
         report["variance_fit"] = var_fit.as_dict()
         try:
             report["predicted_slope"] = predict_slope(var_fit.q_hat)
         except FitError as err:
             report["predicted_slope"] = {"error": str(err)}
     if sampled and bias_win:
-        bias_fit = fit_bias(model, bias_win, int(cfg.windows.get("n_points", 40)))
+        grid = np.geomspace(*bias_win, EXACT_FIT_POINTS)
+        bias_fit = fit_bias(grid, model.mean(grid) - model.mean(0.0), bias_win)
         report["bias_fit"] = bias_fit.as_dict()
 
     if boundary_fit and var_fit and bias_fit and regime and regime.c_pq:
@@ -343,9 +351,9 @@ def build_report(
             results = bootstrap_pipeline(
                 counts,
                 cfg.bootstrap["statistics"],
-                int(cfg.bootstrap["n_replicates"]),
-                int(cfg.bootstrap["seed"]),
-                level=float(cfg.bootstrap["level"]),
+                cfg.bootstrap["n_replicates"],
+                cfg.bootstrap["seed"],
+                level=cfg.bootstrap["level"],
                 variance_window=var_win,
                 bias_window=bias_win,
             )

@@ -18,24 +18,20 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .boundary import check_crossing_grid, first_crossings
 from .errors import ConfigError, FitError
-from .fits import (
-    fit_bias_from_samples,
-    fit_loglog,
-    fit_variance_exponent_from_samples,
-    plugin_constant,
-)
+from .fits import fit_bias, fit_loglog, fit_variance_exponent, plugin_constant
 from .models import model_from_spec
 from .mse import CountTable, _splitmix64, _squared_error_diffs
-from .rules import build_rule, penalty_constants
+from .rules import build_rule
 
-__all__ = ["BootstrapResult", "bootstrap_pipeline", "count_pipeline", "KNOWN_STATISTICS"]
+__all__ = ["BootstrapResult", "bootstrap_pipeline", "check_bootstrap", "count_pipeline",
+           "KNOWN_STATISTICS"]
 
 KNOWN_STATISTICS = ("eps_star", "s_obs", "c_fit", "q_hat", "alpha_hat", "c_plugin")
 
@@ -55,12 +51,7 @@ class BootstrapResult:
     missing_fraction: float
 
     def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic, "point": self.point,
-            "ci_lo": self.ci_lo, "ci_hi": self.ci_hi,
-            "n_replicates": self.n_replicates, "level": self.level,
-            "missing_fraction": self.missing_fraction,
-        }
+        return asdict(self)
 
 
 def count_pipeline(
@@ -121,15 +112,12 @@ class _TableEstimator:
         stats: dict[str, float] = dict(zip(self.eps_star_names, eps_star))
         crossed = [(b, e) for b, e, i in zip(self.budgets, eps_star, lower) if i >= 0]
 
+        stats["s_obs"] = stats["c_fit"] = float("nan")
         if len(crossed) >= 3:
             fit = fit_loglog(crossed)
-            stats["s_obs"] = fit.slope
-            stats["c_fit"] = fit.c_fit
-        else:
-            stats["s_obs"] = float("nan")
-            stats["c_fit"] = float("nan")
+            stats["s_obs"], stats["c_fit"] = fit.slope, fit.c_fit
 
-        q_hat = alpha_hat = float("nan")
+        q_hat = nu_hat = alpha_hat = float("nan")
         variance_window, bias_window = self.variance_window, self.bias_window
         if variance_window is not None or bias_window is not None:
             # pooled unmitigated-arm estimates per (budget, eps) grid point
@@ -140,43 +128,58 @@ class _TableEstimator:
             v_hat = 1.0 - mu_flat**2
             usable = v_hat > 0
             try:
-                qfit = fit_variance_exponent_from_samples(
-                    eps_flat[usable], v_hat[usable], variance_window
-                )
-                q_hat = qfit.q_hat
-                stats["nu_hat"] = qfit.nu_hat
+                qfit = fit_variance_exponent(eps_flat[usable], v_hat[usable], variance_window)
+                q_hat, nu_hat = qfit.q_hat, qfit.nu_hat
             except FitError:
-                stats["nu_hat"] = float("nan")
-            stats["q_hat"] = q_hat
+                pass
+            stats["nu_hat"], stats["q_hat"] = nu_hat, q_hat
         if bias_window is not None:
             try:
-                bfit = fit_bias_from_samples(eps_flat, mu_flat - self.mu0, bias_window)
-                alpha_hat = bfit.alpha_hat
+                alpha_hat = fit_bias(eps_flat, mu_flat - self.mu0, bias_window).alpha_hat
             except FitError:
                 pass
             stats["alpha_hat"] = alpha_hat
-
         if variance_window is not None and bias_window is not None:
-            stats["c_plugin"] = _plugin_constant(self.rule, stats.get("nu_hat", float("nan")),
-                                                 q_hat, alpha_hat)
+            try:
+                _, stats["c_plugin"] = plugin_constant(self.rule, q_hat, nu_hat, alpha_hat)
+            except FitError:
+                stats["c_plugin"] = float("nan")
         return stats
-
-
-def _plugin_constant(rule, nu_hat: float, q_hat: float, alpha_hat: float) -> float:
-    if not np.isfinite(nu_hat) or not np.isfinite(q_hat) or not np.isfinite(alpha_hat):
-        return float("nan")
-    if q_hat >= 2 or alpha_hat == 0:
-        return float("nan")
-    k_hat = penalty_constants(rule, q_hat, nu_hat).k
-    if k_hat <= 0:
-        return float("nan")
-    return plugin_constant(k_hat, alpha_hat, q_hat)
 
 
 def _replicate_stream(seed: int, rep_idx: int) -> np.random.Generator:
     h = _splitmix64((seed & ((1 << 64) - 1)) ^ _splitmix64(rep_idx + 0x9E37))
     key = np.array([h, _splitmix64(h)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def check_bootstrap(
+    statistics: Sequence[str],
+    n_replicates: int,
+    level: float,
+    variance_window: tuple[float, float] | None,
+    bias_window: tuple[float, float] | None,
+) -> tuple[tuple[float, float] | None, tuple[float, float] | None]:
+    """Refuse, with a :class:`ConfigError`, a bootstrap the pipeline cannot run.
+
+    Returns the variance and bias windows the statistics use (None if unused).
+    """
+    unknown = set(statistics) - set(KNOWN_STATISTICS)
+    if unknown:
+        raise ConfigError(
+            f"unknown bootstrap statistics {sorted(unknown)}; known: {KNOWN_STATISTICS}"
+        )
+    if n_replicates < 100:
+        raise ConfigError(f"need at least 100 bootstrap replicates, got {n_replicates}")
+    if not 0 < level < 1:
+        raise ConfigError(f"confidence level must lie in (0, 1), got {level}")
+    needs_var = "q_hat" in statistics or "c_plugin" in statistics
+    needs_bias = "alpha_hat" in statistics or "c_plugin" in statistics
+    if needs_var and variance_window is None:
+        raise ConfigError("q_hat/c_plugin need a pre-registered variance window")
+    if needs_bias and bias_window is None:
+        raise ConfigError("alpha_hat/c_plugin need a pre-registered bias window")
+    return (variance_window if needs_var else None, bias_window if needs_bias else None)
 
 
 def bootstrap_pipeline(
@@ -202,32 +205,12 @@ def bootstrap_pipeline(
     The number of worker threads comes from the ``ZNEBOUNDARY_THREADS``
     environment variable (default 1); results are independent of it.
     """
-    unknown = set(statistics) - set(KNOWN_STATISTICS)
-    if unknown:
-        raise ConfigError(
-            f"unknown bootstrap statistics {sorted(unknown)}; known: {KNOWN_STATISTICS}"
-        )
-    if n_replicates < 100:
-        raise ConfigError(f"need at least 100 bootstrap replicates, got {n_replicates}")
-    if not 0 < level < 1:
-        raise ConfigError(f"confidence level must lie in (0, 1), got {level}")
-    needs_var = "q_hat" in statistics or "c_plugin" in statistics
-    needs_bias = "alpha_hat" in statistics or "c_plugin" in statistics
-    if needs_var and variance_window is None:
-        raise ConfigError("q_hat/c_plugin need a pre-registered variance window")
-    if needs_bias and bias_window is None:
-        raise ConfigError("alpha_hat/c_plugin need a pre-registered bias window")
-    var_win = variance_window if needs_var else None
-    bias_win = bias_window if needs_bias else None
-
+    var_win, bias_win = check_bootstrap(statistics, n_replicates, level,
+                                        variance_window, bias_window)
+    estimate = _TableEstimator(table, var_win, bias_win)
     names: list[str] = []
     for stat in statistics:
-        if stat == "eps_star":
-            names.extend(f"eps_star[{b:g}]" for b in table.budgets)
-        else:
-            names.append(stat)
-
-    estimate = _TableEstimator(table, var_win, bias_win)
+        names.extend(estimate.eps_star_names if stat == "eps_star" else [stat])
     point = estimate(table.plus)
     p_hat = table.plus / table.shots
 
@@ -247,20 +230,12 @@ def bootstrap_pipeline(
     for name in names:
         values = np.asarray([rep.get(name, float("nan")) for rep in replicate_stats])
         good = values[np.isfinite(values)]
-        missing = 1.0 - good.size / n_replicates
         pt = point.get(name, float("nan"))
-        if good.size == 0:
-            results.append(BootstrapResult(
-                statistic=name, point=None if not np.isfinite(pt) else float(pt),
-                ci_lo=None, ci_hi=None, n_replicates=n_replicates, level=level,
-                missing_fraction=missing,
-            ))
-            continue
-        lo, hi = np.percentile(good, [alpha, 100.0 - alpha])
+        ci_lo, ci_hi = (np.percentile(good, [alpha, 100.0 - alpha]).tolist() if good.size
+                        else (None, None))
         results.append(BootstrapResult(
-            statistic=name,
-            point=None if not np.isfinite(pt) else float(pt),
-            ci_lo=float(lo), ci_hi=float(hi),
-            n_replicates=n_replicates, level=level, missing_fraction=missing,
+            statistic=name, point=float(pt) if np.isfinite(pt) else None,
+            ci_lo=ci_lo, ci_hi=ci_hi, n_replicates=n_replicates, level=level,
+            missing_fraction=1.0 - good.size / n_replicates,
         ))
     return results

@@ -12,7 +12,7 @@ or raises with the measured numbers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,10 +49,7 @@ class CheckResult:
     seconds: float
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name, "passed": self.passed,
-            "detail": self.detail, "seconds": round(self.seconds, 3),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 def _crossing(model, rule, grid, budget):
@@ -180,8 +177,9 @@ def check_qhat_slope_chain() -> str:
     """Independent q_hat predicts the observed slope within 0.03."""
     rule = build_rule([1, 3])
     window = (1e-4, 1e-3)
+    grid = np.geomspace(*window, 40)
     pcs = ProductContractionString(gamma=0.1, ell=5)
-    q_pcs = fit_variance_exponent(pcs, window).q_hat
+    q_pcs = fit_variance_exponent(grid, pcs.variance(grid), window).q_hat
     if not 0.98 <= q_pcs <= 1.00:
         raise AssertionError(f"contraction-string q_hat {q_pcs:.4f} outside [0.98, 1.00]")
     s_pcs = fit_boundary(_crossings(pcs, rule, np.geomspace(1e4, 1e7, 10))).slope
@@ -191,7 +189,7 @@ def check_qhat_slope_chain() -> str:
         )
 
     lbb = LinearBiasBinary(mu0=0.5, alpha=1.0)
-    q_lbb = fit_variance_exponent(lbb, window).q_hat
+    q_lbb = fit_variance_exponent(grid, lbb.variance(grid), window).q_hat
     if abs(q_lbb) > 0.01:
         raise AssertionError(f"linear-bias q_hat {q_lbb:.5f} outside [-0.01, 0.01]")
     s_lbb = fit_boundary(_crossings(lbb, rule, np.geomspace(1e4, 1e7, 10))).slope

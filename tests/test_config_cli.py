@@ -129,6 +129,33 @@ class TestConfig:
             parse_config(raw)
 
 
+    def test_unknown_windows_key_named(self):
+        with pytest.raises(ConfigError, match=r"unknown windows keys \['n_points'\]"):
+            parse_config(dict(DLB_EXACT, windows={"n_points": 40}))
+
+    @pytest.mark.parametrize("base, overrides, named", [
+        (DLB_EXACT, ["grid.mode=explicit", "grid.eps=[0.001, abc, 0.004]"],
+         "grid.eps must be a number, got 'abc'"),
+        (DLB_EXACT, ["budgets=[1000, 1e4x]"], "budgets must be a number, got '1e4x'"),
+        (DLB_EXACT, ["windows.variance=[a, b]"], "windows.variance must be a number"),
+        (DLB_EXACT, ["windows.bias=0.001"], "windows.bias must be a list"),
+        (DLB_MC, ["engine.replicates=abc"], "engine.replicates must be an integer"),
+        (DLB_EXACT, ["grid.points_per_decade=abc"], "grid.points_per_decade must be an integer"),
+        (DLB_MC, ["bootstrap.statistics=[foo]"], "unknown bootstrap statistics ['foo']"),
+        (DLB_MC, ["bootstrap.n_replicates=50"], "at least 100 bootstrap replicates"),
+        (DLB_MC, ["bootstrap.level=1.5"], "level must lie in (0, 1)"),
+        (DLB_MC, ["bootstrap.statistics=[q_hat]", "windows.variance=null"],
+         "q_hat/c_plugin need a pre-registered variance window"),
+    ], ids=["eps", "budgets", "variance", "bias", "replicates", "ppd", "statistics",
+            "n_replicates", "level", "window"])
+    def test_sweep_refuses_bad_value_naming_it(self, tmp_path, capsys, base, overrides, named):
+        cfg_path = write_cfg(tmp_path, dict(base, output={"dir": str(tmp_path), "prefix": "x"}))
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        assert main(["sweep", "--config", str(cfg_path), *sets]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x_delta.csv").exists()
+
+
 class TestPipelineArtifacts:
     @pytest.mark.parametrize("engine", [None, {"kind": "monte_carlo", "replicates": 4}])
     def test_unequal_grid_lengths_rejected(self, engine):
@@ -331,6 +358,12 @@ class TestArtifactReaderErrors:
         msg = self.delta(tmp_path, edit)
         assert "budgets must be strictly ascending" in msg
 
+    def test_delta_eps_out_of_order(self, tmp_path):
+        def edit(lines):
+            lines[3], lines[4] = lines[4], lines[3]  # data rows 2 and 3 of B=1e4
+        msg = self.delta(tmp_path, edit)
+        assert "data row 3 (B=10000.0): eps must be strictly ascending within a budget" in msg
+
     def test_crossings_non_numeric_value(self, tmp_path):
         def edit(lines):
             lines[2] = lines[2].replace("0.001,", "abc,")
@@ -388,7 +421,8 @@ def sweeps(draw, monte_carlo):
     budgets = draw(st.lists(st.floats(1.0, 1e15), min_size=1, max_size=4, unique=True))
     n_eps = draw(st.integers(1, 5))
     cells = st.lists(finite, min_size=n_eps, max_size=n_eps)
-    grids = tuple(tuple(draw(cells)) for _ in budgets)
+    ascending = st.lists(finite, min_size=n_eps, max_size=n_eps, unique=True).map(sorted)
+    grids = tuple(tuple(draw(ascending)) for _ in budgets)
     delta = np.array([draw(cells) for _ in budgets])
     std_err = np.array([draw(cells) for _ in budgets]) if monte_carlo else None
     return SweepResult(

@@ -1,5 +1,7 @@
 """Boundary, variance-exponent, and bias regressions plus constant checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,13 @@ from zneboundary.boundary import (
 )
 from zneboundary.errors import FitError
 from zneboundary.fits import (
+    VarianceExponentFit,
     constant_check,
     fit_bias,
-    fit_bias_from_samples,
     fit_boundary,
     fit_loglog,
     fit_variance_exponent,
-    fit_variance_exponent_from_samples,
+    plugin_constant,
     predict_slope,
 )
 from zneboundary.models import (
@@ -27,9 +29,20 @@ from zneboundary.models import (
     ProductContractionString,
 )
 from zneboundary.mse import exact_delta_curve
-from zneboundary.rules import build_rule
+from zneboundary.rules import RichardsonRule, build_rule
 
 RULE13 = build_rule([1, 3])
+
+
+def exact_variance_fit(model, window):
+    # the report's form: the model's exact curve on 40 points across the window
+    grid = np.geomspace(*window, 40)
+    return fit_variance_exponent(grid, model.variance(grid), window)
+
+
+def exact_bias_fit(model, window):
+    grid = np.geomspace(*window, 40)
+    return fit_bias(grid, model.mean(grid) - model.mean(0.0), window)
 
 
 def crossings_for(model, rule, budgets, **window_kw):
@@ -80,35 +93,35 @@ class TestFitLoglog:
 class TestVarianceExponentFit:
     def test_exact_power_law(self):
         eps = np.geomspace(1e-4, 1e-2, 20)
-        fit = fit_variance_exponent_from_samples(eps, eps.copy(), (1e-4, 1e-2))
+        fit = fit_variance_exponent(eps, eps.copy(), (1e-4, 1e-2))
         assert fit.q_hat == pytest.approx(1.0, abs=1e-12)
         assert fit.nu_hat == pytest.approx(1.0, rel=1e-12)
 
     def test_contraction_string_window(self):
         model = ProductContractionString(gamma=0.1, ell=5)
-        fit = fit_variance_exponent(model, (1e-4, 1e-3))
+        fit = exact_variance_fit(model, (1e-4, 1e-3))
         assert 0.98 <= fit.q_hat <= 1.0
         assert fit.r_squared > 0.999
 
     def test_linear_bias_window(self):
         model = LinearBiasBinary(mu0=0.5, alpha=1.0)
-        fit = fit_variance_exponent(model, (1e-4, 1e-3))
+        fit = exact_variance_fit(model, (1e-4, 1e-3))
         assert abs(fit.q_hat) <= 0.01
 
     def test_window_is_recorded(self):
         model = DeterministicLimitBinary(kappa=1.0)
-        fit = fit_variance_exponent(model, (1e-5, 1e-4))
+        fit = exact_variance_fit(model, (1e-5, 1e-4))
         assert fit.window == (1e-5, 1e-4)
 
     def test_nonpositive_variance_rejected(self):
         eps = np.array([1e-3, 2e-3, 4e-3])
         with pytest.raises(FitError, match="nonpositive variance"):
-            fit_variance_exponent_from_samples(eps, np.array([1e-3, 0.0, 1e-3]), (1e-3, 4e-3))
+            fit_variance_exponent(eps, np.array([1e-3, 0.0, 1e-3]), (1e-3, 4e-3))
 
     def test_empty_window_rejected(self):
         eps = np.geomspace(1e-4, 1e-3, 10)
         with pytest.raises(FitError, match="fewer than 2"):
-            fit_variance_exponent_from_samples(eps, eps, (0.1, 0.2))
+            fit_variance_exponent(eps, eps, (0.1, 0.2))
 
 
 class TestPredictSlope:
@@ -127,31 +140,61 @@ class TestPredictSlope:
 class TestBiasFit:
     def test_recovers_linear_coefficient(self):
         model = LinearBiasBinary(mu0=0.5, alpha=1.0)
-        fit = fit_bias(model, (1e-4, 1e-2))
+        fit = exact_bias_fit(model, (1e-4, 1e-2))
         assert fit.alpha_hat == pytest.approx(1.0, abs=1e-9)
         assert fit.beta_hat == pytest.approx(0.0, abs=1e-6)
 
     def test_recovers_curvature(self):
         model = ProductContractionString(gamma=0.1, ell=5)
         # mu(eps) - 1 = -0.5 eps + C(5,2) 0.01 eps^2 - ...
-        fit = fit_bias(model, (1e-4, 1e-3))
+        fit = exact_bias_fit(model, (1e-4, 1e-3))
         assert fit.alpha_hat == pytest.approx(-0.5, rel=1e-4)
         assert fit.beta_hat == pytest.approx(0.1, rel=0.05)
 
     def test_no_intercept_design(self):
         # a pure quadratic must load on beta only, with alpha -> 0
         eps = np.geomspace(1e-3, 1e-2, 30)
-        fit = fit_bias_from_samples(eps, 3.0 * eps**2, (1e-3, 1e-2))
+        fit = fit_bias(eps, 3.0 * eps**2, (1e-3, 1e-2))
         assert fit.alpha_hat == pytest.approx(0.0, abs=1e-10)
         assert fit.beta_hat == pytest.approx(3.0, rel=1e-10)
+
+
+class TestPluginConstant:
+    def test_closed_form(self):
+        # (1,3) uniform at q = 1, nu = 1: K = 7/2 + 3/2 = 5, so C = (5 / 1)^(1/1)
+        k_hat, c_hat = plugin_constant(RULE13, 1.0, 1.0, -1.0)
+        assert k_hat == pytest.approx(5.0)
+        assert c_hat == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("rule, q_hat, alpha_hat, match", [
+        (RULE13, 2.0, -1.0, "q_hat = 2.0 >= 2: plug-in constant undefined"),
+        (RULE13, 2.5, -1.0, "q_hat = 2.5 >= 2"),
+        (RULE13, 1.0, 0.0, "alpha_hat = 0"),
+        (RULE13, float("nan"), -1.0, "undefined for q_hat = nan"),
+        # a one-level "rule" pays no penalty
+        (RichardsonRule(scales=(1.0,), coeffs=(1.0,), alloc=(1.0,)), 1.0, -1.0,
+         "K_hat = 0.0 <= 0"),
+    ], ids=["q_hat=2", "q_hat>2", "alpha_hat=0", "nan", "K_hat=0"])
+    def test_undefined_cases_raise(self, rule, q_hat, alpha_hat, match):
+        with pytest.raises(FitError, match=re.escape(match)):
+            plugin_constant(rule, q_hat, 1.0, alpha_hat)
+
+    def test_constant_check_keeps_its_q_hat_message(self):
+        model = DeterministicLimitBinary(kappa=1.0)
+        boundary_fit = fit_boundary(crossings_for(model, RULE13, np.geomspace(1e4, 1e6, 6)))
+        var_fit = VarianceExponentFit(q_hat=2.0, log_nu_hat=0.0, window=(1e-4, 1e-3),
+                                      r_squared=1.0)
+        bias_fit = exact_bias_fit(model, (1e-4, 1e-3))
+        with pytest.raises(FitError, match="^q_hat = 2.0 >= 2: plug-in constant undefined$"):
+            constant_check(boundary_fit, var_fit, bias_fit, RULE13, 10.0)
 
 
 class TestConstantCheck:
     def fit_stack(self, model, rule, budgets, windows=(1e-4, 1e-3)):
         crossings = crossings_for(model, rule, budgets)
         boundary_fit = fit_boundary(crossings)
-        var_fit = fit_variance_exponent(model, windows)
-        bias_fit = fit_bias(model, windows)
+        var_fit = exact_variance_fit(model, windows)
+        bias_fit = exact_bias_fit(model, windows)
         c_theory = theoretical_boundary(model, rule).c_pq
         return boundary_fit, var_fit, bias_fit, c_theory
 
@@ -188,7 +231,7 @@ class TestConstantCheck:
         eps = np.geomspace(1e-3, 1e-2, 30)
         rng = np.random.default_rng(0)
         noisy = rng.normal(scale=1e-6, size=eps.size)
-        bias_fit = fit_bias_from_samples(eps, noisy, (1e-3, 1e-2))
+        bias_fit = fit_bias(eps, noisy, (1e-3, 1e-2))
         model = DeterministicLimitBinary(kappa=1.0)
         boundary_fit, var_fit, _, c_theory = self.fit_stack(
             model, RULE13, np.geomspace(1e4, 1e6, 6)
@@ -207,7 +250,7 @@ class TestConsistencyChain:
         for model, q_range in cases:
             crossings = crossings_for(model, RULE13, np.geomspace(1e4, 1e7, 10))
             s_obs = fit_boundary(crossings).slope
-            q_hat = fit_variance_exponent(model, (1e-4, 1e-3)).q_hat
+            q_hat = exact_variance_fit(model, (1e-4, 1e-3)).q_hat
             assert q_range[0] <= q_hat <= q_range[1]
             assert abs(s_obs - predict_slope(q_hat)) <= 0.03
 

@@ -532,6 +532,13 @@ class TestCountTableRowValidation:
         assert str(header_path if edit_header else csv_path) in str(err.value)
         return str(err.value)
 
+    def test_header_eps_grid_out_of_order(self, tmp_path):
+        def edit_header(header):
+            header["eps_grids"][1].reverse()
+            return json.dumps(header)
+        msg = self.corrupt(tmp_path, lambda lines: None, edit_header)
+        assert "eps grid of budget 2000 is not strictly ascending" in msg
+
     def test_missing_row(self, tmp_path):
         msg = self.corrupt(tmp_path, lambda lines: lines.pop(8))
         assert "no row for cell (budget_idx=0, eps_idx=0, scale_idx=0, rep_idx=0)" in msg
@@ -629,7 +636,7 @@ def count_tables(draw):
         budgets=tuple(draw(st.lists(st.integers(1, 10**12), min_size=n_budgets,
                                     max_size=n_budgets))),
         eps_grids=tuple(
-            tuple(draw(st.lists(eps, min_size=n_eps, max_size=n_eps)))
+            tuple(draw(st.lists(eps, min_size=n_eps, max_size=n_eps, unique=True).map(sorted)))
             for _ in range(n_budgets)
         ),
         scales=tuple(draw(st.lists(st.floats(1.0, 9.0), min_size=n_scales,

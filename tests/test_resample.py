@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from zneboundary import fits, resample
 from zneboundary.boundary import auto_window
 from zneboundary.errors import ConfigError
+from zneboundary.fits import BiasFit, VarianceExponentFit
 from zneboundary.models import DeterministicLimitBinary
 from zneboundary.mse import CountTable, sample_count_table
 from zneboundary.resample import (
@@ -16,7 +18,7 @@ from zneboundary.resample import (
     bootstrap_pipeline,
     count_pipeline,
 )
-from zneboundary.rules import build_rule
+from zneboundary.rules import PenaltyConstants, build_rule
 
 DLB = DeterministicLimitBinary(kappa=1.0)
 RULE13 = build_rule([1, 3])
@@ -45,6 +47,24 @@ class TestCountPipeline:
             eps_star = stats[f"eps_star[{budget:g}]"]
             assert np.isfinite(eps_star)
             assert eps_star == pytest.approx(10.0 / (budget + 8.0), rel=0.5)
+
+    @pytest.mark.parametrize("case", ["q_hat>=2", "alpha_hat=0", "K_hat<=0"])
+    def test_undefined_plugin_constant_is_nan(self, case, monkeypatch):
+        # each fit is forced into one case where the plug-in constant is undefined
+        if case == "q_hat>=2":
+            monkeypatch.setattr(resample, "fit_variance_exponent", lambda eps, v, window:
+                                VarianceExponentFit(2.0, 0.0, window, 1.0))
+        elif case == "alpha_hat=0":
+            monkeypatch.setattr(resample, "fit_bias", lambda eps, shift, window:
+                                BiasFit(0.0, 0.0, window, 0.0))
+        else:
+            monkeypatch.setattr(fits, "penalty_constants", lambda rule, q, nu:
+                                PenaltyConstants(q, nu, -1.0, -1.0))
+        stats = count_pipeline(
+            small_table(replicates=10), variance_window=(2e-3, 5e-2), bias_window=(2e-3, 5e-2)
+        )
+        assert np.isnan(stats["c_plugin"])
+        assert np.isfinite(stats["s_obs"])
 
     def test_windows_optional(self):
         table = small_table(replicates=10)
