@@ -87,23 +87,27 @@ def read_block(fh, where: str, columns: tuple[str, ...], max_rows: int, first_ro
     return rows
 
 
-def _bad_row(path, first_row: int, columns, usecols, integer: bool) -> str | None:
-    """Name the first data row from ``first_row`` on that does not parse."""
+def data_rows(path):
+    """Yield ``(number, line)`` for each stripped data row of the table at ``path``."""
     with open(path) as fh:
-        lines = (line for line in fh if line.strip())
+        lines = (line.strip() for line in fh if line.strip())
         line = next(lines, "")
         while line.startswith("#"):
             line = next(lines, "")
-        # ``lines`` is past the column header
-        for number, line in enumerate(itertools.islice(lines, first_row - 1, None), first_row):
-            fields = (line := line.strip()).split(",")
-            if usecols is None and len(fields) != len(columns):
-                return f"data row {number} {line!r}: {len(fields)} fields, expected {len(columns)}"
-            bad = [columns[j] for j in usecols or range(len(columns))
-                   if j >= len(fields) or not _parses(fields[j], integer)]
-            if bad:
-                kind = "a 64-bit integer" if integer else "a number"
-                return f"data row {number} {line!r}: {', '.join(bad)} not {kind}"
+        yield from enumerate(lines, 1)  # ``lines`` is past the column header
+
+
+def _bad_row(path, first_row: int, columns, usecols, integer: bool) -> str | None:
+    """Name the first data row from ``first_row`` on that does not parse."""
+    for number, line in itertools.islice(data_rows(path), first_row - 1, None):
+        fields = line.split(",")
+        if usecols is None and len(fields) != len(columns):
+            return f"data row {number} {line!r}: {len(fields)} fields, expected {len(columns)}"
+        bad = [columns[j] for j in usecols or range(len(columns))
+               if j >= len(fields) or not _parses(fields[j], integer)]
+        if bad:
+            kind = "a 64-bit integer" if integer else "a number"
+            return f"data row {number} {line!r}: {', '.join(bad)} not {kind}"
     return None
 
 

@@ -54,21 +54,23 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
 
-def _parse_scales(text: str) -> list[float]:
+def _parse_floats(name: str, text: str) -> list[float]:
     try:
         return [float(s) for s in text.split(",")]
     except ValueError as err:
-        raise ConfigError(f"cannot parse scales {text!r}: {err}") from err
+        raise ConfigError(f"cannot parse {name} {text!r}: {err}") from err
 
 
-def _parse_alloc(text: str):
-    if text in ("uniform", "optimal"):
-        return text
-    return [float(x) for x in text.split(",")]
+def _rule_from_args(args):
+    scales = _parse_floats("scales", args.scales)
+    alloc = args.alloc
+    if alloc not in ("uniform", "optimal"):
+        alloc = _parse_floats("alloc", alloc)
+    return build_rule(scales, alloc)
 
 
 def cmd_rule(args) -> int:
-    rule = build_rule(_parse_scales(args.scales), _parse_alloc(args.alloc))
+    rule = _rule_from_args(args)
     print(f"scales:       {list(rule.scales)}")
     print(f"coefficients: {list(rule.coeffs)}")
     print(f"allocation:   {list(rule.alloc)}" + (" (optimal varies with eps)"
@@ -186,7 +188,7 @@ def cmd_plan(args) -> int:
     else:
         if args.scales is None or args.nu is None:
             raise ConfigError("plan needs --k-q, or --scales and --nu to derive it")
-        rule = build_rule(_parse_scales(args.scales), _parse_alloc(args.alloc))
+        rule = _rule_from_args(args)
         k_q = variance_penalty(rule, args.q, args.nu).k
         print(f"variance penalty: K = {k_q:.6g} "
               f"({'optimal' if rule.optimal else 'fixed'} allocation)")

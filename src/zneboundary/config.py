@@ -135,16 +135,41 @@ def _pair(key: str, value) -> tuple[float, float]:
     return pair[0], pair[1]
 
 
-def _expand_budgets(spec) -> tuple[float, ...]:
+def _positive_int(key: str, value) -> int:
+    number = _number(key, value, integer=True)
+    if number <= 0:
+        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    return number
+
+
+def _section(raw: dict, name: str, known: set[str]) -> dict:
+    """``raw[name]`` as a mapping: absent or null is ``{}``; a non-mapping or an
+    unknown key is a ConfigError naming the section."""
+    section = raw.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} section must be a mapping, got {section!r}")
+    unknown = set(section) - known
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)}; "
+                          f"known: {', '.join(sorted(known))}")
+    return section
+
+
+def _expand_budgets(raw: dict) -> tuple[float, ...]:
+    spec = raw["budgets"]
+    if not isinstance(spec, (list, tuple)):
+        spec = _section(raw, "budgets", {"values", "lo", "hi", "per_decade"})
     if isinstance(spec, (list, tuple)):
         values = _numbers("budgets", spec)
-    elif isinstance(spec, dict) and "values" in spec:
+    elif "values" in spec:
         values = _numbers("budgets.values", spec["values"])
-    elif isinstance(spec, dict) and {"lo", "hi", "per_decade"} <= set(spec):
+    elif {"lo", "hi", "per_decade"} <= set(spec):
         lo, hi = _number("budgets.lo", spec["lo"]), _number("budgets.hi", spec["hi"])
         if not 0 < lo < hi:
             raise ConfigError(f"budget ladder needs 0 < lo < hi, got {spec}")
-        per_decade = _number("budgets.per_decade", spec["per_decade"], integer=True)
+        per_decade = _positive_int("budgets.per_decade", spec["per_decade"])
         n = int(round(np.log10(hi / lo) * per_decade)) + 1
         values = list(np.geomspace(lo, hi, max(n, 2)))
     else:
@@ -170,13 +195,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown configuration sections {sorted(unknown)}")
     for section in ("model", "budgets"):
-        if section not in raw:
+        if raw.get(section) is None:
             raise ConfigError(f"missing configuration section {section!r}")
 
     model_spec = raw["model"]
     model = model_from_spec(model_spec)  # validates type and parameters
 
-    rule_spec = raw.get("rule") or {}
+    rule_spec = _section(raw, "rule", {"scales", "alloc"})
     if not isinstance(model, MonomialBalanceModel) and rule_spec:
         if "scales" not in rule_spec:
             raise ConfigError("rule section needs scales (or set rule to null for "
@@ -187,7 +212,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     elif isinstance(model, MonomialBalanceModel):
         rule_spec = {}
 
-    grid = {**DEFAULT_GRID, **raw.get("grid", {})}
+    grid = {**DEFAULT_GRID, **_section(raw, "grid", {"mode", "span", "points_per_decade", "eps"})}
     if grid["mode"] == "explicit":
         if not grid.get("eps"):
             raise ConfigError("explicit grid needs at least one eps value")
@@ -197,13 +222,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                               + ", ".join(f"{e:g}" for e in eps))
     elif grid["mode"] == "auto":
         _pair("grid.span", grid["span"])
-        _number("grid.points_per_decade", grid["points_per_decade"], integer=True)
+        _positive_int("grid.points_per_decade", grid["points_per_decade"])
     else:
         raise ConfigError(f"grid mode must be auto or explicit, got {grid['mode']!r}")
 
-    budgets = _expand_budgets(raw["budgets"])
+    budgets = _expand_budgets(raw)
 
-    engine = {"kind": "exact", **raw.get("engine", {})}
+    engine = {"kind": "exact", **_section(raw, "engine", {"kind", "replicates"})}
     if engine["kind"] not in ("exact", "monte_carlo"):
         raise ConfigError(f"engine kind must be exact or monte_carlo, got {engine['kind']!r}")
 
@@ -226,16 +251,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if _number("engine.replicates", replicates, integer=True) < 2:
             raise ConfigError("monte_carlo needs at least 2 replicates")
 
-    windows = raw.get("windows", {})
-    unknown = set(windows) - {"variance", "bias"}
-    if unknown:
-        raise ConfigError(f"unknown windows keys {sorted(unknown)}; known: bias, variance")
+    windows = _section(raw, "windows", {"variance", "bias"})
     fit_windows = {name: _pair(f"windows.{name}", win) for name, win in windows.items()
                    if win is not None}
 
     bootstrap = raw.get("bootstrap")
     if bootstrap is not None:
-        bootstrap = {**DEFAULT_BOOTSTRAP, **bootstrap}
+        bootstrap = {**DEFAULT_BOOTSTRAP,
+                     **_section(raw, "bootstrap", {"statistics", "n_replicates", "level", "seed"})}
         if engine["kind"] != "monte_carlo":
             raise ConfigError("bootstrap requires the monte_carlo engine (raw counts)")
         if "statistics" not in bootstrap:
@@ -260,7 +283,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         windows=windows,
         bootstrap=bootstrap,
         seed=None if seed is None else _number("seed", seed, integer=True),
-        output={"dir": ".", "prefix": "run", **raw.get("output", {})},
+        output={"dir": ".", "prefix": "run", **_section(raw, "output", {"dir", "prefix"})},
         raw=raw,
     )
 

@@ -19,6 +19,7 @@ another configuration; ``fit`` refuses counts drawn for another one).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .boundary import (
     find_crossing_arrays,
     theoretical_boundary,
 )
-from .artifacts import SCHEMA_VERSION, begin_table, open_table, read_block
+from .artifacts import SCHEMA_VERSION, begin_table, data_rows, open_table, read_block
 from .config import ExperimentConfig
 from .errors import ConfigError, FitError, RegimeError
 from .fits import constant_check, fit_bias, fit_boundary, fit_variance_exponent, predict_slope
@@ -151,7 +152,9 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
     With ``cfg``, the table must have been written for ``cfg``.  Besides the
     format errors of :func:`artifacts.open_table` and :func:`artifacts.read_block`,
     a budget with another row count than the first, eps or budgets out of
-    ascending order raise :class:`ConfigError` naming the first offending row.
+    ascending order, and a row whose source is not data row 1's or whose
+    std_err is set under the exact source (empty under monte_carlo) raise
+    :class:`ConfigError` naming the first offending row.
     """
     where = f"delta table {path}"
     budgets: list[float] = []
@@ -164,7 +167,8 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
         if first[-1] not in _DELTA_SOURCES:
             raise ConfigError(f"{where}: data row 1 {','.join(first)!r}: "
                               f"source must be one of {_DELTA_SOURCES}")
-        usecols = (0, 1, 2, 3) if len(first) > 4 and first[3] else (0, 1, 2)
+        source = first[-1]
+        usecols = (0, 1, 2) if source == "exact" else (0, 1, 2, 3)
         n_eps = 1  # the rows of the first budget set the block length
         while fh.readline().split(",", 1)[0] == first[0]:
             n_eps += 1
@@ -188,9 +192,19 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
             if len(usecols) == 4:
                 errs.append(rows[:, 3])
             n_read += n_eps
+    # Every row ends in ",,exact" (empty std_err) or ",monte_carlo" (its std_err
+    # parsed as a number above).  Counting the writer's row endings is the fast
+    # check; the row scan decides, and names the first bad row.
+    suffix = (",," if source == "exact" else ",") + source
+    if Path(path).read_bytes().count(f"{suffix}\r\n".encode()) != n_read:
+        for number, line in data_rows(path):
+            if not line.endswith(suffix):
+                raise ConfigError(f"{where}: data row {number} {line!r}: expected "
+                                  f"{'an empty' if source == 'exact' else 'a'} std_err "
+                                  f"and source {source}, as in data row 1")
     return SweepResult(
         budgets=tuple(budgets), eps_grids=tuple(eps_grids), delta=np.asarray(deltas),
-        std_err=np.asarray(errs) if errs else None, source=first[-1], counts=None,
+        std_err=np.asarray(errs) if errs else None, source=source, counts=None,
     )
 
 

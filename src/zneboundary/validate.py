@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .boundary import (
     STATUS_NO_CROSSING,
@@ -39,6 +38,13 @@ from .resample import bootstrap_pipeline
 from .rules import build_rule, variance_penalty
 
 __all__ = ["CheckResult", "CHECKS", "run_battery"]
+
+# Unbiasedness t-test of check_mc_bootstrap_soundness: UNBIASED_RUNS independent
+# Monte Carlo deltas, tested against T_CRIT_99, the two-sided 1% Student-t
+# critical value at UNBIASED_RUNS - 1 = 199 degrees of freedom: the exact double
+# that SciPy's Student-t quantile t.ppf(0.995, 199) returns.
+UNBIASED_RUNS = 200
+T_CRIT_99 = 2.600760216058516
 
 
 @dataclass(frozen=True)
@@ -297,18 +303,18 @@ def check_mc_bootstrap_soundness() -> str:
     model = DeterministicLimitBinary(kappa=1.0)
     rule = build_rule([1, 3])
 
-    # unbiased Monte Carlo MSE difference: t-test over 200 independent runs
+    # unbiased Monte Carlo MSE difference: t-test over UNBIASED_RUNS independent runs
     eps, budget = 0.05, 2000
     exact = exact_delta(model, rule, eps, float(budget)).delta
     errors = []
-    for i in range(200):
+    for i in range(UNBIASED_RUNS):
         point, _ = mc_delta(model, rule, eps, budget, 16, master_seed=3000 + i)
         errors.append(point.delta - exact)
     errors = np.asarray(errors)
     t_stat = errors.mean() / (errors.std(ddof=1) / np.sqrt(errors.size))
-    t_crit = scipy_stats.t.ppf(1 - 0.01 / 2, df=errors.size - 1)
-    if abs(t_stat) > t_crit:
-        raise AssertionError(f"unbiasedness t-test fails: |t| = {abs(t_stat):.3f} > {t_crit:.3f}")
+    if abs(t_stat) > T_CRIT_99:
+        raise AssertionError(f"unbiasedness t-test fails: |t| = {abs(t_stat):.3f} "
+                             f"> {T_CRIT_99:.3f}")
 
     # bootstrap determinism
     table = _mc_dataset(seed=77, replicates=16)
@@ -340,7 +346,7 @@ def check_mc_bootstrap_soundness() -> str:
             f"12-interval overlap fails: max lo {max(lows):.4f} > min hi {min(highs):.4f}"
         )
     return (
-        f"t = {t_stat:.3f} (crit {t_crit:.3f}); bootstrap deterministic; "
+        f"t = {t_stat:.3f} (crit {T_CRIT_99:.3f}); bootstrap deterministic; "
         f"coverage {covered}/100; 12 intervals overlap on "
         f"[{max(lows):.3f}, {min(highs):.3f}]"
     )

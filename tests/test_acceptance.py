@@ -9,11 +9,18 @@ criterion.  The Monte Carlo / bootstrap criterion dominates the runtime
 (about 2.5 minutes); everything else finishes in seconds.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from scipy import stats
 
-from zneboundary.validate import CHECKS
+from zneboundary.validate import CHECKS, T_CRIT_99, UNBIASED_RUNS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 RUNTIME_BUDGETS = {
     "rule_identities": 1.0,
@@ -42,3 +49,16 @@ def test_criterion(name, check):
 
 def test_battery_covers_every_criterion():
     assert [name for name, _ in CHECKS] == list(RUNTIME_BUDGETS)
+
+
+def test_t_critical_value_is_the_students_t_quantile():
+    assert T_CRIT_99 == pytest.approx(stats.t.ppf(0.995, UNBIASED_RUNS - 1), rel=1e-12)
+
+
+def test_cli_and_config_do_not_load_scipy():
+    script = ("import sys, zneboundary.cli; from zneboundary.config import load_config; "
+              "load_config('bench/configs/exact_a.yaml'); sys.exit('scipy' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0

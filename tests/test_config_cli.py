@@ -129,6 +129,17 @@ class TestConfig:
             parse_config(raw)
 
 
+    def test_null_section_is_absent(self, tmp_path, monkeypatch):
+        cfg = parse_config(dict(DLB_EXACT, grid=None, engine=None, windows=None, output=None))
+        assert cfg.grid == parse_config(dict(DLB_EXACT, grid={})).grid
+        assert (cfg.engine, cfg.windows, cfg.output) == (
+            {"kind": "exact"}, {}, {"dir": ".", "prefix": "run"})
+        cfg_path = write_cfg(tmp_path, dict(DLB_EXACT, budgets={"values": [1e4, 1e5]}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--set", "windows=null", "--set", "output=null"]) == 0
+        assert (tmp_path / "run_delta.csv").exists()
+
     def test_unknown_windows_key_named(self):
         with pytest.raises(ConfigError, match=r"unknown windows keys \['n_points'\]"):
             parse_config(dict(DLB_EXACT, windows={"n_points": 40}))
@@ -146,8 +157,31 @@ class TestConfig:
         (DLB_MC, ["bootstrap.level=1.5"], "level must lie in (0, 1)"),
         (DLB_MC, ["bootstrap.statistics=[q_hat]", "windows.variance=null"],
          "q_hat/c_plugin need a pre-registered variance window"),
+        (DLB_EXACT, ["grid=5"], "grid section must be a mapping, got 5"),
+        (DLB_EXACT, ["engine=abc"], "engine section must be a mapping, got 'abc'"),
+        (DLB_EXACT, ["windows=[1, 2]"], "windows section must be a mapping"),
+        (DLB_EXACT, ["output=x"], "output section must be a mapping, got 'x'"),
+        (DLB_EXACT, ["rule.alocc=optimal"], "unknown rule keys ['alocc']; known: alloc, scales"),
+        (DLB_EXACT, ["engine.replicate=5"],
+         "unknown engine keys ['replicate']; known: kind, replicates"),
+        (DLB_EXACT, ["grid.spam=1"],
+         "unknown grid keys ['spam']; known: eps, mode, points_per_decade, span"),
+        (DLB_EXACT, ["output.prefx=x"], "unknown output keys ['prefx']; known: dir, prefix"),
+        (DLB_MC, ["bootstrap.sead=1"], "unknown bootstrap keys ['sead']"),
+        (DLB_EXACT, ["budgets.step=2"], "unknown budgets keys ['step']"),
+        (DLB_EXACT, ["grid.points_per_decade=0"],
+         "grid.points_per_decade must be a positive integer, got 0"),
+        (DLB_EXACT, ["grid.points_per_decade=-3"],
+         "grid.points_per_decade must be a positive integer, got -3"),
+        (DLB_EXACT, ["budgets={lo: 1000, hi: 100000, per_decade: 0}"],
+         "budgets.per_decade must be a positive integer, got 0"),
+        (DLB_EXACT, ["budgets.per_decade=-2"],
+         "budgets.per_decade must be a positive integer, got -2"),
     ], ids=["eps", "budgets", "variance", "bias", "replicates", "ppd", "statistics",
-            "n_replicates", "level", "window"])
+            "n_replicates", "level", "window", "grid-int", "engine-str", "windows-list",
+            "output-str", "rule-key", "engine-key", "grid-key", "output-key", "bootstrap-key",
+            "budgets-key", "ppd-zero", "ppd-negative", "per-decade-zero",
+            "per-decade-negative"])
     def test_sweep_refuses_bad_value_naming_it(self, tmp_path, capsys, base, overrides, named):
         cfg_path = write_cfg(tmp_path, dict(base, output={"dir": str(tmp_path), "prefix": "x"}))
         sets = [arg for override in overrides for arg in ("--set", override)]
@@ -352,6 +386,33 @@ class TestArtifactReaderErrors:
         msg = self.delta(tmp_path, lambda lines: lines.pop())
         assert "(B=1000000.0): budget has" in msg
 
+    @pytest.mark.parametrize("rows, named", [
+        ({3: "bogus"}, "data row 3 "),
+        ({4: ("0.5", "exact")}, "data row 4 "),
+        ({3: "monte_carlo", 4: "bogus"}, "data row 3 "),
+    ], ids=["source", "std_err", "first-of-two"])
+    def test_delta_row_source_and_std_err_checked(self, tmp_path, rows, named):
+        def edit(lines):
+            for row, change in rows.items():  # data row r is lines[r + 1]
+                b, eps, delta, err, source = lines[row + 1].rstrip("\r\n").split(",")
+                err, source = change if isinstance(change, tuple) else (err, change)
+                lines[row + 1] = ",".join([b, eps, delta, err, source]) + "\r\n"
+        msg = self.delta(tmp_path, edit)
+        assert named in msg and "std_err and source exact, as in data row 1" in msg
+
+    def test_monte_carlo_delta_rows_need_std_err(self, tmp_path):
+        sweep = SweepResult(budgets=(1e3, 1e4), eps_grids=((0.1, 0.2),) * 2,
+                            delta=np.ones((2, 2)), std_err=np.full((2, 2), 0.5),
+                            source="monte_carlo", counts=None)
+        write_delta_csv(tmp_path / "good.csv", sweep)
+        assert read_delta_csv(tmp_path / "good.csv").std_err.tolist() == [[0.5, 0.5]] * 2
+
+        def edit(lines):
+            lines[2] = lines[2].replace(",0.5,", ",,")
+        msg = self.corrupt(tmp_path, "mc.csv", lambda p: write_delta_csv(p, sweep),
+                           read_delta_csv, edit)
+        assert "data row 1 " in msg and "std_err not a number" in msg
+
     def test_delta_budgets_out_of_order(self, tmp_path):
         def edit(lines):
             lines[2:] = sorted(lines[2:], key=lambda line: -float(line.split(",")[0]))
@@ -492,6 +553,12 @@ class TestCli:
     def test_rule_command_rejects_bad_scales(self, capsys):
         assert main(["rule", "--scales", "2,3"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["rule"], ["plan", "--q", "1", "--kappa", "1",
+                                                    "--nu", "2"]])
+    def test_bad_alloc_is_a_configuration_error(self, capsys, command):
+        assert main([*command, "--scales", "1,3", "--alloc", "1,x"]) == 2
+        assert "cannot parse alloc '1,x'" in capsys.readouterr().err
 
     def test_sweep_boundary_fit_flow(self, tmp_path, capsys):
         raw = dict(DLB_EXACT, output={"dir": str(tmp_path), "prefix": "dlb"},
