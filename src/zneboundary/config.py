@@ -100,7 +100,9 @@ def _apply_override(raw: dict, assignment: str) -> None:
     keys = path.strip().split(".")
     target = raw
     for key in keys[:-1]:
-        target = target.setdefault(key, {})
+        if target.get(key) is None:  # a null section is an absent one
+            target[key] = {}
+        target = target[key]
         if not isinstance(target, dict):
             raise ConfigError(f"cannot override through non-mapping key {key!r}")
     try:

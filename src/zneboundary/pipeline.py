@@ -152,8 +152,9 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
     With ``cfg``, the table must have been written for ``cfg``.  Besides the
     format errors of :func:`artifacts.open_table` and :func:`artifacts.read_block`,
     a budget with another row count than the first, eps or budgets out of
-    ascending order, and a row whose source is not data row 1's or whose
-    std_err is set under the exact source (empty under monte_carlo) raise
+    ascending order, a row with another field count than the header, and a
+    row whose source is not data row 1's or whose std_err is set under the
+    exact source (empty under monte_carlo) raise
     :class:`ConfigError` naming the first offending row.
     """
     where = f"delta table {path}"
@@ -192,12 +193,19 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
             if len(usecols) == 4:
                 errs.append(rows[:, 3])
             n_read += n_eps
-    # Every row ends in ",,exact" (empty std_err) or ",monte_carlo" (its std_err
-    # parsed as a number above).  Counting the writer's row endings is the fast
-    # check; the row scan decides, and names the first bad row.
+    # Every row has one field per column and ends in ",,exact" (empty std_err)
+    # or ",monte_carlo" (its std_err parsed as a number above).  Counting the
+    # writer's row endings and commas (the header has as many as a row) is the
+    # fast check; the row scan decides, and names the first bad row.  The
+    # file's bytes are dropped before the result arrays are built.
     suffix = (",," if source == "exact" else ",") + source
-    if Path(path).read_bytes().count(f"{suffix}\r\n".encode()) != n_read:
+    endings, commas = map(Path(path).read_bytes().count, (f"{suffix}\r\n".encode(), b","))
+    n_columns = len(_DELTA_COLUMNS)
+    if endings != n_read or commas != (n_columns - 1) * (n_read + 1):
         for number, line in data_rows(path):
+            if (n_fields := line.count(",") + 1) != n_columns:
+                raise ConfigError(f"{where}: data row {number} {line!r}: "
+                                  f"{n_fields} fields, expected {n_columns}")
             if not line.endswith(suffix):
                 raise ConfigError(f"{where}: data row {number} {line!r}: expected "
                                   f"{'an empty' if source == 'exact' else 'a'} std_err "

@@ -11,7 +11,8 @@ intervals are taken over the replicate statistics.
 
 Replicates are embarrassingly parallel: each derives its own counter-based
 stream from the bootstrap seed and the replicate index, and the percentile
-reduction is order-independent, so results do not depend on scheduling.
+reduction is order-independent, so results do not depend on scheduling
+or on the number of worker threads (see :func:`bootstrap_workers`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .models import model_from_spec
 from .mse import CountTable, _splitmix64, _squared_error_diffs
 from .rules import build_rule
 
-__all__ = ["BootstrapResult", "bootstrap_pipeline", "check_bootstrap", "count_pipeline",
-           "KNOWN_STATISTICS"]
+__all__ = ["BootstrapResult", "bootstrap_pipeline", "bootstrap_workers", "check_bootstrap",
+           "count_pipeline", "KNOWN_STATISTICS"]
 
 KNOWN_STATISTICS = ("eps_star", "s_obs", "c_fit", "q_hat", "alpha_hat", "c_plugin")
 
@@ -182,6 +183,27 @@ def check_bootstrap(
     return (variance_window if needs_var else None, bias_window if needs_bias else None)
 
 
+def bootstrap_workers(n_replicates: int) -> int:
+    """Worker threads for a bootstrap of ``n_replicates`` replicates.
+
+    The ``ZNEBOUNDARY_THREADS`` environment variable when set, which must be
+    a positive integer (else :class:`ConfigError`); otherwise the cores this
+    process may run on.  Either way at most ``n_replicates``.
+    """
+    value = os.environ.get(THREADS_ENV_VAR)
+    if value is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    else:
+        try:
+            workers = int(value)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {value!r}")
+    return min(workers, n_replicates)
+
+
 def bootstrap_pipeline(
     table: CountTable,
     statistics: Sequence[str],
@@ -202,11 +224,13 @@ def bootstrap_pipeline(
     (e.g. every budget censored) are counted in ``missing_fraction`` and
     excluded from the interval, never silently dropped from the report.
 
-    The number of worker threads comes from the ``ZNEBOUNDARY_THREADS``
-    environment variable (default 1); results are independent of it.
+    Replicates run on :func:`bootstrap_workers` threads: by default the
+    usable cores, or ``ZNEBOUNDARY_THREADS`` when set.  Each replicate draws
+    from its own stream, so results are bit for bit independent of the count.
     """
     var_win, bias_win = check_bootstrap(statistics, n_replicates, level,
                                         variance_window, bias_window)
+    workers = bootstrap_workers(n_replicates)
     estimate = _TableEstimator(table, var_win, bias_win)
     names: list[str] = []
     for stat in statistics:
@@ -218,12 +242,8 @@ def bootstrap_pipeline(
         rng = _replicate_stream(seed, rep_idx)
         return estimate(rng.binomial(table.shots, p_hat))
 
-    n_threads = max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    if n_threads == 1:
-        replicate_stats = [one_replicate(i) for i in range(n_replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            replicate_stats = list(pool.map(one_replicate, range(n_replicates)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        replicate_stats = list(pool.map(one_replicate, range(n_replicates)))
 
     results = []
     alpha = 100.0 * (1.0 - level) / 2.0

@@ -140,6 +140,13 @@ class TestConfig:
                      "--set", "windows=null", "--set", "output=null"]) == 0
         assert (tmp_path / "run_delta.csv").exists()
 
+    def test_override_inside_null_section(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, dict(DLB_EXACT, windows=None))
+        cfg = load_config(cfg_path, ["windows.variance=[1.0e-4, 1.0e-3]"])
+        assert (cfg.variance_window(), cfg.bias_window()) == ((1e-4, 1e-3), None)
+        with pytest.raises(ConfigError, match="cannot override through non-mapping key 'rule'"):
+            load_config(write_cfg(tmp_path, dict(DLB_EXACT, rule=5)), ["rule.scales=[1, 3]"])
+
     def test_unknown_windows_key_named(self):
         with pytest.raises(ConfigError, match=r"unknown windows keys \['n_points'\]"):
             parse_config(dict(DLB_EXACT, windows={"n_points": 40}))
@@ -381,6 +388,15 @@ class TestArtifactReaderErrors:
             lines[4] = lines[4].split(",")[0] + "\r\n"
         msg = self.delta(tmp_path, edit)
         assert "data row 3 " in msg and "eps, delta not a number" in msg
+
+    @pytest.mark.parametrize("row, fields", [(3, ["", ""]), (7, [])],
+                             ids=["extra-empty", "missing-std_err"])
+    def test_delta_row_field_count_checked(self, tmp_path, row, fields):
+        def edit(lines):  # data row r is lines[r + 1]
+            b, eps, delta, *_ = lines[row + 1].split(",")
+            lines[row + 1] = ",".join([b, eps, delta, *fields, "exact"]) + "\r\n"
+        msg = self.delta(tmp_path, edit)
+        assert f"data row {row} " in msg and f"{len(fields) + 4} fields, expected 5" in msg
 
     def test_delta_short_last_budget(self, tmp_path):
         msg = self.delta(tmp_path, lambda lines: lines.pop())
@@ -643,6 +659,19 @@ class TestCli:
         capsys.readouterr()
         assert main(["fit", "--config", str(cfg_path)]) == 2
         assert "rule {'alloc': [0.5, 0.5], " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_fit_refuses_bad_thread_count(self, tmp_path, capsys, monkeypatch, value):
+        raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]},
+                   engine={"kind": "monte_carlo", "replicates": 8},
+                   output={"dir": str(tmp_path), "prefix": "m"})
+        cfg_path = write_cfg(tmp_path, raw)
+        assert main(["boundary", "--config", str(cfg_path)]) == 0
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        assert f"ZNEBOUNDARY_THREADS must be a positive integer, got {value!r}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "m_report.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]},

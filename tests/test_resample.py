@@ -101,10 +101,27 @@ class TestBootstrapPipeline:
     def test_thread_count_does_not_change_results(self, monkeypatch):
         table = small_table(replicates=12)
         kw = dict(statistics=["s_obs"], n_replicates=100, seed=5)
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "1")
         sequential = bootstrap_pipeline(table, **kw)
         monkeypatch.setenv("ZNEBOUNDARY_THREADS", "4")
         threaded = bootstrap_pipeline(table, **kw)
         assert sequential == threaded
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_failing_replicate_reraises_through_the_pool(self, threads, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", threads)
+        failure = RuntimeError("replicate 37")
+        stream = resample._replicate_stream
+
+        def failing_stream(seed, rep_idx):
+            if rep_idx == 37:
+                raise failure
+            return stream(seed, rep_idx)
+
+        monkeypatch.setattr(resample, "_replicate_stream", failing_stream)
+        with pytest.raises(RuntimeError) as err:
+            bootstrap_pipeline(small_table(replicates=4), ["s_obs"], 100, seed=0)
+        assert err.value is failure
 
     def test_degenerate_counts_zero_width_intervals(self):
         # plus == shots everywhere: every replicate redraws identically
@@ -164,6 +181,39 @@ class TestBootstrapPipeline:
             bootstrap_pipeline(table, ["s_obs"], 100, seed=0, level=1.5)
 
 
+class TestBootstrapWorkers:
+    """The worker count; these tests start no threads."""
+
+    @pytest.mark.parametrize("cores, expected", [(2, 2), (16, 16), (512, 200)])
+    def test_default_is_the_usable_cores(self, cores, expected, monkeypatch):
+        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
+        monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert resample.bootstrap_workers(200) == expected
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
+        monkeypatch.delattr(resample.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(resample.os, "cpu_count", lambda: 6)
+        assert resample.bootstrap_workers(200) == 6
+        monkeypatch.setattr(resample.os, "cpu_count", lambda: None)
+        assert resample.bootstrap_workers(200) == 1
+
+    @pytest.mark.parametrize("value, expected", [("1", 1), ("3", 3), ("500", 200)])
+    def test_environment_overrides_the_cores(self, value, expected, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
+        monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        assert resample.bootstrap_workers(200) == expected
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+    def test_bad_environment_value_named(self, value, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
+        with pytest.raises(ConfigError, match=f"ZNEBOUNDARY_THREADS must be a positive "
+                                              f"integer, got {value!r}"):
+            resample.bootstrap_workers(200)
+
+
 class TestPinnedBootstrap:
     """sha256 of ``as_dict()`` output, recorded before the per-table estimator."""
 
@@ -173,9 +223,12 @@ class TestPinnedBootstrap:
     }
 
     @pytest.mark.parametrize("allocation", ["fixed", "optimal"])
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("threads", ["1", "2", "unset"])
     def test_all_statistics_pinned(self, allocation, threads, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", threads)
+        if threads == "unset":
+            monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ZNEBOUNDARY_THREADS", threads)
         budgets = (1000, 4000, 16000, 64000)
         rule = build_rule([1, 3], {"fixed": "uniform", "optimal": "optimal"}[allocation])
         grids = [auto_window(DLB, rule, b, span=(0.2, 5.0), points_per_decade=12).tolist()
