@@ -55,10 +55,8 @@ from .models import (
 from .mse import (
     CountTable,
     DeltaPoint,
-    MseBreakdown,
     exact_delta,
     exact_delta_curve,
-    exact_mse,
     mc_delta,
     sample_count_table,
 )
@@ -81,8 +79,8 @@ __all__ = [
     "ProductContractionString", "PowerLeakageBinary", "MonomialBalanceModel",
     "model_from_spec",
     # mse
-    "MseBreakdown", "DeltaPoint", "CountTable", "exact_mse", "exact_delta",
-    "exact_delta_curve", "mc_delta", "sample_count_table",
+    "DeltaPoint", "CountTable", "exact_delta", "exact_delta_curve", "mc_delta",
+    "sample_count_table",
     # boundary
     "CrossingEstimate", "RegimeReport", "BudgetBracket", "find_crossing_arrays",
     "classify_regime", "theoretical_boundary", "budget_bracket",

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RegimeError
-from .models import MonomialBalanceModel, scaled_domain_max
+from .models import scaled_domain_max
 from .mse import exact_delta
 from .rules import RichardsonRule, variance_penalty
 
@@ -189,7 +189,7 @@ def theoretical_boundary(model, rule: RichardsonRule | None) -> RegimeReport:
     whenever p <= rule order), and the variance penalty is the one the rule
     pays at the declared (q, nu): ``K_opt`` if it reallocates, else ``K_fixed``.
     """
-    if isinstance(model, MonomialBalanceModel):
+    if not model.sampled:
         return classify_regime(
             model.p, model.q, model.d_p, model.k_q,
             delta_b=model.delta_b if model.l_b else None,

@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .models import MonomialBalanceModel, model_from_spec
+from .models import model_from_spec
 from .resample import check_bootstrap
 from .rules import RichardsonRule, build_rule
 
@@ -61,9 +61,8 @@ class ExperimentConfig:
         return model_from_spec(self.model_spec)
 
     def rule(self) -> RichardsonRule | None:
-        if isinstance(self.model(), MonomialBalanceModel) or not self.rule_spec:
-            return None
-        return build_rule(self.rule_spec["scales"], self.rule_spec["alloc"])
+        """The rule, None for a rule-less sweep or a model that is not sampled."""
+        return build_rule(**self.rule_spec) if self.rule_spec else None
 
     @property
     def is_monte_carlo(self) -> bool:
@@ -204,15 +203,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     model = model_from_spec(model_spec)  # validates type and parameters
 
     rule_spec = _section(raw, "rule", {"scales", "alloc"})
-    if not isinstance(model, MonomialBalanceModel) and rule_spec:
+    if not model.sampled:  # the closed form needs no rule
+        rule_spec = {}
+    elif rule_spec:
         if "scales" not in rule_spec:
             raise ConfigError("rule section needs scales (or set rule to null for "
                               "a noisy-vs-itself sweep)")
         alloc = rule_spec.get("alloc", "uniform")
         build_rule(rule_spec["scales"], alloc)
         rule_spec = {"scales": list(rule_spec["scales"]), "alloc": alloc}
-    elif isinstance(model, MonomialBalanceModel):
-        rule_spec = {}
 
     grid = {**DEFAULT_GRID, **_section(raw, "grid", {"mode", "span", "points_per_decade", "eps"})}
     if grid["mode"] == "explicit":
@@ -234,7 +233,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if engine["kind"] not in ("exact", "monte_carlo"):
         raise ConfigError(f"engine kind must be exact or monte_carlo, got {engine['kind']!r}")
 
-    if not rule_spec and not isinstance(model, MonomialBalanceModel):
+    if not rule_spec and model.sampled:
         if engine["kind"] == "monte_carlo":
             raise ConfigError("the monte_carlo engine needs a rule section")
         if grid["mode"] != "explicit":
@@ -245,7 +244,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if engine["kind"] == "monte_carlo":
         if seed is None:
             raise ConfigError("a master seed is mandatory for the monte_carlo engine")
-        if isinstance(model, MonomialBalanceModel):
+        if not model.sampled:
             raise ConfigError("monomial balance models have no sampler; use the exact engine")
         if any(b != int(b) for b in budgets):
             raise ConfigError("monte_carlo budgets must be integers")

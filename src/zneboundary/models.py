@@ -7,7 +7,7 @@ models are binary (+/-1 outcomes), so ``v = 1 - mu^2`` holds exactly and a
 measurement cell reduces to a single plus-count drawn from
 ``Binomial(shots, (1 + mu)/2)``.
 
-For boundary-theory predictions every model declares its leading small-noise
+For boundary-theory predictions every sampled model declares its leading small-noise
 behavior: the bias exponent ``p`` and signed amplitude ``A`` of
 ``mu(eps) - mu(0) = A eps^p + ...`` and the variance exponent ``q`` and level
 ``nu`` of ``v(eps) = nu eps^q + ...``.
@@ -16,16 +16,21 @@ Domains are enforced, never clamped: evaluating outside the valid range
 raises :class:`~zneboundary.errors.DomainError` naming the violated bound,
 since silent clamping would corrupt slope fits downstream.
 
-:class:`MonomialBalanceModel` is different in kind: it has no mean curve or
-sampler and instead defines the MSE difference directly as a monomial
-balance with tunable remainder terms, so the crossing/fit stack can be
+Every model keeps one contract: a ``sampled`` flag, the domain check over
+``[0, eps_max]``, ``spec`` and ``declared``.  The sampled models derive from
+:class:`NoiseObservableModel`.  :class:`MonomialBalanceModel` is the one
+model with ``sampled = False``: it has no mean curve or sampler and writes
+the paper's local expansion ``delta = D_p eps^(2p) - K_q eps^q / B``, plus
+tunable remainders, down as a closed form, elementwise like the mean
+curves.  The exact engine evaluates that closed form and the stages that
+need curves or counts read ``sampled``, so the crossing/fit stack can be
 tested against exactly known boundaries.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +39,6 @@ from .errors import ConfigError, DomainError, ModelError
 
 __all__ = [
     "NoiseObservableModel",
-    "BinaryObservableModel",
     "LinearBiasBinary",
     "DeterministicLimitBinary",
     "ProductContractionString",
@@ -56,24 +60,61 @@ def _libm_pow(base, exponent):
     return base ** exponent
 
 
-class NoiseObservableModel(ABC):
-    """Behavior contract for sampled noise-observable models."""
+class _Model:
+    """The domain check every model shares; subclasses set ``sampled``."""
 
+    #: whether the model has mean and variance curves and a sampler; the exact
+    #: engine evaluates a model without them through its ``delta_mse``
+    sampled: bool
     #: largest admissible noise strength (inclusive unless noted by the model);
     #: cached, since the domain check reads it on every evaluation
     eps_max: float
+
+    def inside_domain(self, eps):
+        """True where ``eps`` (a strength or an array of them) is in the domain."""
+        return (0.0 <= eps) & (eps <= self.eps_max)
+
+    def _domain_message(self, eps: float) -> str:
+        return (f"{type(self).__name__}: eps={eps!r} outside valid domain "
+                f"[0, {self.eps_max!r}]")
+
+    def check_eps(self, eps) -> None:
+        """Raise DomainError naming the first strength of ``eps`` out of domain."""
+        inside = self.inside_domain(eps)
+        if inside is True or np.all(inside):  # ``is True``: one float, no numpy call
+            return
+        if np.ndim(eps):
+            eps = np.ravel(eps)[np.argmin(inside)].item()
+        raise DomainError(self._domain_message(eps), eps=eps)
+
+
+class NoiseObservableModel(_Model, ABC):
+    """Base of the sampled models: +/-1 observables with the exact variance
+    identity ``v = 1 - mu^2`` and a binomial sampler."""
+
+    sampled = True
 
     @abstractmethod
     def mean(self, eps):
         """True expectation of the observable at noise strength ``eps``."""
 
-    @abstractmethod
     def variance(self, eps):
-        """True single-shot variance at noise strength ``eps``."""
+        """True single-shot variance ``1 - mu^2`` at noise strength ``eps``."""
+        mu = self.mean(eps)
+        return 1.0 - mu * mu
 
-    @abstractmethod
+    def plus_probability(self, eps):
+        """Single-shot probability ``(1 + mu)/2`` of a +1 outcome, elementwise.
+
+        Clipped to [0, 1] to guard roundoff at the deterministic endpoints.
+        """
+        return np.clip(0.5 * (1.0 + self.mean(eps)), 0.0, 1.0)
+
     def sample_counts(self, eps: float, shots: int, rng: np.random.Generator) -> int:
         """Draw the number of +1 outcomes among ``shots`` single-shot samples."""
+        if shots < 1 or shots != int(shots):
+            raise ModelError(f"shots must be a positive integer, got {shots!r}")
+        return int(rng.binomial(int(shots), float(self.plus_probability(eps))))
 
     # declared leading-order behavior, used by theory predictions
     @property
@@ -109,46 +150,9 @@ class NoiseObservableModel(ABC):
             "nu": self.variance_level,
         }
 
-    def inside_domain(self, eps):
-        """True where ``eps`` (a strength or an array of them) is in the domain."""
-        return (0.0 <= eps) & (eps <= self.eps_max)
-
-    def _domain_message(self, eps: float) -> str:
-        return (f"{type(self).__name__}: eps={eps!r} outside valid domain "
-                f"[0, {self.eps_max!r}]")
-
-    def check_eps(self, eps) -> None:
-        """Raise DomainError naming the first strength of ``eps`` out of domain."""
-        inside = self.inside_domain(eps)
-        if inside is True or np.all(inside):  # ``is True``: one float, no numpy call
-            return
-        if np.ndim(eps):
-            eps = np.ravel(eps)[np.argmin(inside)].item()
-        raise DomainError(self._domain_message(eps), eps=eps)
-
-
-class BinaryObservableModel(NoiseObservableModel):
-    """Base for +/-1 observables: exact variance identity and binomial sampler."""
-
-    def variance(self, eps):
-        mu = self.mean(eps)
-        return 1.0 - mu * mu
-
-    def plus_probability(self, eps):
-        """Single-shot probability ``(1 + mu)/2`` of a +1 outcome, elementwise.
-
-        Clipped to [0, 1] to guard roundoff at the deterministic endpoints.
-        """
-        return np.clip(0.5 * (1.0 + self.mean(eps)), 0.0, 1.0)
-
-    def sample_counts(self, eps: float, shots: int, rng: np.random.Generator) -> int:
-        if shots < 1 or shots != int(shots):
-            raise ModelError(f"shots must be a positive integer, got {shots!r}")
-        return int(rng.binomial(int(shots), float(self.plus_probability(eps))))
-
 
 @dataclass(frozen=True)
-class LinearBiasBinary(BinaryObservableModel):
+class LinearBiasBinary(NoiseObservableModel):
     """Binary observable with exactly linear mean ``mu0 + alpha * eps``.
 
     Nonzero ideal variance (q = 0, nu = 1 - mu0^2); the stand-in for
@@ -190,7 +194,7 @@ class LinearBiasBinary(BinaryObservableModel):
 
 
 @dataclass(frozen=True)
-class DeterministicLimitBinary(BinaryObservableModel):
+class DeterministicLimitBinary(NoiseObservableModel):
     """Binary observable with ``mu(eps) = 1 - kappa * eps`` exactly.
 
     Deterministic ideal limit, so v(0) = 0 and v(eps) = 2 kappa eps -
@@ -221,7 +225,7 @@ class DeterministicLimitBinary(BinaryObservableModel):
 
 
 @dataclass(frozen=True)
-class ProductContractionString(BinaryObservableModel):
+class ProductContractionString(NoiseObservableModel):
     """Pauli-string observable under per-location contraction.
 
     ``ell`` active locations each attenuate the measured string by
@@ -264,7 +268,7 @@ class ProductContractionString(BinaryObservableModel):
 
 
 @dataclass(frozen=True)
-class PowerLeakageBinary(BinaryObservableModel):
+class PowerLeakageBinary(NoiseObservableModel):
     """Binary observable with power-law leakage ``mu = sigma (1 - kappa eps^r)``.
 
     Generalizes the deterministic-limit case to leading bias order r, giving
@@ -307,7 +311,7 @@ class PowerLeakageBinary(BinaryObservableModel):
 
 
 @dataclass(frozen=True)
-class MonomialBalanceModel:
+class MonomialBalanceModel(_Model):
     """Direct monomial MSE-balance model with tunable remainders.
 
     Bypasses estimators entirely and defines
@@ -316,7 +320,7 @@ class MonomialBalanceModel:
                             + l_b eps^(2p + delta_b) + l_v eps^(q + delta_v) / B
 
     so crossings, regimes, brackets, and convergence rates are exactly
-    known.  It has no mean curve and no sampler.
+    known.  It has no mean curve and no sampler (``sampled`` is False).
     """
 
     p: int
@@ -340,15 +344,21 @@ class MonomialBalanceModel:
         if self.delta_b <= 0 or self.delta_v <= 0:
             raise ConfigError("remainder exponents delta_b, delta_v must be positive")
 
-    eps_max = float("inf")  # class attribute, not a constructor field
+    sampled = False  # class attributes, not constructor fields
+    eps_max = float("inf")
 
-    def delta_mse(self, eps: float, budget: float) -> float:
-        """Closed-form MSE difference (noisy minus extrapolated)."""
-        bias_part = self.d_p * eps ** (2 * self.p)
-        var_part = self.k_q * eps**self.q / budget
+    def delta_mse(self, eps, budget: float):
+        """Closed-form MSE difference (noisy minus extrapolated), elementwise.
+
+        ``eps`` is one strength or a numpy array of them; a negative one
+        raises DomainError naming the first.
+        """
+        self.check_eps(eps)
+        bias_part = self.d_p * _libm_pow(eps, 2 * self.p)
+        var_part = self.k_q * _libm_pow(eps, self.q) / budget
         rem = (
-            self.l_b * eps ** (2 * self.p + self.delta_b)
-            + self.l_v * eps ** (self.q + self.delta_v) / budget
+            self.l_b * _libm_pow(eps, 2 * self.p + self.delta_b)
+            + self.l_v * _libm_pow(eps, self.q + self.delta_v) / budget
         )
         return bias_part - var_part + rem
 
@@ -374,33 +384,19 @@ class MonomialBalanceModel:
         return (self.k_q / (self.d_p * budget)) ** (1.0 / (2 * self.p - self.q))
 
     def declared(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "d_p": self.d_p,
-            "k_q": self.k_q,
-            "l_b": self.l_b,
-            "l_v": self.l_v,
-            "delta_b": self.delta_b,
-            "delta_v": self.delta_v,
-        }
+        return asdict(self)
 
     def spec(self) -> dict:
         return {"type": "monomial_balance", **self.declared()}
 
 
 _REGISTRY = {
-    "linear_bias_binary": (LinearBiasBinary, ("mu0", "alpha")),
-    "deterministic_limit_binary": (DeterministicLimitBinary, ("kappa",)),
-    "product_contraction_string": (ProductContractionString, ("gamma", "ell")),
-    "power_leakage_binary": (PowerLeakageBinary, ("sigma", "kappa", "r")),
-    "monomial_balance": (
-        MonomialBalanceModel,
-        ("p", "q", "d_p", "k_q", "l_b", "l_v", "delta_b", "delta_v"),
-    ),
+    "linear_bias_binary": LinearBiasBinary,
+    "deterministic_limit_binary": DeterministicLimitBinary,
+    "product_contraction_string": ProductContractionString,
+    "power_leakage_binary": PowerLeakageBinary,
+    "monomial_balance": MonomialBalanceModel,
 }
-
-_OPTIONAL_PARAMS = {"l_b", "l_v", "delta_b", "delta_v"}
 
 
 def model_from_spec(spec: dict):
@@ -412,20 +408,17 @@ def model_from_spec(spec: dict):
         raise ConfigError(
             f"unknown model type {kind!r}; known: {sorted(_REGISTRY)}"
         )
-    cls, params = _REGISTRY[kind]
+    cls = _REGISTRY[kind]
     given = {k: v for k, v in spec.items() if k != "type"}
-    unknown = set(given) - set(params)
+    params = fields(cls)  # the constructor's parameters; those with defaults are optional
+    unknown = set(given) - {f.name for f in params}
     if unknown:
         raise ConfigError(f"unknown parameters {sorted(unknown)} for model {kind!r}")
-    missing = set(params) - set(given) - _OPTIONAL_PARAMS
+    missing = {f.name for f in params if f.default is MISSING} - set(given)
     if missing:
         raise ConfigError(f"missing parameters {sorted(missing)} for model {kind!r}")
-    if "ell" in given:
-        given["ell"] = int(given["ell"])
-    if "sigma" in given:
-        given["sigma"] = int(given["sigma"])
-    if "p" in given:
-        given["p"] = int(given["p"])
+    for name in {"ell", "sigma", "p"} & set(given):  # the integer parameters
+        given[name] = int(given[name])
     return cls(**given)
 
 

@@ -34,38 +34,21 @@ import numpy as np
 
 from .artifacts import SCHEMA_VERSION, begin_table, check_schema, open_table, read_block
 from .errors import AllocationError, ConfigError, ModelError
-from .models import (
-    BinaryObservableModel,
-    MonomialBalanceModel,
-    NoiseObservableModel,
-    check_scaled_eps,
-)
+from .models import NoiseObservableModel, check_scaled_eps
 from .rules import RichardsonRule, optimal_allocation
 
 __all__ = [
-    "MseBreakdown",
     "DeltaPoint",
     "CountTable",
-    "exact_mse",
     "exact_delta",
     "exact_delta_curve",
+    "check_grid_lengths",
     "integerize_allocation",
     "cell_stream",
     "mc_delta",
     "sample_count_table",
     "deltas_from_counts",
 ]
-
-@dataclass(frozen=True)
-class MseBreakdown:
-    """Bias/variance decomposition of one estimator's MSE."""
-
-    bias: float
-    bias_sq: float
-    variance: float
-    mse: float
-    estimator_tag: str  # "noisy" or "zne"
-
 
 @dataclass(frozen=True)
 class DeltaPoint:
@@ -114,18 +97,6 @@ def _mse_terms(model, rule: RichardsonRule | None, eps, budget: float):
     return noisy, (bias, variance)
 
 
-def exact_mse(model: NoiseObservableModel, rule: RichardsonRule | None, eps: float,
-              budget: float) -> MseBreakdown:
-    """Exact MSE breakdown of the unmitigated (rule=None) or extrapolated estimator."""
-    noisy, zne = _mse_terms(model, rule, [eps], budget)
-    bias, variance = (float(term[0]) for term in (noisy if zne is None else zne))
-    bias_sq = bias * bias
-    return MseBreakdown(
-        bias=bias, bias_sq=bias_sq, variance=variance, mse=bias_sq + variance,
-        estimator_tag="noisy" if zne is None else "zne",
-    )
-
-
 def exact_delta(model, rule: RichardsonRule | None, eps: float, budget: float) -> DeltaPoint:
     """Exact MSE difference at one point: element 0 of :func:`exact_delta_curve`."""
     delta = exact_delta_curve(model, rule, [eps], budget)[0]
@@ -136,14 +107,22 @@ def exact_delta_curve(model, rule: RichardsonRule | None, eps_grid: Sequence[flo
                       budget: float) -> np.ndarray:
     """Exact delta at every grid point, at one fixed budget, as an array.
 
-    Monomial-balance models return their closed form.
+    A model that is not sampled returns its closed form ``delta_mse``.
+    Without a rule the unmitigated estimator is compared with itself: zeros,
+    once the grid has passed the domain check.
     """
-    if isinstance(model, MonomialBalanceModel):
-        return np.array([model.delta_mse(float(e), budget) for e in eps_grid])
-    if rule is None:  # the estimator compared against itself
-        return np.zeros(len(eps_grid))
-    (noisy_bias, noisy_var), (zne_bias, zne_var) = _mse_terms(model, rule, eps_grid, budget)
+    if not model.sampled:
+        return model.delta_mse(np.asarray(eps_grid, dtype=float), budget)
+    noisy, zne = _mse_terms(model, rule, eps_grid, budget)
+    (noisy_bias, noisy_var), (zne_bias, zne_var) = noisy, zne or noisy
     return (noisy_bias * noisy_bias + noisy_var) - (zne_bias * zne_bias + zne_var)
+
+
+def check_grid_lengths(budgets: Sequence[float], eps_grids: Sequence[Sequence[float]]) -> None:
+    """Refuse per-budget eps grids of unequal length, naming each budget's count."""
+    if len({len(g) for g in eps_grids}) > 1:
+        raise ConfigError("per-budget eps grids must have equal length, got " + ", ".join(
+            f"{len(g)} points at B={b:g}" for b, g in zip(budgets, eps_grids)))
 
 
 def integerize_allocation(alloc: Sequence[float], budget: int) -> np.ndarray:
@@ -403,7 +382,7 @@ def _describe_row(row) -> str:
 
 
 def sample_count_table(
-    model: BinaryObservableModel,
+    model: NoiseObservableModel,
     rule: RichardsonRule,
     budgets: Sequence[int],
     eps_grids: Sequence[Sequence[float]],
@@ -417,18 +396,17 @@ def sample_count_table(
     would use, so tables match a cell-by-cell loop bit for bit; the keys,
     the arm probabilities and a fixed split's level shots are derived one
     budget at a time.  The counts are plus-counts of +/-1 outcomes, so the
-    model must be binary.
+    model must be sampled, and so binary.
     """
-    if not isinstance(model, BinaryObservableModel):
+    if not model.sampled:
         raise ModelError("model has no sampler")
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
     budgets = [int(b) for b in budgets]
     if len(eps_grids) != len(budgets):
         raise ValueError("need one eps grid per budget")
+    check_grid_lengths(budgets, eps_grids)
     n_eps = len(eps_grids[0])
-    if any(len(g) != n_eps for g in eps_grids):
-        raise ValueError("all per-budget eps grids must have equal length")
 
     n_arms = len(rule.scales) + 1
     shots = np.zeros((len(budgets), n_eps, n_arms, replicates), dtype=np.int64)
@@ -505,7 +483,7 @@ def _squared_error_diffs(plus, shots, coeffs, mu0: float) -> np.ndarray:
 
 
 def mc_delta(
-    model: BinaryObservableModel,
+    model: NoiseObservableModel,
     rule: RichardsonRule,
     eps: float,
     budget: int,

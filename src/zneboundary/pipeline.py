@@ -37,8 +37,8 @@ from .artifacts import SCHEMA_VERSION, begin_table, data_rows, open_table, read_
 from .config import ExperimentConfig
 from .errors import ConfigError, FitError, RegimeError
 from .fits import constant_check, fit_bias, fit_boundary, fit_variance_exponent, predict_slope
-from .models import MonomialBalanceModel
-from .mse import CountTable, deltas_from_counts, exact_delta_curve, sample_count_table
+from .mse import (CountTable, check_grid_lengths, deltas_from_counts, exact_delta_curve,
+                  sample_count_table)
 from .resample import bootstrap_pipeline, count_pipeline
 
 __all__ = [
@@ -88,12 +88,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Evaluate the MSE-difference grid with the configured engine."""
     model, rule = cfg.model(), cfg.rule()
     grids = build_grids(cfg)
-    lengths = [len(g) for g in grids]
-    if len(set(lengths)) > 1:
-        raise ConfigError(
-            "per-budget eps grids must have equal length, got "
-            + ", ".join(f"{n} points at B={b:g}" for b, n in zip(cfg.budgets, lengths))
-        )
     if cfg.is_monte_carlo:
         table = sample_count_table(
             model, rule, [int(b) for b in cfg.budgets],
@@ -104,6 +98,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             budgets=cfg.budgets, eps_grids=table.eps_grids, delta=delta,
             std_err=std_err, source="monte_carlo", counts=table,
         )
+    check_grid_lengths(cfg.budgets, grids)
     delta = np.empty((len(cfg.budgets), len(grids[0])))
     for b_idx, budget in enumerate(cfg.budgets):
         delta[b_idx] = exact_delta_curve(model, rule, grids[b_idx], float(budget))
@@ -276,7 +271,7 @@ def write_variance_csv(path, cfg: ExperimentConfig) -> bool:
     """Plot-ready exact variance curve over the pre-registered window."""
     window = cfg.variance_window()
     model = cfg.model()
-    if window is None or isinstance(model, MonomialBalanceModel):
+    if window is None or not model.sampled:
         return False
     grid = np.geomspace(window[0], window[1], VARIANCE_CSV_POINTS)
     with open(path, "w", newline="") as fh:
@@ -345,8 +340,7 @@ def build_report(
 
     var_fit = bias_fit = None
     var_win, bias_win = cfg.variance_window(), cfg.bias_window()
-    sampled = not isinstance(model, MonomialBalanceModel)
-    if sampled and var_win:
+    if model.sampled and var_win:
         grid = np.geomspace(*var_win, EXACT_FIT_POINTS)
         var_fit = fit_variance_exponent(grid, model.variance(grid), var_win)
         report["variance_fit"] = var_fit.as_dict()
@@ -354,7 +348,7 @@ def build_report(
             report["predicted_slope"] = predict_slope(var_fit.q_hat)
         except FitError as err:
             report["predicted_slope"] = {"error": str(err)}
-    if sampled and bias_win:
+    if model.sampled and bias_win:
         grid = np.geomspace(*bias_win, EXACT_FIT_POINTS)
         bias_fit = fit_bias(grid, model.mean(grid) - model.mean(0.0), bias_win)
         report["bias_fit"] = bias_fit.as_dict()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from zneboundary.boundary import CrossingEstimate
 from zneboundary.cli import main
 from zneboundary.config import load_config, parse_config
-from zneboundary.errors import ConfigError
+from zneboundary.errors import ConfigError, DomainError
 from zneboundary.pipeline import (
     SweepResult,
     build_report,
@@ -95,6 +95,16 @@ class TestConfig:
             "seed": 1,
         }
         with pytest.raises(ConfigError, match="no sampler"):
+            parse_config(raw)
+
+    def test_monomial_rule_section_still_checked(self):
+        # the closed form ignores the rule, but an unknown key is still refused
+        raw = {
+            "model": {"type": "monomial_balance", "p": 1, "q": 0, "d_p": 1.0, "k_q": 1.0},
+            "rule": {"scales": [1, 3], "alocc": "optimal"},
+            "budgets": [1000],
+        }
+        with pytest.raises(ConfigError, match="unknown rule keys"):
             parse_config(raw)
 
     def test_unknown_section_rejected(self):
@@ -699,6 +709,20 @@ class TestCli:
         with open(tmp_path / "none_delta.csv", newline="") as fh:
             rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
         assert [float(r["delta"]) for r in rows] == [0.0]
+
+    def test_ruleless_sweep_checks_the_domain(self, tmp_path, capsys):
+        raw = {
+            "model": {"type": "deterministic_limit_binary", "kappa": 1.0},  # domain [0, 2]
+            "rule": None,
+            "grid": {"mode": "explicit", "eps": [0.1, 1.0, 5.0]},
+            "budgets": [1000],
+            "output": {"dir": str(tmp_path), "prefix": "none"},
+        }
+        with pytest.raises(DomainError, match="eps=5.0 outside valid domain"):
+            run_sweep(parse_config(raw))
+        assert main(["sweep", "--config", str(write_cfg(tmp_path, raw))]) == 3
+        assert "eps=5.0" in capsys.readouterr().err
+        assert not (tmp_path / "none_delta.csv").exists()
 
     def test_domain_error_exit_code(self, tmp_path, capsys):
         raw = {

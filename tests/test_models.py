@@ -16,6 +16,7 @@ from zneboundary.models import (
     check_scaled_eps,
     model_from_spec,
 )
+from zneboundary.mse import exact_delta
 
 ALL_BINARY = [
     LinearBiasBinary(mu0=0.5, alpha=1.0),
@@ -220,6 +221,23 @@ class TestMonomialBalance:
         eps, budget = 0.1, 100.0
         expected = eps**2 - 1.0 / budget + 2.0 * eps**3 + 3.0 * eps / budget
         assert m.delta_mse(eps, budget) == pytest.approx(expected, rel=1e-15)
+
+    def test_array_matches_scalar_bits(self):
+        m = MonomialBalanceModel(p=2, q=0.5, d_p=1.5, k_q=2.0, l_b=0.3, l_v=0.7, delta_v=0.5)
+        eps = np.geomspace(1e-4, 3.0, 50)
+        curve = m.delta_mse(eps, 1234.5)
+        points = np.array([m.delta_mse(float(e), 1234.5) for e in eps])
+        assert np.array_equal(curve.view(np.uint64), points.view(np.uint64))
+
+    @pytest.mark.parametrize("eps, first", [(-0.1, -0.1), (np.array([0.1, -0.2, -0.3]), -0.2)],
+                             ids=["scalar", "array"])
+    def test_negative_eps_rejected(self, eps, first):
+        m = MonomialBalanceModel(p=1, q=0.5, d_p=1.0, k_q=1.0)
+        with pytest.raises(DomainError, match=f"eps={first!r} outside valid domain") as err:
+            m.delta_mse(eps, 100.0)
+        assert err.value.eps == first
+        with pytest.raises(DomainError):
+            exact_delta(m, None, first, 100.0)
 
     def test_has_no_sampler_or_curves(self):
         m = MonomialBalanceModel(p=1, q=1, d_p=1.0, k_q=2.0)

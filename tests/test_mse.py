@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zneboundary import mse as mse_module
+from zneboundary.boundary import auto_window
 from zneboundary.errors import AllocationError, ConfigError, DomainError, ModelError
 from zneboundary.models import (
     DeterministicLimitBinary,
@@ -27,7 +28,6 @@ from zneboundary.mse import (
     deltas_from_counts,
     exact_delta,
     exact_delta_curve,
-    exact_mse,
     integerize_allocation,
     mc_delta,
     sample_count_table,
@@ -40,42 +40,49 @@ RULE13 = build_rule([1, 3])
 POLICIES = {"fixed": "uniform", "optimal": "optimal"}  # policy -> build_rule alloc spec
 
 
+def mse_terms(model, rule, eps, budget):
+    """``(bias, variance)`` at one point: the extrapolated estimator's with a rule."""
+    noisy, zne = mse_module._mse_terms(model, rule, [eps], budget)
+    return tuple(float(term[0]) for term in (noisy if zne is None else zne))
+
+
 class TestExactMse:
     def test_breakdown_identity(self):
+        # delta is the noisy MSE minus the extrapolated one, bias^2 + variance each
         for eps in (0.001, 0.01, 0.1):
-            for est in (exact_mse(DLB, None, eps, 500.0), exact_mse(DLB, RULE13, eps, 500.0)):
-                assert est.mse == pytest.approx(est.bias_sq + est.variance, abs=1e-12)
-                assert est.bias_sq == est.bias**2
+            nb, nv = mse_terms(DLB, None, eps, 500.0)
+            zb, zv = mse_terms(DLB, RULE13, eps, 500.0)
+            delta = exact_delta(DLB, RULE13, eps, 500.0).delta
+            assert delta == pytest.approx((nb**2 + nv) - (zb**2 + zv), abs=1e-12)
 
     def test_noisy_breakdown(self):
-        est = exact_mse(DLB, None, 0.01, 1000.0)
-        assert est.estimator_tag == "noisy"
-        assert est.bias == pytest.approx(-0.01)
-        assert est.variance == pytest.approx(0.0199 / 1000.0)
+        bias, variance = mse_terms(DLB, None, 0.01, 1000.0)
+        assert bias == pytest.approx(-0.01)
+        assert variance == pytest.approx(0.0199 / 1000.0)
 
     def test_linear_mean_is_annihilated(self):
         # first-order rule cancels an exactly linear mean at every strength
         for eps in np.linspace(1e-4, 0.3, 20):
-            est = exact_mse(DLB, RULE13, float(eps), 100.0)
-            assert abs(est.bias) <= 1e-12
+            bias, _ = mse_terms(DLB, RULE13, float(eps), 100.0)
+            assert abs(bias) <= 1e-12
 
     def test_polynomial_mean_cancelled_up_to_order(self):
         # degree-2 mean under a second-order rule: bias 0 to machine precision
         model = ProductContractionString(gamma=0.05, ell=2)
         rule = build_rule([1, 3, 5])
         for eps in (0.01, 0.1, 0.5):
-            assert abs(exact_mse(model, rule, eps, 10.0).bias) <= 1e-12
+            assert abs(mse_terms(model, rule, eps, 10.0)[0]) <= 1e-12
 
     def test_uncancelled_degree_above_order(self):
         model = ProductContractionString(gamma=0.05, ell=3)
-        assert abs(exact_mse(model, RULE13, 0.5, 10.0).bias) > 1e-9
+        assert abs(mse_terms(model, RULE13, 0.5, 10.0)[0]) > 1e-9
 
     def test_zne_variance_formula(self):
         # (1/B) sum c_j^2 v(lam_j eps) / pi_j
         eps, budget = 0.02, 2000.0
-        est = exact_mse(DLB, RULE13, eps, budget)
+        _, variance = mse_terms(DLB, RULE13, eps, budget)
         expected = (2.25 * DLB.variance(eps) / 0.5 + 0.25 * DLB.variance(3 * eps) / 0.5)
-        assert est.variance == pytest.approx(expected / budget, rel=1e-14)
+        assert variance == pytest.approx(expected / budget, rel=1e-14)
 
     def test_excess_variance_matches_penalty_constant(self):
         # A(eps)/eps -> K_{1,k} with O(eps) error for the q = 1 models
@@ -87,8 +94,8 @@ class TestExactMse:
             for eps in (1e-3, 1e-4, 1e-5):
                 budget = 100.0
                 a = (
-                    exact_mse(model, RULE13, eps, budget).variance
-                    - exact_mse(model, None, eps, budget).variance
+                    mse_terms(model, RULE13, eps, budget)[1]
+                    - mse_terms(model, None, eps, budget)[1]
                 ) * budget
                 errs.append(abs(a / eps - k1))
             assert errs[0] < 1.0
@@ -204,14 +211,13 @@ class TestExactKernelMatchesPointwiseReference:
                 assert point.delta == curve[i]
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_exact_mse_bit_identical(self, policy):
+    def test_mse_terms_bit_identical(self, policy):
         rule = build_rule([1, 3, 5], POLICIES[policy])
         for model in (LBB, KERNEL_MODELS["pcs"], KERNEL_MODELS["plb"]):
             for eps in (1e-4, 0.01, 0.05):
-                assert exact_mse(model, None, eps, 900.0).mse == reference_mse(
-                    model, None, eps, 900.0)
-                assert exact_mse(model, rule, eps, 900.0).mse == (
-                    reference_mse(model, rule, eps, 900.0))
+                for r in (None, rule):
+                    bias, variance = mse_terms(model, r, eps, 900.0)
+                    assert bias * bias + variance == reference_mse(model, r, eps, 900.0)
 
     @pytest.mark.parametrize("model,grid", [
         (DLB, [0.1, 0.8, 2.5]),      # a scaled level leaves the domain first
@@ -456,6 +462,15 @@ class TestMonteCarlo:
 
 
 class TestCountTable:
+    def test_unequal_grid_lengths_named(self):
+        # the domain truncates the B=1000 window to 14 points, 17 elsewhere
+        budgets = [1000, 3162, 10000, 31623, 100000]
+        grids = [auto_window(LBB, RULE13, b, span=(0.2, 5.0), points_per_decade=12)
+                 for b in budgets]
+        with pytest.raises(ConfigError, match="got 14 points at B=1000, 17 points at B=3162, "
+                           "17 points at B=10000, 17 points at B=31623, 17 points at B=100000"):
+            sample_count_table(LBB, RULE13, budgets, grids, replicates=4, master_seed=1)
+
     def make_table(self):
         return sample_count_table(
             DLB, RULE13, budgets=[500, 2000], eps_grids=[[0.01, 0.02], [0.005, 0.01]],
