@@ -29,9 +29,11 @@ tested against exactly known boundaries.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -417,8 +419,13 @@ def model_from_spec(spec: dict):
     missing = {f.name for f in params if f.default is MISSING} - set(given)
     if missing:
         raise ConfigError(f"missing parameters {sorted(missing)} for model {kind!r}")
-    for name in {"ell", "sigma", "p"} & set(given):  # the integer parameters
-        given[name] = int(given[name])
+    integers = {f.name for f in params if f.type == "int"}
+    for name, value in given.items():
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ConfigError(f"parameter {name} of model {kind!r} must be a finite "
+                              f"number, got {value!r}")
+        if name in integers and isinstance(value, float) and value.is_integer():
+            given[name] = int(value)  # YAML's 2.0; the constructor refuses 2.5
     return cls(**given)
 
 

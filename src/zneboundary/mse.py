@@ -21,11 +21,18 @@ unmitigated arm and slots 1..k+1 the scaled levels.  Every cell's random
 stream is derived from the master seed and the cell index by a counter-based
 split, so cells can be generated in any order (or in parallel) with
 bit-identical results.
+
+:func:`sample_count_table` uses that: each budget block is one task, drawn
+in-process or, on a large enough table, by forked worker processes (the
+per-cell loop holds the interpreter lock, so threads would not overlap).
+:func:`worker_count` sizes both that pool and the bootstrap's threads.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -48,7 +55,15 @@ __all__ = [
     "mc_delta",
     "sample_count_table",
     "deltas_from_counts",
+    "worker_count",
 ]
+
+THREADS_ENV_VAR = "ZNEBOUNDARY_THREADS"
+
+# Cells per sampling worker process.  At about 2.3 us a cell this is some
+# 20 ms of draws, against about 8 ms to fork a worker pool.
+MIN_CELLS_PER_WORKER = 10_000
+
 
 @dataclass(frozen=True)
 class DeltaPoint:
@@ -263,17 +278,24 @@ class CountTable:
 
         Rows run in (budget, eps, arm, replicate) order and end in ``\\r\\n``,
         the bytes ``csv.writer`` produces; one budget is formatted per write.
+        Each run of replicates shares its row prefix, written into the block's
+        template, and so do its shots when they are one count, as in every
+        sampled table.
         """
         nb, ne, ns, nr = self.shots.shape
-        e, s, r = np.indices((ne, ns, nr)).reshape(3, -1)
+        rep = np.tile(np.arange(nr), ne * ns)
         with open(csv_path, "w", newline="") as fh:
             begin_table(fh, _COUNT_COLUMNS)
             for b in range(nb):
-                block = np.column_stack(
-                    (np.full_like(e, b), e, s - 1, r,
-                     self.shots[b].ravel(), self.plus[b].ravel())
+                shots = self.shots[b]
+                uniform = bool((shots == shots[..., :1]).all())
+                template = "".join(
+                    f"{b},{e},{s - 1},%d,{n if uniform else '%d'},%d\r\n" * nr
+                    for (e, s), n in np.ndenumerate(shots[..., 0])
                 )
-                fh.write((_COUNT_ROW * len(block)) % tuple(block.ravel().tolist()))
+                fields = (rep, self.plus[b].ravel()) if uniform else (
+                    rep, shots.ravel(), self.plus[b].ravel())
+                fh.write(template % tuple(np.column_stack(fields).ravel().tolist()))
         Path(header_path).write_text(json.dumps(self.header(), indent=2, sort_keys=True))
 
     @classmethod
@@ -361,7 +383,6 @@ class CountTable:
 
 
 _COUNT_COLUMNS = ("budget_idx", "eps_idx", "scale_idx", "rep_idx", "shots", "plus_count")
-_COUNT_ROW = "%d,%d,%d,%d,%d,%d\r\n"
 
 
 def _check_experiment(head: str, header: dict, cfg) -> None:
@@ -381,6 +402,93 @@ def _describe_row(row) -> str:
     return "(" + ", ".join(f"{col}={int(v)}" for col, v in zip(_COUNT_COLUMNS, row)) + ")"
 
 
+def worker_count(n_tasks: int) -> int:
+    """Workers for ``n_tasks`` independent tasks (bootstrap replicates, budget blocks).
+
+    The ``ZNEBOUNDARY_THREADS`` environment variable when set, which must be
+    a positive integer (else :class:`ConfigError`); otherwise the cores this
+    process may run on.  Either way at most ``n_tasks``, and at least one.
+    """
+    value = os.environ.get(THREADS_ENV_VAR)
+    if value is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    else:
+        try:
+            workers = int(value)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {value!r}")
+    return max(1, min(workers, n_tasks))
+
+
+def _draw_budget(job, b_idx: int) -> np.ndarray:
+    """Plus-counts of one budget block, shape (n_eps, n_arms, n_reps).
+
+    ``job`` is ``(master_seed, shots, p_arm)``: the table's shots and the
+    per-(budget, eps, arm) plus probabilities.  One Philox serves the block,
+    re-keyed per cell.  A fresh Philox starts at counter 0 with its
+    four-word output buffer empty, so every reset restores the buffer fields
+    as well: a stale ``buffer_pos`` would hand the next cell the previous
+    cell's leftover draws.
+    """
+    master_seed, shots, p_arm = job
+    shape = shots.shape[1:]
+    p_cell = np.broadcast_to(p_arm[b_idx][:, :, None], shape)
+    k0, k1 = _budget_keys(master_seed, b_idx, shape)
+    bitgen = np.random.Philox(0)
+    binomial = np.random.Generator(bitgen).binomial
+    key = [0, 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    draws = []
+    for key[0], key[1], n, p in zip(k0.ravel().tolist(), k1.ravel().tolist(),
+                                    shots[b_idx].ravel().tolist(), p_cell.ravel().tolist()):
+        bitgen.state = fresh  # re-keyed through ``key``
+        draws.append(binomial(n, p))
+    return np.array(draws, dtype=np.int64).reshape(shape)
+
+
+def _draw_budgets(job, workers: int) -> list[np.ndarray]:
+    """:func:`_draw_budget` over every budget, on ``workers`` forked processes.
+
+    Forked workers inherit ``job`` through the pool initializer, so it is
+    never pickled, and the ``with`` block joins them before returning.  One
+    worker, a platform without ``fork``, or a process running other threads
+    (which ``fork`` would copy mid-flight) draws in-process instead.
+    """
+    budgets = range(len(job[1]))  # one block of the shots array per budget
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_adopt_job, initargs=(job,)) as pool:
+                return list(pool.map(_draw_adopted_budget, budgets))
+    return [_draw_budget(job, b_idx) for b_idx in budgets]
+
+
+_WORKER_JOB = None  # set in each forked sampling worker by its initializer
+
+
+def _adopt_job(job) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = job
+
+
+def _draw_adopted_budget(b_idx: int) -> np.ndarray:
+    return _draw_budget(_WORKER_JOB, b_idx)
+
+
 def sample_count_table(
     model: NoiseObservableModel,
     rule: RichardsonRule,
@@ -393,10 +501,13 @@ def sample_count_table(
 
     Cell (b, e, arm, rep) draws from the stream ``cell_stream(master_seed,
     b, e, arm, rep)`` would return, with the probability ``sample_counts``
-    would use, so tables match a cell-by-cell loop bit for bit; the keys,
-    the arm probabilities and a fixed split's level shots are derived one
-    budget at a time.  The counts are plus-counts of +/-1 outcomes, so the
-    model must be sampled, and so binary.
+    would use, so tables match a cell-by-cell loop bit for bit.  This
+    process checks the domain and derives every cell's shots and arm
+    probability; the draws then run one budget block per task, on
+    :func:`worker_count` forked processes when the table holds at least
+    ``MIN_CELLS_PER_WORKER`` cells per worker, else in-process.  The counts
+    are plus-counts of +/-1 outcomes, so the model must be sampled, and so
+    binary.
     """
     if not model.sampled:
         raise ModelError("model has no sampler")
@@ -410,22 +521,7 @@ def sample_count_table(
 
     n_arms = len(rule.scales) + 1
     shots = np.zeros((len(budgets), n_eps, n_arms, replicates), dtype=np.int64)
-    plus = np.zeros_like(shots)
-    # One Philox for the whole table, re-keyed per cell.  A fresh Philox
-    # starts at counter 0 with its four-word output buffer empty, so every
-    # reset restores the buffer fields as well: a stale ``buffer_pos`` would
-    # hand the next cell the previous cell's leftover draws.
-    bitgen = np.random.Philox(0)
-    binomial = np.random.Generator(bitgen).binomial
-    key = [0, 0]
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    p_arm = np.zeros((len(budgets), n_eps, n_arms))
     for b_idx, budget in enumerate(budgets):
         eps = np.asarray(eps_grids[b_idx], dtype=float)
         level_shots = None  # a fixed split's, after the first eps's domain check
@@ -437,16 +533,10 @@ def sample_count_table(
         shots[b_idx, :, 0] = budget
         # arm 0 is the base strength, arm 1+j the scaled level j
         strengths = np.column_stack((eps, eps[:, None] * np.asarray(rule.scales)))
-        p_cell = np.broadcast_to(model.plus_probability(strengths)[:, :, None],
-                                 shots.shape[1:])
-        k0, k1 = _budget_keys(master_seed, b_idx, shots.shape[1:])
-        draws = []
-        for key[0], key[1], n, p in zip(k0.ravel().tolist(), k1.ravel().tolist(),
-                                        shots[b_idx].ravel().tolist(),
-                                        p_cell.ravel().tolist()):
-            bitgen.state = fresh  # re-keyed through ``key``
-            draws.append(binomial(n, p))
-        plus[b_idx] = np.reshape(draws, shots.shape[1:])
+        p_arm[b_idx] = model.plus_probability(strengths)
+    job = (int(master_seed), shots, p_arm)
+    workers = worker_count(min(len(budgets), shots.size // MIN_CELLS_PER_WORKER))
+    plus = np.stack(_draw_budgets(job, workers))
     return CountTable(
         budgets=tuple(budgets),
         eps_grids=tuple(tuple(float(x) for x in g) for g in eps_grids),

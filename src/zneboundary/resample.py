@@ -12,12 +12,14 @@ intervals are taken over the replicate statistics.
 Replicates are embarrassingly parallel: each derives its own counter-based
 stream from the bootstrap seed and the replicate index, and the percentile
 reduction is order-independent, so results do not depend on scheduling
-or on the number of worker threads (see :func:`bootstrap_workers`).
+or on the number of workers.  Replicates run on threads, because the
+redraw and the estimator spend their time in numpy;
+:func:`zneboundary.mse.worker_count`, the rule the count-table sampler's
+worker processes follow too, picks how many.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -28,15 +30,13 @@ from .boundary import check_crossing_grid, first_crossings
 from .errors import ConfigError, FitError
 from .fits import fit_bias, fit_loglog, fit_variance_exponent, plugin_constant
 from .models import model_from_spec
-from .mse import CountTable, _splitmix64, _squared_error_diffs
+from .mse import CountTable, _splitmix64, _squared_error_diffs, worker_count
 from .rules import build_rule
 
-__all__ = ["BootstrapResult", "bootstrap_pipeline", "bootstrap_workers", "check_bootstrap",
-           "count_pipeline", "KNOWN_STATISTICS"]
+__all__ = ["BootstrapResult", "bootstrap_pipeline", "check_bootstrap", "count_pipeline",
+           "KNOWN_STATISTICS"]
 
 KNOWN_STATISTICS = ("eps_star", "s_obs", "c_fit", "q_hat", "alpha_hat", "c_plugin")
-
-THREADS_ENV_VAR = "ZNEBOUNDARY_THREADS"
 
 
 @dataclass(frozen=True)
@@ -183,27 +183,6 @@ def check_bootstrap(
     return (variance_window if needs_var else None, bias_window if needs_bias else None)
 
 
-def bootstrap_workers(n_replicates: int) -> int:
-    """Worker threads for a bootstrap of ``n_replicates`` replicates.
-
-    The ``ZNEBOUNDARY_THREADS`` environment variable when set, which must be
-    a positive integer (else :class:`ConfigError`); otherwise the cores this
-    process may run on.  Either way at most ``n_replicates``.
-    """
-    value = os.environ.get(THREADS_ENV_VAR)
-    if value is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    else:
-        try:
-            workers = int(value)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {value!r}")
-    return min(workers, n_replicates)
-
-
 def bootstrap_pipeline(
     table: CountTable,
     statistics: Sequence[str],
@@ -224,13 +203,14 @@ def bootstrap_pipeline(
     (e.g. every budget censored) are counted in ``missing_fraction`` and
     excluded from the interval, never silently dropped from the report.
 
-    Replicates run on :func:`bootstrap_workers` threads: by default the
-    usable cores, or ``ZNEBOUNDARY_THREADS`` when set.  Each replicate draws
-    from its own stream, so results are bit for bit independent of the count.
+    Replicates run on :func:`~zneboundary.mse.worker_count` threads: by
+    default the usable cores, or ``ZNEBOUNDARY_THREADS`` when set.  Each
+    replicate draws from its own stream, so results are bit for bit
+    independent of the count.
     """
     var_win, bias_win = check_bootstrap(statistics, n_replicates, level,
                                         variance_window, bias_window)
-    workers = bootstrap_workers(n_replicates)
+    workers = worker_count(n_replicates)
     estimate = _TableEstimator(table, var_win, bias_win)
     names: list[str] = []
     for stat in statistics:

@@ -1,5 +1,7 @@
 """Model curves, domains, declared constants, and sampler behavior."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,3 +277,28 @@ class TestSpecRoundTrip:
     def test_missing_parameter_rejected(self):
         with pytest.raises(ConfigError, match="missing parameters"):
             model_from_spec({"type": "linear_bias_binary", "mu0": 0.5})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"type": "product_contraction_string", "gamma": 0.1, "ell": 2.5},
+         "ell must be a positive integer, got 2.5"),
+        ({"type": "power_leakage_binary", "sigma": 0.7, "kappa": 1.0, "r": 2.0},
+         "sigma must be +1 or -1, got 0.7"),
+        ({"type": "monomial_balance", "p": 1.5, "q": 1.0, "d_p": 1.0, "k_q": 1.0},
+         "p must be a positive integer, got 1.5"),
+    ])
+    def test_fractional_integer_parameter_refused(self, spec, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            model_from_spec(spec)
+
+    @pytest.mark.parametrize("value", ["abc", None, True, float("nan"), float("inf"), [2]])
+    def test_parameter_that_is_not_a_finite_number_named(self, value):
+        with pytest.raises(ConfigError, match=f"parameter ell of model 'product_contraction_"
+                                              f"string' must be a finite number, got "
+                                              f"{re.escape(repr(value))}"):
+            model_from_spec({"type": "product_contraction_string", "gamma": 0.1, "ell": value})
+
+    def test_integral_float_builds_the_integer_parameter(self):
+        model = model_from_spec({"type": "power_leakage_binary", "sigma": -1.0,
+                                 "kappa": 1.0, "r": 2.0})
+        assert model.sigma == -1 and type(model.sigma) is int
+        assert model.spec()["sigma"] == -1

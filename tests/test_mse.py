@@ -1,8 +1,13 @@
 """Exact and Monte Carlo MSE engines, count tables, and integerization."""
 
+import concurrent.futures
+import csv
 import hashlib
+import io
 import json
+import multiprocessing
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +36,7 @@ from zneboundary.mse import (
     integerize_allocation,
     mc_delta,
     sample_count_table,
+    worker_count,
 )
 from zneboundary.rules import build_rule, optimal_allocation
 
@@ -416,6 +422,135 @@ class TestTableSamplerMatchesCellStreams:
         assert digest == "f4ce3f71bad3dc60a02c73e4c09945f41a8c491bdf793a852c7f293bd761f361"
 
 
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+class TestSamplingWorkers:
+    """Budget blocks drawn by forked worker processes give the in-process table."""
+
+    BUDGETS = [300, 1000, 3000]
+    GRIDS = [[0.01, 0.05, 0.2], [0.02, 0.1, 0.3], [0.005, 0.05, 0.4]]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Pool even the smallest table; returns the worker count of each pool built."""
+        monkeypatch.setattr(mse_module, "MIN_CELLS_PER_WORKER", 1)
+        built = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return built
+
+    @staticmethod
+    def refuse_pools(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    def draw_and_check(self, rule):
+        table = sample_count_table(DLB, rule, self.BUDGETS, self.GRIDS, 4, 77)
+        shots, plus = reference_table(DLB, rule, self.BUDGETS, self.GRIDS, 4, 77)
+        assert np.array_equal(table.shots, shots)
+        assert np.array_equal(table.plus, plus)
+
+    @pytest.mark.skipif(not FORK, reason="the pool needs the fork start method")
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_same_table_at_any_worker_count(self, threads, policy, pools, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", threads)
+        self.draw_and_check(build_rule([1, 3], POLICIES[policy]))
+        assert pools == ([] if threads == "1" else [int(threads)])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not FORK, reason="the pool needs the fork start method")
+    def test_no_worker_outlives_a_failed_draw(self, pools, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "2")
+        real = mse_module._draw_budget
+
+        def fail_on_second_budget(job, b_idx):
+            if b_idx == 1:
+                raise ValueError("budget 1 failed")
+            return real(job, b_idx)
+
+        # the forked workers inherit the patched module attribute
+        monkeypatch.setattr(mse_module, "_draw_budget", fail_on_second_budget)
+        with pytest.raises(ValueError, match="budget 1 failed"):
+            sample_count_table(DLB, RULE13, self.BUDGETS, self.GRIDS, 4, 77)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_one_thread_draws_in_process(self, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "1")
+        monkeypatch.setattr(mse_module, "MIN_CELLS_PER_WORKER", 1)
+        self.refuse_pools(monkeypatch)
+        self.draw_and_check(RULE13)
+
+    def test_small_table_draws_in_process(self, monkeypatch):
+        # 3 budgets x 3 eps x 3 arms x 4 replicates: far below one worker's floor
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "3")
+        self.refuse_pools(monkeypatch)
+        self.draw_and_check(RULE13)
+
+    def test_without_fork_draws_in_process(self, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "2")
+        monkeypatch.setattr(mse_module, "MIN_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        self.refuse_pools(monkeypatch)
+        self.draw_and_check(RULE13)
+
+    def test_other_threads_running_draws_in_process(self, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "2")
+        monkeypatch.setattr(mse_module, "MIN_CELLS_PER_WORKER", 1)
+        self.refuse_pools(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            self.draw_and_check(RULE13)
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+
+
+class TestWorkerCount:
+    """The worker count of the bootstrap and the sampler; these tests start no workers."""
+
+    @pytest.mark.parametrize("cores, expected", [(2, 2), (16, 16), (512, 200)])
+    def test_default_is_the_usable_cores(self, cores, expected, monkeypatch):
+        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
+        monkeypatch.setattr(mse_module.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert worker_count(200) == expected
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
+        monkeypatch.delattr(mse_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mse_module.os, "cpu_count", lambda: 6)
+        assert worker_count(200) == 6
+        monkeypatch.setattr(mse_module.os, "cpu_count", lambda: None)
+        assert worker_count(200) == 1
+
+    @pytest.mark.parametrize("value, expected", [("1", 1), ("3", 3), ("500", 200)])
+    def test_environment_overrides_the_cores(self, value, expected, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
+        monkeypatch.setattr(mse_module.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        assert worker_count(200) == expected
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+    def test_bad_environment_value_named(self, value, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
+        with pytest.raises(ConfigError, match=f"ZNEBOUNDARY_THREADS must be a positive "
+                                              f"integer, got {value!r}"):
+            worker_count(200)
+
+
 class TestMonteCarlo:
     def test_paired_seed_bit_identical(self):
         p1, t1 = mc_delta(DLB, RULE13, 0.02, 1000, 20, master_seed=55)
@@ -488,6 +623,20 @@ class TestCountTable:
         assert back.model_spec == table.model_spec
         assert back.rule_spec == table.rule_spec
         assert back.master_seed == table.master_seed
+
+    @pytest.mark.parametrize("vary_shots", [False, True])
+    def test_csv_rows_are_the_csv_writer_bytes(self, vary_shots, tmp_path):
+        table = self.make_table()
+        if vary_shots:  # shots that change along one run of replicates
+            table.shots[0, 1, 2, 1] += 3
+        table.write(tmp_path / "counts.csv", tmp_path / "counts.json")
+        rows = io.StringIO()
+        writer = csv.writer(rows)
+        writer.writerow(mse_module._COUNT_COLUMNS)
+        for (b, e, s, r), n in np.ndenumerate(table.shots):
+            writer.writerow([b, e, s - 1, r, n, table.plus[b, e, s, r]])
+        text = (tmp_path / "counts.csv").read_bytes().decode()
+        assert text[text.index("budget_idx"):] == rows.getvalue()
 
     def test_deltas_from_counts_hand_check(self):
         shots = np.full((1, 1, 3, 2), 4, dtype=np.int64)

@@ -181,39 +181,6 @@ class TestBootstrapPipeline:
             bootstrap_pipeline(table, ["s_obs"], 100, seed=0, level=1.5)
 
 
-class TestBootstrapWorkers:
-    """The worker count; these tests start no threads."""
-
-    @pytest.mark.parametrize("cores, expected", [(2, 2), (16, 16), (512, 200)])
-    def test_default_is_the_usable_cores(self, cores, expected, monkeypatch):
-        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
-        monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: set(range(cores)),
-                            raising=False)
-        assert resample.bootstrap_workers(200) == expected
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
-        monkeypatch.delattr(resample.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(resample.os, "cpu_count", lambda: 6)
-        assert resample.bootstrap_workers(200) == 6
-        monkeypatch.setattr(resample.os, "cpu_count", lambda: None)
-        assert resample.bootstrap_workers(200) == 1
-
-    @pytest.mark.parametrize("value, expected", [("1", 1), ("3", 3), ("500", 200)])
-    def test_environment_overrides_the_cores(self, value, expected, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
-        monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: set(range(8)),
-                            raising=False)
-        assert resample.bootstrap_workers(200) == expected
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
-    def test_bad_environment_value_named(self, value, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
-        with pytest.raises(ConfigError, match=f"ZNEBOUNDARY_THREADS must be a positive "
-                                              f"integer, got {value!r}"):
-            resample.bootstrap_workers(200)
-
-
 class TestPinnedBootstrap:
     """sha256 of ``as_dict()`` output, recorded before the per-table estimator."""
 
