@@ -65,13 +65,14 @@ def open_table(path, where: str, columns: tuple[str, ...], cfg=None, rerun: str 
         yield fh
 
 
-def read_block(fh, where: str, columns: tuple[str, ...], max_rows: int, first_row: int,
+def read_block(fh, where: str, columns: tuple[str, ...], max_rows: int | None, first_row: int,
                usecols: tuple[int, ...] | None = None, dtype=float) -> np.ndarray:
-    """Up to ``max_rows`` rows of ``fh`` as a 2-D array; row 0 is data row ``first_row``.
+    """Up to ``max_rows`` rows of ``fh`` (all if None) as a 2-D array.
 
-    Without ``usecols`` every row must have one field per column.  A field
-    that does not parse as ``dtype`` raises :class:`ConfigError` naming the
-    first bad data row from ``first_row`` on.
+    Row 0 is data row ``first_row``.  Without ``usecols`` every row must
+    have one field per column.  A field that does not parse as ``dtype``
+    raises :class:`ConfigError` naming the first bad data row from
+    ``first_row`` on.
     """
     try:
         with warnings.catch_warnings():

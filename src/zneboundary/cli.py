@@ -37,8 +37,9 @@ from .errors import (
     RuleError,
     ZneBoundaryError,
 )
-from .mse import CountTable
+from .mse import CountTable, count_header
 from .pipeline import (
+    build_grids,
     build_report,
     crossings_from_sweep,
     read_crossings_csv,
@@ -150,7 +151,10 @@ def cmd_fit(args) -> int:
             raise ConfigError(
                 f"missing raw counts {paths['counts_csv']}; run `zneboundary sweep` first"
             )
-        counts = CountTable.read(paths["counts_csv"], paths["counts_json"], cfg)
+        model, rule = cfg.model(), cfg.rule()
+        expected = count_header(model.spec(), rule.spec(), cfg.budgets, build_grids(cfg),
+                                rule.scales, cfg.replicates, cfg.seed)
+        counts = CountTable.read(paths["counts_csv"], paths["counts_json"], expected)
     report = build_report(cfg, crossings, counts)
     paths["report"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {paths['report']}")
@@ -176,6 +180,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    for flag, value in (("--budget", args.budget), ("--eps", args.eps)):
+        if value is not None and not value > 0:
+            raise ConfigError(f"{flag} must be positive, got {value:g}")
     if args.d_p is not None:
         d_p = args.d_p
     elif args.alpha is not None:

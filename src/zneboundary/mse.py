@@ -26,6 +26,9 @@ bit-identical results.
 in-process or, on a large enough table, by forked worker processes (the
 per-cell loop holds the interpreter lock, so threads would not overlap).
 :func:`worker_count` sizes both that pool and the bootstrap's threads.
+
+On disk a table's rows run in (budget, eps, arm, replicate) order, which
+:meth:`CountTable.read` requires, beside the header :func:`count_header` lays out.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .rules import RichardsonRule, optimal_allocation
 __all__ = [
     "DeltaPoint",
     "CountTable",
+    "count_header",
     "exact_delta",
     "exact_delta_curve",
     "check_grid_lengths",
@@ -262,16 +266,8 @@ class CountTable:
         return self.shots.shape[3]
 
     def header(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model_spec,
-            "rule": self.rule_spec,
-            "budgets": list(self.budgets),
-            "eps_grids": [list(g) for g in self.eps_grids],
-            "scales": list(self.scales),
-            "replicates": self.n_replicates,
-            "master_seed": self.master_seed,
-        }
+        return count_header(self.model_spec, self.rule_spec, self.budgets, self.eps_grids,
+                            self.scales, self.n_replicates, self.master_seed)
 
     def write(self, csv_path, header_path) -> None:
         """Persist as a columnar CSV plus a JSON header.
@@ -299,16 +295,17 @@ class CountTable:
         Path(header_path).write_text(json.dumps(self.header(), indent=2, sort_keys=True))
 
     @classmethod
-    def read(cls, csv_path, header_path, cfg=None) -> "CountTable":
+    def read(cls, csv_path, header_path, expected: dict | None = None) -> "CountTable":
         """Load a table written by :meth:`write`, one budget block at a time.
 
         The JSON header must carry this schema version, every field the
         table's shape needs and one strictly ascending eps grid per budget,
-        all of one length; with ``cfg``, its model, rule, budgets, replicates
-        and master seed must be ``cfg``'s.  Every cell must appear exactly
-        once, in any order; a wrong column header, an out-of-range index, a
-        duplicate, a missing or an extra row raises :class:`ConfigError`
-        naming the file and the first such row.
+        all of one length; with ``expected``, a configuration's
+        :func:`count_header`, it must be that header.  Rows come in the
+        writer's (budget, eps, arm, replicate) order: a wrong column header,
+        an out-of-range cell, one before the next cell in that order (a
+        duplicate) or after it (the next one has no row), or an extra row
+        raises :class:`ConfigError` naming the file and the first such row.
         """
         head = f"count header {header_path}"
         try:
@@ -322,8 +319,8 @@ class CountTable:
             raise ConfigError(f"{head}: no {err.args[0]!r} field") from err
         except (AttributeError, TypeError, ValueError) as err:
             raise ConfigError(f"{head}: {err}") from err
-        if cfg is not None:
-            _check_experiment(head, header, cfg)
+        if expected is not None:
+            _check_header(head, header, expected)
         if not budgets or len(eps_grids) != len(budgets):
             raise ConfigError(f"{head}: {len(eps_grids)} eps grids for {len(budgets)} budgets")
         if len({len(g) for g in eps_grids}) > 1:
@@ -333,69 +330,64 @@ class CountTable:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{head}: eps grid of budget {budget} is not strictly ascending")
         shape = (len(budgets), len(eps_grids[0]), len(scales) + 1, n_reps)
-        n_cells = int(np.prod(shape))
-        block_rows = n_cells // shape[0]
-        shots = np.zeros(n_cells, dtype=np.int64)
-        plus = np.zeros(n_cells, dtype=np.int64)
-        seen = np.zeros(n_cells, dtype=bool)
+        shots, plus = np.empty((2, *shape), dtype=np.int64)
+        # one budget block's index columns in writer order; scale_idx -1 is arm slot 0
+        cells = np.indices((1, *shape[1:])).reshape(4, -1).T - (0, 0, 1, 0)
         where = f"count table {csv_path}"
         with open_table(csv_path, where, _COUNT_COLUMNS) as fh:
-            n_read = 0
-            while n_read < n_cells:
-                rows = read_block(fh, where, _COUNT_COLUMNS, min(block_rows, n_cells - n_read),
-                                  n_read + 1, dtype=np.int64)
-                if not len(rows):
-                    break
-                idx = rows[:, :4] + (0, 0, 1, 0)  # scale_idx -1 is arm slot 0
-                bad = np.any((idx < 0) | (idx >= shape), axis=1)
-                flat = np.ravel_multi_index(idx.T, shape, mode="clip")
-                repeat = np.ones(len(rows), dtype=bool)
-                repeat[np.unique(flat, return_index=True)[1]] = False
-                repeat |= seen[flat]
-                if np.any(bad | repeat):
-                    i = int(np.argmax(bad | repeat))
-                    raise ConfigError(
-                        f"{where}: data row {n_read + i + 1} {_describe_row(rows[i])}: "
-                        + ("index out of range" if bad[i] else "duplicate cell")
-                    )
-                seen[flat] = True
-                shots[flat] = rows[:, 4]
-                plus[flat] = rows[:, 5]
-                n_read += len(rows)
+            for b in range(shape[0]):
+                cells[:, 0] = b
+                n_before = b * len(cells)
+                rows = read_block(fh, where, _COUNT_COLUMNS, len(cells), n_before + 1,
+                                  dtype=np.int64)
+                if len(rows) < len(cells) or (rows[:, :4] != cells).any():
+                    raise _misplaced(where, n_before, rows, cells, shape)
+                shots[b], plus[b] = rows[:, 4:].T.reshape(2, *shape[1:])
             for line in fh:
                 if line.strip():
-                    raise ConfigError(
-                        f"{where}: data row {n_read + 1} {line.strip()!r}: "
-                        f"extra row beyond the table's {n_cells} cells"
-                    )
-        if not seen.all():
-            cell = np.unravel_index(int(np.argmin(seen)), shape)
-            raise ConfigError(
-                f"{where}: no row for cell "
-                f"{_describe_row(np.subtract(cell, (0, 0, 1, 0)))}"
-            )
-        return cls(
-            budgets=budgets, eps_grids=eps_grids, scales=scales,
-            shots=shots.reshape(shape), plus=plus.reshape(shape),
-            master_seed=master_seed,
-            model_spec=header.get("model", {}), rule_spec=header.get("rule", {}),
-        )
+                    raise ConfigError(f"{where}: data row {shots.size + 1} {line.strip()!r}: "
+                                      f"extra row beyond the table's {shots.size} cells")
+        return cls(budgets=budgets, eps_grids=eps_grids, scales=scales, shots=shots, plus=plus,
+                   master_seed=master_seed, model_spec=header.get("model", {}),
+                   rule_spec=header.get("rule", {}))
 
 
 _COUNT_COLUMNS = ("budget_idx", "eps_idx", "scale_idx", "rep_idx", "shots", "plus_count")
 
 
-def _check_experiment(head: str, header: dict, cfg) -> None:
-    """Refuse a count header that another configuration's sweep wrote."""
-    expected = {
-        "model": cfg.model().spec(), "rule": cfg.rule().spec(),
-        "budgets": [int(b) for b in cfg.budgets],
-        "replicates": cfg.replicates, "master_seed": cfg.seed,
-    }
+def count_header(model_spec, rule_spec, budgets, eps_grids, scales, replicates,
+                 master_seed) -> dict:
+    """The counts JSON header that :meth:`CountTable.write` writes and ``fit`` expects."""
+    return {"schema_version": SCHEMA_VERSION, "model": model_spec, "rule": rule_spec,
+            "budgets": [int(b) for b in budgets],
+            "eps_grids": [[float(x) for x in g] for g in eps_grids], "scales": list(scales),
+            "replicates": int(replicates), "master_seed": int(master_seed)}
+
+
+def _check_header(head: str, header: dict, expected: dict) -> None:
+    """Refuse a header other than ``expected``, naming the first key or grid that differs."""
     for key, value in expected.items():
-        if header.get(key) != value:
-            raise ConfigError(f"{head}: {key} {header.get(key)!r}, not the configuration's "
-                              f"{value!r}; rerun `zneboundary sweep`")
+        if (found := header.get(key)) == value:
+            continue
+        if key == "eps_grids" and isinstance(found, list) and len(found) == len(value):
+            b = next(b for b, grid in enumerate(value) if found[b] != grid)
+            key, found, value = f"eps_grids of budget {expected['budgets'][b]}", found[b], value[b]
+        raise ConfigError(f"{head}: {key} {found!r}, not the configuration's "
+                          f"{value!r}; rerun `zneboundary sweep`")
+
+
+def _misplaced(where: str, n_before: int, rows, cells, shape) -> ConfigError:
+    """The error for the first row, of ``rows`` after ``n_before``, off the writer's ``cells``."""
+    off = np.flatnonzero((rows[:, :4] != cells[:len(rows)]).any(axis=1))
+    if not off.size:  # the table ends early
+        return ConfigError(f"{where}: no row for cell {_describe_row(cells[len(rows)])}")
+    i = off[0]
+    found, want = rows[i, :4].tolist(), cells[i].tolist()
+    if not all(0 <= x < n for x, n in zip(np.add(found, (0, 0, 1, 0)), shape)):
+        problem = "index out of range"
+    else:
+        problem = "duplicate cell" if found < want else f"no row for cell {_describe_row(want)}"
+    return ConfigError(f"{where}: data row {n_before + i + 1} {_describe_row(rows[i])}: {problem}")
 
 
 def _describe_row(row) -> str:

@@ -13,7 +13,8 @@ All artifacts are plain CSV plus one JSON report; column orders are fixed.
 Re-running any stage with the same configuration and seed reproduces every
 byte (the delta, crossing and variance CSVs and the report embed the
 configuration hash, and a stage refuses a delta or crossing table written for
-another configuration; ``fit`` refuses counts drawn for another one).
+another configuration; ``fit`` refuses a counts header, grids included, other
+than the one its configuration's sweep writes).
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig | None = Non
 
 
 def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
-    """Load a delta table, one budget block at a time.
+    """Load a delta table with one :func:`artifacts.read_block` call.
 
     With ``cfg``, the table must have been written for ``cfg``.  Besides the
     format errors of :func:`artifacts.open_table` and :func:`artifacts.read_block`,
@@ -153,8 +154,6 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
     :class:`ConfigError` naming the first offending row.
     """
     where = f"delta table {path}"
-    budgets: list[float] = []
-    eps_grids, deltas, errs = [], [], []
     with open_table(path, where, _DELTA_COLUMNS, cfg, "`zneboundary sweep`") as fh:
         start = fh.tell()
         first = fh.readline().rstrip("\n").split(",")
@@ -164,39 +163,33 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
             raise ConfigError(f"{where}: data row 1 {','.join(first)!r}: "
                               f"source must be one of {_DELTA_SOURCES}")
         source = first[-1]
-        usecols = (0, 1, 2) if source == "exact" else (0, 1, 2, 3)
-        n_eps = 1  # the rows of the first budget set the block length
-        while fh.readline().split(",", 1)[0] == first[0]:
-            n_eps += 1
         fh.seek(start)
-        n_read = 0
-        while len(rows := read_block(fh, where, _DELTA_COLUMNS, n_eps, n_read + 1, usecols)):
-            budget = float(rows[0, 0])
-            at = f"{where}: data row {n_read + 1} (B={budget!r})"
-            other = np.flatnonzero(rows[:, 0] != budget)
-            n_rows = other[0] if other.size else len(rows)
-            if n_rows != n_eps:
-                raise ConfigError(f"{at}: budget has {n_rows} rows, the first {n_eps}")
-            if (down := np.flatnonzero(np.diff(rows[:, 1]) <= 0)).size:
-                raise ConfigError(f"{where}: data row {n_read + down[0] + 2} (B={budget!r}): "
-                                  "eps must be strictly ascending within a budget")
-            if budgets and not budget > budgets[-1]:
-                raise ConfigError(f"{at}: budgets must be strictly ascending")
-            budgets.append(budget)
-            eps_grids.append(tuple(rows[:, 1].tolist()))
-            deltas.append(rows[:, 2])
-            if len(usecols) == 4:
-                errs.append(rows[:, 3])
-            n_read += n_eps
+        rows = read_block(fh, where, _DELTA_COLUMNS, None, 1,
+                          (0, 1, 2) if source == "exact" else (0, 1, 2, 3))
+    # each run of one B value is a budget block
+    b_col = rows[:, 0]
+    starts = np.flatnonzero(np.r_[True, b_col[1:] != b_col[:-1]])
+    n_rows = np.diff(np.r_[starts, len(rows)])
+    n_eps = int(n_rows[0])
+
+    def at(row) -> str:
+        return f"{where}: data row {row + 1} (B={float(b_col[row])!r})"
+
+    if (short := np.flatnonzero(n_rows != n_eps)).size:
+        raise ConfigError(f"{at(starts[short[0]])}: budget has {n_rows[short[0]]} rows, "
+                          f"the first {n_eps}")
+    if (down := np.flatnonzero((np.diff(rows[:, 1]) <= 0) & (np.diff(b_col) == 0))).size:
+        raise ConfigError(f"{at(down[0] + 1)}: eps must be strictly ascending within a budget")
+    if (down := np.flatnonzero(np.diff(b_col[starts]) <= 0)).size:
+        raise ConfigError(f"{at(starts[down[0] + 1])}: budgets must be strictly ascending")
     # Every row has one field per column and ends in ",,exact" (empty std_err)
     # or ",monte_carlo" (its std_err parsed as a number above).  Counting the
     # writer's row endings and commas (the header has as many as a row) is the
-    # fast check; the row scan decides, and names the first bad row.  The
-    # file's bytes are dropped before the result arrays are built.
+    # fast check; the row scan decides, and names the first bad row.
     suffix = (",," if source == "exact" else ",") + source
     endings, commas = map(Path(path).read_bytes().count, (f"{suffix}\r\n".encode(), b","))
     n_columns = len(_DELTA_COLUMNS)
-    if endings != n_read or commas != (n_columns - 1) * (n_read + 1):
+    if endings != len(rows) or commas != (n_columns - 1) * (len(rows) + 1):
         for number, line in data_rows(path):
             if (n_fields := line.count(",") + 1) != n_columns:
                 raise ConfigError(f"{where}: data row {number} {line!r}: "
@@ -205,9 +198,10 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
                 raise ConfigError(f"{where}: data row {number} {line!r}: expected "
                                   f"{'an empty' if source == 'exact' else 'a'} std_err "
                                   f"and source {source}, as in data row 1")
+    _, eps, delta, *std_err = rows.T.reshape(-1, len(starts), n_eps)  # one per column
     return SweepResult(
-        budgets=tuple(budgets), eps_grids=tuple(eps_grids), delta=np.asarray(deltas),
-        std_err=np.asarray(errs) if errs else None, source=source, counts=None,
+        budgets=tuple(b_col[starts].tolist()), eps_grids=tuple(map(tuple, eps.tolist())),
+        delta=delta, std_err=std_err[0] if std_err else None, source=source, counts=None,
     )
 
 

@@ -165,6 +165,8 @@ def check_bootstrap(
 
     Returns the variance and bias windows the statistics use (None if unused).
     """
+    if not statistics or len(set(statistics)) < len(statistics):
+        raise ConfigError(f"need one or more distinct bootstrap statistics, got {statistics}")
     unknown = set(statistics) - set(KNOWN_STATISTICS)
     if unknown:
         raise ConfigError(

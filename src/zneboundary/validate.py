@@ -26,6 +26,7 @@ from .boundary import (
     local_optimality_check,
     theoretical_boundary,
 )
+from .errors import ConfigError
 from .fits import fit_boundary, fit_loglog, fit_variance_exponent, predict_slope
 from .models import (
     DeterministicLimitBinary,
@@ -367,7 +368,9 @@ CHECKS: list[tuple[str, Callable[[], str]]] = [
 
 
 def run_battery(names: list[str] | None = None) -> list[CheckResult]:
-    """Run the validation checks (all by default) and collect results."""
+    """Run the named validation checks (all by default; an unknown name is a ConfigError)."""
+    if unknown := sorted(set(names or ()) - {name for name, _ in CHECKS}):
+        raise ConfigError(f"unknown checks {unknown}; known: {', '.join(n for n, _ in CHECKS)}")
     selected = CHECKS if names is None else [c for c in CHECKS if c[0] in set(names)]
     results = []
     for name, check in selected:

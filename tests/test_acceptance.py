@@ -6,7 +6,7 @@ never drift apart.  Runtime budgets are asserted alongside correctness.
 
 Run with ``pytest tests/test_acceptance.py -v`` for one pass/fail line per
 criterion.  The Monte Carlo / bootstrap criterion dominates the runtime
-(about 2.5 minutes); everything else finishes in seconds.
+(about 51 s on a 2-vCPU machine); everything else finishes in seconds.
 """
 
 import os

@@ -87,6 +87,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="monte_carlo"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("statistics, expected", [
+        ([], r"distinct bootstrap statistics, got \[\]"),
+        (["s_obs", "c_fit", "s_obs"], r"got \['s_obs', 'c_fit', 's_obs'\]"),
+    ], ids=["empty", "repeated"])
+    def test_bootstrap_statistics_empty_or_repeated(self, statistics, expected):
+        raw = dict(DLB_MC, bootstrap={**DLB_MC["bootstrap"], "statistics": statistics})
+        with pytest.raises(ConfigError, match=expected):
+            parse_config(raw)
+
     def test_monomial_cannot_sample(self):
         raw = {
             "model": {"type": "monomial_balance", "p": 1, "q": 0, "d_p": 1.0, "k_q": 1.0},
@@ -652,6 +661,24 @@ class TestCli:
         assert "configuration's 1; rerun `zneboundary sweep`" in err
         assert not (tmp_path / "m_report.json").exists()
 
+    def test_fit_refuses_counts_drawn_on_another_grid(self, tmp_path, capsys):
+        raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]}, bootstrap=None,
+                   engine={"kind": "monte_carlo", "replicates": 8},
+                   output={"dir": str(tmp_path), "prefix": "m"})
+        cfg_path = write_cfg(tmp_path, raw)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert main(["boundary", "--config", str(cfg_path)]) == 0
+        assert main(["sweep", "--config", str(cfg_path), "--set", "grid.span=[0.3, 4.0]",
+                     "--set", "output.prefix=other"]) == 0
+        for suffix in ("counts.csv", "counts.json"):
+            (tmp_path / f"m_{suffix}").write_bytes((tmp_path / f"other_{suffix}").read_bytes())
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"count header {tmp_path / 'm_counts.json'}: eps_grids of budget 2000 [" in err
+        assert "rerun `zneboundary sweep`" in err
+        assert not (tmp_path / "m_report.json").exists()
+
     def test_fit_refuses_optimal_counts_without_the_policy(self, tmp_path, capsys):
         # a header that stores the base fractions in place of "optimal" would
         # give c_plugin the fixed-split penalty
@@ -746,6 +773,21 @@ class TestCli:
         payload = json.loads(out_json.read_text())
         assert payload[0]["name"] == "rule_identities"
         assert payload[0]["passed"] is True
+
+    def test_validate_refuses_an_unknown_check(self, capsys):
+        assert main(["validate", "--only", "rule_identities", "--only", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown checks ['bogus']; known: rule_identities, " in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--budget", "0"], "--budget must be positive, got 0"),
+        (["--budget", "-4"], "--budget must be positive, got -4"),
+        (["--budget", "1e4", "--eps", "-0.1"], "--eps must be positive, got -0.1"),
+    ], ids=["zero-budget", "negative-budget", "negative-eps"])
+    def test_plan_refuses_non_positive_budget_or_eps(self, capsys, flags, message):
+        assert main(["plan", "--q", "1", "--kappa", "1", "--nu", "2", "--scales", "1,3",
+                     *flags]) == 2
+        assert message in capsys.readouterr().err
 
     def test_plan_subcritical_example(self, capsys):
         code = main([

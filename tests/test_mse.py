@@ -663,16 +663,6 @@ class TestCountTable:
                 shots=shots, plus=np.zeros_like(shots), master_seed=0,
             )
 
-    def test_rows_in_any_order_are_accepted(self, tmp_path):
-        table = self.make_table()
-        csv_path, header_path = tmp_path / "counts.csv", tmp_path / "counts.json"
-        table.write(csv_path, header_path)
-        lines = csv_path.read_text().splitlines(keepends=True)
-        csv_path.write_text("".join(lines[:2] + lines[:1:-1]))
-        back = CountTable.read(csv_path, header_path)
-        assert np.array_equal(back.shots, table.shots)
-        assert np.array_equal(back.plus, table.plus)
-
 
 def _without(key):
     return lambda header: json.dumps({k: v for k, v in header.items() if k != key})
@@ -712,6 +702,13 @@ class TestCountTableRowValidation:
             lines[6] = lines[5]
         msg = self.corrupt(tmp_path, edit)
         assert "data row 5 " in msg and "duplicate cell" in msg
+
+    def test_rows_out_of_writer_order(self, tmp_path):
+        def edit(lines):
+            lines[2:] = lines[:1:-1]
+        msg = self.corrupt(tmp_path, edit)
+        assert "data row 1 (budget_idx=1, eps_idx=1, scale_idx=1, rep_idx=5, " in msg
+        assert "no row for cell (budget_idx=0, eps_idx=0, scale_idx=-1, rep_idx=0)" in msg
 
     def test_duplicate_across_budget_blocks(self, tmp_path):
         def edit(lines):
