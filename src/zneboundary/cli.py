@@ -128,7 +128,7 @@ def cmd_boundary(args) -> int:
         print(f"read {paths['delta']}")
     else:
         sweep = _run_and_write_sweep(cfg, paths)
-    if len(sweep.eps_grids[0]) < 3:
+    if sweep.eps_grids.shape[1] < 3:
         raise ConfigError("crossing estimation needs at least 3 grid points per budget")
     crossings = crossings_from_sweep(sweep)
     write_crossings_csv(paths["crossings"], crossings, cfg)

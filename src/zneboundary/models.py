@@ -55,10 +55,14 @@ def _libm_pow(base, exponent):
 
     numpy's vectorized power loop rounds differently from ``pow`` on a few
     percent of inputs, and the exact engine's golden outputs are pinned to
-    the scalar ``pow`` rounding.
+    the scalar ``pow`` rounding.  Arrays go through Python floats 4,096 at a
+    time, so a whole sweep's table never holds them all at once.
     """
     if isinstance(base, np.ndarray):
-        return np.array([b ** exponent for b in base.ravel().tolist()]).reshape(base.shape)
+        flat, out = base.ravel(), np.empty(base.size)
+        for i in range(0, flat.size, 4096):
+            out[i:i + 4096] = [b ** exponent for b in flat[i:i + 4096].tolist()]
+        return out.reshape(base.shape)
     return base ** exponent
 
 

@@ -53,7 +53,7 @@ __all__ = [
     "count_header",
     "exact_delta",
     "exact_delta_curve",
-    "check_grid_lengths",
+    "grid_table",
     "integerize_allocation",
     "cell_stream",
     "mc_delta",
@@ -64,9 +64,10 @@ __all__ = [
 
 THREADS_ENV_VAR = "ZNEBOUNDARY_THREADS"
 
-# Cells per sampling worker process.  At about 2.3 us a cell this is some
-# 20 ms of draws, against about 8 ms to fork a worker pool.
-MIN_CELLS_PER_WORKER = 10_000
+# Cells per sampling worker process.  A two-worker pool costs 20-28 ms to fork
+# and join in a 100 MB process, about 15,000 draws at 1.5 us a cell, so the
+# validation battery's 22,848-cell tables draw faster in-process.
+MIN_CELLS_PER_WORKER = 16_000
 
 
 @dataclass(frozen=True)
@@ -85,25 +86,24 @@ def _resolve_alloc(model, rule: RichardsonRule, eps) -> np.ndarray:
     return np.asarray(optimal_allocation(rule, model, eps) if rule.optimal else rule.alloc)
 
 
-def _mse_terms(model, rule: RichardsonRule | None, eps, budget: float):
-    """Exact ``(bias, variance)`` arrays of both estimators along a 1-D grid.
+def _mse_terms(model, rule: RichardsonRule | None, eps, budget):
+    """Exact ``(bias, variance)`` arrays of both estimators over a grid or grid table.
 
     The one implementation of the formulas above; returns ``(noisy, zne)``,
     ``zne`` None without a rule.  Out-of-domain grids raise the error a
-    point-by-point loop meets first.  The golden outputs pin the rounding:
-    one BLAS dot per row for the bias (a gemv over the grid rounds
-    differently), libm ``pow`` in the models, and row sums of C-contiguous
-    ``(n, k+1)`` terms.
+    row-major point-by-point loop meets first.  The golden outputs pin the
+    rounding: one BLAS dot per point for the bias (a gemv rounds differently),
+    libm ``pow`` in the models, and last-axis sums of C-contiguous ``(..., k+1)`` terms.
     """
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
+    if (lowest := np.min(budget)) <= 0:
+        raise ValueError(f"budget must be positive, got {lowest}")
     mu0 = model.mean(0.0)
     eps = np.asarray(eps, dtype=float)
     if rule is not None:
-        strengths = eps[:, None] * np.asarray(rule.scales)
-        inside = model.inside_domain(eps) & model.inside_domain(strengths).all(axis=1)
+        strengths = eps[..., None] * np.asarray(rule.scales)
+        inside = model.inside_domain(eps) & model.inside_domain(strengths).all(axis=-1)
         if not inside.all():
-            first = float(eps[np.argmin(inside)])
+            first = float(eps.flat[np.argmin(inside)])
             model.check_eps(first)
             check_scaled_eps(model, first, rule.scales)
     noisy = (model.mean(eps) - mu0, model.variance(eps) / budget)
@@ -111,9 +111,10 @@ def _mse_terms(model, rule: RichardsonRule | None, eps, budget: float):
         return noisy, None
     pi = _resolve_alloc(model, rule, eps)
     c = np.asarray(rule.coeffs)
-    bias = (model.mean(strengths)[:, None, :] @ c)[:, 0] - mu0
-    variance = (c**2 * model.variance(strengths) / pi).sum(axis=1) / budget
-    return noisy, (bias, variance)
+    bias = (model.mean(strengths)[..., None, :] @ c)[..., 0] - mu0
+    terms = c**2 * model.variance(strengths)
+    terms /= pi  # in place: a whole sweep's table is large
+    return noisy, (bias, terms.sum(axis=-1) / budget)
 
 
 def exact_delta(model, rule: RichardsonRule | None, eps: float, budget: float) -> DeltaPoint:
@@ -122,10 +123,11 @@ def exact_delta(model, rule: RichardsonRule | None, eps: float, budget: float) -
     return DeltaPoint(eps=eps, budget=budget, delta=float(delta), source="exact")
 
 
-def exact_delta_curve(model, rule: RichardsonRule | None, eps_grid: Sequence[float],
-                      budget: float) -> np.ndarray:
-    """Exact delta at every grid point, at one fixed budget, as an array.
+def exact_delta_curve(model, rule: RichardsonRule | None, eps_grid, budget) -> np.ndarray:
+    """Exact delta at every grid point, as an array of the grid's shape.
 
+    ``eps_grid`` is one grid at ``budget``, or a :func:`grid_table` with
+    ``budget`` its column of budgets; each row then equals the row's 1-D call.
     A model that is not sampled returns its closed form ``delta_mse``.
     Without a rule the unmitigated estimator is compared with itself: zeros,
     once the grid has passed the domain check.
@@ -137,11 +139,21 @@ def exact_delta_curve(model, rule: RichardsonRule | None, eps_grid: Sequence[flo
     return (noisy_bias * noisy_bias + noisy_var) - (zne_bias * zne_bias + zne_var)
 
 
-def check_grid_lengths(budgets: Sequence[float], eps_grids: Sequence[Sequence[float]]) -> None:
-    """Refuse per-budget eps grids of unequal length, naming each budget's count."""
+def grid_table(budgets: Sequence[float], eps_grids) -> np.ndarray:
+    """Per-budget eps grids as one float array of shape ``(n_budgets, n_eps)``.
+
+    Refuses (:class:`ConfigError`) an empty ladder, a grid count other than
+    the budget count, and grids of unequal length, naming each one's count.
+    """
+    if not len(budgets) or len(eps_grids) != len(budgets):
+        raise ConfigError(f"{len(eps_grids)} eps grids for {len(budgets)} budgets")
     if len({len(g) for g in eps_grids}) > 1:
         raise ConfigError("per-budget eps grids must have equal length, got " + ", ".join(
             f"{len(g)} points at B={b:g}" for b, g in zip(budgets, eps_grids)))
+    table = np.asarray(eps_grids, dtype=float)
+    if table.ndim != 2:
+        raise ConfigError(f"eps grids must be lists of numbers, got shape {table.shape}")
+    return table
 
 
 def integerize_allocation(alloc: Sequence[float], budget: int) -> np.ndarray:
@@ -242,7 +254,7 @@ class CountTable:
     """
 
     budgets: tuple[int, ...]
-    eps_grids: tuple[tuple[float, ...], ...]  # one grid per budget, equal lengths
+    eps_grids: np.ndarray  # (n_budgets, n_eps), one grid per budget; see grid_table
     scales: tuple[float, ...]
     shots: np.ndarray
     plus: np.ndarray
@@ -251,7 +263,8 @@ class CountTable:
     rule_spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        expected = (len(self.budgets), len(self.eps_grids[0]), len(self.scales) + 1)
+        self.eps_grids = grid_table(self.budgets, self.eps_grids)
+        expected = (*self.eps_grids.shape, len(self.scales) + 1)
         if self.shots.shape[:3] != expected or self.plus.shape != self.shots.shape:
             raise ValueError(
                 f"count arrays have shape {self.shots.shape}, expected {expected} + reps"
@@ -299,8 +312,8 @@ class CountTable:
         """Load a table written by :meth:`write`, one budget block at a time.
 
         The JSON header must carry this schema version, every field the
-        table's shape needs and one strictly ascending eps grid per budget,
-        all of one length; with ``expected``, a configuration's
+        table's shape needs, at least 2 replicates and a :func:`grid_table`
+        of strictly ascending grids; with ``expected``, a configuration's
         :func:`count_header`, it must be that header.  Rows come in the
         writer's (budget, eps, arm, replicate) order: a wrong column header,
         an out-of-range cell, one before the next cell in that order (a
@@ -312,24 +325,21 @@ class CountTable:
             header = json.loads(Path(header_path).read_text())
             check_schema(head, header.get("schema_version"))
             budgets = tuple(int(b) for b in header["budgets"])
-            eps_grids = tuple(tuple(float(x) for x in g) for g in header["eps_grids"])
+            eps_grids = grid_table(budgets, header["eps_grids"])
             scales = tuple(float(s) for s in header["scales"])
             n_reps, master_seed = int(header["replicates"]), int(header["master_seed"])
         except KeyError as err:
             raise ConfigError(f"{head}: no {err.args[0]!r} field") from err
-        except (AttributeError, TypeError, ValueError) as err:
+        except (AttributeError, TypeError, ValueError, ConfigError) as err:
             raise ConfigError(f"{head}: {err}") from err
         if expected is not None:
             _check_header(head, header, expected)
-        if not budgets or len(eps_grids) != len(budgets):
-            raise ConfigError(f"{head}: {len(eps_grids)} eps grids for {len(budgets)} budgets")
-        if len({len(g) for g in eps_grids}) > 1:
-            raise ConfigError(f"{head}: eps grids of unequal lengths "
-                              f"{', '.join(str(len(g)) for g in eps_grids)}")
-        for budget, grid in zip(budgets, eps_grids):
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"{head}: eps grid of budget {budget} is not strictly ascending")
-        shape = (len(budgets), len(eps_grids[0]), len(scales) + 1, n_reps)
+        if n_reps < 2:
+            raise ConfigError(f"{head}: {n_reps} replicates, need at least 2")
+        if (down := (np.diff(eps_grids, axis=1) <= 0).any(axis=1)).any():
+            raise ConfigError(f"{head}: eps grid of budget {budgets[np.argmax(down)]} "
+                              "is not strictly ascending")
+        shape = (*eps_grids.shape, len(scales) + 1, n_reps)
         shots, plus = np.empty((2, *shape), dtype=np.int64)
         # one budget block's index columns in writer order; scale_idx -1 is arm slot 0
         cells = np.indices((1, *shape[1:])).reshape(4, -1).T - (0, 0, 1, 0)
@@ -360,7 +370,7 @@ def count_header(model_spec, rule_spec, budgets, eps_grids, scales, replicates,
     """The counts JSON header that :meth:`CountTable.write` writes and ``fit`` expects."""
     return {"schema_version": SCHEMA_VERSION, "model": model_spec, "rule": rule_spec,
             "budgets": [int(b) for b in budgets],
-            "eps_grids": [[float(x) for x in g] for g in eps_grids], "scales": list(scales),
+            "eps_grids": grid_table(budgets, eps_grids).tolist(), "scales": list(scales),
             "replicates": int(replicates), "master_seed": int(master_seed)}
 
 
@@ -506,32 +516,25 @@ def sample_count_table(
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
     budgets = [int(b) for b in budgets]
-    if len(eps_grids) != len(budgets):
-        raise ValueError("need one eps grid per budget")
-    check_grid_lengths(budgets, eps_grids)
-    n_eps = len(eps_grids[0])
+    eps_grids = grid_table(budgets, eps_grids)
 
-    n_arms = len(rule.scales) + 1
-    shots = np.zeros((len(budgets), n_eps, n_arms, replicates), dtype=np.int64)
-    p_arm = np.zeros((len(budgets), n_eps, n_arms))
-    for b_idx, budget in enumerate(budgets):
-        eps = np.asarray(eps_grids[b_idx], dtype=float)
+    shots = np.zeros((*eps_grids.shape, len(rule.scales) + 1, replicates), dtype=np.int64)
+    for b_idx, (budget, eps) in enumerate(zip(budgets, eps_grids.tolist())):
         level_shots = None  # a fixed split's, after the first eps's domain check
-        for e_idx, e in enumerate(eps.tolist()):
+        for e_idx, e in enumerate(eps):
             check_scaled_eps(model, e, rule.scales)
             if rule.optimal or level_shots is None:
                 level_shots = integerize_allocation(_resolve_alloc(model, rule, e), budget)
             shots[b_idx, e_idx, 1:] = level_shots[:, None]
         shots[b_idx, :, 0] = budget
-        # arm 0 is the base strength, arm 1+j the scaled level j
-        strengths = np.column_stack((eps, eps[:, None] * np.asarray(rule.scales)))
-        p_arm[b_idx] = model.plus_probability(strengths)
+    # arm 0 is the base strength, arm 1+j the scaled level j
+    p_arm = model.plus_probability(eps_grids[..., None] * np.r_[1.0, rule.scales])
     job = (int(master_seed), shots, p_arm)
     workers = worker_count(min(len(budgets), shots.size // MIN_CELLS_PER_WORKER))
     plus = np.stack(_draw_budgets(job, workers))
     return CountTable(
         budgets=tuple(budgets),
-        eps_grids=tuple(tuple(float(x) for x in g) for g in eps_grids),
+        eps_grids=eps_grids,
         scales=tuple(rule.scales),
         shots=shots,
         plus=plus,

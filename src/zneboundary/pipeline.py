@@ -38,8 +38,7 @@ from .artifacts import SCHEMA_VERSION, begin_table, data_rows, open_table, read_
 from .config import ExperimentConfig
 from .errors import ConfigError, FitError, RegimeError
 from .fits import constant_check, fit_bias, fit_boundary, fit_variance_exponent, predict_slope
-from .mse import (CountTable, check_grid_lengths, deltas_from_counts, exact_delta_curve,
-                  sample_count_table)
+from .mse import CountTable, deltas_from_counts, exact_delta_curve, grid_table, sample_count_table
 from .resample import bootstrap_pipeline, count_pipeline
 
 __all__ = [
@@ -64,25 +63,24 @@ class SweepResult:
     """MSE-difference grid for a budget ladder, plus raw counts if sampled."""
 
     budgets: tuple[float, ...]
-    eps_grids: tuple[tuple[float, ...], ...]
+    eps_grids: np.ndarray       # (n_budgets, n_eps), one grid per budget
     delta: np.ndarray           # (n_budgets, n_eps)
     std_err: np.ndarray | None  # Monte Carlo only
     source: str
     counts: CountTable | None
 
 
-def build_grids(cfg: ExperimentConfig) -> list[np.ndarray]:
-    """One strength grid per budget, from the pre-registered grid section."""
+def build_grids(cfg: ExperimentConfig) -> np.ndarray:
+    """The :func:`mse.grid_table` of the pre-registered grid section, one row per budget."""
     model, rule = cfg.model(), cfg.rule()
     if cfg.grid["mode"] == "explicit":
-        eps = np.asarray([float(e) for e in cfg.grid["eps"]])
-        return [eps for _ in cfg.budgets]
+        return grid_table(cfg.budgets, [[float(e) for e in cfg.grid["eps"]]] * len(cfg.budgets))
     span = tuple(float(s) for s in cfg.grid["span"])
     ppd = int(cfg.grid["points_per_decade"])
-    return [
+    return grid_table(cfg.budgets, [
         auto_window(model, rule, budget, span=span, points_per_decade=ppd)
         for budget in cfg.budgets
-    ]
+    ])
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -91,31 +89,24 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     grids = build_grids(cfg)
     if cfg.is_monte_carlo:
         table = sample_count_table(
-            model, rule, [int(b) for b in cfg.budgets],
-            [g.tolist() for g in grids], cfg.replicates, cfg.seed,
+            model, rule, [int(b) for b in cfg.budgets], grids, cfg.replicates, cfg.seed,
         )
         delta, std_err = deltas_from_counts(table, rule.coeffs, model.mean(0.0))
         return SweepResult(
-            budgets=cfg.budgets, eps_grids=table.eps_grids, delta=delta,
+            budgets=cfg.budgets, eps_grids=grids, delta=delta,
             std_err=std_err, source="monte_carlo", counts=table,
         )
-    check_grid_lengths(cfg.budgets, grids)
-    delta = np.empty((len(cfg.budgets), len(grids[0])))
-    for b_idx, budget in enumerate(cfg.budgets):
-        delta[b_idx] = exact_delta_curve(model, rule, grids[b_idx], float(budget))
+    budgets = np.asarray(cfg.budgets, dtype=float)[:, None]
     return SweepResult(
-        budgets=cfg.budgets,
-        eps_grids=tuple(tuple(float(e) for e in g) for g in grids),
-        delta=delta, std_err=None, source="exact", counts=None,
+        budgets=cfg.budgets, eps_grids=grids, delta=exact_delta_curve(model, rule, grids, budgets),
+        std_err=None, source="exact", counts=None,
     )
 
 
 def crossings_from_sweep(sweep: SweepResult) -> list[CrossingEstimate]:
     return [
-        find_crossing_arrays(
-            np.asarray(sweep.eps_grids[b_idx]), sweep.delta[b_idx], float(budget)
-        )
-        for b_idx, budget in enumerate(sweep.budgets)
+        find_crossing_arrays(grid, delta, float(budget))
+        for budget, grid, delta in zip(sweep.budgets, sweep.eps_grids, sweep.delta)
     ]
 
 
@@ -134,11 +125,8 @@ def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig | None = Non
     row = ",%r,%r," + ("" if sweep.std_err is None else "%r") + f",{sweep.source}\r\n"
     with open(path, "w", newline="") as fh:
         begin_table(fh, _DELTA_COLUMNS, cfg)
-        for b_idx, budget in enumerate(sweep.budgets):
-            cols = [sweep.eps_grids[b_idx], sweep.delta[b_idx]]
-            if sweep.std_err is not None:
-                cols.append(sweep.std_err[b_idx])
-            block = np.column_stack(cols)
+        cols = [sweep.eps_grids, sweep.delta] + ([] if sweep.std_err is None else [sweep.std_err])
+        for budget, block in zip(sweep.budgets, np.stack(cols, axis=-1)):
             fh.write((repr(float(budget)) + row) * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -200,7 +188,7 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
                                   f"and source {source}, as in data row 1")
     _, eps, delta, *std_err = rows.T.reshape(-1, len(starts), n_eps)  # one per column
     return SweepResult(
-        budgets=tuple(b_col[starts].tolist()), eps_grids=tuple(map(tuple, eps.tolist())),
+        budgets=tuple(b_col[starts].tolist()), eps_grids=eps,
         delta=delta, std_err=std_err[0] if std_err else None, source=source, counts=None,
     )
 

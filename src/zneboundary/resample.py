@@ -91,7 +91,7 @@ class _TableEstimator:
         self.rule = build_rule(table.rule_spec["scales"], table.rule_spec["alloc"])
         self.mu0 = model_from_spec(table.model_spec).mean(0.0)
         self.coeffs = np.asarray(self.rule.coeffs)
-        self.eps = np.asarray(table.eps_grids, dtype=float)
+        self.eps = table.eps_grids
         for grid in self.eps:
             check_crossing_grid(grid, grid.size)
         self.shots = table.shots
@@ -165,6 +165,8 @@ def check_bootstrap(
 
     Returns the variance and bias windows the statistics use (None if unused).
     """
+    if not all(isinstance(stat, str) for stat in statistics):
+        raise ConfigError(f"bootstrap statistics must be names, got {statistics!r}")
     if not statistics or len(set(statistics)) < len(statistics):
         raise ConfigError(f"need one or more distinct bootstrap statistics, got {statistics}")
     unknown = set(statistics) - set(KNOWN_STATISTICS)

@@ -232,22 +232,25 @@ def optimal_allocation(rule: RichardsonRule, model, eps):
     The Lagrange optimum weights each level by ``|c_j| * sqrt(v(lam_j eps))``.
     Levels with exactly zero variance are degenerate in the optimum and get
     the floor fraction before renormalization; if every level has zero
-    variance the allocation is undefined.  For a 1-D array of ``n``
-    strengths the result is an ``(n, k+1)`` array, one row per strength;
-    for a single strength it is row 0, as a tuple.
+    variance the allocation is undefined.  For an array of strengths the
+    fractions run along a new last axis, of length ``k+1``; for a single
+    strength they are a tuple.
     """
     lam = np.asarray(rule.scales)
     c = np.asarray(rule.coeffs)
-    strengths = np.reshape(np.asarray(eps, dtype=float), (-1, 1)) * lam
+    strengths = np.asarray(eps, dtype=float)[..., None] * lam
     v = np.broadcast_to(model.variance(strengths), strengths.shape)
-    negative = np.any(v < 0, axis=1)
+    negative = np.any(v < 0, axis=-1)
     if negative.any():
-        raise AllocationError(
-            f"negative variance at scaled strengths {list(strengths[np.argmax(negative)])}"
-        )
-    w = np.abs(c) * np.sqrt(v)
-    if np.any(np.all(w == 0, axis=1)):
+        first = strengths.reshape(-1, lam.size)[np.argmax(negative)]
+        raise AllocationError(f"negative variance at scaled strengths {list(first)}")
+    # a whole sweep's table is large: work in place and drop the inputs early
+    w = np.sqrt(v)
+    w *= np.abs(c)
+    del strengths, v
+    if np.any(np.all(w == 0, axis=-1)):
         raise AllocationError("degenerate variance, allocation undefined")
-    pi = np.where(w > 0, w / w.sum(axis=1, keepdims=True), MIN_ALLOC_FRACTION)
-    pi = pi / pi.sum(axis=1, keepdims=True)
-    return pi if np.ndim(eps) else tuple(float(x) for x in pi[0])
+    pi = w / w.sum(axis=-1, keepdims=True)
+    pi[~(w > 0)] = MIN_ALLOC_FRACTION
+    pi /= pi.sum(axis=-1, keepdims=True)
+    return pi if np.ndim(eps) else tuple(float(x) for x in pi)

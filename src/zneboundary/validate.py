@@ -292,10 +292,8 @@ def _mc_dataset(seed: int, replicates: int = 64):
     model = DeterministicLimitBinary(kappa=1.0)
     rule = build_rule([1, 3])
     budgets = [1000, 3162, 10000, 31623, 100000, 316228, 1000000]
-    grids = [
-        auto_window(model, rule, b, span=(0.2, 5.0), points_per_decade=12).tolist()
-        for b in budgets
-    ]
+    grids = [auto_window(model, rule, b, span=(0.2, 5.0), points_per_decade=12)
+             for b in budgets]
     return sample_count_table(model, rule, budgets, grids, replicates, seed)
 
 

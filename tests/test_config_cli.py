@@ -179,6 +179,8 @@ class TestConfig:
         (DLB_MC, ["engine.replicates=abc"], "engine.replicates must be an integer"),
         (DLB_EXACT, ["grid.points_per_decade=abc"], "grid.points_per_decade must be an integer"),
         (DLB_MC, ["bootstrap.statistics=[foo]"], "unknown bootstrap statistics ['foo']"),
+        (DLB_MC, ["bootstrap={statistics: [{a: 1}], seed: 3}"],
+         "bootstrap statistics must be names, got [{'a': 1}]"),
         (DLB_MC, ["bootstrap.n_replicates=50"], "at least 100 bootstrap replicates"),
         (DLB_MC, ["bootstrap.level=1.5"], "level must lie in (0, 1)"),
         (DLB_MC, ["bootstrap.statistics=[q_hat]", "windows.variance=null"],
@@ -204,7 +206,8 @@ class TestConfig:
         (DLB_EXACT, ["budgets.per_decade=-2"],
          "budgets.per_decade must be a positive integer, got -2"),
     ], ids=["eps", "budgets", "variance", "bias", "replicates", "ppd", "statistics",
-            "n_replicates", "level", "window", "grid-int", "engine-str", "windows-list",
+            "statistics-type", "n_replicates", "level", "window", "grid-int", "engine-str",
+            "windows-list",
             "output-str", "rule-key", "engine-key", "grid-key", "output-key", "bootstrap-key",
             "budgets-key", "ppd-zero", "ppd-negative", "per-decade-zero",
             "per-decade-negative"])
@@ -239,7 +242,7 @@ class TestPipelineArtifacts:
         back = read_delta_csv(path)
         assert back.budgets == sweep.budgets
         assert np.array_equal(back.delta, sweep.delta)  # repr round-trips floats
-        assert back.eps_grids == sweep.eps_grids
+        assert np.array_equal(back.eps_grids, sweep.eps_grids)
         assert back.std_err is None
 
     def test_crossings_csv_round_trip(self, tmp_path):
@@ -436,7 +439,7 @@ class TestArtifactReaderErrors:
         assert named in msg and "std_err and source exact, as in data row 1" in msg
 
     def test_monte_carlo_delta_rows_need_std_err(self, tmp_path):
-        sweep = SweepResult(budgets=(1e3, 1e4), eps_grids=((0.1, 0.2),) * 2,
+        sweep = SweepResult(budgets=(1e3, 1e4), eps_grids=np.array([[0.1, 0.2]] * 2),
                             delta=np.ones((2, 2)), std_err=np.full((2, 2), 0.5),
                             source="monte_carlo", counts=None)
         write_delta_csv(tmp_path / "good.csv", sweep)
@@ -518,7 +521,7 @@ def sweeps(draw, monte_carlo):
     n_eps = draw(st.integers(1, 5))
     cells = st.lists(finite, min_size=n_eps, max_size=n_eps)
     ascending = st.lists(finite, min_size=n_eps, max_size=n_eps, unique=True).map(sorted)
-    grids = tuple(tuple(draw(ascending)) for _ in budgets)
+    grids = np.array([draw(ascending) for _ in budgets])
     delta = np.array([draw(cells) for _ in budgets])
     std_err = np.array([draw(cells) for _ in budgets]) if monte_carlo else None
     return SweepResult(
@@ -534,7 +537,7 @@ def test_delta_csv_round_trip_property(sweep):
         first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
         write_delta_csv(first, sweep)
         back = read_delta_csv(first)
-        assert back.budgets == sweep.budgets and back.eps_grids == sweep.eps_grids
+        assert back.budgets == sweep.budgets and np.array_equal(back.eps_grids, sweep.eps_grids)
         assert back.source == sweep.source
         assert np.array_equal(back.delta.view(np.uint64), sweep.delta.view(np.uint64))
         if sweep.std_err is None:

@@ -39,6 +39,7 @@ from zneboundary.mse import (
     worker_count,
 )
 from zneboundary.rules import build_rule, optimal_allocation
+from zneboundary.validate import _mc_dataset
 
 DLB = DeterministicLimitBinary(kappa=1.0)
 LBB = LinearBiasBinary(mu0=0.5, alpha=1.0)
@@ -231,16 +232,49 @@ class TestExactKernelMatchesPointwiseReference:
         (DLB, [-0.01, 0.1]),
         (LBB, [0.01, 0.2, 0.3]),
         (ProductContractionString(gamma=0.1, ell=5), [0.5, 2.5, 12.0]),
+        # grid tables: the first point out of domain in row-major order
+        (DLB, [[0.1, 0.2], [0.1, 0.8], [2.5, 0.1]]),
+        (DLB, [[0.1, 0.2], [2.5, 0.1], [0.1, 0.8]]),
+        (LBB, [[0.01, 0.02, 0.03], [0.3, 0.01, 0.2]]),
+        (KERNEL_MODELS["monomial"], [[0.1, 0.2], [0.3, -0.01], [-0.5, 0.1]]),
     ])
     def test_out_of_domain_grid_raises_the_pointwise_error(self, model, grid):
         rule = build_rule([1, 3])
         with pytest.raises(DomainError) as ref:
-            for eps in grid:
+            for eps in np.ravel(grid).tolist():
                 reference_delta(model, rule, eps, 100.0)
+        budget = 100.0 if np.ndim(grid) == 1 else np.full((len(grid), 1), 100.0)
         with pytest.raises(DomainError) as got:
-            exact_delta_curve(model, rule, np.asarray(grid), 100.0)
+            exact_delta_curve(model, rule, np.asarray(grid), budget)
         assert str(got.value) == str(ref.value)
         assert (got.value.eps, got.value.scale) == (ref.value.eps, ref.value.scale)
+
+
+@st.composite
+def grid_tables(draw, top):
+    """A ``(n_budgets, n_eps)`` table of strengths in ``(0, top]`` and its budget column."""
+    n_budgets, n_eps = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    fractions = st.lists(st.floats(1e-6, 1.0), min_size=n_eps, max_size=n_eps)
+    grids = np.array([draw(fractions) for _ in range(n_budgets)]) * top
+    budgets = st.lists(st.floats(1.0, 1e8), min_size=n_budgets, max_size=n_budgets)
+    return grids, np.array(draw(budgets))[:, None]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+@pytest.mark.parametrize("scales", [[1, 3], [1, 3, 5]], ids=str)
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_grid_table_matches_row_calls(name, scales, policy, data):
+    """One table-wide call equals the 1-D call on each row, bit for bit."""
+    model, rule = KERNEL_MODELS[name], build_rule(scales, POLICIES[policy])
+    top = min(scaled_domain_max(model, rule.scales), 1.0) * (1 - 1e-9)
+    grids, budgets = data.draw(grid_tables(top))
+    table = exact_delta_curve(model, rule, grids, budgets)
+    rows = np.array([exact_delta_curve(model, rule, grid, budget)
+                     for grid, budget in zip(grids, budgets[:, 0].tolist())])
+    assert table.shape == grids.shape
+    assert np.array_equal(table.view(np.uint64), rows.view(np.uint64))
 
 
 class TestIntegerize:
@@ -496,6 +530,15 @@ class TestSamplingWorkers:
         self.refuse_pools(monkeypatch)
         self.draw_and_check(RULE13)
 
+    def test_battery_table_draws_in_process(self, monkeypatch):
+        # the bootstrap-soundness check's 22,848-cell tables draw faster
+        # in-process than on two forked workers
+        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
+        monkeypatch.setattr(mse_module.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        self.refuse_pools(monkeypatch)
+        assert _mc_dataset(seed=77).shots.size == 22_848
+
     def test_without_fork_draws_in_process(self, monkeypatch):
         monkeypatch.setenv("ZNEBOUNDARY_THREADS", "2")
         monkeypatch.setattr(mse_module, "MIN_CELLS_PER_WORKER", 1)
@@ -619,7 +662,7 @@ class TestCountTable:
         assert np.array_equal(back.shots, table.shots)
         assert np.array_equal(back.plus, table.plus)
         assert back.budgets == table.budgets
-        assert back.eps_grids == table.eps_grids
+        assert np.array_equal(back.eps_grids, table.eps_grids)
         assert back.model_spec == table.model_spec
         assert back.rule_spec == table.rule_spec
         assert back.master_seed == table.master_seed
@@ -774,9 +817,17 @@ class TestCountTableRowValidation:
         (lambda header: json.dumps({**header, "eps_grids": header["eps_grids"][:1]}),
          "1 eps grids for 2 budgets"),
         (lambda header: json.dumps({**header, "eps_grids": [[0.01, 0.02], [0.005]]}),
-         "eps grids of unequal lengths 2, 1"),
+         "per-budget eps grids must have equal length, got 2 points at B=500, "
+         "1 points at B=2000"),
+        (lambda header: json.dumps({**header, "eps_grids": [[[0.01], [0.02]]] * 2}),
+         "eps grids must be lists of numbers, got shape (2, 2, 1)"),
+        (lambda header: json.dumps({**header, "replicates": -1}),
+         "-1 replicates, need at least 2"),
+        (lambda header: json.dumps({**header, "replicates": 0}),
+         "0 replicates, need at least 2"),
     ], ids=["not_json", "no_budgets", "no_eps_grids", "no_scales", "no_replicates",
-            "no_master_seed", "no_budgets_listed", "grid_count", "grid_lengths"])
+            "no_master_seed", "no_budgets_listed", "grid_count", "grid_lengths",
+            "grid_nested", "replicates_negative", "replicates_zero"])
     def test_malformed_header(self, tmp_path, edit_header, expected):
         assert expected in self.corrupt(tmp_path, lambda lines: None, edit_header)
 
@@ -825,7 +876,7 @@ def test_count_table_round_trip_property(table):
         assert np.array_equal(back.shots, table.shots)
         assert np.array_equal(back.plus, table.plus)
         assert back.header() == table.header()
-        assert back.budgets == table.budgets and back.eps_grids == table.eps_grids
+        assert back.budgets == table.budgets and np.array_equal(back.eps_grids, table.eps_grids)
         again = Path(tmp, "b.csv"), Path(tmp, "b.json")
         back.write(*again)
         assert again[0].read_bytes() == paths[0].read_bytes()
