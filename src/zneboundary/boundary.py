@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import RegimeError
 from .models import scaled_domain_max
-from .mse import exact_delta
+from .mse import exact_delta, grid_table
 from .rules import RichardsonRule, variance_penalty
 
 __all__ = [
@@ -34,12 +34,14 @@ __all__ = [
     "LocalOptimalityResult",
     "check_crossing_grid",
     "first_crossings",
+    "crossing_estimates",
     "find_crossing_arrays",
     "classify_regime",
     "theoretical_boundary",
     "budget_bracket",
     "local_optimality_check",
     "auto_window",
+    "auto_windows",
     "geometric_grid",
 ]
 
@@ -86,13 +88,17 @@ class RegimeReport:
         return asdict(self)
 
 
-def check_crossing_grid(eps: np.ndarray, n_delta: int) -> None:
-    """Raise ValueError unless ``eps`` is a crossing grid for ``n_delta`` values."""
-    if eps.size != n_delta:
+def check_crossing_grid(eps: np.ndarray, delta: np.ndarray | None = None) -> None:
+    """Raise ValueError unless every row of ``eps`` is a crossing grid.
+
+    ``eps`` is one grid or an ``(n_budgets, n_eps)`` table of them, checked
+    in one pass; with ``delta``, its values must match ``eps`` in shape.
+    """
+    if delta is not None and eps.shape != delta.shape:
         raise ValueError("eps and delta must have equal length")
-    if eps.size < 3:
-        raise ValueError(f"need at least 3 grid points, got {eps.size}")
-    if np.any(np.diff(eps) <= 0):
+    if eps.shape[-1] < 3:
+        raise ValueError(f"need at least 3 grid points, got {eps.shape[-1]}")
+    if np.any(np.diff(eps, axis=-1) <= 0):
         raise ValueError("eps grid must be strictly increasing")
 
 
@@ -117,6 +123,28 @@ def first_crossings(eps: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.
     return lower, eps_star
 
 
+def crossing_estimates(eps: np.ndarray, delta: np.ndarray,
+                       budgets: Sequence[float]) -> list[CrossingEstimate]:
+    """One :class:`CrossingEstimate` per row of a checked table, from :func:`first_crossings`.
+
+    A row without a crossing is censored: ``no_crossing_in_window`` if it
+    has a negative value, else ``no_negative_region``.
+    """
+    lower, eps_star = first_crossings(eps, delta)
+    negative = (delta < 0).any(axis=1)
+    out = []
+    for b, (budget, i) in enumerate(zip(budgets, lower.tolist())):
+        if i >= 0:
+            out.append(CrossingEstimate(
+                budget=float(budget), eps_star=float(eps_star[b]), status=STATUS_CROSSED,
+                bracket_lo=float(eps[b, i]), bracket_hi=float(eps[b, i + 1]),
+            ))
+        else:
+            status = STATUS_NO_CROSSING if negative[b] else STATUS_NO_NEGATIVE
+            out.append(CrossingEstimate(budget=float(budget), eps_star=None, status=status))
+    return out
+
+
 def find_crossing_arrays(
     eps: np.ndarray, delta: np.ndarray, budget: float
 ) -> CrossingEstimate:
@@ -125,20 +153,12 @@ def find_crossing_arrays(
     Requires at least one strictly negative value before the crossing (a
     zero at the origin of zero-variance models is not a boundary).  An exact
     zero at the upper bracket point is treated as the crossing itself.  The
-    one-row form of :func:`first_crossings`.
+    one-row form of :func:`crossing_estimates`.
     """
     eps = np.asarray(eps, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    check_crossing_grid(eps, delta.size)
-    lower, eps_star = first_crossings(eps[None, :], delta[None, :])
-    i = int(lower[0])
-    if i >= 0:
-        return CrossingEstimate(
-            budget=budget, eps_star=float(eps_star[0]), status=STATUS_CROSSED,
-            bracket_lo=float(eps[i]), bracket_hi=float(eps[i + 1]),
-        )
-    status = STATUS_NO_CROSSING if np.any(delta < 0) else STATUS_NO_NEGATIVE
-    return CrossingEstimate(budget=budget, eps_star=None, status=status)
+    check_crossing_grid(eps, delta)
+    return crossing_estimates(eps[None, :], delta[None, :], [budget])[0]
 
 
 def classify_regime(
@@ -324,11 +344,63 @@ def local_optimality_check(
 
 def geometric_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """Strictly increasing geometric grid with n points on [lo, hi]."""
+    _check_geometric(lo, hi, n)
+    return np.geomspace(lo, hi, n)
+
+
+def _check_geometric(lo: float, hi: float, n: int) -> None:
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
     if n < 3:
         raise ValueError(f"need at least 3 grid points, got {n}")
-    return np.geomspace(lo, hi, n)
+
+
+def auto_windows(
+    model,
+    rule: RichardsonRule | None,
+    budgets: Sequence[float],
+    *,
+    span: tuple[float, float] = (0.1, 10.0),
+    points_per_decade: int = 40,
+) -> np.ndarray:
+    """Per-budget grids centered on the coarse theoretical boundary guess.
+
+    Budget ``B``'s window is ``[span[0] * C B^(-r), span[1] * C B^(-r)]``,
+    fixed by the declared model constants before any data is seen, and
+    truncated to keep every scaled level inside the model's domain.  ``C``
+    is the base split's (``K_fixed``) constant, so an optimal-allocation
+    rule gets its base split's window.  Each window gets ``points_per_decade``
+    points per decade it spans, so crossings resolve with equal relative
+    resolution across the ladder.  Returns the :func:`mse.grid_table` of the
+    windows, built with one ``geomspace`` call; windows of unequal point
+    counts (a domain-truncated one) raise its :class:`ConfigError`.
+    """
+    base = None if rule is None else replace(rule, optimal=False)
+    regime = theoretical_boundary(model, base)
+    if regime.regime != "subcritical":
+        raise RegimeError(
+            f"auto window needs a shrinking boundary; regime is {regime.regime}"
+        )
+    scales = rule.scales if rule is not None else (1.0,)
+    domain_hi = scaled_domain_max(model, scales) * (1 - 1e-9)
+    windows = []
+    for budget in budgets:
+        guess = regime.predicted_eps_star(budget)
+        lo, hi = span[0] * guess, span[1] * guess
+        if math.isfinite(domain_hi):
+            hi = min(hi, domain_hi)
+        if not lo < hi:
+            raise RegimeError(
+                f"auto window [{lo:.3e}, {hi:.3e}] collapsed under the domain bound"
+            )
+        n = max(3, int(round(points_per_decade * math.log10(hi / lo))))
+        _check_geometric(lo, hi, n)
+        windows.append((lo, hi, n))
+    if len(counts := {n for _, _, n in windows}) != 1:
+        # no budgets, or unequal point counts: grid_table names them
+        return grid_table(budgets, [geometric_grid(*window) for window in windows])
+    lo, hi = np.array([window[:2] for window in windows]).T
+    return grid_table(budgets, np.geomspace(lo, hi, counts.pop(), axis=1))
 
 
 def auto_window(
@@ -339,30 +411,5 @@ def auto_window(
     span: tuple[float, float] = (0.1, 10.0),
     points_per_decade: int = 40,
 ) -> np.ndarray:
-    """Per-budget grid centered on the coarse theoretical boundary guess.
-
-    The window is ``[span[0] * C B^(-r), span[1] * C B^(-r)]``, fixed by the
-    declared model constants before any data is seen, and truncated to keep
-    every scaled level inside the model's domain.  ``C`` is the base split's
-    (``K_fixed``) constant, so an optimal-allocation rule gets its base
-    split's window.  Every budget gets the same number of points, so
-    crossings resolve with equal relative resolution across the ladder.
-    """
-    base = None if rule is None else replace(rule, optimal=False)
-    regime = theoretical_boundary(model, base)
-    if regime.regime != "subcritical":
-        raise RegimeError(
-            f"auto window needs a shrinking boundary; regime is {regime.regime}"
-        )
-    guess = regime.predicted_eps_star(budget)
-    lo, hi = span[0] * guess, span[1] * guess
-    scales = rule.scales if rule is not None else (1.0,)
-    domain_hi = scaled_domain_max(model, scales) * (1 - 1e-9)
-    if math.isfinite(domain_hi):
-        hi = min(hi, domain_hi)
-    if not lo < hi:
-        raise RegimeError(
-            f"auto window [{lo:.3e}, {hi:.3e}] collapsed under the domain bound"
-        )
-    n = max(3, int(round(points_per_decade * math.log10(hi / lo))))
-    return geometric_grid(lo, hi, n)
+    """One budget's grid: the one-row form of :func:`auto_windows`."""
+    return auto_windows(model, rule, [budget], span=span, points_per_decade=points_per_decade)[0]

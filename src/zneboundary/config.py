@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,8 +89,30 @@ class ExperimentConfig:
 
 
 def config_hash(raw: dict) -> str:
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    """sha256 of the canonical JSON of ``raw``, dotless exponent numbers as floats.
+
+    PyYAML reads YAML 1.1, where ``1e-4`` (no dot) is a string, which the
+    section readers take as the float ``1.0e-4``; both spellings hash alike.
+    A dotted number with an unsigned exponent (``1.0e3``) is a string too,
+    and hashes as one: the benchmark's golden configurations spell their
+    budgets so, and their hashes are in the golden artifacts.
+    """
+    canonical = json.dumps(_dotless_floats(raw), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+_DOTLESS_FLOAT = re.compile(r"[-+]?[0-9]+[eE][-+]?[0-9]+")
+
+
+def _dotless_floats(value):
+    """``value`` with every string like ``1e-4`` replaced by its float."""
+    if isinstance(value, dict):
+        return {k: _dotless_floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_dotless_floats(v) for v in value]
+    if isinstance(value, str) and _DOTLESS_FLOAT.fullmatch(value):
+        return float(value)
+    return value
 
 
 def _apply_override(raw: dict, assignment: str) -> None:

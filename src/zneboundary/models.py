@@ -5,7 +5,9 @@ single-shot variance ``v(eps)``, and a finite-shot sampler.  The curves take
 one strength or a numpy array of them, elementwise.  All sampled
 models are binary (+/-1 outcomes), so ``v = 1 - mu^2`` holds exactly and a
 measurement cell reduces to a single plus-count drawn from
-``Binomial(shots, (1 + mu)/2)``.
+``Binomial(shots, (1 + mu)/2)``.  ``mean_and_variance`` is the one place
+that identity is written: it returns both curves from one mean
+evaluation, which is how the exact engine reads them.
 
 For boundary-theory predictions every sampled model declares its leading small-noise
 behavior: the bias exponent ``p`` and signed amplitude ``A`` of
@@ -106,8 +108,12 @@ class NoiseObservableModel(_Model, ABC):
 
     def variance(self, eps):
         """True single-shot variance ``1 - mu^2`` at noise strength ``eps``."""
+        return self.mean_and_variance(eps)[1]
+
+    def mean_and_variance(self, eps):
+        """``(mu, 1 - mu^2)`` at ``eps`` from one :meth:`mean` evaluation."""
         mu = self.mean(eps)
-        return 1.0 - mu * mu
+        return mu, 1.0 - mu * mu
 
     def plus_probability(self, eps):
         """Single-shot probability ``(1 + mu)/2`` of a +1 outcome, elementwise.

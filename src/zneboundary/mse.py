@@ -12,7 +12,11 @@ strengths ``lam_j eps``:
 
 both computed from the exact model curves with no series truncation.  The
 quantity of interest is ``delta = MSE_noisy - MSE_zne`` (positive means the
-extrapolation helps).
+extrapolation helps).  :func:`exact_delta_curve` checks a whole grid table's
+domain, then evaluates it in blocks of whole budget rows, at most
+``EXACT_BLOCK_POINTS`` points each, with one model pass on the base
+strengths and one on the scaled ones: the level variances give both the
+variance term and a reallocating rule's split.
 
 The Monte Carlo engine realizes the same comparison with finite counts.  Raw
 data for one experiment lives in a :class:`CountTable`: one binomial
@@ -45,7 +49,7 @@ import numpy as np
 from .artifacts import SCHEMA_VERSION, begin_table, check_schema, open_table, read_block
 from .errors import AllocationError, ConfigError, ModelError
 from .models import NoiseObservableModel, check_scaled_eps
-from .rules import RichardsonRule, optimal_allocation
+from .rules import RichardsonRule, optimal_allocation, optimal_split
 
 __all__ = [
     "DeltaPoint",
@@ -69,6 +73,10 @@ THREADS_ENV_VAR = "ZNEBOUNDARY_THREADS"
 # validation battery's 22,848-cell tables draw faster in-process.
 MIN_CELLS_PER_WORKER = 16_000
 
+# Grid points per block of the exact engine: a block's model evaluations and
+# MSE terms are a few hundred kB, whatever the size of the sweep's table.
+EXACT_BLOCK_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class DeltaPoint:
@@ -86,34 +94,44 @@ def _resolve_alloc(model, rule: RichardsonRule, eps) -> np.ndarray:
     return np.asarray(optimal_allocation(rule, model, eps) if rule.optimal else rule.alloc)
 
 
-def _mse_terms(model, rule: RichardsonRule | None, eps, budget):
-    """Exact ``(bias, variance)`` arrays of both estimators over a grid or grid table.
+def _check_domain(model, rule: RichardsonRule | None, eps: np.ndarray, budget) -> None:
+    """Raise the error a row-major point-by-point loop over ``eps`` meets first.
 
-    The one implementation of the formulas above; returns ``(noisy, zne)``,
-    ``zne`` None without a rule.  Out-of-domain grids raise the error a
-    row-major point-by-point loop meets first.  The golden outputs pin the
-    rounding: one BLAS dot per point for the bias (a gemv rounds differently),
-    libm ``pow`` in the models, and last-axis sums of C-contiguous ``(..., k+1)`` terms.
+    One pass over the whole grid or grid table, one scaled level at a time.
     """
     if (lowest := np.min(budget)) <= 0:
         raise ValueError(f"budget must be positive, got {lowest}")
+    inside = model.inside_domain(eps)
+    for lam in rule.scales if rule is not None else ():
+        inside &= model.inside_domain(lam * eps)
+    if not inside.all():
+        first = float(eps.flat[np.argmin(inside)])
+        model.check_eps(first)
+        check_scaled_eps(model, first, rule.scales)
+
+
+def _mse_terms(model, rule: RichardsonRule | None, eps, budget):
+    """Exact ``(bias, variance)`` arrays of both estimators over an in-domain grid.
+
+    The one implementation of the formulas above; returns ``(noisy, zne)``,
+    ``zne`` None without a rule.  ``eps`` has passed :func:`_check_domain`.
+    The model is evaluated once on ``eps`` and once on the scaled strengths;
+    the level variances give both the variance term and, for a reallocating
+    rule, :func:`rules.optimal_split`.  The golden outputs pin the rounding:
+    one BLAS dot per point for the bias (a gemv rounds differently), libm
+    ``pow`` in the models, and last-axis sums of C-contiguous ``(..., k+1)`` terms.
+    """
     mu0 = model.mean(0.0)
     eps = np.asarray(eps, dtype=float)
-    if rule is not None:
-        strengths = eps[..., None] * np.asarray(rule.scales)
-        inside = model.inside_domain(eps) & model.inside_domain(strengths).all(axis=-1)
-        if not inside.all():
-            first = float(eps.flat[np.argmin(inside)])
-            model.check_eps(first)
-            check_scaled_eps(model, first, rule.scales)
-    noisy = (model.mean(eps) - mu0, model.variance(eps) / budget)
+    mu, v = model.mean_and_variance(eps)
+    noisy = (mu - mu0, v / budget)
     if rule is None:
         return noisy, None
-    pi = _resolve_alloc(model, rule, eps)
     c = np.asarray(rule.coeffs)
-    bias = (model.mean(strengths)[..., None, :] @ c)[..., 0] - mu0
-    terms = c**2 * model.variance(strengths)
-    terms /= pi  # in place: a whole sweep's table is large
+    mu, v = model.mean_and_variance(eps[..., None] * np.asarray(rule.scales))
+    bias = (mu[..., None, :] @ c)[..., 0] - mu0
+    terms = c**2 * v
+    terms /= optimal_split(rule, v) if rule.optimal else np.asarray(rule.alloc)
     return noisy, (bias, terms.sum(axis=-1) / budget)
 
 
@@ -131,10 +149,28 @@ def exact_delta_curve(model, rule: RichardsonRule | None, eps_grid, budget) -> n
     A model that is not sampled returns its closed form ``delta_mse``.
     Without a rule the unmitigated estimator is compared with itself: zeros,
     once the grid has passed the domain check.
+
+    The domain check covers the whole grid before any evaluation.  A table
+    is then evaluated in blocks of whole rows, at most
+    ``EXACT_BLOCK_POINTS`` points each (one row if a row is longer), so its
+    temporaries stay a block's size however long the budget ladder is.
     """
+    eps = np.asarray(eps_grid, dtype=float)
     if not model.sampled:
-        return model.delta_mse(np.asarray(eps_grid, dtype=float), budget)
-    noisy, zne = _mse_terms(model, rule, eps_grid, budget)
+        return model.delta_mse(eps, budget)
+    _check_domain(model, rule, eps, budget)
+    if eps.ndim < 2:
+        return _delta(model, rule, eps, budget)
+    budget = np.broadcast_to(budget, eps.shape)
+    out = np.empty(eps.shape)
+    rows = max(1, EXACT_BLOCK_POINTS // max(1, eps.shape[1]))
+    for i in range(0, len(eps), rows):
+        out[i:i + rows] = _delta(model, rule, eps[i:i + rows], budget[i:i + rows])
+    return out
+
+
+def _delta(model, rule: RichardsonRule | None, eps: np.ndarray, budget) -> np.ndarray:
+    noisy, zne = _mse_terms(model, rule, eps, budget)
     (noisy_bias, noisy_var), (zne_bias, zne_var) = noisy, zne or noisy
     return (noisy_bias * noisy_bias + noisy_var) - (zne_bias * zne_bias + zne_var)
 
@@ -150,7 +186,7 @@ def grid_table(budgets: Sequence[float], eps_grids) -> np.ndarray:
     if len({len(g) for g in eps_grids}) > 1:
         raise ConfigError("per-budget eps grids must have equal length, got " + ", ".join(
             f"{len(g)} points at B={b:g}" for b, g in zip(budgets, eps_grids)))
-    table = np.asarray(eps_grids, dtype=float)
+    table = np.asarray(eps_grids, dtype=float, order="C")
     if table.ndim != 2:
         raise ConfigError(f"eps grids must be lists of numbers, got shape {table.shape}")
     return table

@@ -20,7 +20,6 @@ than the one its configuration's sweep writes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +29,9 @@ from .boundary import (
     STATUS_NO_CROSSING,
     STATUS_NO_NEGATIVE,
     CrossingEstimate,
-    auto_window,
-    find_crossing_arrays,
+    auto_windows,
+    check_crossing_grid,
+    crossing_estimates,
     theoretical_boundary,
 )
 from .artifacts import SCHEMA_VERSION, begin_table, data_rows, open_table, read_block
@@ -72,15 +72,11 @@ class SweepResult:
 
 def build_grids(cfg: ExperimentConfig) -> np.ndarray:
     """The :func:`mse.grid_table` of the pre-registered grid section, one row per budget."""
-    model, rule = cfg.model(), cfg.rule()
     if cfg.grid["mode"] == "explicit":
         return grid_table(cfg.budgets, [[float(e) for e in cfg.grid["eps"]]] * len(cfg.budgets))
-    span = tuple(float(s) for s in cfg.grid["span"])
-    ppd = int(cfg.grid["points_per_decade"])
-    return grid_table(cfg.budgets, [
-        auto_window(model, rule, budget, span=span, points_per_decade=ppd)
-        for budget in cfg.budgets
-    ])
+    return auto_windows(cfg.model(), cfg.rule(), cfg.budgets,
+                        span=tuple(float(s) for s in cfg.grid["span"]),
+                        points_per_decade=int(cfg.grid["points_per_decade"]))
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -104,10 +100,16 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
 
 def crossings_from_sweep(sweep: SweepResult) -> list[CrossingEstimate]:
-    return [
-        find_crossing_arrays(grid, delta, float(budget))
-        for budget, grid, delta in zip(sweep.budgets, sweep.eps_grids, sweep.delta)
-    ]
+    """One crossing per budget, from one pass over the sweep's table.
+
+    A grid with fewer than 3 points or out of ascending order raises
+    :class:`ConfigError`.
+    """
+    try:
+        check_crossing_grid(sweep.eps_grids, sweep.delta)
+    except ValueError as err:
+        raise ConfigError(f"crossing estimation: {err}") from err
+    return crossing_estimates(sweep.eps_grids, sweep.delta, sweep.budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +117,9 @@ def crossings_from_sweep(sweep: SweepResult) -> list[CrossingEstimate]:
 
 _DELTA_COLUMNS = ("B", "eps", "delta", "std_err", "source")
 _DELTA_SOURCES = ("exact", "monte_carlo")
+# the delta reader counts row endings in batches of whole lines, each this
+# many bytes plus the line that crosses the mark
+_LINE_BATCH_BYTES = 256 * 1024
 
 
 def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig | None = None) -> None:
@@ -173,9 +178,14 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
     # Every row has one field per column and ends in ",,exact" (empty std_err)
     # or ",monte_carlo" (its std_err parsed as a number above).  Counting the
     # writer's row endings and commas (the header has as many as a row) is the
-    # fast check; the row scan decides, and names the first bad row.
+    # fast check, streamed; the row scan decides, and names the first bad row.
     suffix = (",," if source == "exact" else ",") + source
-    endings, commas = map(Path(path).read_bytes().count, (f"{suffix}\r\n".encode(), b","))
+    endings = commas = 0
+    with open(path, "rb") as fh:  # whole lines, so no row ending straddles two batches
+        ending = f"{suffix}\r\n".encode()
+        while batch := b"".join(fh.readlines(_LINE_BATCH_BYTES)):
+            endings += batch.count(ending)
+            commas += batch.count(b",")
     n_columns = len(_DELTA_COLUMNS)
     if endings != len(rows) or commas != (n_columns - 1) * (len(rows) + 1):
         for number, line in data_rows(path):

@@ -91,9 +91,8 @@ class _TableEstimator:
         self.rule = build_rule(table.rule_spec["scales"], table.rule_spec["alloc"])
         self.mu0 = model_from_spec(table.model_spec).mean(0.0)
         self.coeffs = np.asarray(self.rule.coeffs)
-        self.eps = table.eps_grids
-        for grid in self.eps:
-            check_crossing_grid(grid, grid.size)
+        self.eps = np.asarray(table.eps_grids, dtype=float)
+        check_crossing_grid(self.eps)
         self.shots = table.shots
         self.budgets = [float(b) for b in table.budgets]
         self.eps_star_names = [f"eps_star[{b:g}]" for b in table.budgets]

@@ -41,6 +41,7 @@ __all__ = [
     "penalty_constants",
     "small_noise_allocation",
     "optimal_allocation",
+    "optimal_split",
 ]
 
 MAX_ORDER = 6
@@ -229,28 +230,32 @@ def small_noise_allocation(rule: RichardsonRule, q: float) -> tuple[float, ...]:
 def optimal_allocation(rule: RichardsonRule, model, eps):
     """Variance-optimal shot fractions at noise strength ``eps``.
 
-    The Lagrange optimum weights each level by ``|c_j| * sqrt(v(lam_j eps))``.
-    Levels with exactly zero variance are degenerate in the optimum and get
-    the floor fraction before renormalization; if every level has zero
-    variance the allocation is undefined.  For an array of strengths the
-    fractions run along a new last axis, of length ``k+1``; for a single
-    strength they are a tuple.
+    :func:`optimal_split` of the model's variances at the scaled strengths
+    ``lam_j eps``.  For an array of strengths the fractions run along a new
+    last axis, of length ``k+1``; for a single strength they are a tuple.
     """
-    lam = np.asarray(rule.scales)
-    c = np.asarray(rule.coeffs)
-    strengths = np.asarray(eps, dtype=float)[..., None] * lam
-    v = np.broadcast_to(model.variance(strengths), strengths.shape)
-    negative = np.any(v < 0, axis=-1)
+    strengths = np.asarray(eps, dtype=float)[..., None] * np.asarray(rule.scales)
+    pi = optimal_split(rule, np.broadcast_to(model.variance(strengths), strengths.shape))
+    return pi if np.ndim(eps) else tuple(float(x) for x in pi)
+
+
+def optimal_split(rule: RichardsonRule, variances: np.ndarray) -> np.ndarray:
+    """Variance-optimal shot fractions from the level variances ``v(lam_j eps)``.
+
+    ``variances`` holds one value per level along its last axis.  The
+    Lagrange optimum weights each level by ``|c_j| * sqrt(v_j)``.  Levels
+    with exactly zero variance are degenerate in the optimum and get the
+    floor fraction before renormalization; if every level has zero variance
+    the allocation is undefined, and a negative variance is refused.
+    """
+    negative = np.any(variances < 0, axis=-1)
     if negative.any():
-        first = strengths.reshape(-1, lam.size)[np.argmax(negative)]
-        raise AllocationError(f"negative variance at scaled strengths {list(first)}")
-    # a whole sweep's table is large: work in place and drop the inputs early
-    w = np.sqrt(v)
-    w *= np.abs(c)
-    del strengths, v
+        first = np.reshape(variances, (-1, variances.shape[-1]))[np.argmax(negative)]
+        raise AllocationError(f"negative variance among level variances {first.tolist()}")
+    w = np.sqrt(variances) * np.abs(rule.coeffs)
     if np.any(np.all(w == 0, axis=-1)):
         raise AllocationError("degenerate variance, allocation undefined")
     pi = w / w.sum(axis=-1, keepdims=True)
     pi[~(w > 0)] = MIN_ALLOC_FRACTION
     pi /= pi.sum(axis=-1, keepdims=True)
-    return pi if np.ndim(eps) else tuple(float(x) for x in pi)
+    return pi

@@ -13,6 +13,7 @@ from zneboundary.boundary import (
     budget_bracket,
     classify_regime,
     CrossingEstimate,
+    crossing_estimates,
     find_crossing_arrays,
     first_crossings,
     geometric_grid,
@@ -158,6 +159,9 @@ GRID5 = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
 def test_batched_crossings_match_one_row_form(table):
     eps, delta = table
     lower, eps_star = first_crossings(eps, delta)
+    budgets = [float(b + 1) for b in range(len(delta))]
+    assert crossing_estimates(eps, delta, budgets) == [
+        reference_crossing(eps[b], delta[b], budgets[b]) for b in range(len(delta))]
     for b in range(len(delta)):
         est = find_crossing_arrays(eps[b], delta[b], budget=float(b + 1))
         assert est == reference_crossing(eps[b], delta[b], float(b + 1))

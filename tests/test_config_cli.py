@@ -1,8 +1,12 @@
 """Configuration parsing, pipeline artifacts, and the command-line surface."""
 
 import csv
+import hashlib
 import json
+import math
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +15,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zneboundary.boundary import CrossingEstimate
+from zneboundary.boundary import CrossingEstimate, theoretical_boundary
 from zneboundary.cli import main
-from zneboundary.config import load_config, parse_config
+from zneboundary.config import config_hash, load_config, parse_config
 from zneboundary.errors import ConfigError, DomainError
+from zneboundary.models import scaled_domain_max
 from zneboundary.pipeline import (
     SweepResult,
+    build_grids,
     build_report,
     crossings_from_sweep,
     read_crossings_csv,
@@ -70,6 +76,18 @@ class TestConfig:
         tweaked = load_config(path, overrides=["model.kappa=2.0"])
         assert tweaked.model_spec["kappa"] == 2.0
         assert tweaked.hash() != base.hash()
+
+    def test_yaml12_float_strings_hash_as_floats(self, tmp_path):
+        # YAML 1.1 loads 1e-4 (no dot) as a string, which the readers take as a float
+        base = load_config(write_cfg(tmp_path, DLB_EXACT))
+        dotless = load_config(write_cfg(tmp_path, DLB_EXACT), overrides=[
+            "windows.variance=[1e-4, 1e-3]", "budgets.lo=1e4", "budgets.hi=+1E7"])
+        assert dotless.raw["windows"]["variance"] == ["1e-4", "1e-3"]
+        assert dotless.variance_window() == base.variance_window()
+        assert dotless.hash() == base.hash()
+        for text in ("1e", "e-4", "1e-4x", "12"):  # no dotless exponent number: a string
+            canonical = json.dumps({"w": text}, separators=(",", ":"))
+            assert config_hash({"w": text}) == hashlib.sha256(canonical.encode()).hexdigest()
 
     def test_mc_requires_seed(self, tmp_path):
         raw = {k: v for k, v in DLB_MC.items() if k != "seed"}
@@ -244,6 +262,49 @@ class TestPipelineArtifacts:
         assert np.array_equal(back.delta, sweep.delta)  # repr round-trips floats
         assert np.array_equal(back.eps_grids, sweep.eps_grids)
         assert back.std_err is None
+
+    def test_delta_reader_memory_is_bounded(self, tmp_path):
+        # a 121 x 400 exact table, 48,400 rows: the reader streams its row-ending count
+        eps = np.geomspace(1e-6, 0.1, 400) * np.geomspace(1.0, 1e-3, 121)[:, None]
+        sweep = SweepResult(budgets=tuple(np.geomspace(1e3, 1e9, 121).tolist()),
+                            eps_grids=eps, delta=np.sin(eps * 1e5), std_err=None,
+                            source="exact", counts=None)
+        path = tmp_path / "delta.csv"
+        write_delta_csv(path, sweep)
+        assert path.stat().st_size > 3e6
+        tracemalloc.start()
+        try:
+            back = read_delta_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.delta, sweep.delta)
+        assert peak < 3e6
+
+    @pytest.mark.parametrize("name", ["exact_a", "exact_b", "mc_battery", "mc_sweep"])
+    def test_auto_windows_match_the_per_budget_loop(self, name):
+        # build_grids draws every window in one geomspace call, bit for bit the per-budget one
+        cfg = load_config(Path(__file__).resolve().parent.parent / "bench" / "configs"
+                          / f"{name}.yaml")
+        model, rule = cfg.model(), cfg.rule()
+        regime = theoretical_boundary(model, replace(rule, optimal=False))  # the base split
+        span, ppd = cfg.grid["span"], cfg.grid["points_per_decade"]
+        top = scaled_domain_max(model, rule.scales) * (1 - 1e-9)
+        rows = []
+        for budget in cfg.budgets:
+            guess = regime.predicted_eps_star(budget)
+            lo, hi = span[0] * guess, min(span[1] * guess, top)
+            rows.append(np.geomspace(lo, hi, max(3, int(round(ppd * math.log10(hi / lo))))))
+        grids = build_grids(cfg)
+        assert grids.flags.c_contiguous
+        assert np.array_equal(grids.view(np.uint64), np.array(rows).view(np.uint64))
+
+    def test_crossings_need_three_point_grids(self):
+        sweep = SweepResult(budgets=(1e3, 1e4), eps_grids=np.array([[0.1, 0.2], [0.1, 0.2]]),
+                            delta=np.array([[-1.0, 1.0], [-1.0, 1.0]]), std_err=None,
+                            source="exact", counts=None)
+        with pytest.raises(ConfigError, match="crossing estimation: need at least 3 grid"):
+            crossings_from_sweep(sweep)
 
     def test_crossings_csv_round_trip(self, tmp_path):
         cfg = parse_config(dict(DLB_EXACT, budgets={"values": [1e4, 1e5, 1e6]}))
@@ -615,6 +676,15 @@ class TestCli:
         first = next(r for r in rows if float(r["B"]) == 1.0e4)
         assert float(first["eps_star"]) == pytest.approx(10.0 / 10008.0, rel=2e-3)
         assert (tmp_path / "dlb_variance.csv").exists()
+
+    def test_dotless_float_override_matches_the_file(self, tmp_path, capsys):
+        # the file says [1.0e-4, 1.0e-3]; the override spells the same floats 1e-4, 1e-3
+        raw = dict(DLB_EXACT, output={"dir": str(tmp_path), "prefix": "dlb"},
+                   budgets={"lo": 1.0e4, "hi": 1.0e6, "per_decade": 2})
+        cfg_path = write_cfg(tmp_path, raw)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert main(["boundary", "--config", str(cfg_path),
+                     "--set", "windows.variance=[1e-4, 1e-3]"]) == 0
 
     def test_fit_without_boundary_is_config_error(self, tmp_path, capsys):
         cfg_path = write_cfg(

@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,14 @@ class TestExactKernelMatchesPointwiseReference:
             for i in (0, 77, 149):
                 point = exact_delta(model, rule, float(grid[i]), budget)
                 assert point.delta == curve[i]
+        # a grid table over three blocks of whole rows, the last one partial;
+        # each row equals its own 1-D curve, which equals the reference above
+        rows = 2 * (mse_module.EXACT_BLOCK_POINTS // grid.size) + 5
+        budgets = np.geomspace(1e3, 3.7e6, rows)
+        table = grid * np.linspace(0.5, 1.0, rows)[:, None]
+        curves = exact_delta_curve(model, rule, table, budgets[:, None])
+        rows_1d = [exact_delta_curve(model, rule, row, b) for row, b in zip(table, budgets)]
+        assert np.array_equal(curves.view(np.uint64), np.array(rows_1d).view(np.uint64))
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_mse_terms_bit_identical(self, policy):
@@ -225,6 +234,43 @@ class TestExactKernelMatchesPointwiseReference:
                 for r in (None, rule):
                     bias, variance = mse_terms(model, r, eps, 900.0)
                     assert bias * bias + variance == reference_mse(model, r, eps, 900.0)
+
+    def test_out_of_domain_point_in_a_later_block_raises_before_any_block(self):
+        # the domain check covers the whole table before the first block runs
+        calls = []
+
+        class CountingDLB(DeterministicLimitBinary):
+            def mean(self, eps):
+                calls.append(np.size(eps))
+                return super().mean(eps)
+
+        model, rule = CountingDLB(kappa=1.0), build_rule([1, 3, 5], "optimal")
+        rows = 3 * (mse_module.EXACT_BLOCK_POINTS // 100)
+        table = np.tile(np.geomspace(1e-4, 0.3, 100), (rows, 1))
+        first, later = (rows - 5, 40), (rows - 2, 10)  # both in the last block
+        table[first] = 0.5   # its level 5 * 0.5 leaves the domain [0, 2]
+        table[later] = -1.0  # out of domain itself, but later in row-major order
+        with pytest.raises(DomainError) as ref:
+            reference_delta(model, rule, 0.5, 100.0)
+        calls.clear()
+        with pytest.raises(DomainError) as got:
+            exact_delta_curve(model, rule, table, np.full((rows, 1), 100.0))
+        assert str(got.value) == str(ref.value)
+        assert (got.value.eps, got.value.scale) == (ref.value.eps, ref.value.scale) == (0.5, 5.0)
+        assert calls == []
+
+    def test_table_sweep_memory_is_bounded_by_the_block(self):
+        # exact_ladder config b: 121 budgets x 400 points, three-level optimal split
+        model, rule = ProductContractionString(gamma=0.1, ell=5), build_rule([1, 3, 5], "optimal")
+        budgets = np.geomspace(1e3, 1e9, 121)[:, None]
+        table = np.geomspace(1e-6, 0.1, 400) * np.geomspace(1.0, 1e-3, 121)[:, None]
+        tracemalloc.start()
+        try:
+            exact_delta_curve(model, rule, table, budgets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     @pytest.mark.parametrize("model,grid", [
         (DLB, [0.1, 0.8, 2.5]),      # a scaled level leaves the domain first

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zneboundary.errors import AllocationError, RuleError
-from zneboundary.models import DeterministicLimitBinary
+from zneboundary.models import DeterministicLimitBinary, ProductContractionString
 from zneboundary.rules import (
     PenaltyConstants,
     build_rule,
     optimal_allocation,
+    optimal_split,
     penalty_constants,
     small_noise_allocation,
     variance_penalty,
@@ -272,6 +273,21 @@ class TestOptimalAllocation:
         pi = optimal_allocation(rule, ShiftedZero(), 0.01)
         assert pi[0] == pytest.approx(1e-6 / (1 + 1e-6) , rel=1e-6)
         assert sum(pi) == pytest.approx(1.0, abs=1e-15)
+
+    def test_equals_the_split_of_the_level_variances(self):
+        model = ProductContractionString(gamma=0.1, ell=5)
+        rule = build_rule([1, 3, 5], "optimal")
+        eps = np.geomspace(1e-5, 0.15, 50).reshape(5, 10)
+        split = optimal_split(rule, model.variance(eps[..., None] * np.asarray(rule.scales)))
+        pi = optimal_allocation(rule, model, eps)
+        assert pi.shape == (5, 10, 3)
+        assert np.array_equal(pi.view(np.uint64), split.view(np.uint64))
+        assert optimal_allocation(rule, model, 0.01) == tuple(
+            optimal_split(rule, model.variance(0.01 * np.asarray(rule.scales))).tolist())
+
+    def test_negative_variance_rejected(self):
+        with pytest.raises(AllocationError, match="negative variance"):
+            optimal_split(build_rule([1, 3]), np.array([[0.1, 0.2], [0.1, -1e-3]]))
 
     def test_all_zero_variance_rejected(self):
         class Degenerate:
