@@ -10,11 +10,11 @@ Subcommands::
     plan      regime/boundary verdict from declared constants
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 domain error.  The bootstrap runs on threads and a large Monte Carlo
-sweep draws its counts in forked processes, both on the usable cores; a
-positive integer in ``ZNEBOUNDARY_THREADS`` overrides the worker count, and
-results do not depend on it.  Everything else comes from the configuration
-file and ``--set`` overrides.
+3 domain error.  The bootstrap runs on threads, on the usable cores; a
+positive integer in ``ZNEBOUNDARY_THREADS`` overrides the thread count, and
+results do not depend on it.  Monte Carlo counts are drawn in-process, the
+same bytes as ``mse.cell_stream``'s draws.  Everything else comes from the
+configuration file and ``--set`` overrides.
 """
 
 from __future__ import annotations

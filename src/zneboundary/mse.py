@@ -23,13 +23,14 @@ data for one experiment lives in a :class:`CountTable`: one binomial
 plus-count per (budget, eps, arm, replicate) cell, where arm slot 0 is the
 unmitigated arm and slots 1..k+1 the scaled levels.  Every cell's random
 stream is derived from the master seed and the cell index by a counter-based
-split, so cells can be generated in any order (or in parallel) with
-bit-identical results.
+split, so cells can be generated in any order with bit-identical results.
 
-:func:`sample_count_table` uses that: each budget block is one task, drawn
-in-process or, on a large enough table, by forked worker processes (the
-per-cell loop holds the interpreter lock, so threads would not overlap).
-:func:`worker_count` sizes both that pool and the bootstrap's threads.
+:func:`sample_count_table` draws a table in-process, a block of budget rows
+at a time: a numpy kernel computes the cells' first Philox blocks and runs
+numpy's binomial inversion sampler on them across the block, and the cells
+it cannot finish are drawn one at a time.  The counts are the same bytes as
+``cell_stream(...).binomial(n, p)``.  :func:`worker_count` sizes the
+bootstrap's threads.
 
 On disk a table's rows run in (budget, eps, arm, replicate) order, which
 :meth:`CountTable.read` requires, beside the header :func:`count_header` lays out.
@@ -37,9 +38,10 @@ On disk a table's rows run in (budget, eps, arm, replicate) order, which
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -68,10 +70,17 @@ __all__ = [
 
 THREADS_ENV_VAR = "ZNEBOUNDARY_THREADS"
 
-# Cells per sampling worker process.  A two-worker pool costs 20-28 ms to fork
-# and join in a 100 MB process, about 15,000 draws at 1.5 us a cell, so the
-# validation battery's 22,848-cell tables draw faster in-process.
-MIN_CELLS_PER_WORKER = 16_000
+# Count tables of fewer cells draw cell by cell: below this the vectorized
+# kernel's fixed cost exceeds the per-cell loop's.  On a 2-vCPU x86-64 host a
+# 48-cell table took 0.15 ms by the loop and 0.5 ms by the kernel, and the two
+# crossed between 400 and 800 cells.
+MIN_KERNEL_CELLS = 600
+
+# Cells per block of the vectorized draw, in whole budget rows (one row if a
+# row is longer).  A block's temporaries are about 15 arrays of its cells, so
+# they stay under 0.5 MB here, whatever the size of the table; the validation
+# battery's peak memory grew by 2 MB with blocks of 16,384 cells.
+DRAW_BLOCK_CELLS = 4096
 
 # Grid points per block of the exact engine: a block's model evaluations and
 # MSE terms are a few hundred kB, whatever the size of the sweep's table.
@@ -229,6 +238,12 @@ def integerize_allocation(alloc: Sequence[float], budget: int) -> np.ndarray:
 
 
 _MASK64 = (1 << 64) - 1
+# Philox4x64-10 constants (Salmon et al., SC'11), as uint64 scalars so that no
+# numpy version promotes the uint64 arithmetic to another type.
+_U64 = np.uint64
+_LOW32, _HALF = _U64(0xFFFFFFFF), _U64(32)
+_PHILOX_M = (_U64(0xD2E7470EE14C6C93), _U64(0xCA5A826395121157))
+_PHILOX_BUMP = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
 
 
 def _splitmix64(x):
@@ -244,10 +259,6 @@ def _absorb(h, part):
     return _splitmix64(h ^ ((part + 0x1F) & _MASK64))
 
 
-def _budget_hash(master_seed: int, budget_idx: int) -> int:
-    return _absorb(master_seed & _MASK64, budget_idx)
-
-
 def cell_stream(
     master_seed: int, budget_idx: int, eps_idx: int, arm_slot: int, rep_idx: int
 ) -> np.random.Generator:
@@ -259,21 +270,24 @@ def cell_stream(
     unmitigated arm; slot 1+j is scaled level j.  This is the single-cell
     reference; :func:`sample_count_table` draws the same streams table-wide.
     """
-    h = _budget_hash(master_seed, budget_idx)
-    for part in (eps_idx, arm_slot, rep_idx):
+    h = master_seed & _MASK64
+    for part in (budget_idx, eps_idx, arm_slot, rep_idx):
         h = _absorb(h, part)
     key = np.array([h, _splitmix64(h)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _budget_keys(master_seed: int, budget_idx: int, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Both Philox key words of every (eps, arm, replicate) cell of one budget.
+def _budget_keys(master_seed: int, first_budget: int, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Both Philox key words of every cell of a block of budget rows.
 
-    The same hash chain as :func:`cell_stream`, vectorized over the cell
-    indices; two uint64 arrays of the given shape.
+    ``shape`` is the block's ``(n_rows, n_eps, n_arms, n_reps)``, its first
+    row budget ``first_budget``.  The same hash chain as :func:`cell_stream`,
+    vectorized over the cell indices; two uint64 arrays of that shape.
     """
-    h = _budget_hash(master_seed, budget_idx)
-    for part in np.indices(shape, dtype=np.uint64):
+    h = _U64(master_seed & _MASK64)
+    parts = np.indices(shape, dtype=np.uint64)
+    parts[0] += _U64(first_budget)
+    for part in parts:
         h = _absorb(h, part)
     return h, _splitmix64(h)
 
@@ -441,7 +455,7 @@ def _describe_row(row) -> str:
 
 
 def worker_count(n_tasks: int) -> int:
-    """Workers for ``n_tasks`` independent tasks (bootstrap replicates, budget blocks).
+    """Threads for ``n_tasks`` independent bootstrap replicates.
 
     The ``ZNEBOUNDARY_THREADS`` environment variable when set, which must be
     a positive integer (else :class:`ConfigError`); otherwise the cores this
@@ -461,20 +475,16 @@ def worker_count(n_tasks: int) -> int:
     return max(1, min(workers, n_tasks))
 
 
-def _draw_budget(job, b_idx: int) -> np.ndarray:
-    """Plus-counts of one budget block, shape (n_eps, n_arms, n_reps).
+def _draw_cells(k0, k1, n, p) -> np.ndarray:
+    """Plus-counts of cells, ``Generator.binomial(n, p)`` on each cell's stream.
 
-    ``job`` is ``(master_seed, shots, p_arm)``: the table's shots and the
-    per-(budget, eps, arm) plus probabilities.  One Philox serves the block,
-    re-keyed per cell.  A fresh Philox starts at counter 0 with its
-    four-word output buffer empty, so every reset restores the buffer fields
-    as well: a stale ``buffer_pos`` would hand the next cell the previous
-    cell's leftover draws.
+    The scalar reference path.  The shots ``n`` and plus probabilities ``p``
+    broadcast to the shape of the key words, which the counts take.  One
+    Philox serves every cell, re-keyed per cell.  A fresh Philox starts at
+    counter 0 with its four-word output buffer empty, so every reset
+    restores the buffer fields as well: a stale ``buffer_pos`` would hand
+    the next cell the previous cell's leftover draws.
     """
-    master_seed, shots, p_arm = job
-    shape = shots.shape[1:]
-    p_cell = np.broadcast_to(p_arm[b_idx][:, :, None], shape)
-    k0, k1 = _budget_keys(master_seed, b_idx, shape)
     bitgen = np.random.Philox(0)
     binomial = np.random.Generator(bitgen).binomial
     key = [0, 0]
@@ -487,44 +497,164 @@ def _draw_budget(job, b_idx: int) -> np.ndarray:
         "uinteger": 0,
     }
     draws = []
-    for key[0], key[1], n, p in zip(k0.ravel().tolist(), k1.ravel().tolist(),
-                                    shots[b_idx].ravel().tolist(), p_cell.ravel().tolist()):
+    n, p = (np.broadcast_to(a, k0.shape).ravel().tolist() for a in (n, p))
+    for key[0], key[1], n_c, p_c in zip(k0.ravel().tolist(), k1.ravel().tolist(), n, p):
         bitgen.state = fresh  # re-keyed through ``key``
-        draws.append(binomial(n, p))
-    return np.array(draws, dtype=np.int64).reshape(shape)
+        draws.append(binomial(n_c, p_c))
+    return np.array(draws, dtype=np.int64).reshape(k0.shape)
 
 
-def _draw_budgets(job, workers: int) -> list[np.ndarray]:
-    """:func:`_draw_budget` over every budget, on ``workers`` forked processes.
+def _mulhilo(m, x):
+    """High and low words of the 128-bit products of uint64 ``m`` and array ``x``."""
+    m_lo, m_hi = m & _LOW32, m >> _HALF
+    x_lo, x_hi = x & _LOW32, x >> _HALF
+    hi_lo = m_hi * x_lo
+    mid = ((m_lo * x_lo) >> _HALF) + (hi_lo & _LOW32) + m_lo * x_hi  # < 2**64
+    return m_hi * x_hi + (hi_lo >> _HALF) + (mid >> _HALF), m * x
 
-    Forked workers inherit ``job`` through the pool initializer, so it is
-    never pickled, and the ``with`` block joins them before returning.  One
-    worker, a platform without ``fork``, or a process running other threads
-    (which ``fork`` would copy mid-flight) draws in-process instead.
+
+def _philox_block(k0, k1) -> tuple[np.ndarray, ...]:
+    """The four words of each key's first Philox4x64-10 block, elementwise.
+
+    numpy's Philox increments its counter before it computes a block, so a
+    fresh generator's first block, ``random_raw(4)``, is at counter
+    ``(1, 0, 0, 0)``.
     """
-    budgets = range(len(job[1]))  # one block of the shots array per budget
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_adopt_job, initargs=(job,)) as pool:
-                return list(pool.map(_draw_adopted_budget, budgets))
-    return [_draw_budget(job, b_idx) for b_idx in budgets]
+    zero = np.zeros_like(k0)
+    c0, c1, c2, c3 = zero + _U64(1), zero, zero, zero
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
 
 
-_WORKER_JOB = None  # set in each forked sampling worker by its initializer
+def _next_double(word: np.ndarray) -> np.ndarray:
+    """numpy's uniform double from a 64-bit Philox word: its top 53 bits over 2**53."""
+    return (word >> _U64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _adopt_job(job) -> None:
-    global _WORKER_JOB
-    _WORKER_JOB = job
+@functools.cache
+def _log_q():
+    """The ``log(q)``, as a function of ``p``, of numpy's binomial inversion setup.
+
+    numpy 2.4 computes ``q**n`` as ``exp(n log1p(-p))``; a release that
+    computes ``exp(n log(1 - p))`` differs in the last bits.  One draw from
+    a Philox whose buffer holds a chosen uniform tells the two apart: at
+    ``n = 20``, ``p = 0.3`` it lies between their thresholds of ``X = 10``,
+    and ``log1p`` draws 9.
+    """
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    state["buffer"] = np.array([8575196888842150 << 11, 0, 0, 0], dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bitgen.state = state
+    if np.random.Generator(bitgen).binomial(20, 0.3) == 9:
+        return lambda p: math.log1p(-p)
+    return lambda p: math.log(1.0 - p)
 
 
-def _draw_adopted_budget(b_idx: int) -> np.ndarray:
-    return _draw_budget(_WORKER_JOB, b_idx)
+def _inversion_setup(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``q**n`` and ``bound`` of numpy's binomial inversion, per pair of ``n`` and ``p <= 0.5``.
+
+    The libm calls and operation order of numpy's ``random_binomial_inversion``,
+    one pair at a time: numpy's vector ``exp`` and ``log`` may round differently.
+    """
+    log_q = _log_q()
+    qn, bound = [], []
+    for n_g, p_g in zip(n.tolist(), p.tolist()):
+        q = 1.0 - p_g
+        mean = n_g * p_g
+        limit = mean + 10.0 * math.sqrt(mean * q + 1)
+        qn.append(math.exp(n_g * log_q(p_g)))
+        bound.append(int(n_g if n_g < limit else limit))
+    return np.array(qn), np.array(bound, dtype=np.int64)
+
+
+def _inversion_walk(u: np.ndarray, pos: np.ndarray, px: np.ndarray, stride: int) -> np.ndarray:
+    """numpy's inversion loop for every cell at once; returns where each cell stops in ``px``.
+
+    Cell ``i`` starts at flat index ``pos[i]`` of ``px`` and, while ``u >
+    px[pos]``, subtracts ``px[pos]`` from its ``u`` and moves ``stride`` on,
+    as the scalar loop subtracts the point probability of ``X`` and moves to
+    ``X + 1``.
+    """
+    u, pos = u.copy(), pos.copy()
+    while True:
+        step = px[pos]
+        go = u > step
+        if not go.any():
+            return pos
+        np.subtract(u, step, out=u, where=go)
+        np.add(pos, stride, out=pos, where=go)
+
+
+def _draw_kernel(k0, k1, n, p) -> np.ndarray:
+    """Plus-counts of a block of cells: :func:`_draw_cells` without the per-cell calls.
+
+    ``k0`` and ``k1`` hold every cell's key words, shape ``(..., n_reps)``;
+    ``n`` and ``p`` the shots and plus probability of each run of
+    replicates, shape ``(..., 1)``.  numpy's ``random_binomial`` draws ``n -
+    X(1 - p)`` for ``p > 0.5`` and ``X(p)`` else.  ``X`` is its inversion
+    sampler when ``min(p, 1 - p) n <= 30``, BTPE otherwise.  Inversion
+    subtracts the point probabilities of ``X = 0, 1, ...``, from ``q**n``
+    on, from a uniform until the remainder is at most the next one, and
+    restarts with the next uniform when ``X`` passes ``bound``; at ``p = 0``
+    the first point probability is 1, so ``X`` is 0.  Here the uniforms come
+    from each cell's first Philox block and one walk serves the whole block.
+    Cells in the BTPE regime, and those that would need a fifth uniform,
+    fall back to :func:`_draw_cells`.  The counts are those of
+    :func:`_draw_cells`, bit for bit.
+    """
+    n, p = n.ravel(), p.ravel()
+    groups, reps = len(n), k0.shape[-1]
+    flip = p > 0.5
+    low = np.where(flip, 1.0 - p, p)
+    btpe = low * n > 30.0
+    low[btpe] = 0.0  # walked as p = 0, which stops at X = 0, then redrawn
+    q, (qn, bound) = 1.0 - low, _inversion_setup(n, low)
+    # px[X, g] is group g's point probability of X up to its bound, then inf,
+    # where every walk stops
+    px = np.empty((bound.max() + 2, groups))
+    px[0] = qn
+    for x in range(1, len(px) - 1):
+        px[x] = (n - x + 1) * low * px[x - 1] / (x * q)
+    px[bound + 1, np.arange(groups)] = np.inf
+    px = px.ravel()
+    group = np.repeat(np.arange(groups), reps)  # each cell's, and where its walk starts
+    cell_bound = bound[group]
+    words = [w.ravel() for w in _philox_block(k0, k1)]
+    x = _inversion_walk(_next_double(words[0]), group, px, groups) // groups
+    for word in words[1:]:  # restarts: walks that passed their bound
+        if not (again := np.flatnonzero(x > cell_bound)).size:
+            break
+        x[again] = _inversion_walk(_next_double(word[again]), group[again], px, groups) // groups
+    plus = np.where(flip[group], n[group] - x, x)
+    if (redraw := btpe[group] | (x > cell_bound)).any():
+        plus[redraw] = _draw_cells(k0.ravel()[redraw], k1.ravel()[redraw],
+                                   n[group][redraw], p[group][redraw])
+    return plus.reshape(k0.shape)
+
+
+def _draw_table(master_seed: int, shots: np.ndarray, p_arm: np.ndarray) -> np.ndarray:
+    """Plus-counts of a whole table, in blocks of whole budget rows.
+
+    Tables below ``MIN_KERNEL_CELLS`` cells draw cell by cell; larger ones
+    run :func:`_draw_kernel` on blocks of at most ``DRAW_BLOCK_CELLS`` cells
+    (one row if a row is larger), so the kernel's temporaries stay a
+    block's size.  Every run of replicates shares its shots, as
+    :func:`sample_count_table` builds them, so each run's first is its ``n``.
+    """
+    draw = _draw_kernel if shots.size >= MIN_KERNEL_CELLS else _draw_cells
+    plus = np.empty_like(shots)
+    rows = max(1, DRAW_BLOCK_CELLS // shots[0].size)
+    for b in range(0, len(shots), rows):
+        block = slice(b, b + rows)
+        k0, k1 = _budget_keys(master_seed, b, shots[block].shape)
+        plus[block] = draw(k0, k1, shots[block, ..., :1], p_arm[block, ..., None])
+    return plus
 
 
 def sample_count_table(
@@ -539,12 +669,11 @@ def sample_count_table(
 
     Cell (b, e, arm, rep) draws from the stream ``cell_stream(master_seed,
     b, e, arm, rep)`` would return, with the probability ``sample_counts``
-    would use, so tables match a cell-by-cell loop bit for bit.  This
-    process checks the domain and derives every cell's shots and arm
-    probability; the draws then run one budget block per task, on
-    :func:`worker_count` forked processes when the table holds at least
-    ``MIN_CELLS_PER_WORKER`` cells per worker, else in-process.  The counts
-    are plus-counts of +/-1 outcomes, so the model must be sampled, and so
+    would use, so tables match a cell-by-cell loop bit for bit.  The domain
+    is checked and every cell's shots and arm probability derived first;
+    :func:`_draw_table` then draws in this process, by the vectorized kernel
+    on tables of at least ``MIN_KERNEL_CELLS`` cells.  The counts are
+    plus-counts of +/-1 outcomes, so the model must be sampled, and so
     binary.
     """
     if not model.sampled:
@@ -565,9 +694,7 @@ def sample_count_table(
         shots[b_idx, :, 0] = budget
     # arm 0 is the base strength, arm 1+j the scaled level j
     p_arm = model.plus_probability(eps_grids[..., None] * np.r_[1.0, rule.scales])
-    job = (int(master_seed), shots, p_arm)
-    workers = worker_count(min(len(budgets), shots.size // MIN_CELLS_PER_WORKER))
-    plus = np.stack(_draw_budgets(job, workers))
+    plus = _draw_table(int(master_seed), shots, p_arm)
     return CountTable(
         budgets=tuple(budgets),
         eps_grids=eps_grids,

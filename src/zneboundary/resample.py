@@ -14,8 +14,7 @@ stream from the bootstrap seed and the replicate index, and the percentile
 reduction is order-independent, so results do not depend on scheduling
 or on the number of workers.  Replicates run on threads, because the
 redraw and the estimator spend their time in numpy;
-:func:`zneboundary.mse.worker_count`, the rule the count-table sampler's
-worker processes follow too, picks how many.
+:func:`zneboundary.mse.worker_count` picks how many.
 """
 
 from __future__ import annotations

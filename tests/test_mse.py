@@ -1,13 +1,12 @@
 """Exact and Monte Carlo MSE engines, count tables, and integerization."""
 
-import concurrent.futures
 import csv
 import hashlib
 import io
 import json
 import multiprocessing
+import os
 import tempfile
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 
 from zneboundary import mse as mse_module
 from zneboundary.boundary import auto_window
+from zneboundary.config import load_config
 from zneboundary.errors import AllocationError, ConfigError, DomainError, ModelError
 from zneboundary.models import (
     DeterministicLimitBinary,
@@ -39,6 +39,7 @@ from zneboundary.mse import (
     sample_count_table,
     worker_count,
 )
+from zneboundary.pipeline import build_grids
 from zneboundary.rules import build_rule, optimal_allocation
 from zneboundary.validate import _mc_dataset
 
@@ -502,35 +503,20 @@ class TestTableSamplerMatchesCellStreams:
         assert digest == "f4ce3f71bad3dc60a02c73e4c09945f41a8c491bdf793a852c7f293bd761f361"
 
 
-FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
 class TestSamplingWorkers:
-    """Budget blocks drawn by forked worker processes give the in-process table."""
+    """The table is drawn in this process, the same at any ``ZNEBOUNDARY_THREADS``."""
 
     BUDGETS = [300, 1000, 3000]
     GRIDS = [[0.01, 0.05, 0.2], [0.02, 0.1, 0.3], [0.005, 0.05, 0.4]]
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """Pool even the smallest table; returns the worker count of each pool built."""
-        monkeypatch.setattr(mse_module, "MIN_CELLS_PER_WORKER", 1)
-        built = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                built.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return built
-
-    @staticmethod
-    def refuse_pools(monkeypatch):
+    def no_children(self, monkeypatch):
+        """Fail the test on any attempt to start a child process."""
         def refuse(*args, **kwargs):
-            raise AssertionError("built a process pool")
+            raise AssertionError("started a child process")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
     def draw_and_check(self, rule):
         table = sample_count_table(DLB, rule, self.BUDGETS, self.GRIDS, 4, 77)
@@ -538,77 +524,198 @@ class TestSamplingWorkers:
         assert np.array_equal(table.shots, shots)
         assert np.array_equal(table.plus, plus)
 
-    @pytest.mark.skipif(not FORK, reason="the pool needs the fork start method")
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_same_table_at_any_worker_count(self, threads, policy, pools, monkeypatch):
+    def test_same_table_at_any_worker_count(self, threads, policy, no_children, monkeypatch):
         monkeypatch.setenv("ZNEBOUNDARY_THREADS", threads)
-        self.draw_and_check(build_rule([1, 3], POLICIES[policy]))
-        assert pools == ([] if threads == "1" else [int(threads)])
-        assert multiprocessing.active_children() == []
+        rule = build_rule([1, 3], POLICIES[policy])
+        self.draw_and_check(rule)  # 108 cells: cell by cell
+        monkeypatch.setattr(mse_module, "MIN_KERNEL_CELLS", 1)
+        self.draw_and_check(rule)
 
-    @pytest.mark.skipif(not FORK, reason="the pool needs the fork start method")
-    def test_no_worker_outlives_a_failed_draw(self, pools, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "2")
-        real = mse_module._draw_budget
+    def test_small_table_draws_in_process(self, no_children, monkeypatch):
+        # 3 budgets x 3 eps x 3 arms x 4 replicates: below the kernel's floor,
+        # so drawn cell by cell
+        def refuse(*args):
+            raise AssertionError("ran the vectorized kernel")
 
-        def fail_on_second_budget(job, b_idx):
-            if b_idx == 1:
-                raise ValueError("budget 1 failed")
-            return real(job, b_idx)
-
-        # the forked workers inherit the patched module attribute
-        monkeypatch.setattr(mse_module, "_draw_budget", fail_on_second_budget)
-        with pytest.raises(ValueError, match="budget 1 failed"):
-            sample_count_table(DLB, RULE13, self.BUDGETS, self.GRIDS, 4, 77)
-        assert pools == [2]
-        assert multiprocessing.active_children() == []
-
-    def test_one_thread_draws_in_process(self, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "1")
-        monkeypatch.setattr(mse_module, "MIN_CELLS_PER_WORKER", 1)
-        self.refuse_pools(monkeypatch)
+        monkeypatch.setattr(mse_module, "_draw_kernel", refuse)
         self.draw_and_check(RULE13)
 
-    def test_small_table_draws_in_process(self, monkeypatch):
-        # 3 budgets x 3 eps x 3 arms x 4 replicates: far below one worker's floor
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "3")
-        self.refuse_pools(monkeypatch)
-        self.draw_and_check(RULE13)
+    @pytest.mark.parametrize("block_cells", [1, 80, 108])
+    def test_blocks_of_whole_budget_rows(self, block_cells, monkeypatch):
+        # 36 cells per budget row: one row per block, two rows then one, all three
+        monkeypatch.setattr(mse_module, "MIN_KERNEL_CELLS", 1)
+        monkeypatch.setattr(mse_module, "DRAW_BLOCK_CELLS", block_cells)
+        blocks = []
+        real = mse_module._draw_kernel
+        monkeypatch.setattr(mse_module, "_draw_kernel",
+                            lambda k0, *rest: blocks.append(len(k0)) or real(k0, *rest))
+        self.draw_and_check(build_rule([1, 3], "optimal"))
+        assert blocks == {1: [1, 1, 1], 80: [2, 1], 108: [3]}[block_cells]
 
-    def test_battery_table_draws_in_process(self, monkeypatch):
-        # the bootstrap-soundness check's 22,848-cell tables draw faster
-        # in-process than on two forked workers
+    def test_battery_table_draws_in_process(self, no_children, monkeypatch):
+        # the bootstrap-soundness check's 22,848-cell tables run the kernel
         monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
-        monkeypatch.setattr(mse_module.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        self.refuse_pools(monkeypatch)
+        calls = []
+        real = mse_module._draw_kernel
+        monkeypatch.setattr(mse_module, "_draw_kernel",
+                            lambda *args: calls.append(1) or real(*args))
         assert _mc_dataset(seed=77).shots.size == 22_848
+        assert calls
 
-    def test_without_fork_draws_in_process(self, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "2")
-        monkeypatch.setattr(mse_module, "MIN_CELLS_PER_WORKER", 1)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        self.refuse_pools(monkeypatch)
-        self.draw_and_check(RULE13)
-
-    def test_other_threads_running_draws_in_process(self, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "2")
-        monkeypatch.setattr(mse_module, "MIN_CELLS_PER_WORKER", 1)
-        self.refuse_pools(monkeypatch)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait, args=(30,))
-        other.start()
+    def test_draw_memory_bounded(self):
+        # the 13 x 17 x 3 x 256 table of bench/configs/mc_sweep.yaml holds
+        # 2.59 MB of shots and counts; the draw adds its block temporaries
+        cfg = load_config(Path(__file__).resolve().parent.parent / "bench" / "configs"
+                          / "mc_sweep.yaml")
+        grids = build_grids(cfg)
+        sample_count_table(cfg.model(), cfg.rule(), cfg.budgets[:1], grids[:1], 2, 1)  # warm-up
+        tracemalloc.start()
         try:
-            self.draw_and_check(RULE13)
+            table = sample_count_table(cfg.model(), cfg.rule(), cfg.budgets, grids, 256, 12345)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            release.set()
-            other.join(timeout=30)
-        assert not other.is_alive()
+            tracemalloc.stop()
+        assert table.shots.shape == (13, 17, 3, 256)
+        assert peak < 5.5 * 2**20
+
+
+def numpy_binomial(words, n, p) -> tuple[int, bool]:
+    """numpy's own ``binomial(n, p)`` reading ``words`` first, and whether it read more.
+
+    The words go into the output buffer of a Philox whose counter is 0, so a
+    fifth word would be the first block of its key.
+    """
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    state["buffer"] = np.array(words, dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bitgen.state = state
+    count = int(np.random.Generator(bitgen).binomial(n, p))
+    return count, bool(bitgen.state["state"]["counter"][0])
+
+
+# uniforms within 2**-28 of 1, where walks reach far into the tail and the
+# point probabilities' rounding decides restarts
+TOP_WORDS = st.integers(0, 2**25).map(lambda k: 2**64 - 1 - (k << 11))
+WORDS = st.one_of(st.integers(0, 2**64 - 1), TOP_WORDS)
+
+
+@st.composite
+def cell_groups(draw):
+    """Keys, shots and plus probabilities of 1-4 runs of 1-5 replicates."""
+    n = draw(st.lists(st.one_of(st.integers(1, 100), st.integers(1, 10**9)),
+                      min_size=1, max_size=4))
+    p = [draw(st.one_of(
+        st.sampled_from([0.0, 1.0, 0.5]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 31.0).map(lambda m, n_g=n_g: min(1.0, m / n_g)),  # inversion
+        st.floats(0.0, 31.0).map(lambda m, n_g=n_g: max(0.0, 1.0 - m / n_g)),
+    )) for n_g in n]
+    reps = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.integers(0, 2**64 - 1), min_size=2 * len(n) * reps,
+                         max_size=2 * len(n) * reps))
+    k0, k1 = np.array(keys, dtype=np.uint64).reshape(2, len(n), reps)
+    return k0, k1, np.array(n, dtype=np.int64), np.array(p)
+
+
+def cell_draws(k0, k1, n, p) -> np.ndarray:
+    """The scalar path on every cell of :func:`cell_groups`' runs."""
+    return mse_module._draw_cells(k0, k1, n[:, None], p[:, None])
+
+
+def kernel_draws(k0, k1, n, p) -> np.ndarray:
+    """The vectorized kernel on every cell of :func:`cell_groups`' runs."""
+    return mse_module._draw_kernel(k0, k1, n[:, None], p[:, None])
+
+
+class TestDrawKernel:
+    """The vectorized kernel against numpy's Philox and its scalar binomial."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                    min_size=1, max_size=8))
+    @example([(0, 0), (2**64 - 1, 2**64 - 1), (2**63 + 5, 7)])
+    def test_philox_block_matches_numpy(self, keys):
+        k0, k1 = np.array(keys, dtype=np.uint64).T
+        block = np.array(mse_module._philox_block(k0, k1))
+        for i, key in enumerate(keys):
+            want = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(4)
+            assert np.array_equal(block[:, i], want)
+
+    def test_regime_edges(self):
+        # the float products the examples below rely on
+        assert 60 * 0.5 == 100 * 0.3 == 30.0
+        assert 100 * np.nextafter(0.3, 1.0) == np.nextafter(30.0, 31.0)
+        assert 100 * (1.0 - 0.7) > 30.0  # 1 - 0.7 rounds up: BTPE
+
+    @settings(max_examples=80, deadline=None)
+    @given(cell_groups())
+    @example((np.arange(6, dtype=np.uint64).reshape(2, 3), np.ones((2, 3), dtype=np.uint64),
+              np.array([1, 10**9]), np.array([0.0, 1.0])))
+    @example((np.arange(8, dtype=np.uint64).reshape(4, 2), np.full((4, 2), 9, dtype=np.uint64),
+              np.array([60, 100, 100, 100]),
+              np.array([0.5, 0.3, np.nextafter(0.3, 1.0), 0.7])))
+    @example((np.arange(2, dtype=np.uint64).reshape(2, 1), np.zeros((2, 1), dtype=np.uint64),
+              np.array([1, 10**9]), np.array([0.5, 3e-8])))
+    def test_kernel_matches_cell_draws(self, cells):
+        assert np.array_equal(kernel_draws(*cells), cell_draws(*cells))
+
+    @staticmethod
+    def check_on_words(k0, k1, n, p, words):
+        """The kernel on cells whose first Philox block is ``words``, shape (4, *k0.shape).
+
+        numpy's own sampler reads the same words from its buffer.  Where it
+        would read a fifth word, and in the BTPE regime, the kernel must
+        redraw the cell from its stream instead.  Returns numpy's
+        ``(count, read a fifth word)`` per cell.
+        """
+        real = mse_module._philox_block
+        mse_module._philox_block = lambda *keys: tuple(words)
+        try:
+            got = kernel_draws(k0, k1, n, p)
+        finally:
+            mse_module._philox_block = real
+        redrawn = cell_draws(k0, k1, n, p)
+        seen = {}
+        for (g, r), count in np.ndenumerate(got):
+            want, fifth = seen[g, r] = numpy_binomial(words[:, g, r].tolist(), int(n[g]),
+                                                      float(p[g]))
+            if fifth or min(p[g], 1.0 - p[g]) * n[g] > 30.0:
+                want = redrawn[g, r]
+            assert count == want, (n[g], p[g], words[:, g, r])
+        return seen
+
+    @settings(max_examples=80, deadline=None)
+    @given(cell_groups(), st.data())
+    def test_kernel_on_chosen_words(self, cells, data):
+        size = 4 * cells[0].size
+        words = data.draw(st.lists(WORDS, min_size=size, max_size=size))
+        self.check_on_words(*cells, np.array(words, dtype=np.uint64).reshape(4, *cells[0].shape))
+
+    @pytest.mark.parametrize("n, p, words, counts", [
+        # between the thresholds of X = 10 of an exp(n log1p(-p)) setup, numpy
+        # 2.4's, and an exp(n log(1 - p)) one: they give 9 and 10
+        (20, 0.3, [8575196888842150 << 11, 0, 0, 0], (9, 10)),
+        # under either setup the first walk passes bound (without a restart it
+        # would end at X = 3), so the second word's uniform, 0, gives X = 0
+        (3, 0.35, [2**64 - 1, 0, 0, 0], (0,)),
+        (3, 0.65, [2**64 - 1, 0, 0, 0], (3,)),
+        # four such walks: numpy reads the second Philox block
+        (3, 0.35, [2**64 - 1] * 4, None),
+        (3, 0.65, [2**64 - 1] * 4, None),
+    ])
+    def test_kernel_on_edge_words(self, n, p, words, counts):
+        keys = np.array([[12345]], dtype=np.uint64)
+        (draw, fifth), = self.check_on_words(
+            keys, keys + np.uint64(1), np.array([n]), np.array([p]),
+            np.array(words, dtype=np.uint64).reshape(4, 1, 1)).values()
+        assert fifth if counts is None else draw in counts and not fifth
 
 
 class TestWorkerCount:
-    """The worker count of the bootstrap and the sampler; these tests start no workers."""
+    """The bootstrap's thread count; these tests start no threads."""
 
     @pytest.mark.parametrize("cores, expected", [(2, 2), (16, 16), (512, 200)])
     def test_default_is_the_usable_cores(self, cores, expected, monkeypatch):
