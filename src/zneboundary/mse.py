@@ -26,9 +26,11 @@ stream is derived from the master seed and the cell index by a counter-based
 split, so cells can be generated in any order with bit-identical results.
 
 :func:`sample_count_table` draws a table in-process, a block of budget rows
-at a time: a numpy kernel computes the cells' first Philox blocks and runs
-numpy's binomial inversion sampler on them across the block, and the cells
-it cannot finish are drawn one at a time.  The counts are the same bytes as
+at a time: a numpy kernel computes the cells' first Philox blocks and finds
+each cell's draw of numpy's binomial inversion sampler by a search on the
+running sums of its point probabilities, walking numpy's loop only where a
+uniform lies within rounding distance of a threshold; the cells it cannot
+finish are drawn one at a time.  The counts are the same bytes as
 ``cell_stream(...).binomial(n, p)``.  :func:`worker_count` sizes the
 bootstrap's threads.
 
@@ -85,6 +87,11 @@ DRAW_BLOCK_CELLS = 4096
 # Grid points per block of the exact engine: a block's model evaluations and
 # MSE terms are a few hundred kB, whatever the size of the sweep's table.
 EXACT_BLOCK_POINTS = 4096
+
+# Groups of one lattice search in the draw kernel: keys are offset by the
+# group's place in its chunk times 2**53, and 1,023 groups keep every key
+# below 2**63, inside int64.
+SEARCH_GROUPS = 1023
 
 
 @dataclass(frozen=True)
@@ -242,8 +249,10 @@ _MASK64 = (1 << 64) - 1
 # numpy version promotes the uint64 arithmetic to another type.
 _U64 = np.uint64
 _LOW32, _HALF = _U64(0xFFFFFFFF), _U64(32)
-_PHILOX_M = (_U64(0xD2E7470EE14C6C93), _U64(0xCA5A826395121157))
-_PHILOX_BUMP = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
+# The multipliers are stored reversed, (M1, M0), to multiply the counter words
+# (c2, c0); the key bumps broadcast against a stacked (k0, k1).
+_PHILOX_M = np.array([[0xCA5A826395121157], [0xD2E7470EE14C6C93]], dtype=np.uint64)
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 
 
 def _splitmix64(x):
@@ -281,14 +290,13 @@ def _budget_keys(master_seed: int, first_budget: int, shape) -> tuple[np.ndarray
     """Both Philox key words of every cell of a block of budget rows.
 
     ``shape`` is the block's ``(n_rows, n_eps, n_arms, n_reps)``, its first
-    row budget ``first_budget``.  The same hash chain as :func:`cell_stream`,
-    vectorized over the cell indices; two uint64 arrays of that shape.
+    row budget ``first_budget``.  The same hash chain as :func:`cell_stream`:
+    the (budget, eps, arm) indices are absorbed once per run of replicates,
+    then the replicate index per cell; two uint64 arrays of that shape.
     """
-    h = _U64(master_seed & _MASK64)
-    parts = np.indices(shape, dtype=np.uint64)
-    parts[0] += _U64(first_budget)
-    for part in parts:
-        h = _absorb(h, part)
+    h = np.array(master_seed & _MASK64, dtype=np.uint64)
+    for size, first in zip(shape, (first_budget, 0, 0, 0)):
+        h = _absorb(h[..., None], np.arange(first, first + size, dtype=np.uint64))
     return h, _splitmix64(h)
 
 
@@ -504,13 +512,26 @@ def _draw_cells(k0, k1, n, p) -> np.ndarray:
     return np.array(draws, dtype=np.int64).reshape(k0.shape)
 
 
-def _mulhilo(m, x):
-    """High and low words of the 128-bit products of uint64 ``m`` and array ``x``."""
+def _mulhilo(m, x, hi, lo, t0, t1) -> None:
+    """High and low words of the 128-bit products ``m * x``, into ``hi`` and ``lo``.
+
+    ``m`` holds uint64 multipliers that broadcast against ``x``; ``t0`` and
+    ``t1`` are scratch arrays of ``x``'s shape.
+    """
     m_lo, m_hi = m & _LOW32, m >> _HALF
-    x_lo, x_hi = x & _LOW32, x >> _HALF
-    hi_lo = m_hi * x_lo
-    mid = ((m_lo * x_lo) >> _HALF) + (hi_lo & _LOW32) + m_lo * x_hi  # < 2**64
-    return m_hi * x_hi + (hi_lo >> _HALF) + (mid >> _HALF), m * x
+    np.bitwise_and(x, _LOW32, out=t0)  # x_lo
+    np.right_shift(x, _HALF, out=t1)  # x_hi
+    np.multiply(m_hi, t0, out=lo)  # hi_lo, until lo is written last
+    np.multiply(m_lo, t0, out=t0)
+    t0 >>= _HALF
+    t0 += np.bitwise_and(lo, _LOW32, out=hi)
+    t0 += np.multiply(m_lo, t1, out=hi)  # mid, < 2**64
+    np.multiply(m_hi, t1, out=hi)
+    lo >>= _HALF
+    hi += lo
+    t0 >>= _HALF
+    hi += t0
+    np.multiply(m, x, out=lo)
 
 
 def _philox_block(k0, k1) -> tuple[np.ndarray, ...]:
@@ -518,17 +539,24 @@ def _philox_block(k0, k1) -> tuple[np.ndarray, ...]:
 
     numpy's Philox increments its counter before it computes a block, so a
     fresh generator's first block, ``random_raw(4)``, is at counter
-    ``(1, 0, 0, 0)``.
+    ``(1, 0, 0, 0)``; its first round maps that counter to ``(k0, 0, k1,
+    M0)`` whatever the key, and nine rounds remain.  The counter's even
+    words ``(c0, c2)`` and odd words ``(c1, c3)`` are each one ``(2,
+    cells)`` array, and every round writes into buffers allocated once.
     """
-    zero = np.zeros_like(k0)
-    c0, c1, c2, c3 = zero + _U64(1), zero, zero, zero
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
+    key = np.stack([k0.ravel(), k1.ravel()])
+    even = key.copy()
+    odd = np.zeros_like(key)
+    odd[1] = _PHILOX_M[1]
+    hi, lo, *scratch = np.empty((4, *key.shape), dtype=np.uint64)
+    for _ in range(9):
+        key += _PHILOX_BUMP
+        # c0, c1 <- hi(M1 c2) ^ c1 ^ k0, lo(M1 c2);  c2, c3 <- hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)
+        _mulhilo(_PHILOX_M, even[::-1], hi, lo, *scratch)
+        hi ^= odd
+        hi ^= key
+        even, odd, hi, lo = hi, lo, even, odd
+    return tuple(w.reshape(k0.shape) for w in (even[0], odd[0], even[1], odd[1]))
 
 
 def _next_double(word: np.ndarray) -> np.ndarray:
@@ -573,13 +601,13 @@ def _inversion_setup(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.array(qn), np.array(bound, dtype=np.int64)
 
 
-def _inversion_walk(u: np.ndarray, pos: np.ndarray, px: np.ndarray, stride: int) -> np.ndarray:
+def _inversion_walk(u: np.ndarray, pos: np.ndarray, px: np.ndarray) -> np.ndarray:
     """numpy's inversion loop for every cell at once; returns where each cell stops in ``px``.
 
     Cell ``i`` starts at flat index ``pos[i]`` of ``px`` and, while ``u >
-    px[pos]``, subtracts ``px[pos]`` from its ``u`` and moves ``stride`` on,
-    as the scalar loop subtracts the point probability of ``X`` and moves to
-    ``X + 1``.
+    px[pos]``, subtracts ``px[pos]`` from its ``u`` and moves to the next
+    entry, as the scalar loop subtracts the point probability of ``X`` and
+    moves to ``X + 1``.
     """
     u, pos = u.copy(), pos.copy()
     while True:
@@ -588,7 +616,59 @@ def _inversion_walk(u: np.ndarray, pos: np.ndarray, px: np.ndarray, stride: int)
         if not go.any():
             return pos
         np.subtract(u, step, out=u, where=go)
-        np.add(pos, stride, out=pos, where=go)
+        np.add(pos, 1, out=pos, where=go)
+
+
+def _search_table(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Search keys of a ``(groups, rows)`` table of point probabilities, and where each is sure.
+
+    numpy's uniform is ``m / 2**53`` for an integer ``m < 2**53``, and ``U <=
+    c`` exactly when ``m <= floor(c 2**53)``.  So group ``g``'s key of ``X``
+    is ``floor(cum[X] 2**53)``, at most ``2**53 - 1``, plus ``(g mod
+    SEARCH_GROUPS) 2**53``, where ``cum`` is the running sum of ``px``, inf
+    past the bound; each chunk of ``SEARCH_GROUPS`` groups is one ascending
+    run, and the first key at or above a cell's ``m`` plus offset is its
+    ``X`` by search.
+
+    numpy's walk instead subtracts the point probabilities from ``U`` one
+    rounded step at a time.  Each of the ``X`` rounded steps of the walk
+    and of ``cum`` is off by at most ``2**-53``, so the walk also stops at
+    ``X`` when ``U`` lies more than ``(2X + 5) 2**-53`` above the running sum
+    of ``X - 1`` and as far below that of ``X``; past the bound, only the
+    first condition applies.  Returns the keys and each key's window
+    ``(above, below]`` of sure offset ``m``, all flat int64.
+    """
+    groups, rows = px.shape
+    offset = ((np.arange(groups) % SEARCH_GROUPS) << 53)[:, None]
+    keys = np.minimum(np.cumsum(px, axis=1) * 2.0**53, 2.0**53 - 1).astype(np.int64) + offset
+    slack = 2 * np.arange(rows) + 5
+    above = np.empty_like(keys)
+    above[:, :1] = offset - 1  # X = 0 compares U with q**n itself, no rounding
+    above[:, 1:] = keys[:, :-1] + slack[1:]
+    below = np.where(px < np.inf, keys - slack, offset + 2**53)
+    return keys.ravel(), above.ravel(), below.ravel()
+
+
+def _invert(word, group, px, keys, above, below) -> np.ndarray:
+    """numpy's inversion ``X`` for each cell's uniform word, or ``bound + 1`` to restart.
+
+    ``group`` (ascending) indexes each cell's row of ``px``, :func:`_draw_kernel`'s
+    point probabilities, and the rest is their :func:`_search_table`.  One
+    ``searchsorted`` per chunk of ``SEARCH_GROUPS`` groups finds each cell's
+    key; cells outside their key's sure window run :func:`_inversion_walk`
+    on the same uniform.
+    """
+    rows = px.shape[1]
+    query = (word >> _U64(11)).view(np.int64) + ((group % SEARCH_GROUPS) << 53)
+    pos = np.empty_like(query)
+    span = SEARCH_GROUPS * rows
+    for first in range(0, len(keys), span):
+        cells = slice(*np.searchsorted(group, [first // rows, first // rows + SEARCH_GROUPS]))
+        pos[cells] = np.searchsorted(keys[first:first + span], query[cells]) + first
+    start = group * rows
+    if (walk := np.flatnonzero((query <= above[pos]) | (query > below[pos]))).size:
+        pos[walk] = _inversion_walk(_next_double(word[walk]), start[walk], px.ravel())
+    return pos - start
 
 
 def _draw_kernel(k0, k1, n, p) -> np.ndarray:
@@ -603,9 +683,11 @@ def _draw_kernel(k0, k1, n, p) -> np.ndarray:
     on, from a uniform until the remainder is at most the next one, and
     restarts with the next uniform when ``X`` passes ``bound``; at ``p = 0``
     the first point probability is 1, so ``X`` is 0.  Here the uniforms come
-    from each cell's first Philox block and one walk serves the whole block.
-    Cells in the BTPE regime, and those that would need a fifth uniform,
-    fall back to :func:`_draw_cells`.  The counts are those of
+    from each cell's first Philox block, and :func:`_invert` finds each
+    cell's ``X`` by a search on the running sums of the point probabilities,
+    walking only the cells whose uniform lies within rounding distance of a
+    threshold.  Cells in the BTPE regime, and those that would need a fifth
+    uniform, fall back to :func:`_draw_cells`.  The counts are those of
     :func:`_draw_cells`, bit for bit.
     """
     n, p = n.ravel(), p.ravel()
@@ -613,24 +695,29 @@ def _draw_kernel(k0, k1, n, p) -> np.ndarray:
     flip = p > 0.5
     low = np.where(flip, 1.0 - p, p)
     btpe = low * n > 30.0
-    low[btpe] = 0.0  # walked as p = 0, which stops at X = 0, then redrawn
+    low[btpe] = 0.0  # inverted as p = 0, which stops at X = 0, then redrawn
     q, (qn, bound) = 1.0 - low, _inversion_setup(n, low)
-    # px[X, g] is group g's point probability of X up to its bound, then inf,
-    # where every walk stops
-    px = np.empty((bound.max() + 2, groups))
+    # px[g, X] is group g's point probability of X up to its bound, then inf;
+    # the recursion runs on rows of X with numpy's factors (n - X + 1) p and X q
+    rows = bound.max() + 2
+    xs = np.arange(1, rows - 1)[:, None]
+    num, den = (n - xs + 1) * low, xs * q
+    px = np.empty((rows, groups))
     px[0] = qn
-    for x in range(1, len(px) - 1):
-        px[x] = (n - x + 1) * low * px[x - 1] / (x * q)
-    px[bound + 1, np.arange(groups)] = np.inf
-    px = px.ravel()
-    group = np.repeat(np.arange(groups), reps)  # each cell's, and where its walk starts
+    for i in range(1, rows - 1):
+        np.multiply(num[i - 1], px[i - 1], out=px[i])
+        px[i] /= den[i - 1]
+    px = np.ascontiguousarray(px.T)
+    px[np.arange(rows) > bound[:, None]] = np.inf
+    table = _search_table(px)
+    group = np.repeat(np.arange(groups), reps)
     cell_bound = bound[group]
     words = [w.ravel() for w in _philox_block(k0, k1)]
-    x = _inversion_walk(_next_double(words[0]), group, px, groups) // groups
-    for word in words[1:]:  # restarts: walks that passed their bound
+    x = _invert(words[0], group, px, *table)
+    for word in words[1:]:  # restarts: cells whose uniform passed their bound
         if not (again := np.flatnonzero(x > cell_bound)).size:
             break
-        x[again] = _inversion_walk(_next_double(word[again]), group[again], px, groups) // groups
+        x[again] = _invert(word[again], group[again], px, *table)
     plus = np.where(flip[group], n[group] - x, x)
     if (redraw := btpe[group] | (x > cell_bound)).any():
         plus[redraw] = _draw_cells(k0.ravel()[redraw], k1.ravel()[redraw],

@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import tempfile
@@ -399,6 +401,17 @@ class TestCellStreams:
         b = cell_stream(2, 0, 0, 0, 0).random()
         assert a != b
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 40),
+           st.tuples(*(st.integers(1, 3),) * 4))
+    @example(2**64 - 1, 0, (1, 1, 1, 1))
+    def test_budget_keys_are_the_cell_stream_keys(self, seed, first_budget, shape):
+        k0, k1 = mse_module._budget_keys(seed, first_budget, shape)
+        assert k0.shape == k1.shape == shape
+        for (b, e, arm, rep), word in np.ndenumerate(k0):
+            state = cell_stream(seed, first_budget + b, e, arm, rep).bit_generator.state
+            assert [word, k1[b, e, arm, rep]] == state["state"]["key"].tolist()
+
 
 def reference_table(model, rule, budgets, eps_grids, replicates, seed):
     """Cell-by-cell sampling through the documented single-cell stream."""
@@ -503,6 +516,7 @@ class TestTableSamplerMatchesCellStreams:
         assert digest == "f4ce3f71bad3dc60a02c73e4c09945f41a8c491bdf793a852c7f293bd761f361"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSamplingWorkers:
     """The table is drawn in this process, the same at any ``ZNEBOUNDARY_THREADS``."""
 
@@ -553,6 +567,20 @@ class TestSamplingWorkers:
                             lambda k0, *rest: blocks.append(len(k0)) or real(k0, *rest))
         self.draw_and_check(build_rule([1, 3], "optimal"))
         assert blocks == {1: [1, 1, 1], 80: [2, 1], 108: [3]}[block_cells]
+
+    def test_search_chunks_of_groups(self, monkeypatch):
+        # one budget row of 400 eps x 3 arms: 1,200 runs of replicates in one
+        # block, more than one lattice search's SEARCH_GROUPS
+        groups = []
+        real = mse_module._draw_kernel
+        monkeypatch.setattr(mse_module, "_draw_kernel",
+                            lambda k0, k1, n, p: groups.append(n.size) or real(k0, k1, n, p))
+        grids = [np.geomspace(0.001, 0.6, 400).tolist()]
+        table = sample_count_table(DLB, RULE13, [40], grids, 2, 31)
+        shots, plus = reference_table(DLB, RULE13, [40], grids, 2, 31)
+        assert groups == [1200] and groups[0] > mse_module.SEARCH_GROUPS
+        assert np.array_equal(table.shots, shots)
+        assert np.array_equal(table.plus, plus)
 
     def test_battery_table_draws_in_process(self, no_children, monkeypatch):
         # the bootstrap-soundness check's 22,848-cell tables run the kernel
@@ -630,6 +658,7 @@ def kernel_draws(k0, k1, n, p) -> np.ndarray:
     return mse_module._draw_kernel(k0, k1, n[:, None], p[:, None])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDrawKernel:
     """The vectorized kernel against numpy's Philox and its scalar binomial."""
 
@@ -712,6 +741,60 @@ class TestDrawKernel:
             keys, keys + np.uint64(1), np.array([n]), np.array([p]),
             np.array(words, dtype=np.uint64).reshape(4, 1, 1)).values()
         assert fifth if counts is None else draw in counts and not fifth
+
+    @staticmethod
+    def lattice_thresholds(n, p) -> list[int]:
+        """``floor(cum[X] 2**53)`` for ``X = 0..bound`` of numpy's inversion at ``(n, p)``.
+
+        ``cum`` is the running sum of numpy's point probabilities, one
+        rounded addition at a time.
+        """
+        low = min(p, 1.0 - p)
+        (qn,), (bound,) = mse_module._inversion_setup(np.array([n]), np.array([low]))
+        px = [float(qn)]
+        for x in range(1, int(bound) + 1):
+            px.append((n - x + 1) * low * px[-1] / (x * (1.0 - low)))
+        return [math.floor(c * 2.0**53) for c in itertools.accumulate(px)]
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The cells each :func:`mse._inversion_walk` call walks, in order."""
+        seen = []
+        real = mse_module._inversion_walk
+        monkeypatch.setattr(mse_module, "_inversion_walk",
+                            lambda u, *rest: seen.append(len(u)) or real(u, *rest))
+        return seen
+
+    @pytest.mark.parametrize("n, p, restart", [
+        (40, 0.9, False),  # flipped: X(0.1) drawn, n - X returned
+        (50, 0.5, False),
+        (100, 0.3, False),  # min(p, 1 - p) n = 30.0, the last inversion case
+        (1000, 0.0299, False),
+        (3, 0.35, True),  # the first uniform passes the bound; the second decides
+    ])
+    def test_kernel_on_threshold_words(self, n, p, restart, walks):
+        # the uniforms one lattice step below, at and above every running sum
+        # of the point probabilities, where the search defers to numpy's walk
+        cums = self.lattice_thresholds(n, p)
+        lattice = sorted({m + d for m in cums for d in (-1, 0, 1) if 0 <= m + d < 2**53})
+        words = np.zeros((4, 1, len(lattice)), dtype=np.uint64)
+        words[int(restart), 0] = np.array(lattice, dtype=np.uint64) << np.uint64(11)
+        if restart:
+            assert numpy_binomial([2**64 - 1, 0, 0, 0], n, p) == (0, False)
+            words[0] = 2**64 - 1
+        keys = np.arange(len(lattice), dtype=np.uint64)[None]
+        seen = self.check_on_words(keys, keys + np.uint64(7), np.array([n]), np.array([p]),
+                                   words)
+        assert len(seen) == len(lattice)
+        assert walks
+
+    def test_mc_sweep_table_is_searched_without_walks(self, walks):
+        cfg = load_config(Path(__file__).resolve().parent.parent / "bench" / "configs"
+                          / "mc_sweep.yaml")
+        table = sample_count_table(cfg.model(), cfg.rule(), cfg.budgets, build_grids(cfg),
+                                   256, 12345)
+        assert table.plus.size == 169_728
+        assert walks == []
 
 
 class TestWorkerCount:
