@@ -26,13 +26,12 @@ stream is derived from the master seed and the cell index by a counter-based
 split, so cells can be generated in any order with bit-identical results.
 
 :func:`sample_count_table` draws a table in-process, a block of budget rows
-at a time: a numpy kernel computes the cells' first Philox blocks and finds
-each cell's draw of numpy's binomial inversion sampler by a search on the
-running sums of its point probabilities, walking numpy's loop only where a
-uniform lies within rounding distance of a threshold; the cells it cannot
-finish are drawn one at a time.  The counts are the same bytes as
-``cell_stream(...).binomial(n, p)``.  :func:`worker_count` sizes the
-bootstrap's threads.
+at a time: a numpy kernel computes each cell's first Philox word and finds
+its draw of numpy's binomial inversion sampler by a search on the running
+sums of its point probabilities.  Every cell the search cannot settle from
+that word, and every cell numpy samples by BTPE, is drawn from its own
+stream, one at a time.  The counts are the same bytes as
+``cell_stream(...).binomial(n, p)``.
 
 On disk a table's rows run in (budget, eps, arm, replicate) order, which
 :meth:`CountTable.read` requires, beside the header :func:`count_header` lays out.
@@ -43,7 +42,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -67,16 +65,15 @@ __all__ = [
     "mc_delta",
     "sample_count_table",
     "deltas_from_counts",
-    "worker_count",
 ]
 
-THREADS_ENV_VAR = "ZNEBOUNDARY_THREADS"
-
 # Count tables of fewer cells draw cell by cell: below this the vectorized
-# kernel's fixed cost exceeds the per-cell loop's.  On a 2-vCPU x86-64 host a
-# 48-cell table took 0.15 ms by the loop and 0.5 ms by the kernel, and the two
-# crossed between 400 and 800 cells.
-MIN_KERNEL_CELLS = 600
+# kernel's fixed cost, about 0.35 ms, exceeds the per-cell loop's 1.5-2 us a
+# cell.  Interleaved medians of whole-table draws on a 2-vCPU x86-64 host:
+# 48 cells took 0.18 ms by the loop and 0.36 ms by the kernel, 144 cells 0.31
+# against 0.38 ms, 288 cells 0.48 against 0.40 ms and 816 cells 1.23 against
+# 0.50 ms; the two crossed between 192 and 288 cells.
+MIN_KERNEL_CELLS = 250
 
 # Cells per block of the vectorized draw, in whole budget rows (one row if a
 # row is longer).  A block's temporaries are about 15 arrays of its cells, so
@@ -373,10 +370,13 @@ class CountTable:
         table's shape needs, at least 2 replicates and a :func:`grid_table`
         of strictly ascending grids; with ``expected``, a configuration's
         :func:`count_header`, it must be that header.  Rows come in the
-        writer's (budget, eps, arm, replicate) order: a wrong column header,
-        an out-of-range cell, one before the next cell in that order (a
-        duplicate) or after it (the next one has no row), or an extra row
-        raises :class:`ConfigError` naming the file and the first such row.
+        writer's (budget, eps, arm, replicate) order, with the writer's shots:
+        a wrong column header, an out-of-range cell, one before the next cell
+        in that order (a duplicate) or after it (the next one has no row), an
+        extra row, shots that are not positive, a plus count outside [0,
+        shots], arm 0 shots other than the row's budget, or level shots of a
+        (budget, eps, replicate) that do not sum to the budget raises
+        :class:`ConfigError` naming the file and the first such row.
         """
         head = f"count header {header_path}"
         try:
@@ -411,6 +411,10 @@ class CountTable:
                 if len(rows) < len(cells) or (rows[:, :4] != cells).any():
                     raise _misplaced(where, n_before, rows, cells, shape)
                 shots[b], plus[b] = rows[:, 4:].T.reshape(2, *shape[1:])
+                if problem := _bad_counts(budgets[b], shots[b], plus[b]):
+                    i, text = problem
+                    raise ConfigError(f"{where}: data row {n_before + i + 1} "
+                                      f"{_describe_row(rows[i])}: {text}")
             for line in fh:
                 if line.strip():
                     raise ConfigError(f"{where}: data row {shots.size + 1} {line.strip()!r}: "
@@ -458,29 +462,27 @@ def _misplaced(where: str, n_before: int, rows, cells, shape) -> ConfigError:
     return ConfigError(f"{where}: data row {n_before + i + 1} {_describe_row(rows[i])}: {problem}")
 
 
+def _bad_counts(budget: int, shots: np.ndarray, plus: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a ``(n_eps, n_arms, n_reps)`` budget block that the writer never writes.
+
+    Returns the row's index in the block and its problem, or None.
+    """
+    level_sums = shots[:, 1:].sum(axis=1, keepdims=True)
+    arm0 = (np.arange(shots.shape[1]) == 0)[:, None]
+    bad = np.stack([shots <= 0, (plus < 0) | (plus > shots),
+                    np.where(arm0, shots, level_sums) != budget]).reshape(3, -1)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad.any(axis=0)))
+    e, arm, r = np.unravel_index(i, shots.shape)
+    return i, ("shots must be positive", "plus count outside [0, shots]",
+               f"arm 0 shots are not the budget {budget}" if arm == 0 else
+               f"level shots sum to {level_sums[e, 0, r]}, not the budget {budget}",
+               )[int(np.argmax(bad[:, i]))]
+
+
 def _describe_row(row) -> str:
     return "(" + ", ".join(f"{col}={int(v)}" for col, v in zip(_COUNT_COLUMNS, row)) + ")"
-
-
-def worker_count(n_tasks: int) -> int:
-    """Threads for ``n_tasks`` independent bootstrap replicates.
-
-    The ``ZNEBOUNDARY_THREADS`` environment variable when set, which must be
-    a positive integer (else :class:`ConfigError`); otherwise the cores this
-    process may run on.  Either way at most ``n_tasks``, and at least one.
-    """
-    value = os.environ.get(THREADS_ENV_VAR)
-    if value is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    else:
-        try:
-            workers = int(value)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {value!r}")
-    return max(1, min(workers, n_tasks))
 
 
 def _draw_cells(k0, k1, n, p) -> np.ndarray:
@@ -534,11 +536,11 @@ def _mulhilo(m, x, hi, lo, t0, t1) -> None:
     np.multiply(m, x, out=lo)
 
 
-def _philox_block(k0, k1) -> tuple[np.ndarray, ...]:
-    """The four words of each key's first Philox4x64-10 block, elementwise.
+def _philox_block(k0, k1) -> np.ndarray:
+    """The first word of each key's first Philox4x64-10 block, elementwise.
 
     numpy's Philox increments its counter before it computes a block, so a
-    fresh generator's first block, ``random_raw(4)``, is at counter
+    fresh generator's first word, ``random_raw(4)[0]``, comes from counter
     ``(1, 0, 0, 0)``; its first round maps that counter to ``(k0, 0, k1,
     M0)`` whatever the key, and nine rounds remain.  The counter's even
     words ``(c0, c2)`` and odd words ``(c1, c3)`` are each one ``(2,
@@ -556,12 +558,7 @@ def _philox_block(k0, k1) -> tuple[np.ndarray, ...]:
         hi ^= odd
         hi ^= key
         even, odd, hi, lo = hi, lo, even, odd
-    return tuple(w.reshape(k0.shape) for w in (even[0], odd[0], even[1], odd[1]))
-
-
-def _next_double(word: np.ndarray) -> np.ndarray:
-    """numpy's uniform double from a 64-bit Philox word: its top 53 bits over 2**53."""
-    return (word >> _U64(11)) * (1.0 / 9007199254740992.0)
+    return even[0].reshape(k0.shape)
 
 
 @functools.cache
@@ -601,24 +598,6 @@ def _inversion_setup(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.array(qn), np.array(bound, dtype=np.int64)
 
 
-def _inversion_walk(u: np.ndarray, pos: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """numpy's inversion loop for every cell at once; returns where each cell stops in ``px``.
-
-    Cell ``i`` starts at flat index ``pos[i]`` of ``px`` and, while ``u >
-    px[pos]``, subtracts ``px[pos]`` from its ``u`` and moves to the next
-    entry, as the scalar loop subtracts the point probability of ``X`` and
-    moves to ``X + 1``.
-    """
-    u, pos = u.copy(), pos.copy()
-    while True:
-        step = px[pos]
-        go = u > step
-        if not go.any():
-            return pos
-        np.subtract(u, step, out=u, where=go)
-        np.add(pos, 1, out=pos, where=go)
-
-
 def _search_table(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Search keys of a ``(groups, rows)`` table of point probabilities, and where each is sure.
 
@@ -630,13 +609,13 @@ def _search_table(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     run, and the first key at or above a cell's ``m`` plus offset is its
     ``X`` by search.
 
-    numpy's walk instead subtracts the point probabilities from ``U`` one
-    rounded step at a time.  Each of the ``X`` rounded steps of the walk
-    and of ``cum`` is off by at most ``2**-53``, so the walk also stops at
-    ``X`` when ``U`` lies more than ``(2X + 5) 2**-53`` above the running sum
-    of ``X - 1`` and as far below that of ``X``; past the bound, only the
-    first condition applies.  Returns the keys and each key's window
-    ``(above, below]`` of sure offset ``m``, all flat int64.
+    numpy instead subtracts the point probabilities from ``U`` one rounded
+    step at a time.  Each of the ``X`` rounded steps of that loop and of
+    ``cum`` is off by at most ``2**-53``, so numpy also stops at ``X`` when
+    ``U`` lies more than ``(2X + 5) 2**-53`` above the running sum of ``X -
+    1`` and as far below that of ``X``.  Past the bound numpy reads another
+    uniform, so no offset is sure there.  Returns the keys and each key's
+    window ``(above, below]`` of sure offset ``m``, all flat int64.
     """
     groups, rows = px.shape
     offset = ((np.arange(groups) % SEARCH_GROUPS) << 53)[:, None]
@@ -645,18 +624,18 @@ def _search_table(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     above = np.empty_like(keys)
     above[:, :1] = offset - 1  # X = 0 compares U with q**n itself, no rounding
     above[:, 1:] = keys[:, :-1] + slack[1:]
-    below = np.where(px < np.inf, keys - slack, offset + 2**53)
+    below = np.where(px < np.inf, keys - slack, -1)
     return keys.ravel(), above.ravel(), below.ravel()
 
 
 def _invert(word, group, px, keys, above, below) -> np.ndarray:
-    """numpy's inversion ``X`` for each cell's uniform word, or ``bound + 1`` to restart.
+    """numpy's inversion ``X`` for each cell's uniform word where the search is sure, else -1.
 
     ``group`` (ascending) indexes each cell's row of ``px``, :func:`_draw_kernel`'s
     point probabilities, and the rest is their :func:`_search_table`.  One
     ``searchsorted`` per chunk of ``SEARCH_GROUPS`` groups finds each cell's
-    key; cells outside their key's sure window run :func:`_inversion_walk`
-    on the same uniform.
+    key; a cell outside its key's sure window, one past its bound among
+    them, gets -1.
     """
     rows = px.shape[1]
     query = (word >> _U64(11)).view(np.int64) + ((group % SEARCH_GROUPS) << 53)
@@ -665,10 +644,7 @@ def _invert(word, group, px, keys, above, below) -> np.ndarray:
     for first in range(0, len(keys), span):
         cells = slice(*np.searchsorted(group, [first // rows, first // rows + SEARCH_GROUPS]))
         pos[cells] = np.searchsorted(keys[first:first + span], query[cells]) + first
-    start = group * rows
-    if (walk := np.flatnonzero((query <= above[pos]) | (query > below[pos]))).size:
-        pos[walk] = _inversion_walk(_next_double(word[walk]), start[walk], px.ravel())
-    return pos - start
+    return np.where((query > above[pos]) & (query <= below[pos]), pos - group * rows, -1)
 
 
 def _draw_kernel(k0, k1, n, p) -> np.ndarray:
@@ -680,15 +656,12 @@ def _draw_kernel(k0, k1, n, p) -> np.ndarray:
     X(1 - p)`` for ``p > 0.5`` and ``X(p)`` else.  ``X`` is its inversion
     sampler when ``min(p, 1 - p) n <= 30``, BTPE otherwise.  Inversion
     subtracts the point probabilities of ``X = 0, 1, ...``, from ``q**n``
-    on, from a uniform until the remainder is at most the next one, and
-    restarts with the next uniform when ``X`` passes ``bound``; at ``p = 0``
-    the first point probability is 1, so ``X`` is 0.  Here the uniforms come
-    from each cell's first Philox block, and :func:`_invert` finds each
-    cell's ``X`` by a search on the running sums of the point probabilities,
-    walking only the cells whose uniform lies within rounding distance of a
-    threshold.  Cells in the BTPE regime, and those that would need a fifth
-    uniform, fall back to :func:`_draw_cells`.  The counts are those of
-    :func:`_draw_cells`, bit for bit.
+    on, from a uniform until the remainder is at most the next one; at ``p
+    = 0`` the first point probability is 1, so ``X`` is 0.  Here the uniform
+    is each cell's first Philox word, and :func:`_invert` finds each cell's
+    ``X`` by a search on the running sums of the point probabilities.  The
+    cells it leaves undecided and the BTPE cells are redrawn together by
+    :func:`_draw_cells`, so the counts are its counts, bit for bit.
     """
     n, p = n.ravel(), p.ravel()
     groups, reps = len(n), k0.shape[-1]
@@ -709,17 +682,10 @@ def _draw_kernel(k0, k1, n, p) -> np.ndarray:
         px[i] /= den[i - 1]
     px = np.ascontiguousarray(px.T)
     px[np.arange(rows) > bound[:, None]] = np.inf
-    table = _search_table(px)
     group = np.repeat(np.arange(groups), reps)
-    cell_bound = bound[group]
-    words = [w.ravel() for w in _philox_block(k0, k1)]
-    x = _invert(words[0], group, px, *table)
-    for word in words[1:]:  # restarts: cells whose uniform passed their bound
-        if not (again := np.flatnonzero(x > cell_bound)).size:
-            break
-        x[again] = _invert(word[again], group[again], px, *table)
+    x = _invert(_philox_block(k0, k1).ravel(), group, px, *_search_table(px))
     plus = np.where(flip[group], n[group] - x, x)
-    if (redraw := btpe[group] | (x > cell_bound)).any():
+    if (redraw := btpe[group] | (x < 0)).any():
         plus[redraw] = _draw_cells(k0.ravel()[redraw], k1.ravel()[redraw],
                                    n[group][redraw], p[group][redraw])
     return plus.reshape(k0.shape)

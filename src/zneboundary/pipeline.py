@@ -19,6 +19,7 @@ than the one its configuration's sweep writes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,10 +141,10 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
 
     With ``cfg``, the table must have been written for ``cfg``.  Besides the
     format errors of :func:`artifacts.open_table` and :func:`artifacts.read_block`,
-    a budget with another row count than the first, eps or budgets out of
-    ascending order, a row with another field count than the header, and a
-    row whose source is not data row 1's or whose std_err is set under the
-    exact source (empty under monte_carlo) raise
+    a nan or inf number, a budget with another row count than the first, eps
+    or budgets out of ascending order, a row with another field count than
+    the header, and a row whose source is not data row 1's or whose std_err
+    is set under the exact source (empty under monte_carlo) raise
     :class:`ConfigError` naming the first offending row.
     """
     where = f"delta table {path}"
@@ -159,6 +160,10 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
         fh.seek(start)
         rows = read_block(fh, where, _DELTA_COLUMNS, None, 1,
                           (0, 1, 2) if source == "exact" else (0, 1, 2, 3))
+    if not (finite := np.isfinite(rows)).all():
+        row, col = np.argwhere(~finite)[0]
+        raise ConfigError(f"{where}: data row {row + 1}: {_DELTA_COLUMNS[col]} "
+                          f"{float(rows[row, col])} is not a finite number")
     # each run of one B value is a budget block
     b_col = rows[:, 0]
     starts = np.flatnonzero(np.r_[True, b_col[1:] != b_col[:-1]])
@@ -225,7 +230,8 @@ def read_crossings_csv(path, cfg: ExperimentConfig | None = None) -> list[Crossi
     """Load a crossing table; with ``cfg``, it must have been written for ``cfg``.
 
     Besides the format errors of :func:`artifacts.open_table`, a malformed
-    row raises :class:`ConfigError` naming the first offending data row.
+    row, a nan or inf number among them, raises :class:`ConfigError` naming
+    the first offending data row.
     """
     where = f"crossing table {path}"
     out = []
@@ -250,6 +256,9 @@ def _crossing_from_row(row: list[str]) -> CrossingEstimate:
         raise ValueError(f"status must be one of {_CROSSING_STATUSES}")
     if (status == STATUS_CROSSED) != bool(eps_star):
         raise ValueError("eps_star must be given exactly when the status is crossed")
+    for name, text in zip(_CROSSING_COLUMNS, row):
+        if name != "status" and text and not math.isfinite(float(text)):
+            raise ValueError(f"{name} {text} is not a finite number")
     return CrossingEstimate(
         budget=float(budget),
         eps_star=float(eps_star) if eps_star else None,

@@ -549,6 +549,27 @@ class TestArtifactReaderErrors:
         msg = self.crossings(tmp_path, edit)
         assert "data row 1 " in msg and "eps_star must be given" in msg
 
+    @pytest.mark.parametrize("field, value", [(2, "nan"), (1, "inf"), (0, "-inf")])
+    def test_delta_non_finite_value(self, tmp_path, field, value):
+        def edit(lines):  # data row 4
+            fields = lines[5].split(",")
+            fields[field] = value
+            lines[5] = ",".join(fields)
+        msg = self.delta(tmp_path, edit)
+        column = ("B", "eps", "delta")[field]
+        assert f"data row 4: {column} {float(value)} is not a finite number" in msg
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("0.001,", "nan,", "eps_star nan"),
+        ("0.0011", "inf", "bracket_hi inf"),
+        ("10000.0,", "-inf,", "B -inf"),
+    ])
+    def test_crossings_non_finite_value(self, tmp_path, old, new, named):
+        def edit(lines):
+            lines[2] = lines[2].replace(old, new)
+        msg = self.crossings(tmp_path, edit)
+        assert "data row 1 " in msg and f"{named} is not a finite number" in msg
+
     @staticmethod
     def other_schema(lines):
         lines[0] = lines[0].replace("zneboundary-schema=1", "zneboundary-schema=9")
@@ -769,6 +790,56 @@ class TestCli:
         capsys.readouterr()
         assert main(["fit", "--config", str(cfg_path)]) == 2
         assert "rule {'alloc': [0.5, 0.5], " in capsys.readouterr().err
+
+    def mc_stages(self, tmp_path):
+        """A small Monte Carlo run through ``boundary``; returns its config path."""
+        raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000, 128000]}, bootstrap=None,
+                   engine={"kind": "monte_carlo", "replicates": 4},
+                   output={"dir": str(tmp_path), "prefix": "m"})
+        cfg_path = write_cfg(tmp_path, raw)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert main(["boundary", "--config", str(cfg_path)]) == 0
+        return cfg_path
+
+    @pytest.mark.parametrize("edit, named", [
+        # data row 1 is the arm-0 row of (B=2000, eps 0, rep 0)
+        (lambda f: [*f[:5], str(int(f[4]) + 1)], "data row 1 "),
+        (lambda f: [*f[:4], "0", "0"], "data row 1 "),
+        (lambda f: [*f[:4], "1500", f[5]], "data row 1 "),
+    ], ids=["plus-above-shots", "zero-shots", "arm-0-shots"])
+    def test_fit_refuses_counts_off_the_writers_layout(self, tmp_path, capsys, edit, named):
+        cfg_path = self.mc_stages(tmp_path)
+        counts = tmp_path / "m_counts.csv"
+        lines = counts.read_text().splitlines(keepends=True)
+        lines[2] = ",".join(edit(lines[2].rstrip("\r\n").split(","))) + "\r\n"
+        counts.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        assert f"count table {counts}: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "m_report.json").exists()
+
+    def test_non_finite_delta_and_crossing_refused(self, tmp_path, capsys):
+        cfg_path = self.mc_stages(tmp_path)
+        crossings = tmp_path / "m_crossings.csv"
+        lines = crossings.read_text().splitlines(keepends=True)
+        crossed = next(i for i, line in enumerate(lines) if ",crossed," in line)
+        fields = lines[crossed].split(",")
+        fields[1] = "nan"
+        lines[crossed] = ",".join(fields)
+        crossings.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        assert "eps_star nan is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "m_report.json").exists()
+
+        delta = tmp_path / "m_delta.csv"
+        lines = delta.read_text().splitlines(keepends=True)
+        fields = lines[3].split(",")
+        fields[2] = "nan"
+        lines[3] = ",".join(fields)
+        delta.write_text("".join(lines))
+        assert main(["boundary", "--config", str(cfg_path)]) == 2
+        assert "data row 2: delta nan is not a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_fit_refuses_bad_thread_count(self, tmp_path, capsys, monkeypatch, value):

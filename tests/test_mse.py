@@ -39,7 +39,6 @@ from zneboundary.mse import (
     integerize_allocation,
     mc_delta,
     sample_count_table,
-    worker_count,
 )
 from zneboundary.pipeline import build_grids
 from zneboundary.rules import build_rule, optimal_allocation
@@ -609,23 +608,24 @@ class TestSamplingWorkers:
         assert peak < 5.5 * 2**20
 
 
-def numpy_binomial(words, n, p) -> tuple[int, bool]:
-    """numpy's own ``binomial(n, p)`` reading ``words`` first, and whether it read more.
+def numpy_binomial(word, n, p) -> tuple[int, bool]:
+    """numpy's own ``binomial(n, p)`` reading ``word`` first, and whether it read another word.
 
-    The words go into the output buffer of a Philox whose counter is 0, so a
-    fifth word would be the first block of its key.
+    The word leads the output buffer of a Philox whose counter is 0, zeros
+    after it, so a word past the fourth would be the first block of its key.
     """
     bitgen = np.random.Philox(0)
     state = bitgen.state
-    state["buffer"] = np.array(words, dtype=np.uint64)
+    state["buffer"] = np.array([word, 0, 0, 0], dtype=np.uint64)
     state["buffer_pos"] = 0
     bitgen.state = state
     count = int(np.random.Generator(bitgen).binomial(n, p))
-    return count, bool(bitgen.state["state"]["counter"][0])
+    state = bitgen.state
+    return count, state["buffer_pos"] > 1 or bool(state["state"]["counter"][0])
 
 
-# uniforms within 2**-28 of 1, where walks reach far into the tail and the
-# point probabilities' rounding decides restarts
+# uniforms within 2**-28 of 1, where numpy's loop reaches far into the tail and
+# the point probabilities' rounding decides whether it reads another word
 TOP_WORDS = st.integers(0, 2**25).map(lambda k: 2**64 - 1 - (k << 11))
 WORDS = st.one_of(st.integers(0, 2**64 - 1), TOP_WORDS)
 
@@ -668,10 +668,11 @@ class TestDrawKernel:
     @example([(0, 0), (2**64 - 1, 2**64 - 1), (2**63 + 5, 7)])
     def test_philox_block_matches_numpy(self, keys):
         k0, k1 = np.array(keys, dtype=np.uint64).T
-        block = np.array(mse_module._philox_block(k0, k1))
+        words = mse_module._philox_block(k0, k1)
+        assert words.shape == k0.shape
         for i, key in enumerate(keys):
-            want = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(4)
-            assert np.array_equal(block[:, i], want)
+            want = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(4)[0]
+            assert words[i] == want
 
     def test_regime_edges(self):
         # the float products the examples below rely on
@@ -693,54 +694,71 @@ class TestDrawKernel:
 
     @staticmethod
     def check_on_words(k0, k1, n, p, words):
-        """The kernel on cells whose first Philox block is ``words``, shape (4, *k0.shape).
+        """The kernel on cells whose first Philox word is ``words``, of ``k0``'s shape.
 
-        numpy's own sampler reads the same words from its buffer.  Where it
-        would read a fifth word, and in the BTPE regime, the kernel must
-        redraw the cell from its stream instead.  Returns numpy's
-        ``(count, read a fifth word)`` per cell.
+        numpy's own sampler reads the same word first.  A spy on
+        :func:`mse._draw_cells` marks each count the kernel redraws by its
+        bitwise complement.  Every cell the kernel does not redraw must be
+        numpy's draw on its word; every BTPE cell, and every cell where numpy
+        reads a second word, must be redrawn, and a redrawn cell must be its
+        own stream's draw.  Returns numpy's ``(count, read another word,
+        redrawn)`` per cell.
         """
-        real = mse_module._philox_block
-        mse_module._philox_block = lambda *keys: tuple(words)
+        real = mse_module._philox_block, mse_module._draw_cells
+        mse_module._philox_block = lambda *keys: words
+        mse_module._draw_cells = lambda *cells: ~real[1](*cells)
         try:
             got = kernel_draws(k0, k1, n, p)
         finally:
-            mse_module._philox_block = real
-        redrawn = cell_draws(k0, k1, n, p)
+            mse_module._philox_block, mse_module._draw_cells = real
+        streams = cell_draws(k0, k1, n, p)
         seen = {}
         for (g, r), count in np.ndenumerate(got):
-            want, fifth = seen[g, r] = numpy_binomial(words[:, g, r].tolist(), int(n[g]),
-                                                      float(p[g]))
-            if fifth or min(p[g], 1.0 - p[g]) * n[g] > 30.0:
-                want = redrawn[g, r]
-            assert count == want, (n[g], p[g], words[:, g, r])
+            want, more = numpy_binomial(int(words[g, r]), int(n[g]), float(p[g]))
+            redrawn = count < 0
+            seen[g, r] = want, more, redrawn
+            where = (n[g], p[g], words[g, r])
+            if more or min(p[g], 1.0 - p[g]) * n[g] > 30.0:
+                assert redrawn, where
+            assert count == (~streams[g, r] if redrawn else want), where
         return seen
 
     @settings(max_examples=80, deadline=None)
     @given(cell_groups(), st.data())
     def test_kernel_on_chosen_words(self, cells, data):
-        size = 4 * cells[0].size
+        size = cells[0].size
         words = data.draw(st.lists(WORDS, min_size=size, max_size=size))
-        self.check_on_words(*cells, np.array(words, dtype=np.uint64).reshape(4, *cells[0].shape))
+        self.check_on_words(*cells, np.array(words, dtype=np.uint64).reshape(cells[0].shape))
 
-    @pytest.mark.parametrize("n, p, words, counts", [
+    @pytest.mark.parametrize("n, p, word, counts", [
         # between the thresholds of X = 10 of an exp(n log1p(-p)) setup, numpy
-        # 2.4's, and an exp(n log(1 - p)) one: they give 9 and 10
-        (20, 0.3, [8575196888842150 << 11, 0, 0, 0], (9, 10)),
-        # under either setup the first walk passes bound (without a restart it
-        # would end at X = 3), so the second word's uniform, 0, gives X = 0
-        (3, 0.35, [2**64 - 1, 0, 0, 0], (0,)),
-        (3, 0.65, [2**64 - 1, 0, 0, 0], (3,)),
-        # four such walks: numpy reads the second Philox block
-        (3, 0.35, [2**64 - 1] * 4, None),
-        (3, 0.65, [2**64 - 1] * 4, None),
+        # 2.4's, and an exp(n log(1 - p)) one: numpy draws 9 or 10
+        (20, 0.3, 8575196888842150 << 11, (9, 10)),
+        # under either setup the uniform passes bound: numpy reads a second word
+        (3, 0.35, 2**64 - 1, None),
+        (3, 0.65, 2**64 - 1, None),
+        # the tail past bound = 22 is about 1,860 lattice steps, so this
+        # uniform lies past the running sum at bound by far more than rounding
+        (10**6, 3e-6, 2**64 - 1, None),
+        (10**6, 1.0 - 3e-6, 2**64 - 1, None),
     ])
-    def test_kernel_on_edge_words(self, n, p, words, counts):
+    def test_kernel_on_edge_words(self, n, p, word, counts):
         keys = np.array([[12345]], dtype=np.uint64)
-        (draw, fifth), = self.check_on_words(
+        (draw, more, redrawn), = self.check_on_words(
             keys, keys + np.uint64(1), np.array([n]), np.array([p]),
-            np.array(words, dtype=np.uint64).reshape(4, 1, 1)).values()
-        assert fifth if counts is None else draw in counts and not fifth
+            np.array([[word]], dtype=np.uint64)).values()
+        assert more and redrawn if counts is None else draw in counts and not more
+
+    @pytest.mark.parametrize("n, p", [(1, 0.06), (1, 0.064), (7, 0.05)])
+    def test_log_q_is_numpys_form(self, n, p):
+        # q**n by log1p (numpy 2.4's form) and by log differ by one lattice
+        # step here; the upper one as a uniform gives X = 0 only under the
+        # setup that rounds up
+        forms = math.exp(n * math.log1p(-p)), math.exp(n * math.log(1.0 - p))
+        low, high = sorted(forms)
+        assert low >= 0.5 and high == np.nextafter(low, 1.0)
+        draw, _ = numpy_binomial(int(high * 2.0**53) << 11, n, p)
+        assert math.exp(n * mse_module._log_q()(p)) == (high if draw == 0 else low)
 
     @staticmethod
     def lattice_thresholds(n, p) -> list[int]:
@@ -756,78 +774,41 @@ class TestDrawKernel:
             px.append((n - x + 1) * low * px[-1] / (x * (1.0 - low)))
         return [math.floor(c * 2.0**53) for c in itertools.accumulate(px)]
 
-    @pytest.fixture
-    def walks(self, monkeypatch):
-        """The cells each :func:`mse._inversion_walk` call walks, in order."""
-        seen = []
-        real = mse_module._inversion_walk
-        monkeypatch.setattr(mse_module, "_inversion_walk",
-                            lambda u, *rest: seen.append(len(u)) or real(u, *rest))
-        return seen
-
-    @pytest.mark.parametrize("n, p, restart", [
-        (40, 0.9, False),  # flipped: X(0.1) drawn, n - X returned
-        (50, 0.5, False),
-        (100, 0.3, False),  # min(p, 1 - p) n = 30.0, the last inversion case
-        (1000, 0.0299, False),
-        (3, 0.35, True),  # the first uniform passes the bound; the second decides
+    @pytest.mark.parametrize("n, p", [
+        (40, 0.9),  # flipped: X(0.1) drawn, n - X returned
+        (50, 0.5),
+        (100, 0.3),  # min(p, 1 - p) n = 30.0, the last inversion case
+        (1000, 0.0299),
+        (3, 0.35),  # past the last running sum numpy reads a second word
     ])
-    def test_kernel_on_threshold_words(self, n, p, restart, walks):
+    def test_kernel_on_threshold_words(self, n, p):
         # the uniforms one lattice step below, at and above every running sum
-        # of the point probabilities, where the search defers to numpy's walk
+        # of the point probabilities, where the search is not sure of numpy's X
         cums = self.lattice_thresholds(n, p)
         lattice = sorted({m + d for m in cums for d in (-1, 0, 1) if 0 <= m + d < 2**53})
-        words = np.zeros((4, 1, len(lattice)), dtype=np.uint64)
-        words[int(restart), 0] = np.array(lattice, dtype=np.uint64) << np.uint64(11)
-        if restart:
-            assert numpy_binomial([2**64 - 1, 0, 0, 0], n, p) == (0, False)
-            words[0] = 2**64 - 1
+        words = np.array(lattice, dtype=np.uint64)[None] << np.uint64(11)
         keys = np.arange(len(lattice), dtype=np.uint64)[None]
         seen = self.check_on_words(keys, keys + np.uint64(7), np.array([n]), np.array([p]),
                                    words)
         assert len(seen) == len(lattice)
-        assert walks
+        assert any(redrawn for _, _, redrawn in seen.values())
 
-    def test_mc_sweep_table_is_searched_without_walks(self, walks):
+    def test_mc_sweep_table_redraws_only_btpe_cells(self, monkeypatch):
         cfg = load_config(Path(__file__).resolve().parent.parent / "bench" / "configs"
                           / "mc_sweep.yaml")
-        table = sample_count_table(cfg.model(), cfg.rule(), cfg.budgets, build_grids(cfg),
-                                   256, 12345)
+        redrawn = []
+        real = mse_module._draw_cells
+        monkeypatch.setattr(mse_module, "_draw_cells",
+                            lambda k0, *rest: redrawn.extend(k0.tolist()) or real(k0, *rest))
+        grids = build_grids(cfg)
+        model, rule = cfg.model(), cfg.rule()
+        table = sample_count_table(model, rule, cfg.budgets, grids, 256, 12345)
         assert table.plus.size == 169_728
-        assert walks == []
-
-
-class TestWorkerCount:
-    """The bootstrap's thread count; these tests start no threads."""
-
-    @pytest.mark.parametrize("cores, expected", [(2, 2), (16, 16), (512, 200)])
-    def test_default_is_the_usable_cores(self, cores, expected, monkeypatch):
-        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
-        monkeypatch.setattr(mse_module.os, "sched_getaffinity", lambda pid: set(range(cores)),
-                            raising=False)
-        assert worker_count(200) == expected
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
-        monkeypatch.delattr(mse_module.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(mse_module.os, "cpu_count", lambda: 6)
-        assert worker_count(200) == 6
-        monkeypatch.setattr(mse_module.os, "cpu_count", lambda: None)
-        assert worker_count(200) == 1
-
-    @pytest.mark.parametrize("value, expected", [("1", 1), ("3", 3), ("500", 200)])
-    def test_environment_overrides_the_cores(self, value, expected, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
-        monkeypatch.setattr(mse_module.os, "sched_getaffinity", lambda pid: set(range(8)),
-                            raising=False)
-        assert worker_count(200) == expected
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
-    def test_bad_environment_value_named(self, value, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
-        with pytest.raises(ConfigError, match=f"ZNEBOUNDARY_THREADS must be a positive "
-                                              f"integer, got {value!r}"):
-            worker_count(200)
+        p = model.plus_probability(grids[..., None] * np.r_[1.0, rule.scales])[..., None]
+        btpe = np.where(p > 0.5, 1.0 - p, p) * table.shots > 30.0
+        k0, _ = mse_module._budget_keys(12345, 0, table.shots.shape)
+        assert btpe.sum() == len(redrawn) == 6_656
+        assert sorted(redrawn) == sorted(k0[btpe].tolist())
 
 
 class TestMonteCarlo:
@@ -1007,6 +988,23 @@ class TestCountTableRowValidation:
         n_cells = TestCountTable().make_table().shots.size
         assert f"data row {n_cells + 1} " in msg and "extra row" in msg
 
+    @pytest.mark.parametrize("line, row, named, problem", [
+        ("0,0,-1,2,500,501", 3, 3, "plus count outside [0, shots]"),
+        ("0,0,-1,2,500,-1", 3, 3, "plus count outside [0, shots]"),
+        ("0,0,-1,2,0,0", 3, 3, "shots must be positive"),
+        ("0,0,0,0,0,0", 7, 7, "shots must be positive"),
+        ("0,0,-1,2,750,497", 3, 3, "arm 0 shots are not the budget 500"),
+        # the level shots of (B=500, eps 0, rep 0) sum to 550: the run's
+        # first level row is named
+        ("0,0,1,0,300,100", 13, 7, "level shots sum to 550, not the budget 500"),
+        ("1,1,-1,5,2001,1", 60, 60, "arm 0 shots are not the budget 2000"),
+    ])
+    def test_counts_off_the_writers_layout(self, tmp_path, line, row, named, problem):
+        def edit(lines):  # data row r is lines[r + 1]
+            lines[row + 1] = line + "\r\n"
+        msg = self.corrupt(tmp_path, edit)
+        assert f"data row {named} (" in msg and msg.endswith(problem)
+
     def test_wrong_column_header(self, tmp_path):
         def edit(lines):
             lines[1] = lines[1].replace("plus_count", "plus")
@@ -1076,20 +1074,27 @@ def count_tables(draw):
     n_reps = draw(st.integers(2, 4))
     shape = (n_budgets, n_eps, n_scales + 1, n_reps)
     size = int(np.prod(shape))
-    shots = np.asarray(draw(st.lists(st.integers(1, 10**9), min_size=size, max_size=size)))
+    budgets = draw(st.lists(st.integers(n_scales, 10**12), min_size=n_budgets,
+                            max_size=n_budgets))
+    # the writer's layout: arm 0 holds the budget, and the level shots of each
+    # (budget, eps, replicate) split it into positive parts
+    shots = np.empty(shape, dtype=np.int64)
+    for b, e, r in np.ndindex(n_budgets, n_eps, n_reps):
+        cuts = draw(st.lists(st.integers(1, max(1, budgets[b] - 1)), min_size=n_scales - 1,
+                             max_size=n_scales - 1, unique=True))
+        shots[b, e, :, r] = [budgets[b], *np.diff([0, *sorted(cuts), budgets[b]])]
     frac = np.asarray(draw(st.lists(st.floats(0, 1), min_size=size, max_size=size)))
-    plus = np.floor(frac * shots).astype(np.int64)
+    plus = np.floor(frac * shots.ravel()).astype(np.int64)
     eps = st.floats(1e-9, 10.0, allow_nan=False)
     return CountTable(
-        budgets=tuple(draw(st.lists(st.integers(1, 10**12), min_size=n_budgets,
-                                    max_size=n_budgets))),
+        budgets=tuple(budgets),
         eps_grids=tuple(
             tuple(draw(st.lists(eps, min_size=n_eps, max_size=n_eps, unique=True).map(sorted)))
             for _ in range(n_budgets)
         ),
         scales=tuple(draw(st.lists(st.floats(1.0, 9.0), min_size=n_scales,
                                    max_size=n_scales))),
-        shots=shots.reshape(shape).astype(np.int64),
+        shots=shots,
         plus=plus.reshape(shape),
         master_seed=draw(st.integers(-(2**63), 2**64 - 1)),
         model_spec={"type": "deterministic_limit_binary", "kappa": 1.0},
@@ -1101,7 +1106,7 @@ def count_tables(draw):
 @given(count_tables())
 @example(CountTable(
     budgets=(7,), eps_grids=((0.1,),), scales=(1.0,),
-    shots=np.full((1, 1, 2, 2), 3, dtype=np.int64), plus=np.ones((1, 1, 2, 2), dtype=np.int64),
+    shots=np.full((1, 1, 2, 2), 7, dtype=np.int64), plus=np.ones((1, 1, 2, 2), dtype=np.int64),
     master_seed=-1,
 ))
 def test_count_table_round_trip_property(table):

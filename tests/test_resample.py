@@ -17,6 +17,7 @@ from zneboundary.resample import (
     BootstrapResult,
     bootstrap_pipeline,
     count_pipeline,
+    worker_count,
 )
 from zneboundary.rules import PenaltyConstants, build_rule
 
@@ -207,3 +208,36 @@ class TestPinnedBootstrap:
         )
         text = json.dumps([r.as_dict() for r in results], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[allocation]
+
+
+class TestWorkerCount:
+    """The bootstrap's thread count; these tests start no threads."""
+
+    @pytest.mark.parametrize("cores, expected", [(2, 2), (16, 16), (512, 200)])
+    def test_default_is_the_usable_cores(self, cores, expected, monkeypatch):
+        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
+        monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert worker_count(200) == expected
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
+        monkeypatch.delattr(resample.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(resample.os, "cpu_count", lambda: 6)
+        assert worker_count(200) == 6
+        monkeypatch.setattr(resample.os, "cpu_count", lambda: None)
+        assert worker_count(200) == 1
+
+    @pytest.mark.parametrize("value, expected", [("1", 1), ("3", 3), ("500", 200)])
+    def test_environment_overrides_the_cores(self, value, expected, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
+        monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        assert worker_count(200) == expected
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+    def test_bad_environment_value_named(self, value, monkeypatch):
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
+        with pytest.raises(ConfigError, match=f"ZNEBOUNDARY_THREADS must be a positive "
+                                              f"integer, got {value!r}"):
+            worker_count(200)
