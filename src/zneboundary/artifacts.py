@@ -76,7 +76,9 @@ def read_block(fh, where: str, columns: tuple[str, ...], max_rows: int | None, f
     """
     try:
         with warnings.catch_warnings():
+            # numpy warns of an empty file and of each blank line it skips
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
             rows = np.loadtxt(fh, delimiter=",", usecols=usecols, dtype=dtype,
                               max_rows=max_rows, ndmin=2, comments=None)
         if usecols is None and rows.size and rows.shape[1] != len(columns):

@@ -151,7 +151,7 @@ def cmd_fit(args) -> int:
             )
         model, rule = cfg.model(), cfg.rule()
         expected = count_header(model.spec(), rule.spec(), cfg.budgets, build_grids(cfg),
-                                rule.scales, cfg.replicates, cfg.seed)
+                                cfg.replicates, cfg.seed)
         counts = CountTable.read(paths["counts_csv"], paths["counts_json"], expected)
     report = build_report(cfg, crossings, counts)
     paths["report"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -21,9 +21,11 @@ variance term and a reallocating rule's split.
 The Monte Carlo engine realizes the same comparison with finite counts.  Raw
 data for one experiment lives in a :class:`CountTable`: one binomial
 plus-count per (budget, eps, arm, replicate) cell, where arm slot 0 is the
-unmitigated arm and slots 1..k+1 the scaled levels.  Every cell's random
-stream is derived from the master seed and the cell index by a counter-based
-split, so cells can be generated in any order with bit-identical results.
+unmitigated arm and slots 1..k+1 the scaled levels.  Its shots are the
+rule's allocation, :func:`count_shots`, for the sampler, writer and reader
+alike.  Every cell's random stream is derived from the master seed and the
+cell index by a counter-based split, so cells can be generated in any order
+with bit-identical results.
 
 :func:`sample_count_table` draws a table in-process, a block of budget rows
 at a time: a numpy kernel computes each cell's first Philox word and finds
@@ -34,7 +36,7 @@ stream, one at a time.  The counts are the same bytes as
 ``cell_stream(...).binomial(n, p)``.
 
 On disk a table's rows run in (budget, eps, arm, replicate) order, which
-:meth:`CountTable.read` requires, beside the header :func:`count_header` lays out.
+:meth:`CountTable.read` requires, and the rows' shots must be the allocation's.
 """
 
 from __future__ import annotations
@@ -42,21 +44,22 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .artifacts import SCHEMA_VERSION, begin_table, check_schema, open_table, read_block
-from .errors import AllocationError, ConfigError, ModelError
-from .models import NoiseObservableModel, check_scaled_eps
-from .rules import RichardsonRule, optimal_allocation, optimal_split
+from .errors import AllocationError, ConfigError, ModelError, ZneBoundaryError
+from .models import NoiseObservableModel, check_scaled_eps, model_from_spec
+from .rules import RichardsonRule, build_rule, optimal_allocation, optimal_split
 
 __all__ = [
     "DeltaPoint",
     "CountTable",
     "count_header",
+    "count_shots",
     "exact_delta",
     "exact_delta_curve",
     "grid_table",
@@ -102,23 +105,19 @@ class DeltaPoint:
     std_err: float | None = None
 
 
-def _resolve_alloc(model, rule: RichardsonRule, eps) -> np.ndarray:
-    """The rule's split at ``eps``: per strength if it reallocates, else fixed."""
-    return np.asarray(optimal_allocation(rule, model, eps) if rule.optimal else rule.alloc)
+def _first_outside(model, scales, eps: np.ndarray) -> float | None:
+    """The first ``eps``, row-major, out of the domain at any of ``scales``, or None."""
+    inside = model.inside_domain(eps)
+    for lam in scales:
+        inside &= model.inside_domain(lam * eps)
+    return None if inside.all() else float(eps.flat[np.argmin(inside)])
 
 
 def _check_domain(model, rule: RichardsonRule | None, eps: np.ndarray, budget) -> None:
-    """Raise the error a row-major point-by-point loop over ``eps`` meets first.
-
-    One pass over the whole grid or grid table, one scaled level at a time.
-    """
+    """Raise the error a row-major point-by-point loop over ``eps`` meets first."""
     if (lowest := np.min(budget)) <= 0:
         raise ValueError(f"budget must be positive, got {lowest}")
-    inside = model.inside_domain(eps)
-    for lam in rule.scales if rule is not None else ():
-        inside &= model.inside_domain(lam * eps)
-    if not inside.all():
-        first = float(eps.flat[np.argmin(inside)])
+    if (first := _first_outside(model, rule.scales if rule else (), eps)) is not None:
         model.check_eps(first)
         check_scaled_eps(model, first, rule.scales)
 
@@ -241,6 +240,27 @@ def integerize_allocation(alloc: Sequence[float], budget: int) -> np.ndarray:
     return shots
 
 
+def count_shots(model, rule: RichardsonRule, budgets: Sequence[int], eps_grids) -> np.ndarray:
+    """Each replicate run's shots, shape ``(n_budgets, n_eps, n_arms)``: a count table's layout.
+
+    Arm slot 0 gets the budget ``B`` and level ``j`` its ``n_j = pi_j B``
+    shots by :func:`integerize_allocation`, per eps for a reallocating rule.
+    The first eps of the whole table, row by row, with a level out of the
+    domain raises :func:`models.check_scaled_eps`'s error first.
+    """
+    eps_grids = grid_table(budgets, eps_grids)
+    if (first := _first_outside(model, rule.scales, eps_grids)) is not None:
+        check_scaled_eps(model, first, rule.scales)
+    # a fixed split is one row per budget, broadcast over its grid
+    alloc = (optimal_allocation(rule, model, eps_grids) if rule.optimal
+             else [[rule.alloc]] * len(budgets))
+    shots = np.empty((*eps_grids.shape, len(rule.scales) + 1), dtype=np.int64)
+    shots[..., 0] = np.reshape(budgets, (-1, 1))
+    shots[..., 1:] = [[integerize_allocation(pi, b) for pi in row]
+                      for b, row in zip(budgets, alloc)]
+    return shots
+
+
 _MASK64 = (1 << 64) - 1
 # Philox4x64-10 constants (Salmon et al., SC'11), as uint64 scalars so that no
 # numpy version promotes the uint64 arithmetic to another type.
@@ -301,82 +321,85 @@ def _budget_keys(master_seed: int, first_budget: int, shape) -> tuple[np.ndarray
 class CountTable:
     """Raw plus-counts for a full experiment grid.
 
-    ``shots`` and ``plus`` have shape (n_budgets, n_eps, n_arms, n_reps)
-    where arm slot 0 is the unmitigated arm at the base strength and slot
-    1+j is the extrapolation level at ``scales[j] * eps``.  Per (budget,
-    eps, replicate), the level shots sum to the budget and the unmitigated
-    arm holds the full budget.
+    ``plus`` has shape (n_budgets, n_eps, n_arms, n_reps), where arm slot 0
+    is the unmitigated arm at the base strength and slot 1+j the level at
+    ``scales[j] * eps``; the model must be sampled.  The shots follow from
+    the rule's allocation: :attr:`shots` is :func:`count_shots` of its specs.
     """
 
     budgets: tuple[int, ...]
     eps_grids: np.ndarray  # (n_budgets, n_eps), one grid per budget; see grid_table
-    scales: tuple[float, ...]
-    shots: np.ndarray
     plus: np.ndarray
     master_seed: int
-    model_spec: dict = field(default_factory=dict)
-    rule_spec: dict = field(default_factory=dict)
+    model_spec: dict
+    rule_spec: dict
 
     def __post_init__(self):
         self.eps_grids = grid_table(self.budgets, self.eps_grids)
-        expected = (*self.eps_grids.shape, len(self.scales) + 1)
-        if self.shots.shape[:3] != expected or self.plus.shape != self.shots.shape:
-            raise ValueError(
-                f"count arrays have shape {self.shots.shape}, expected {expected} + reps"
-            )
-        if np.any(self.shots <= 0):
-            raise AllocationError("count table contains cells with zero shots")
+        if not self.model.sampled:
+            raise ModelError("model has no sampler")
+        expected = (*self.eps_grids.shape, len(self.rule.scales) + 1)
+        if self.plus.ndim != 4 or self.plus.shape[:3] != expected:
+            raise ValueError(f"plus counts have shape {self.plus.shape}, not {expected} + reps")
         if np.any(self.plus < 0) or np.any(self.plus > self.shots):
             raise ValueError("plus counts must lie in [0, shots]")
 
+    @functools.cached_property
+    def model(self) -> NoiseObservableModel:
+        return model_from_spec(self.model_spec)
+
+    @functools.cached_property
+    def rule(self) -> RichardsonRule:
+        return build_rule(**self.rule_spec)
+
+    @functools.cached_property
+    def shots(self) -> np.ndarray:
+        """Every cell's shots: :func:`count_shots`, read-only, broadcast over the replicates."""
+        runs = count_shots(self.model, self.rule, self.budgets, self.eps_grids)
+        return np.broadcast_to(runs[..., None], self.plus.shape)
+
     @property
     def n_replicates(self) -> int:
-        return self.shots.shape[3]
+        return self.plus.shape[3]
 
     def header(self) -> dict:
         return count_header(self.model_spec, self.rule_spec, self.budgets, self.eps_grids,
-                            self.scales, self.n_replicates, self.master_seed)
+                            self.n_replicates, self.master_seed)
 
     def write(self, csv_path, header_path) -> None:
         """Persist as a columnar CSV plus a JSON header.
 
         Rows run in (budget, eps, arm, replicate) order and end in ``\\r\\n``,
         the bytes ``csv.writer`` produces; one budget is formatted per write.
-        Each run of replicates shares its row prefix, written into the block's
-        template, and so do its shots when they are one count, as in every
-        sampled table.
+        Each run of replicates shares its row prefix and its shots, written
+        into the block's template.
         """
-        nb, ne, ns, nr = self.shots.shape
+        nb, ne, ns, nr = self.plus.shape
         rep = np.tile(np.arange(nr), ne * ns)
+        runs = self.shots[..., 0]
         with open(csv_path, "w", newline="") as fh:
             begin_table(fh, _COUNT_COLUMNS)
             for b in range(nb):
-                shots = self.shots[b]
-                uniform = bool((shots == shots[..., :1]).all())
-                template = "".join(
-                    f"{b},{e},{s - 1},%d,{n if uniform else '%d'},%d\r\n" * nr
-                    for (e, s), n in np.ndenumerate(shots[..., 0])
-                )
-                fields = (rep, self.plus[b].ravel()) if uniform else (
-                    rep, shots.ravel(), self.plus[b].ravel())
-                fh.write(template % tuple(np.column_stack(fields).ravel().tolist()))
+                template = "".join(f"{b},{e},{s - 1},%d,{n},%d\r\n" * nr
+                                   for (e, s), n in np.ndenumerate(runs[b]))
+                fields = np.column_stack((rep, self.plus[b].ravel()))
+                fh.write(template % tuple(fields.ravel().tolist()))
         Path(header_path).write_text(json.dumps(self.header(), indent=2, sort_keys=True))
 
     @classmethod
     def read(cls, csv_path, header_path, expected: dict | None = None) -> "CountTable":
         """Load a table written by :meth:`write`, one budget block at a time.
 
-        The JSON header must carry this schema version, every field the
-        table's shape needs, at least 2 replicates and a :func:`grid_table`
-        of strictly ascending grids; with ``expected``, a configuration's
-        :func:`count_header`, it must be that header.  Rows come in the
-        writer's (budget, eps, arm, replicate) order, with the writer's shots:
-        a wrong column header, an out-of-range cell, one before the next cell
-        in that order (a duplicate) or after it (the next one has no row), an
-        extra row, shots that are not positive, a plus count outside [0,
-        shots], arm 0 shots other than the row's budget, or level shots of a
-        (budget, eps, replicate) that do not sum to the budget raises
-        :class:`ConfigError` naming the file and the first such row.
+        The JSON header must carry this schema version, every field of
+        :func:`count_header` (the scales its rule's), at least 2 replicates
+        and strictly ascending grids on which its model and rule give
+        :func:`count_shots`; with ``expected``, a configuration's header, it
+        must be that header.  Rows come in the writer's (budget, eps, arm,
+        replicate) order: a wrong column header, an out-of-range cell, one
+        before the next cell in that order (a duplicate) or after it (the
+        next one has no row), an extra row, or a row whose shots are not its
+        :func:`count_shots` or whose plus count lies outside [0, shots]
+        raises :class:`ConfigError` naming the file and the first such row.
         """
         head = f"count header {header_path}"
         try:
@@ -384,8 +407,10 @@ class CountTable:
             check_schema(head, header.get("schema_version"))
             budgets = tuple(int(b) for b in header["budgets"])
             eps_grids = grid_table(budgets, header["eps_grids"])
-            scales = tuple(float(s) for s in header["scales"])
+            model_spec, rule_spec, scales = header["model"], header["rule"], header["scales"]
             n_reps, master_seed = int(header["replicates"]), int(header["master_seed"])
+            if scales != rule_spec["scales"]:
+                raise ValueError(f"scales {scales!r}, not its rule's {rule_spec['scales']!r}")
         except KeyError as err:
             raise ConfigError(f"{head}: no {err.args[0]!r} field") from err
         except (AttributeError, TypeError, ValueError, ConfigError) as err:
@@ -398,7 +423,11 @@ class CountTable:
             raise ConfigError(f"{head}: eps grid of budget {budgets[np.argmax(down)]} "
                               "is not strictly ascending")
         shape = (*eps_grids.shape, len(scales) + 1, n_reps)
-        shots, plus = np.empty((2, *shape), dtype=np.int64)
+        try:  # the counts are filled in below, each block once its rows pass
+            table = cls(budgets, eps_grids, np.zeros(shape, dtype=np.int64), master_seed,
+                        model_spec, rule_spec)
+        except (TypeError, ValueError, ZneBoundaryError) as err:
+            raise ConfigError(f"{head}: {err}") from err
         # one budget block's index columns in writer order; scale_idx -1 is arm slot 0
         cells = np.indices((1, *shape[1:])).reshape(4, -1).T - (0, 0, 1, 0)
         where = f"count table {csv_path}"
@@ -410,29 +439,28 @@ class CountTable:
                                   dtype=np.int64)
                 if len(rows) < len(cells) or (rows[:, :4] != cells).any():
                     raise _misplaced(where, n_before, rows, cells, shape)
-                shots[b], plus[b] = rows[:, 4:].T.reshape(2, *shape[1:])
-                if problem := _bad_counts(budgets[b], shots[b], plus[b]):
+                if problem := _bad_counts(table.shots[b].ravel(), rows[:, 4], rows[:, 5]):
                     i, text = problem
                     raise ConfigError(f"{where}: data row {n_before + i + 1} "
                                       f"{_describe_row(rows[i])}: {text}")
+                table.plus[b] = rows[:, 5].reshape(shape[1:])
             for line in fh:
                 if line.strip():
-                    raise ConfigError(f"{where}: data row {shots.size + 1} {line.strip()!r}: "
-                                      f"extra row beyond the table's {shots.size} cells")
-        return cls(budgets=budgets, eps_grids=eps_grids, scales=scales, shots=shots, plus=plus,
-                   master_seed=master_seed, model_spec=header.get("model", {}),
-                   rule_spec=header.get("rule", {}))
+                    raise ConfigError(f"{where}: data row {table.plus.size + 1} "
+                                      f"{line.strip()!r}: extra row beyond the table's "
+                                      f"{table.plus.size} cells")
+        return table
 
 
 _COUNT_COLUMNS = ("budget_idx", "eps_idx", "scale_idx", "rep_idx", "shots", "plus_count")
 
 
-def count_header(model_spec, rule_spec, budgets, eps_grids, scales, replicates,
-                 master_seed) -> dict:
+def count_header(model_spec, rule_spec, budgets, eps_grids, replicates, master_seed) -> dict:
     """The counts JSON header that :meth:`CountTable.write` writes and ``fit`` expects."""
     return {"schema_version": SCHEMA_VERSION, "model": model_spec, "rule": rule_spec,
             "budgets": [int(b) for b in budgets],
-            "eps_grids": grid_table(budgets, eps_grids).tolist(), "scales": list(scales),
+            "eps_grids": grid_table(budgets, eps_grids).tolist(),
+            "scales": list(rule_spec["scales"]),
             "replicates": int(replicates), "master_seed": int(master_seed)}
 
 
@@ -462,23 +490,14 @@ def _misplaced(where: str, n_before: int, rows, cells, shape) -> ConfigError:
     return ConfigError(f"{where}: data row {n_before + i + 1} {_describe_row(rows[i])}: {problem}")
 
 
-def _bad_counts(budget: int, shots: np.ndarray, plus: np.ndarray) -> tuple[int, str] | None:
-    """The first row of a ``(n_eps, n_arms, n_reps)`` budget block that the writer never writes.
-
-    Returns the row's index in the block and its problem, or None.
-    """
-    level_sums = shots[:, 1:].sum(axis=1, keepdims=True)
-    arm0 = (np.arange(shots.shape[1]) == 0)[:, None]
-    bad = np.stack([shots <= 0, (plus < 0) | (plus > shots),
-                    np.where(arm0, shots, level_sums) != budget]).reshape(3, -1)
-    if not bad.any():
+def _bad_counts(shots: np.ndarray, found: np.ndarray, plus: np.ndarray) -> tuple[int, str] | None:
+    """The first row's index and problem: ``found`` shots not ``shots``, or ``plus`` outside."""
+    if not (bad := (found != shots) | (plus < 0) | (plus > shots)).any():
         return None
-    i = int(np.argmax(bad.any(axis=0)))
-    e, arm, r = np.unravel_index(i, shots.shape)
-    return i, ("shots must be positive", "plus count outside [0, shots]",
-               f"arm 0 shots are not the budget {budget}" if arm == 0 else
-               f"level shots sum to {level_sums[e, 0, r]}, not the budget {budget}",
-               )[int(np.argmax(bad[:, i]))]
+    i = int(np.argmax(bad))
+    if found[i] != shots[i]:
+        return i, f"shots {found[i]}, not the {shots[i]} of the rule's allocation"
+    return i, "plus count outside [0, shots]"
 
 
 def _describe_row(row) -> str:
@@ -691,23 +710,21 @@ def _draw_kernel(k0, k1, n, p) -> np.ndarray:
     return plus.reshape(k0.shape)
 
 
-def _draw_table(master_seed: int, shots: np.ndarray, p_arm: np.ndarray) -> np.ndarray:
-    """Plus-counts of a whole table, in blocks of whole budget rows.
+def _draw_table(table: CountTable, p_arm: np.ndarray) -> None:
+    """Draw a table's plus counts into ``table.plus``, in blocks of whole budget rows.
 
     Tables below ``MIN_KERNEL_CELLS`` cells draw cell by cell; larger ones
     run :func:`_draw_kernel` on blocks of at most ``DRAW_BLOCK_CELLS`` cells
     (one row if a row is larger), so the kernel's temporaries stay a
-    block's size.  Every run of replicates shares its shots, as
-    :func:`sample_count_table` builds them, so each run's first is its ``n``.
+    block's size.  Each run of replicates' first shots are its ``n``.
     """
-    draw = _draw_kernel if shots.size >= MIN_KERNEL_CELLS else _draw_cells
-    plus = np.empty_like(shots)
-    rows = max(1, DRAW_BLOCK_CELLS // shots[0].size)
-    for b in range(0, len(shots), rows):
+    shots, plus = table.shots, table.plus
+    draw = _draw_kernel if plus.size >= MIN_KERNEL_CELLS else _draw_cells
+    rows = max(1, DRAW_BLOCK_CELLS // plus[0].size)
+    for b in range(0, len(plus), rows):
         block = slice(b, b + rows)
-        k0, k1 = _budget_keys(master_seed, b, shots[block].shape)
+        k0, k1 = _budget_keys(table.master_seed, b, plus[block].shape)
         plus[block] = draw(k0, k1, shots[block, ..., :1], p_arm[block, ..., None])
-    return plus
 
 
 def sample_count_table(
@@ -721,55 +738,33 @@ def sample_count_table(
     """Draw the full raw-count table for an experiment grid.
 
     Cell (b, e, arm, rep) draws from the stream ``cell_stream(master_seed,
-    b, e, arm, rep)`` would return, with the probability ``sample_counts``
-    would use, so tables match a cell-by-cell loop bit for bit.  The domain
-    is checked and every cell's shots and arm probability derived first;
-    :func:`_draw_table` then draws in this process, by the vectorized kernel
-    on tables of at least ``MIN_KERNEL_CELLS`` cells.  The counts are
-    plus-counts of +/-1 outcomes, so the model must be sampled, and so
-    binary.
+    b, e, arm, rep)`` would return, with the shots of :func:`count_shots`
+    and the probability ``sample_counts`` would use, so tables match a
+    cell-by-cell loop bit for bit.  The table comes first, with zero counts
+    (its shots check the domain); :func:`_draw_table` then fills them in.
+    The counts are plus-counts of +/-1 outcomes, so the model must be
+    sampled, and so binary.
     """
-    if not model.sampled:
-        raise ModelError("model has no sampler")
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
-    budgets = [int(b) for b in budgets]
+    budgets = tuple(int(b) for b in budgets)
     eps_grids = grid_table(budgets, eps_grids)
-
-    shots = np.zeros((*eps_grids.shape, len(rule.scales) + 1, replicates), dtype=np.int64)
-    for b_idx, (budget, eps) in enumerate(zip(budgets, eps_grids.tolist())):
-        level_shots = None  # a fixed split's, after the first eps's domain check
-        for e_idx, e in enumerate(eps):
-            check_scaled_eps(model, e, rule.scales)
-            if rule.optimal or level_shots is None:
-                level_shots = integerize_allocation(_resolve_alloc(model, rule, e), budget)
-            shots[b_idx, e_idx, 1:] = level_shots[:, None]
-        shots[b_idx, :, 0] = budget
+    shape = (*eps_grids.shape, len(rule.scales) + 1, replicates)
+    table = CountTable(budgets, eps_grids, np.zeros(shape, dtype=np.int64), int(master_seed),
+                       model.spec(), rule.spec())
     # arm 0 is the base strength, arm 1+j the scaled level j
-    p_arm = model.plus_probability(eps_grids[..., None] * np.r_[1.0, rule.scales])
-    plus = _draw_table(int(master_seed), shots, p_arm)
-    return CountTable(
-        budgets=tuple(budgets),
-        eps_grids=eps_grids,
-        scales=tuple(rule.scales),
-        shots=shots,
-        plus=plus,
-        master_seed=int(master_seed),
-        model_spec=model.spec(),
-        rule_spec=rule.spec(),
-    )
+    _draw_table(table, model.plus_probability(eps_grids[..., None] * np.r_[1.0, rule.scales]))
+    return table
 
 
-def deltas_from_counts(
-    table: CountTable, coeffs: Sequence[float], mu0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replicate-averaged MSE differences from raw counts.
+def deltas_from_counts(table: CountTable) -> tuple[np.ndarray, np.ndarray]:
+    """Replicate-averaged MSE differences from raw counts, by the table's own rule.
 
     Returns (delta, std_err), each of shape (n_budgets, n_eps).  Squared
-    errors are measured against the exact ideal value ``mu0``, so the
-    replicate mean is an unbiased estimate of the exact MSE difference.
+    errors are measured against the model's exact ideal value ``mu(0)``, so
+    the replicate mean is an unbiased estimate of the exact MSE difference.
     """
-    diff = _squared_error_diffs(table.plus, table.shots, coeffs, mu0)
+    diff = _squared_error_diffs(table.plus, table.shots, table.rule.coeffs, table.model.mean(0.0))
     delta = diff.mean(axis=2)
     std_err = diff.std(axis=2, ddof=1) / np.sqrt(table.n_replicates)
     return delta, std_err
@@ -797,8 +792,7 @@ def mc_delta(
     be persisted and later bootstrap-resampled.
     """
     table = sample_count_table(model, rule, [budget], [[eps]], replicates, master_seed)
-    mu0 = model.mean(0.0)
-    delta, std_err = deltas_from_counts(table, rule.coeffs, mu0)
+    delta, std_err = deltas_from_counts(table)
     point = DeltaPoint(
         eps=float(eps), budget=float(budget), delta=float(delta[0, 0]),
         source="monte_carlo", std_err=float(std_err[0, 0]),

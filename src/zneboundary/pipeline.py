@@ -85,10 +85,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     model, rule = cfg.model(), cfg.rule()
     grids = build_grids(cfg)
     if cfg.is_monte_carlo:
-        table = sample_count_table(
-            model, rule, [int(b) for b in cfg.budgets], grids, cfg.replicates, cfg.seed,
-        )
-        delta, std_err = deltas_from_counts(table, rule.coeffs, model.mean(0.0))
+        table = sample_count_table(model, rule, cfg.budgets, grids, cfg.replicates, cfg.seed)
+        delta, std_err = deltas_from_counts(table)
         return SweepResult(
             budgets=cfg.budgets, eps_grids=grids, delta=delta,
             std_err=std_err, source="monte_carlo", counts=table,

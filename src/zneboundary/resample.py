@@ -30,9 +30,7 @@ import numpy as np
 from .boundary import check_crossing_grid, first_crossings
 from .errors import ConfigError, FitError
 from .fits import fit_bias, fit_loglog, fit_variance_exponent, plugin_constant
-from .models import model_from_spec
 from .mse import CountTable, _splitmix64, _squared_error_diffs
-from .rules import build_rule
 
 __all__ = ["BootstrapResult", "bootstrap_pipeline", "check_bootstrap", "count_pipeline",
            "worker_count", "KNOWN_STATISTICS"]
@@ -90,8 +88,8 @@ class _TableEstimator:
     """
 
     def __init__(self, table: CountTable, variance_window, bias_window):
-        self.rule = build_rule(table.rule_spec["scales"], table.rule_spec["alloc"])
-        self.mu0 = model_from_spec(table.model_spec).mean(0.0)
+        self.rule = table.rule
+        self.mu0 = table.model.mean(0.0)
         self.coeffs = np.asarray(self.rule.coeffs)
         self.eps = np.asarray(table.eps_grids, dtype=float)
         check_crossing_grid(self.eps)

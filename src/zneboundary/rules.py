@@ -25,6 +25,7 @@ pays ``K_fixed``, an optimal-allocation rule ``K_opt``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -186,12 +187,18 @@ def _exact_residuals(scales, coeffs) -> list[Fraction]:
 
 
 def _validate_alloc(alloc: Sequence[float], n: int) -> tuple[float, ...]:
+    """Positive weights as fractions; fractions already normalized are kept as given.
+
+    Normalizing them again could move each an ulp, and a rule's spec must
+    build back its ``alloc`` bit for bit.
+    """
     w = np.asarray([float(a) for a in alloc], dtype=float)
     if w.size != n:
         raise RuleError(f"allocation needs {n} entries, got {w.size}")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise RuleError("allocation weights must all be positive and finite")
-    w = w / w.sum()
+    if abs(math.fsum(w) - 1.0) > n * np.finfo(float).eps:
+        w = w / w.sum()
     return tuple(float(x) for x in w)
 
 

@@ -791,11 +791,11 @@ class TestCli:
         assert main(["fit", "--config", str(cfg_path)]) == 2
         assert "rule {'alloc': [0.5, 0.5], " in capsys.readouterr().err
 
-    def mc_stages(self, tmp_path):
+    def mc_stages(self, tmp_path, **sections):
         """A small Monte Carlo run through ``boundary``; returns its config path."""
         raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000, 128000]}, bootstrap=None,
                    engine={"kind": "monte_carlo", "replicates": 4},
-                   output={"dir": str(tmp_path), "prefix": "m"})
+                   output={"dir": str(tmp_path), "prefix": "m"}, **sections)
         cfg_path = write_cfg(tmp_path, raw)
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         assert main(["boundary", "--config", str(cfg_path)]) == 0
@@ -816,6 +816,29 @@ class TestCli:
         capsys.readouterr()
         assert main(["fit", "--config", str(cfg_path)]) == 2
         assert f"count table {counts}: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "m_report.json").exists()
+
+    @pytest.mark.parametrize("alloc", ["uniform", "optimal"])
+    def test_fit_refuses_shots_moved_between_levels(self, tmp_path, capsys, alloc):
+        # data rows 5 and 9 are the two level rows of (B=2000, eps 0, rep 0);
+        # 20 shots moved from one to the other keep the budget's sum
+        cfg_path = self.mc_stages(tmp_path, rule={"scales": [1, 3], "alloc": alloc})
+        counts = tmp_path / "m_counts.csv"
+        lines = counts.read_text().splitlines(keepends=True)
+        level_shots = []
+        for row, move in ((5, 20), (9, -20)):
+            fields = lines[row + 1].rstrip("\r\n").split(",")
+            level_shots.append(int(fields[4]))
+            fields[4] = str(int(fields[4]) + move)
+            fields[5] = str(min(int(fields[5]), int(fields[4])))
+            lines[row + 1] = ",".join(fields) + "\r\n"
+        counts.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"count table {counts}: data row 5 (budget_idx=0, eps_idx=0, scale_idx=0, " in err
+        assert (f"shots {level_shots[0] + 20}, not the {level_shots[0]} "
+                "of the rule's allocation") in err
         assert not (tmp_path / "m_report.json").exists()
 
     def test_non_finite_delta_and_crossing_refused(self, tmp_path, capsys):

@@ -486,12 +486,33 @@ class TestTableSamplerMatchesCellStreams:
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_domain_error_before_allocation_error(self, policy):
-        # per eps the domain check comes first; a budget of 3 cannot feed 4 levels
+        # the whole table's domain is checked before any shots are split; a
+        # budget of 3 cannot feed 4 levels
         rule = build_rule([1, 2, 3, 4], POLICIES[policy])
-        with pytest.raises(DomainError, match="eps=0.7, lambda=3.0"):
-            sample_count_table(DLB, rule, [3], [[0.7, 0.01]], 2, 0)
+        for grids in ([[0.7, 0.01]], [[0.01, 0.7]]):
+            with pytest.raises(DomainError, match="eps=0.7, lambda=3.0"):
+                sample_count_table(DLB, rule, [3], grids, 2, 0)
         with pytest.raises(AllocationError, match="budget 3 too small"):
-            sample_count_table(DLB, rule, [3], [[0.01, 0.7]], 2, 0)
+            sample_count_table(DLB, rule, [3], [[0.01, 0.02]], 2, 0)
+        with pytest.raises(DomainError, match="eps=0.7, lambda=3.0"):
+            sample_count_table(DLB, rule, [3, 300], [[0.01, 0.02], [0.01, 0.7]], 2, 0)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_table_domain_checked_in_one_pass(self, policy, monkeypatch):
+        # the first eps out of domain, row by row, not the largest one, gets
+        # check_scaled_eps's own error from its one call
+        calls = []
+        monkeypatch.setattr(mse_module, "check_scaled_eps",
+                            lambda *args: calls.append(args) or check_scaled_eps(*args))
+        rule = build_rule([1, 3], POLICIES[policy])
+        sample_count_table(DLB, rule, [300, 3000], self.GRIDS, 2, 5)
+        assert calls == []
+        with pytest.raises(DomainError) as err:
+            sample_count_table(DLB, rule, [300, 3000], [[0.1, 0.7], [0.01, 0.8]], 2, 5)
+        assert str(err.value) == (
+            "scaled strength lambda*eps out of domain at (eps=0.7, lambda=3.0): "
+            "DeterministicLimitBinary: eps=2.0999999999999996 outside valid domain [0, 2.0]")
+        assert calls == [(DLB, 0.7, rule.scales)]
 
     @pytest.mark.parametrize("policy,calls", [("fixed", 2), ("optimal", 6)])
     def test_fixed_split_integerized_once_per_budget(self, policy, calls, monkeypatch):
@@ -884,11 +905,8 @@ class TestCountTable:
         assert back.rule_spec == table.rule_spec
         assert back.master_seed == table.master_seed
 
-    @pytest.mark.parametrize("vary_shots", [False, True])
-    def test_csv_rows_are_the_csv_writer_bytes(self, vary_shots, tmp_path):
+    def test_csv_rows_are_the_csv_writer_bytes(self, tmp_path):
         table = self.make_table()
-        if vary_shots:  # shots that change along one run of replicates
-            table.shots[0, 1, 2, 1] += 3
         table.write(tmp_path / "counts.csv", tmp_path / "counts.json")
         rows = io.StringIO()
         writer = csv.writer(rows)
@@ -899,29 +917,45 @@ class TestCountTable:
         assert text[text.index("budget_idx"):] == rows.getvalue()
 
     def test_deltas_from_counts_hand_check(self):
-        shots = np.full((1, 1, 3, 2), 4, dtype=np.int64)
-        plus = np.zeros_like(shots)
-        plus[0, 0, 0, :] = [4, 2]   # noisy arm: mu_hat = 1.0, 0.0
-        plus[0, 0, 1, :] = [4, 4]   # level 1: mu_hat = 1.0, 1.0
-        plus[0, 0, 2, :] = [2, 4]   # level 2: mu_hat = 0.0, 1.0
-        table = CountTable(
-            budgets=(8,), eps_grids=((0.1,),), scales=(1.0, 3.0),
-            shots=shots, plus=plus, master_seed=0,
-        )
-        delta, std_err = deltas_from_counts(table, coeffs=(1.5, -0.5), mu0=1.0)
+        plus = np.zeros((1, 1, 3, 2), dtype=np.int64)
+        plus[0, 0, 0, :] = [8, 4]   # noisy arm, 8 shots: mu_hat = 1.0, 0.0
+        plus[0, 0, 1, :] = [4, 4]   # level 1, 4 shots: mu_hat = 1.0, 1.0
+        plus[0, 0, 2, :] = [2, 4]   # level 2, 4 shots: mu_hat = 0.0, 1.0
+        table = CountTable(budgets=(8,), eps_grids=((0.1,),), plus=plus, master_seed=0,
+                           model_spec=DLB.spec(), rule_spec=RULE13.spec())
+        assert table.shots[0, 0, :, 0].tolist() == [8, 4, 4]
+        assert RULE13.coeffs == (1.5, -0.5) and DLB.mean(0.0) == 1.0
+        delta, std_err = deltas_from_counts(table)
         # rep 1: noisy err 0, zne = 1.5 -> err 0.25; diff -0.25
         # rep 2: noisy err 1, zne = 1.0 -> err 0;    diff +1
         assert delta[0, 0] == pytest.approx((1.0 - 0.25) / 2)
         assert std_err[0, 0] == pytest.approx(np.std([-0.25, 1.0], ddof=1) / np.sqrt(2))
 
-    def test_rejects_zero_shot_cells(self):
-        shots = np.ones((1, 1, 3, 2), dtype=np.int64)
-        shots[0, 0, 1, 0] = 0
-        with pytest.raises(AllocationError):
-            CountTable(
-                budgets=(2,), eps_grids=((0.1,),), scales=(1.0, 3.0),
-                shots=shots, plus=np.zeros_like(shots), master_seed=0,
-            )
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_shots_follow_from_the_allocation(self, policy):
+        rule = build_rule([1, 3, 5], POLICIES[policy])
+        grids = TestTableSamplerMatchesCellStreams.GRIDS
+        table = sample_count_table(DLB, rule, [300, 3001], grids, 4, 7)
+        runs = mse_module.count_shots(DLB, rule, table.budgets, table.eps_grids)
+        assert runs.shape == (2, 3, 4) and (runs[..., 0] == [[300], [3001]]).all()
+        assert (runs[..., 1:].sum(axis=-1) == runs[..., 0]).all()
+        assert np.array_equal(table.shots, np.broadcast_to(runs[..., None], table.plus.shape))
+        assert table.shots.size == table.plus.size == 96
+        assert not table.shots.flags.writeable
+        assert table.rule == rule and table.model == DLB
+
+    def test_rejects_counts_off_the_allocation(self):
+        plus = np.zeros((1, 1, 3, 2), dtype=np.int64)
+        kwargs = dict(budgets=(8,), eps_grids=((0.1,),), master_seed=0,
+                      model_spec=DLB.spec(), rule_spec=RULE13.spec())
+        plus[0, 0, 1, 0] = 5  # level 1 has 4 shots
+        with pytest.raises(ValueError, match=r"\[0, shots\]"):
+            CountTable(plus=plus, **kwargs)
+        with pytest.raises(ValueError, match=r"shape \(1, 1, 2, 2\), not \(1, 1, 3\)"):
+            CountTable(plus=plus[:, :, 1:], **kwargs)
+        with pytest.raises(AllocationError, match="budget 2 too small"):
+            CountTable(plus=np.zeros((1, 1, 4, 2), dtype=np.int64), **{
+                **kwargs, "budgets": (2,), "rule_spec": build_rule([1, 2, 3]).spec()})
 
 
 def _without(key):
@@ -988,22 +1022,58 @@ class TestCountTableRowValidation:
         n_cells = TestCountTable().make_table().shots.size
         assert f"data row {n_cells + 1} " in msg and "extra row" in msg
 
-    @pytest.mark.parametrize("line, row, named, problem", [
-        ("0,0,-1,2,500,501", 3, 3, "plus count outside [0, shots]"),
-        ("0,0,-1,2,500,-1", 3, 3, "plus count outside [0, shots]"),
-        ("0,0,-1,2,0,0", 3, 3, "shots must be positive"),
-        ("0,0,0,0,0,0", 7, 7, "shots must be positive"),
-        ("0,0,-1,2,750,497", 3, 3, "arm 0 shots are not the budget 500"),
-        # the level shots of (B=500, eps 0, rep 0) sum to 550: the run's
-        # first level row is named
-        ("0,0,1,0,300,100", 13, 7, "level shots sum to 550, not the budget 500"),
-        ("1,1,-1,5,2001,1", 60, 60, "arm 0 shots are not the budget 2000"),
+    # the uniform split of B=500 gives each level 250 shots; data rows 7 and
+    # 13 are the two level rows of (B=500, eps 0, rep 0)
+    @pytest.mark.parametrize("rows, named, problem", [
+        ({3: "0,0,-1,2,500,501"}, 3, "plus count outside [0, shots]"),
+        ({3: "0,0,-1,2,500,-1"}, 3, "plus count outside [0, shots]"),
+        ({3: "0,0,-1,2,0,0"}, 3, "shots 0, not the 500 of the rule's allocation"),
+        ({7: "0,0,0,0,0,0"}, 7, "shots 0, not the 250 of the rule's allocation"),
+        ({3: "0,0,-1,2,750,497"}, 3, "shots 750, not the 500 of the rule's allocation"),
+        ({13: "0,0,1,0,300,100"}, 13, "shots 300, not the 250 of the rule's allocation"),
+        ({60: "1,1,-1,5,2001,1"}, 60, "shots 2001, not the 2000 of the rule's allocation"),
+        # shots moved between the levels of one run still sum to the budget
+        ({7: "0,0,0,0,270,200", 13: "0,0,1,0,230,200"}, 7,
+         "shots 270, not the 250 of the rule's allocation"),
+        ({7: "0,0,0,0,249,200", 13: "0,0,1,0,251,200"}, 7,
+         "shots 249, not the 250 of the rule's allocation"),
+        # the same move in the second budget's block, a later replicate
+        ({48: "1,0,0,5,980,900", 54: "1,0,1,5,1020,900"}, 48,
+         "shots 980, not the 1000 of the rule's allocation"),
     ])
-    def test_counts_off_the_writers_layout(self, tmp_path, line, row, named, problem):
+    def test_counts_off_the_writers_layout(self, tmp_path, rows, named, problem):
         def edit(lines):  # data row r is lines[r + 1]
-            lines[row + 1] = line + "\r\n"
+            for row, line in rows.items():
+                lines[row + 1] = line + "\r\n"
         msg = self.corrupt(tmp_path, edit)
         assert f"data row {named} (" in msg and msg.endswith(problem)
+
+    def test_counts_of_another_split(self, tmp_path):
+        # a header whose rule splits 3:1 does not describe the uniform counts
+        def edit_header(header):
+            header["rule"]["alloc"] = [0.75, 0.25]
+            return json.dumps(header)
+        table = TestCountTable().make_table()
+        csv_path, header_path = tmp_path / "counts.csv", tmp_path / "counts.json"
+        table.write(csv_path, header_path)
+        header_path.write_text(edit_header(json.loads(header_path.read_text())))
+        with pytest.raises(ConfigError) as err:
+            CountTable.read(csv_path, header_path)
+        assert str(err.value).startswith(f"count table {csv_path}: data row 7 (")
+        assert str(err.value).endswith("shots 250, not the 375 of the rule's allocation")
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_blank_lines_skipped_without_a_warning(self, tmp_path):
+        # numpy warns of each blank line loadtxt skips inside a block
+        table = TestCountTable().make_table()
+        csv_path, header_path = tmp_path / "counts.csv", tmp_path / "counts.json"
+        table.write(csv_path, header_path)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        lines[10:10] = ["\r\n"]  # inside the first budget's block
+        lines[45:45] = ["\n", "\n"]  # inside the second's
+        csv_path.write_text("".join(lines))
+        back = CountTable.read(csv_path, header_path)
+        assert np.array_equal(back.plus, table.plus)
 
     def test_wrong_column_header(self, tmp_path):
         def edit(lines):
@@ -1045,7 +1115,8 @@ class TestCountTableRowValidation:
     @pytest.mark.parametrize("edit_header, expected", [
         (lambda header: json.dumps(header)[:-1], "Expecting"),
         *[(_without(key), f"no '{key}' field")
-          for key in ("budgets", "eps_grids", "scales", "replicates", "master_seed")],
+          for key in ("budgets", "eps_grids", "scales", "replicates", "master_seed", "model",
+                      "rule")],
         (lambda header: json.dumps({**header, "budgets": [], "eps_grids": []}),
          "0 eps grids for 0 budgets"),
         (lambda header: json.dumps({**header, "eps_grids": header["eps_grids"][:1]}),
@@ -1059,56 +1130,60 @@ class TestCountTableRowValidation:
          "-1 replicates, need at least 2"),
         (lambda header: json.dumps({**header, "replicates": 0}),
          "0 replicates, need at least 2"),
+        (lambda header: json.dumps({**header, "scales": [1.0, 5.0]}),
+         "scales [1.0, 5.0], not its rule's [1.0, 3.0]"),
+        (lambda header: json.dumps({**header, "rule": {"scales": [1.0, 3.0], "alloc": "best"}}),
+         "unknown allocation spec 'best'"),
+        (lambda header: json.dumps({**header, "model": {"type": "dlb"}}),
+         "unknown model type 'dlb'"),
+        (lambda header: json.dumps({**header, "model": {"type": "monomial_balance", "p": 1,
+                                                        "q": 0, "d_p": 1.0, "k_q": 1.0}}),
+         "model has no sampler"),
+        (lambda header: json.dumps({**header, "eps_grids": [[0.01, 0.02], [0.005, 0.9]]}),
+         "scaled strength lambda*eps out of domain at (eps=0.9, lambda=3.0)"),
+        (lambda header: json.dumps({**header, "budgets": [500, 1]}),
+         "budget 1 too small to give each of 2 levels a shot"),
     ], ids=["not_json", "no_budgets", "no_eps_grids", "no_scales", "no_replicates",
-            "no_master_seed", "no_budgets_listed", "grid_count", "grid_lengths",
-            "grid_nested", "replicates_negative", "replicates_zero"])
+            "no_master_seed", "no_model", "no_rule", "no_budgets_listed", "grid_count",
+            "grid_lengths", "grid_nested", "replicates_negative", "replicates_zero",
+            "scales_not_the_rules", "rule_unknown_alloc", "model_unknown", "model_not_sampled",
+            "grid_out_of_domain",
+            "budget_below_levels"])
     def test_malformed_header(self, tmp_path, edit_header, expected):
         assert expected in self.corrupt(tmp_path, lambda lines: None, edit_header)
 
 
 @st.composite
 def count_tables(draw):
-    n_budgets = draw(st.integers(1, 3))
-    n_eps = draw(st.integers(1, 3))
-    n_scales = draw(st.integers(1, 3))
-    n_reps = draw(st.integers(2, 4))
-    shape = (n_budgets, n_eps, n_scales + 1, n_reps)
-    size = int(np.prod(shape))
-    budgets = draw(st.lists(st.integers(n_scales, 10**12), min_size=n_budgets,
+    """Tables in the writer's layout: a sampled model, a rule (uniform, explicit
+    weights or optimal), in-domain grids, and plus counts up to each cell's
+    :func:`count_shots`."""
+    model = draw(st.sampled_from([DLB, LinearBiasBinary(mu0=0.2, alpha=-0.5),
+                                  ProductContractionString(gamma=0.1, ell=5),
+                                  PowerLeakageBinary(sigma=-1, kappa=0.5, r=2.0)]))
+    scales = [1.0, *sorted(draw(st.sets(st.sampled_from([1.5, 2.0, 3.0, 5.0]),
+                                        min_size=1, max_size=3)))]
+    weights = st.lists(st.floats(1e-3, 1e3), min_size=len(scales), max_size=len(scales))
+    rule = build_rule(scales, draw(st.sampled_from(["uniform", "optimal"]) | weights))
+    n_budgets, n_eps, n_reps = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(
+        st.integers(2, 4))
+    budgets = draw(st.lists(st.integers(len(scales), 10**12), min_size=n_budgets,
                             max_size=n_budgets))
-    # the writer's layout: arm 0 holds the budget, and the level shots of each
-    # (budget, eps, replicate) split it into positive parts
-    shots = np.empty(shape, dtype=np.int64)
-    for b, e, r in np.ndindex(n_budgets, n_eps, n_reps):
-        cuts = draw(st.lists(st.integers(1, max(1, budgets[b] - 1)), min_size=n_scales - 1,
-                             max_size=n_scales - 1, unique=True))
-        shots[b, e, :, r] = [budgets[b], *np.diff([0, *sorted(cuts), budgets[b]])]
-    frac = np.asarray(draw(st.lists(st.floats(0, 1), min_size=size, max_size=size)))
-    plus = np.floor(frac * shots.ravel()).astype(np.int64)
-    eps = st.floats(1e-9, 10.0, allow_nan=False)
-    return CountTable(
-        budgets=tuple(budgets),
-        eps_grids=tuple(
-            tuple(draw(st.lists(eps, min_size=n_eps, max_size=n_eps, unique=True).map(sorted)))
-            for _ in range(n_budgets)
-        ),
-        scales=tuple(draw(st.lists(st.floats(1.0, 9.0), min_size=n_scales,
-                                   max_size=n_scales))),
-        shots=shots,
-        plus=plus.reshape(shape),
-        master_seed=draw(st.integers(-(2**63), 2**64 - 1)),
-        model_spec={"type": "deterministic_limit_binary", "kappa": 1.0},
-        rule_spec={"scales": [1.0, 3.0]},
-    )
+    eps = st.floats(1e-6, 0.9 * scaled_domain_max(model, rule.scales))
+    grids = [sorted(draw(st.lists(eps, min_size=n_eps, max_size=n_eps, unique=True)))
+             for _ in range(n_budgets)]
+    shots = mse_module.count_shots(model, rule, budgets, grids)[..., None]
+    frac = draw(st.lists(st.floats(0, 1), min_size=shots.size * n_reps,
+                         max_size=shots.size * n_reps))
+    plus = np.floor(np.reshape(frac, (*shots.shape[:3], n_reps)) * shots).astype(np.int64)
+    return CountTable(tuple(budgets), grids, plus, draw(st.integers(-(2**63), 2**64 - 1)),
+                      model.spec(), rule.spec())
 
 
 @settings(max_examples=60, deadline=None)
 @given(count_tables())
-@example(CountTable(
-    budgets=(7,), eps_grids=((0.1,),), scales=(1.0,),
-    shots=np.full((1, 1, 2, 2), 7, dtype=np.int64), plus=np.ones((1, 1, 2, 2), dtype=np.int64),
-    master_seed=-1,
-))
+@example(CountTable(budgets=(7,), eps_grids=((0.1,),), plus=np.ones((1, 1, 3, 2), dtype=np.int64),
+                    master_seed=-1, model_spec=DLB.spec(), rule_spec=RULE13.spec()))
 def test_count_table_round_trip_property(table):
     with tempfile.TemporaryDirectory() as tmp:
         paths = Path(tmp, "a.csv"), Path(tmp, "a.json")

@@ -139,6 +139,17 @@ class TestBuildRule:
         assert max(rule.identity_residuals()) <= 1e-12
         assert sum(abs(c) for c in rule.coeffs) > 1
 
+    @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=2, max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_explicit_weights_spec_round_trips_bit_for_bit(self, weights):
+        # a count table's shots follow from its stored rule spec, so the spec
+        # must build back the very fractions the table was drawn with
+        rule = build_rule([1.0 + j for j in range(len(weights))], weights)
+        again = build_rule(**rule.spec())
+        assert again.alloc == rule.alloc
+        assert again == rule
+        assert sum(rule.alloc) == pytest.approx(1.0, abs=1e-15)
+
 
 class TestVariancePenalty:
     def test_closed_form_two_point_uniform(self):
