@@ -37,6 +37,7 @@ __all__ = [
     "crossing_estimates",
     "find_crossing_arrays",
     "classify_regime",
+    "leading_bias_gain",
     "theoretical_boundary",
     "budget_bracket",
     "local_optimality_check",
@@ -108,9 +109,10 @@ def first_crossings(eps: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.
     Row ``b`` of ``eps`` is the grid of row ``b`` of ``delta``, already
     checked by :func:`check_crossing_grid`.  A crossing is the first ``i``
     with ``delta[i] < 0 <= delta[i+1]``, interpolated linearly in eps; an
-    exact zero at ``i+1`` is the crossing itself.  Returns ``(lower,
-    eps_star)``: the lower bracket index, -1 in rows without a crossing, and
-    the crossing, NaN in those rows.
+    exact zero at ``i+1`` is the crossing itself, and one rounded past
+    ``eps[i+1]`` is clamped to it.  Returns ``(lower, eps_star)``: the lower
+    bracket index, -1 in rows without a crossing, and the crossing, NaN in
+    those rows.
     """
     sign_change = (delta[:, :-1] < 0) & (delta[:, 1:] >= 0)
     lower = np.where(sign_change.any(axis=1), sign_change.argmax(axis=1), -1)
@@ -119,7 +121,8 @@ def first_crossings(eps: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.
     i = lower[rows]
     e_lo, e_hi = eps[rows, i], eps[rows, i + 1]
     lo, hi = delta[rows, i], delta[rows, i + 1]
-    eps_star[rows] = np.where(hi == 0.0, e_hi, e_lo + (e_hi - e_lo) * (-lo) / (hi - lo))
+    inside = np.minimum(e_lo + (e_hi - e_lo) * (-lo) / (hi - lo), e_hi)
+    eps_star[rows] = np.where(hi == 0.0, e_hi, inside)
     return lower, eps_star
 
 
@@ -201,13 +204,27 @@ def classify_regime(
     return RegimeReport(p=p, q=q, regime="supercritical", d_p=d_p, k_q=k_q)
 
 
+def leading_bias_gain(rule: RichardsonRule, p: float, amplitude: float) -> float:
+    """Leading squared-bias improvement ``D_p = A^2 (1 - rho_p^2)`` of ``rule``.
+
+    ``rho_p = sum_j c_j lam_j^p`` is zero whenever p <= rule order.  At
+    ``|rho_p| >= 1`` the rule does not shrink the leading bias, so no lower
+    boundary shrinks with the budget: RegimeError.
+    """
+    rho_p = float(np.asarray(rule.coeffs) @ np.asarray(rule.scales) ** p)
+    if abs(rho_p) >= 1.0:
+        raise RegimeError(f"no shrinking lower boundary at this order: "
+                          f"|rho_p| = {abs(rho_p):.6g} >= 1 for p = {p}")
+    return amplitude * amplitude * (1.0 - rho_p * rho_p)
+
+
 def theoretical_boundary(model, rule: RichardsonRule | None) -> RegimeReport:
     """Regime report predicted from a model's declared constants and a rule.
 
     For sampled models the leading squared-bias improvement is
-    ``D_p = A_p^2 (1 - rho_p^2)`` with ``rho_p = sum_j c_j lam_j^p`` (zero
-    whenever p <= rule order), and the variance penalty is the one the rule
-    pays at the declared (q, nu): ``K_opt`` if it reallocates, else ``K_fixed``.
+    :func:`leading_bias_gain` of the declared (p, A), and the variance penalty
+    is the one the rule pays at the declared (q, nu): ``K_opt`` if it
+    reallocates, else ``K_fixed``.
     """
     if not model.sampled:
         return classify_regime(
@@ -218,16 +235,7 @@ def theoretical_boundary(model, rule: RichardsonRule | None) -> RegimeReport:
     if rule is None:
         raise RegimeError("a rule is required for sampled models")
     p = model.bias_exponent
-    amp = model.bias_amplitude
-    lam = np.asarray(rule.scales)
-    c = np.asarray(rule.coeffs)
-    rho_p = float(c @ lam**p)
-    if abs(rho_p) >= 1.0:
-        raise RegimeError(
-            f"no shrinking lower boundary at this order: |rho_p| = {abs(rho_p):.6g} >= 1 "
-            f"for p = {p}"
-        )
-    d_p = amp * amp * (1.0 - rho_p * rho_p)
+    d_p = leading_bias_gain(rule, p, model.bias_amplitude)
     pen = variance_penalty(rule, model.variance_exponent, model.variance_level)
     return classify_regime(p, model.variance_exponent, d_p, pen.k)
 

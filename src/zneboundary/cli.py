@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .boundary import budget_bracket, classify_regime
+from .boundary import budget_bracket, classify_regime, leading_bias_gain
 from .config import load_config
 from .errors import (
     AllocationError,
@@ -149,8 +149,7 @@ def cmd_fit(args) -> int:
             raise ConfigError(
                 f"missing raw counts {paths['counts_csv']}; run `zneboundary sweep` first"
             )
-        model, rule = cfg.model(), cfg.rule()
-        expected = count_header(model.spec(), rule.spec(), cfg.budgets, build_grids(cfg),
+        expected = count_header(cfg.model(), cfg.rule(), cfg.budgets, build_grids(cfg),
                                 cfg.replicates, cfg.seed)
         counts = CountTable.read(paths["counts_csv"], paths["counts_json"], expected)
     report = build_report(cfg, crossings, counts)
@@ -181,27 +180,25 @@ def cmd_plan(args) -> int:
     for flag, value in (("--budget", args.budget), ("--eps", args.eps)):
         if value is not None and not value > 0:
             raise ConfigError(f"{flag} must be positive, got {value:g}")
-    if args.d_p is not None:
-        d_p = args.d_p
-    elif args.alpha is not None:
-        d_p = args.alpha**2
-    elif args.kappa is not None:
-        d_p = args.kappa**2
-    else:
+    amp = args.alpha if args.alpha is not None else args.kappa
+    if args.d_p is None and amp is None:
         raise ConfigError("plan needs one of --alpha, --kappa, or --d-p")
 
-    rule = None
+    if args.k_q is None and (args.scales is None or args.nu is None):
+        raise ConfigError("plan needs --k-q, or --scales and --nu to derive it")
+    rule = None if args.scales is None else _rule_from_args(args)
     if args.k_q is not None:
         k_q = args.k_q
     else:
-        if args.scales is None or args.nu is None:
-            raise ConfigError("plan needs --k-q, or --scales and --nu to derive it")
-        rule = _rule_from_args(args)
         k_q = variance_penalty(rule, args.q, args.nu).k
         print(f"variance penalty: K = {k_q:.6g} "
               f"({'optimal' if rule.optimal else 'fixed'} allocation)")
 
-    try:
+    try:  # the rule's D_p, unless --d-p gives it
+        if args.d_p is not None:
+            d_p = args.d_p
+        else:
+            d_p = amp**2 if rule is None else leading_bias_gain(rule, args.p, amp)
         regime = classify_regime(args.p, args.q, d_p, k_q)
     except RegimeError as err:
         print(f"verdict: {err}")

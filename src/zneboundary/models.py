@@ -19,7 +19,8 @@ raises :class:`~zneboundary.errors.DomainError` naming the violated bound,
 since silent clamping would corrupt slope fits downstream.
 
 Every model keeps one contract: a ``sampled`` flag, the domain check over
-``[0, eps_max]``, ``spec`` and ``declared``.  The sampled models derive from
+``[0, eps_max]``, ``spec`` (the registry name ``kind`` and the dataclass
+fields, for every model) and ``declared``.  The sampled models derive from
 :class:`NoiseObservableModel`.  :class:`MonomialBalanceModel` is the one
 model with ``sampled = False``: it has no mean curve or sampler and writes
 the paper's local expansion ``delta = D_p eps^(2p) - K_q eps^q / B``, plus
@@ -69,8 +70,11 @@ def _libm_pow(base, exponent):
 
 
 class _Model:
-    """The domain check every model shares; subclasses set ``sampled``."""
+    """The domain check and spec every model shares; subclasses set ``sampled`` and ``kind``."""
 
+    #: the model's name in the registry and the ``type`` of its spec; each model
+    #: sets it unannotated, so it is a class attribute, not a dataclass field
+    kind: str
     #: whether the model has mean and variance curves and a sampler; the exact
     #: engine evaluates a model without them through its ``delta_mse``
     sampled: bool
@@ -81,6 +85,10 @@ class _Model:
     def inside_domain(self, eps):
         """True where ``eps`` (a strength or an array of them) is in the domain."""
         return (0.0 <= eps) & (eps <= self.eps_max)
+
+    def spec(self) -> dict:
+        """``{"type": kind, **fields}``, which :func:`model_from_spec` builds back."""
+        return {"type": self.kind, **asdict(self)}
 
     def _domain_message(self, eps: float) -> str:
         return (f"{type(self).__name__}: eps={eps!r} outside valid domain "
@@ -149,10 +157,6 @@ class NoiseObservableModel(_Model, ABC):
     def variance_level(self) -> float:
         """Coefficient nu of the leading variance term nu * eps^q."""
 
-    @abstractmethod
-    def spec(self) -> dict:
-        """Round-trippable configuration spec ``{"type": ..., params...}``."""
-
     def declared(self) -> dict:
         """Declared leading-order constants, echoed into run reports."""
         return {
@@ -171,6 +175,7 @@ class LinearBiasBinary(NoiseObservableModel):
     variational-energy style protocols.
     """
 
+    kind = "linear_bias_binary"
     mu0: float
     alpha: float
 
@@ -201,9 +206,6 @@ class LinearBiasBinary(NoiseObservableModel):
     variance_exponent = property(lambda self: 0.0)
     variance_level = property(lambda self: 1.0 - self.mu0**2)
 
-    def spec(self) -> dict:
-        return {"type": "linear_bias_binary", "mu0": self.mu0, "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
 class DeterministicLimitBinary(NoiseObservableModel):
@@ -213,6 +215,7 @@ class DeterministicLimitBinary(NoiseObservableModel):
     kappa^2 eps^2 gives q = 1 (stabilizer-measurement class).
     """
 
+    kind = "deterministic_limit_binary"
     kappa: float
 
     def __post_init__(self):
@@ -232,9 +235,6 @@ class DeterministicLimitBinary(NoiseObservableModel):
     variance_exponent = property(lambda self: 1.0)
     variance_level = property(lambda self: 2.0 * self.kappa)
 
-    def spec(self) -> dict:
-        return {"type": "deterministic_limit_binary", "kappa": self.kappa}
-
 
 @dataclass(frozen=True)
 class ProductContractionString(NoiseObservableModel):
@@ -246,6 +246,7 @@ class ProductContractionString(NoiseObservableModel):
     so q = 1 with nu = 2 * gamma * ell.
     """
 
+    kind = "product_contraction_string"
     gamma: float
     ell: int
 
@@ -275,9 +276,6 @@ class ProductContractionString(NoiseObservableModel):
     variance_exponent = property(lambda self: 1.0)
     variance_level = property(lambda self: 2.0 * self.gamma * self.ell)
 
-    def spec(self) -> dict:
-        return {"type": "product_contraction_string", "gamma": self.gamma, "ell": self.ell}
-
 
 @dataclass(frozen=True)
 class PowerLeakageBinary(NoiseObservableModel):
@@ -288,6 +286,7 @@ class PowerLeakageBinary(NoiseObservableModel):
     higher-order-bias regime.
     """
 
+    kind = "power_leakage_binary"
     sigma: int
     kappa: float
     r: float
@@ -313,14 +312,6 @@ class PowerLeakageBinary(NoiseObservableModel):
     variance_exponent = property(lambda self: self.r)
     variance_level = property(lambda self: 2.0 * self.kappa)
 
-    def spec(self) -> dict:
-        return {
-            "type": "power_leakage_binary",
-            "sigma": self.sigma,
-            "kappa": self.kappa,
-            "r": self.r,
-        }
-
 
 @dataclass(frozen=True)
 class MonomialBalanceModel(_Model):
@@ -335,6 +326,7 @@ class MonomialBalanceModel(_Model):
     known.  It has no mean curve and no sampler (``sampled`` is False).
     """
 
+    kind = "monomial_balance"
     p: int
     q: float
     d_p: float
@@ -398,17 +390,10 @@ class MonomialBalanceModel(_Model):
     def declared(self) -> dict:
         return asdict(self)
 
-    def spec(self) -> dict:
-        return {"type": "monomial_balance", **self.declared()}
 
-
-_REGISTRY = {
-    "linear_bias_binary": LinearBiasBinary,
-    "deterministic_limit_binary": DeterministicLimitBinary,
-    "product_contraction_string": ProductContractionString,
-    "power_leakage_binary": PowerLeakageBinary,
-    "monomial_balance": MonomialBalanceModel,
-}
+_REGISTRY = {cls.kind: cls for cls in (LinearBiasBinary, DeterministicLimitBinary,
+                                        ProductContractionString, PowerLeakageBinary,
+                                        MonomialBalanceModel)}
 
 
 def model_from_spec(spec: dict):

@@ -323,16 +323,17 @@ class CountTable:
 
     ``plus`` has shape (n_budgets, n_eps, n_arms, n_reps), where arm slot 0
     is the unmitigated arm at the base strength and slot 1+j the level at
-    ``scales[j] * eps``; the model must be sampled.  The shots follow from
-    the rule's allocation: :attr:`shots` is :func:`count_shots` of its specs.
+    ``scales[j] * eps``.  The table holds the model it was drawn from, which
+    must be sampled, and the rule whose allocation gives the shots:
+    :attr:`shots` is :func:`count_shots` of the two.
     """
 
     budgets: tuple[int, ...]
     eps_grids: np.ndarray  # (n_budgets, n_eps), one grid per budget; see grid_table
     plus: np.ndarray
     master_seed: int
-    model_spec: dict
-    rule_spec: dict
+    model: NoiseObservableModel
+    rule: RichardsonRule
 
     def __post_init__(self):
         self.eps_grids = grid_table(self.budgets, self.eps_grids)
@@ -345,14 +346,6 @@ class CountTable:
             raise ValueError("plus counts must lie in [0, shots]")
 
     @functools.cached_property
-    def model(self) -> NoiseObservableModel:
-        return model_from_spec(self.model_spec)
-
-    @functools.cached_property
-    def rule(self) -> RichardsonRule:
-        return build_rule(**self.rule_spec)
-
-    @functools.cached_property
     def shots(self) -> np.ndarray:
         """Every cell's shots: :func:`count_shots`, read-only, broadcast over the replicates."""
         runs = count_shots(self.model, self.rule, self.budgets, self.eps_grids)
@@ -363,7 +356,7 @@ class CountTable:
         return self.plus.shape[3]
 
     def header(self) -> dict:
-        return count_header(self.model_spec, self.rule_spec, self.budgets, self.eps_grids,
+        return count_header(self.model, self.rule, self.budgets, self.eps_grids,
                             self.n_replicates, self.master_seed)
 
     def write(self, csv_path, header_path) -> None:
@@ -411,9 +404,10 @@ class CountTable:
             n_reps, master_seed = int(header["replicates"]), int(header["master_seed"])
             if scales != rule_spec["scales"]:
                 raise ValueError(f"scales {scales!r}, not its rule's {rule_spec['scales']!r}")
+            model, rule = model_from_spec(model_spec), build_rule(**rule_spec)
         except KeyError as err:
             raise ConfigError(f"{head}: no {err.args[0]!r} field") from err
-        except (AttributeError, TypeError, ValueError, ConfigError) as err:
+        except (AttributeError, TypeError, ValueError, ZneBoundaryError) as err:
             raise ConfigError(f"{head}: {err}") from err
         if expected is not None:
             _check_header(head, header, expected)
@@ -425,7 +419,7 @@ class CountTable:
         shape = (*eps_grids.shape, len(scales) + 1, n_reps)
         try:  # the counts are filled in below, each block once its rows pass
             table = cls(budgets, eps_grids, np.zeros(shape, dtype=np.int64), master_seed,
-                        model_spec, rule_spec)
+                        model, rule)
         except (TypeError, ValueError, ZneBoundaryError) as err:
             raise ConfigError(f"{head}: {err}") from err
         # one budget block's index columns in writer order; scale_idx -1 is arm slot 0
@@ -455,12 +449,16 @@ class CountTable:
 _COUNT_COLUMNS = ("budget_idx", "eps_idx", "scale_idx", "rep_idx", "shots", "plus_count")
 
 
-def count_header(model_spec, rule_spec, budgets, eps_grids, replicates, master_seed) -> dict:
-    """The counts JSON header that :meth:`CountTable.write` writes and ``fit`` expects."""
-    return {"schema_version": SCHEMA_VERSION, "model": model_spec, "rule": rule_spec,
+def count_header(model, rule, budgets, eps_grids, replicates, master_seed) -> dict:
+    """The counts JSON header that :meth:`CountTable.write` writes and ``fit`` expects.
+
+    The model and rule are written as their specs, which :meth:`CountTable.read`
+    builds back into them.
+    """
+    return {"schema_version": SCHEMA_VERSION, "model": model.spec(), "rule": rule.spec(),
             "budgets": [int(b) for b in budgets],
             "eps_grids": grid_table(budgets, eps_grids).tolist(),
-            "scales": list(rule_spec["scales"]),
+            "scales": list(rule.scales),
             "replicates": int(replicates), "master_seed": int(master_seed)}
 
 
@@ -751,7 +749,7 @@ def sample_count_table(
     eps_grids = grid_table(budgets, eps_grids)
     shape = (*eps_grids.shape, len(rule.scales) + 1, replicates)
     table = CountTable(budgets, eps_grids, np.zeros(shape, dtype=np.int64), int(master_seed),
-                       model.spec(), rule.spec())
+                       model, rule)
     # arm 0 is the base strength, arm 1+j the scaled level j
     _draw_table(table, model.plus_probability(eps_grids[..., None] * np.r_[1.0, rule.scales]))
     return table

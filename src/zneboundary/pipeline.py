@@ -228,8 +228,9 @@ def read_crossings_csv(path, cfg: ExperimentConfig | None = None) -> list[Crossi
     """Load a crossing table; with ``cfg``, it must have been written for ``cfg``.
 
     Besides the format errors of :func:`artifacts.open_table`, a malformed
-    row, a nan or inf number among them, raises :class:`ConfigError` naming
-    the first offending data row.
+    row raises :class:`ConfigError` naming the first offending data row: a
+    nan or inf number, a crossed row without its eps_star or bracket or with
+    its eps_star outside the bracket, or a censored row with either.
     """
     where = f"crossing table {path}"
     out = []
@@ -252,11 +253,17 @@ def _crossing_from_row(row: list[str]) -> CrossingEstimate:
     budget, eps_star, status, lo, hi = row
     if status not in _CROSSING_STATUSES:
         raise ValueError(f"status must be one of {_CROSSING_STATUSES}")
-    if (status == STATUS_CROSSED) != bool(eps_star):
+    crossed = status == STATUS_CROSSED
+    if crossed != bool(eps_star):
         raise ValueError("eps_star must be given exactly when the status is crossed")
+    if not crossed == bool(lo) == bool(hi):
+        raise ValueError("bracket_lo and bracket_hi must be given exactly when the "
+                         "status is crossed")
     for name, text in zip(_CROSSING_COLUMNS, row):
         if name != "status" and text and not math.isfinite(float(text)):
             raise ValueError(f"{name} {text} is not a finite number")
+    if crossed and not float(lo) <= float(eps_star) <= float(hi):
+        raise ValueError(f"eps_star {eps_star} outside its bracket [{lo}, {hi}]")
     return CrossingEstimate(
         budget=float(budget),
         eps_star=float(eps_star) if eps_star else None,

@@ -1,5 +1,8 @@
 """Crossing finder, regime classification, brackets, and optimality checks."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +32,7 @@ from zneboundary.models import (
     ProductContractionString,
 )
 from zneboundary.mse import exact_delta, exact_delta_curve
+from zneboundary.pipeline import read_crossings_csv, write_crossings_csv
 from zneboundary.rules import build_rule
 
 RULE13 = build_rule([1, 3])
@@ -98,6 +102,13 @@ class TestFindCrossing:
         with pytest.raises(ValueError, match="at least 3"):
             find_crossing_arrays(np.array([1.0, 2.0]), np.zeros(2), budget=1.0)
 
+    def test_crossing_never_overshoots_its_bracket(self):
+        # the fraction rounds to 1 and the bracket spans more than a factor of 2,
+        # so the unclamped interpolation lands one ulp above 14.0
+        est = find_crossing_arrays([0.67, 14.0, 28.0], [-5.0, 1e-16, 1.0], 1000.0)
+        assert est.bracket_hi == 14.0
+        assert est.eps_star == 14.0
+
     def test_invariant_bracket_contains_root(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -124,7 +135,8 @@ def reference_crossing(eps, delta, budget):
             if hi == 0.0:
                 eps_star = float(eps[i + 1])
             else:
-                eps_star = float(eps[i] + (eps[i + 1] - eps[i]) * (-lo) / (hi - lo))
+                eps_star = min(float(eps[i] + (eps[i + 1] - eps[i]) * (-lo) / (hi - lo)),
+                               float(eps[i + 1]))
             return CrossingEstimate(
                 budget=budget, eps_star=eps_star, status=STATUS_CROSSED,
                 bracket_lo=float(eps[i]), bracket_hi=float(eps[i + 1]),
@@ -145,6 +157,7 @@ def delta_tables(draw):
 
 
 GRID5 = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
+OVERSHOOT = (np.array([[0.67, 14.0, 28.0]]), np.array([[-5.0, 1e-16, 1.0]]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -156,6 +169,7 @@ GRID5 = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
 @example((GRID5, np.array([[0.0, 0.0, -1.0, -1.0, 1.0]])))  # zeros before the first negative
 @example((np.vstack([GRID5[0], GRID5[0] * 2]),
           np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [-1.0, -1.0, -1.0, -1.0, -1.0]])))
+@example(OVERSHOOT)
 def test_batched_crossings_match_one_row_form(table):
     eps, delta = table
     lower, eps_star = first_crossings(eps, delta)
@@ -170,6 +184,18 @@ def test_batched_crossings_match_one_row_form(table):
             assert (est.bracket_lo, est.bracket_hi) == (eps[b, lower[b]], eps[b, lower[b] + 1])
         else:
             assert lower[b] == -1 and np.isnan(eps_star[b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(delta_tables())
+@example(OVERSHOOT)
+def test_crossing_estimates_read_back_equal(table):
+    eps, delta = table
+    crossings = crossing_estimates(eps, delta, [10.0 ** b for b in range(len(delta))])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cross.csv")
+        write_crossings_csv(path, crossings)
+        assert read_crossings_csv(path) == crossings
 
 
 class TestClassifyRegime:

@@ -19,7 +19,7 @@ from zneboundary.boundary import CrossingEstimate, theoretical_boundary
 from zneboundary.cli import main
 from zneboundary.config import config_hash, load_config, parse_config
 from zneboundary.errors import ConfigError, DomainError
-from zneboundary.models import scaled_domain_max
+from zneboundary.models import PowerLeakageBinary, scaled_domain_max
 from zneboundary.pipeline import (
     SweepResult,
     build_grids,
@@ -31,6 +31,7 @@ from zneboundary.pipeline import (
     write_crossings_csv,
     write_delta_csv,
 )
+from zneboundary.rules import build_rule
 
 DLB_EXACT = {
     "model": {"type": "deterministic_limit_binary", "kappa": 1.0},
@@ -347,8 +348,8 @@ class TestPipelineArtifacts:
         cfg = parse_config(raw)
         sweep = run_sweep(cfg)
         table = sweep.counts
-        # the stored rule spec carries the policy, so the rule round-trips
-        assert table.rule_spec["alloc"] == "optimal"
+        # the table holds the reallocating rule it was drawn with
+        assert table.rule.optimal
         # optimal split weights the base level more than the amplified one
         level_shots = table.shots[0, 0, 1:, 0]
         assert level_shots[0] > level_shots[1]
@@ -549,6 +550,20 @@ class TestArtifactReaderErrors:
         msg = self.crossings(tmp_path, edit)
         assert "data row 1 " in msg and "eps_star must be given" in msg
 
+    @pytest.mark.parametrize("row, number, message", [
+        ("10000.0,0.001,crossed,,", 1, "bracket_lo and bracket_hi must be given exactly"),
+        ("10000.0,0.001,crossed,0.0009,", 1, "bracket_lo and bracket_hi must be given exactly"),
+        ("100000.0,,no_negative_region,0.01,0.02", 2,
+         "bracket_lo and bracket_hi must be given exactly"),
+        ("10000.0,0.5,crossed,0.01,0.02", 1, "eps_star 0.5 outside its bracket [0.01, 0.02]"),
+    ], ids=["crossed-no-bracket", "crossed-half-bracket", "censored-with-bracket",
+            "eps-star-outside-bracket"])
+    def test_crossings_row_the_writer_never_writes(self, tmp_path, row, number, message):
+        def edit(lines):
+            lines[1 + number] = row + "\r\n"
+        msg = self.crossings(tmp_path, edit)
+        assert f"data row {number} {row!r}: {message}" in msg
+
     @pytest.mark.parametrize("field, value", [(2, "nan"), (1, "inf"), (0, "-inf")])
     def test_delta_non_finite_value(self, tmp_path, field, value):
         def edit(lines):  # data row 4
@@ -633,8 +648,9 @@ def test_delta_csv_round_trip_property(sweep):
 @st.composite
 def crossing_rows(draw):
     budget = draw(st.floats(1.0, 1e15))
-    if draw(st.booleans()):
-        return CrossingEstimate(budget, draw(finite), "crossed", draw(finite), draw(finite))
+    if draw(st.booleans()):  # the crossing lies inside its bracket
+        lo, eps_star, hi = sorted(draw(st.lists(finite, min_size=3, max_size=3)))
+        return CrossingEstimate(budget, eps_star, "crossed", lo, hi)
     status = draw(st.sampled_from(["no_negative_region", "no_crossing_in_window"]))
     return CrossingEstimate(budget, None, status)
 
@@ -996,3 +1012,26 @@ class TestCli:
         ])
         out = capsys.readouterr().out
         assert "ZNE helps" in out  # eps* ~ 1e-3 at B = 1e4, so 0.01 is above
+
+    @pytest.mark.parametrize("penalty", [["--nu", "2"], ["--k-q", "10"]])
+    def test_plan_refuses_bias_the_rule_does_not_shrink(self, capsys, penalty):
+        # rule (1, 3) at p = 2: rho_2 = 1.5 - 0.5 * 9 = -3
+        code = main(["plan", "--q", "1", "--p", "2", "--alpha", "1", *penalty,
+                     "--scales", "1,3", "--budget", "1e4"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "verdict: no shrinking lower boundary at this order: |rho_p| = 3 >= 1" in out
+        assert "regime:" not in out
+
+    def test_plan_takes_d_p_from_the_rule(self, capsys):
+        # p = 1.2 above the order of rule (1, 3): D_p = kappa^2 (1 - rho_p^2) < kappa^2
+        model = PowerLeakageBinary(sigma=1, kappa=1.0, r=1.2)
+        expected = theoretical_boundary(model, build_rule([1, 3]))
+        assert main(["plan", "--p", "1.2", "--q", "1.2", "--kappa", "1", "--nu", "2",
+                     "--scales", "1,3"]) == 0
+        assert f"constant: C = {expected.c_pq:.6g}\n" in capsys.readouterr().out
+
+    def test_plan_d_p_overrides_the_rule(self, capsys):
+        assert main(["plan", "--q", "1", "--p", "2", "--d-p", "1", "--nu", "2",
+                     "--scales", "1,3"]) == 0
+        assert "regime:   subcritical" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Model curves, domains, declared constants, and sampler behavior."""
 
+import json
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats
 
 from zneboundary.errors import ConfigError, DomainError, ModelError
 from zneboundary.models import (
+    _REGISTRY,
     DeterministicLimitBinary,
     LinearBiasBinary,
     MonomialBalanceModel,
@@ -257,6 +259,35 @@ class TestMonomialBalance:
         assert m2.crossing(100.0) == pytest.approx((8.0 / 400.0) ** (1 / 3))
 
 
+positive = st.floats(1e-3, 1e3)
+IN_DOMAIN = {
+    "linear_bias_binary": st.builds(LinearBiasBinary, mu0=st.floats(-0.999, 0.999),
+                                    alpha=positive | st.floats(-1e3, -1e-3)),
+    "deterministic_limit_binary": st.builds(DeterministicLimitBinary, kappa=positive),
+    "product_contraction_string": st.builds(ProductContractionString, gamma=positive,
+                                            ell=st.integers(1, 10**6)),
+    "power_leakage_binary": st.builds(PowerLeakageBinary, sigma=st.sampled_from([-1, 1]),
+                                      kappa=positive, r=st.floats(1e-2, 10.0)),
+    "monomial_balance": st.builds(MonomialBalanceModel, p=st.integers(1, 6),
+                                  q=st.floats(0.0, 12.0), d_p=positive, k_q=positive,
+                                  l_b=st.floats(0.0, 1e3), l_v=st.floats(0.0, 1e3),
+                                  delta_b=positive, delta_v=positive),
+}
+
+
+def test_every_registered_model_has_a_strategy():
+    assert set(IN_DOMAIN) == set(_REGISTRY)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(IN_DOMAIN)).flatmap(IN_DOMAIN.__getitem__))
+def test_spec_is_the_kind_and_the_fields_property(model):
+    spec = model.spec()
+    assert model_from_spec(spec) == model
+    assert spec["type"] == model.kind
+    assert _REGISTRY[model.kind] is type(model)
+
+
 class TestSpecRoundTrip:
     @pytest.mark.parametrize(
         "model",
@@ -265,6 +296,23 @@ class TestSpecRoundTrip:
     def test_round_trip(self, model):
         clone = model_from_spec(model.spec())
         assert clone == model
+
+    @pytest.mark.parametrize("model, spec", [
+        (LinearBiasBinary(mu0=0.5, alpha=1.0),
+         {"type": "linear_bias_binary", "mu0": 0.5, "alpha": 1.0}),
+        (DeterministicLimitBinary(kappa=1.0),
+         {"type": "deterministic_limit_binary", "kappa": 1.0}),
+        (ProductContractionString(gamma=0.1, ell=5),
+         {"type": "product_contraction_string", "gamma": 0.1, "ell": 5}),
+        (PowerLeakageBinary(sigma=1, kappa=0.8, r=2.0),
+         {"type": "power_leakage_binary", "sigma": 1, "kappa": 0.8, "r": 2.0}),
+        (MonomialBalanceModel(p=2, q=1, d_p=0.5, k_q=3.0),
+         {"type": "monomial_balance", "p": 2, "q": 1, "d_p": 0.5, "k_q": 3.0, "l_b": 0.0,
+          "l_v": 0.0, "delta_b": 1.0, "delta_v": 1.0}),
+    ])
+    def test_spec_keys_in_header_order(self, model, spec):
+        # the counts header serializes these dicts: keys, order and number types pinned
+        assert json.dumps(model.spec()) == json.dumps(spec)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ConfigError, match="unknown model type"):

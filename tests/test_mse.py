@@ -901,8 +901,8 @@ class TestCountTable:
         assert np.array_equal(back.plus, table.plus)
         assert back.budgets == table.budgets
         assert np.array_equal(back.eps_grids, table.eps_grids)
-        assert back.model_spec == table.model_spec
-        assert back.rule_spec == table.rule_spec
+        assert back.model == table.model
+        assert back.rule == table.rule
         assert back.master_seed == table.master_seed
 
     def test_csv_rows_are_the_csv_writer_bytes(self, tmp_path):
@@ -922,7 +922,7 @@ class TestCountTable:
         plus[0, 0, 1, :] = [4, 4]   # level 1, 4 shots: mu_hat = 1.0, 1.0
         plus[0, 0, 2, :] = [2, 4]   # level 2, 4 shots: mu_hat = 0.0, 1.0
         table = CountTable(budgets=(8,), eps_grids=((0.1,),), plus=plus, master_seed=0,
-                           model_spec=DLB.spec(), rule_spec=RULE13.spec())
+                           model=DLB, rule=RULE13)
         assert table.shots[0, 0, :, 0].tolist() == [8, 4, 4]
         assert RULE13.coeffs == (1.5, -0.5) and DLB.mean(0.0) == 1.0
         delta, std_err = deltas_from_counts(table)
@@ -930,6 +930,22 @@ class TestCountTable:
         # rep 2: noisy err 1, zne = 1.0 -> err 0;    diff +1
         assert delta[0, 0] == pytest.approx((1.0 - 0.25) / 2)
         assert std_err[0, 0] == pytest.approx(np.std([-0.25, 1.0], ddof=1) / np.sqrt(2))
+
+    def test_sampling_builds_no_model_or_rule(self, monkeypatch):
+        calls = []
+        for module, name in [("zneboundary.mse", "build_rule"),
+                             ("zneboundary.rules", "build_rule"),
+                             ("zneboundary.mse", "model_from_spec"),
+                             ("zneboundary.models", "model_from_spec")]:
+            monkeypatch.setattr(f"{module}.{name}",
+                                lambda *args, _name=name, **kwargs: calls.append(_name))
+        rule = build_rule([1, 3, 5], "optimal")
+        table = sample_count_table(DLB, rule, [300, 3001], [[0.01, 0.02], [0.01, 0.03]], 4, 7)
+        point, one = mc_delta(DLB, rule, 0.01, 3001, 4, 7)
+        assert math.isfinite(point.delta)
+        assert calls == []
+        assert table.rule is rule and one.rule is rule
+        assert table.model is DLB and one.model is DLB
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_shots_follow_from_the_allocation(self, policy):
@@ -946,8 +962,7 @@ class TestCountTable:
 
     def test_rejects_counts_off_the_allocation(self):
         plus = np.zeros((1, 1, 3, 2), dtype=np.int64)
-        kwargs = dict(budgets=(8,), eps_grids=((0.1,),), master_seed=0,
-                      model_spec=DLB.spec(), rule_spec=RULE13.spec())
+        kwargs = dict(budgets=(8,), eps_grids=((0.1,),), master_seed=0, model=DLB, rule=RULE13)
         plus[0, 0, 1, 0] = 5  # level 1 has 4 shots
         with pytest.raises(ValueError, match=r"\[0, shots\]"):
             CountTable(plus=plus, **kwargs)
@@ -955,7 +970,7 @@ class TestCountTable:
             CountTable(plus=plus[:, :, 1:], **kwargs)
         with pytest.raises(AllocationError, match="budget 2 too small"):
             CountTable(plus=np.zeros((1, 1, 4, 2), dtype=np.int64), **{
-                **kwargs, "budgets": (2,), "rule_spec": build_rule([1, 2, 3]).spec()})
+                **kwargs, "budgets": (2,), "rule": build_rule([1, 2, 3])})
 
 
 def _without(key):
@@ -1177,13 +1192,13 @@ def count_tables(draw):
                          max_size=shots.size * n_reps))
     plus = np.floor(np.reshape(frac, (*shots.shape[:3], n_reps)) * shots).astype(np.int64)
     return CountTable(tuple(budgets), grids, plus, draw(st.integers(-(2**63), 2**64 - 1)),
-                      model.spec(), rule.spec())
+                      model, rule)
 
 
 @settings(max_examples=60, deadline=None)
 @given(count_tables())
 @example(CountTable(budgets=(7,), eps_grids=((0.1,),), plus=np.ones((1, 1, 3, 2), dtype=np.int64),
-                    master_seed=-1, model_spec=DLB.spec(), rule_spec=RULE13.spec()))
+                    master_seed=-1, model=DLB, rule=RULE13))
 def test_count_table_round_trip_property(table):
     with tempfile.TemporaryDirectory() as tmp:
         paths = Path(tmp, "a.csv"), Path(tmp, "a.json")
@@ -1193,6 +1208,7 @@ def test_count_table_round_trip_property(table):
         assert np.array_equal(back.plus, table.plus)
         assert back.header() == table.header()
         assert back.budgets == table.budgets and np.array_equal(back.eps_grids, table.eps_grids)
+        assert back.model == table.model and back.rule == table.rule
         again = Path(tmp, "b.csv"), Path(tmp, "b.json")
         back.write(*again)
         assert again[0].read_bytes() == paths[0].read_bytes()
