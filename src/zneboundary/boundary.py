@@ -234,10 +234,9 @@ def theoretical_boundary(model, rule: RichardsonRule | None) -> RegimeReport:
         )
     if rule is None:
         raise RegimeError("a rule is required for sampled models")
-    p = model.bias_exponent
-    d_p = leading_bias_gain(rule, p, model.bias_amplitude)
-    pen = variance_penalty(rule, model.variance_exponent, model.variance_level)
-    return classify_regime(p, model.variance_exponent, d_p, pen.k)
+    c = model.declared()
+    d_p = leading_bias_gain(rule, c["p"], c["bias_amplitude"])
+    return classify_regime(c["p"], c["q"], d_p, variance_penalty(rule, c["q"], c["nu"]).k)
 
 
 @dataclass(frozen=True)

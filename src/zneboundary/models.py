@@ -9,10 +9,11 @@ measurement cell reduces to a single plus-count drawn from
 that identity is written: it returns both curves from one mean
 evaluation, which is how the exact engine reads them.
 
-For boundary-theory predictions every sampled model declares its leading small-noise
-behavior: the bias exponent ``p`` and signed amplitude ``A`` of
-``mu(eps) - mu(0) = A eps^p + ...`` and the variance exponent ``q`` and level
-``nu`` of ``v(eps) = nu eps^q + ...``.
+For boundary-theory predictions every sampled model declares its leading
+small-noise behavior once, in ``declared()``: the bias exponent ``p`` and
+signed amplitude ``A`` of ``mu(eps) - mu(0) = A eps^p + ...`` and the
+variance exponent ``q`` and level ``nu`` of ``v(eps) = nu eps^q + ...``.
+The theory and the run report both read that dict.
 
 Domains are enforced, never clamped: evaluating outside the valid range
 raises :class:`~zneboundary.errors.DomainError` naming the violated bound,
@@ -22,12 +23,13 @@ Every model keeps one contract: a ``sampled`` flag, the domain check over
 ``[0, eps_max]``, ``spec`` (the registry name ``kind`` and the dataclass
 fields, for every model) and ``declared``.  The sampled models derive from
 :class:`NoiseObservableModel`.  :class:`MonomialBalanceModel` is the one
-model with ``sampled = False``: it has no mean curve or sampler and writes
-the paper's local expansion ``delta = D_p eps^(2p) - K_q eps^q / B``, plus
-tunable remainders, down as a closed form, elementwise like the mean
-curves.  The exact engine evaluates that closed form and the stages that
-need curves or counts read ``sampled``, so the crossing/fit stack can be
-tested against exactly known boundaries.
+model with ``sampled = False``: it defines no mean curve, variance curve or
+sampler, only the paper's local expansion ``delta = D_p eps^(2p) - K_q
+eps^q / B``, plus tunable remainders, as a closed form, elementwise like the
+mean curves.  The exact engine evaluates that closed form and the stages
+that need curves or counts read ``sampled``, so the crossing/fit stack can
+be tested against exactly known boundaries.  Its zero-remainder crossing is
+:meth:`boundary.RegimeReport.predicted_eps_star` of its theoretical boundary.
 """
 
 from __future__ import annotations
@@ -136,35 +138,15 @@ class NoiseObservableModel(_Model, ABC):
             raise ModelError(f"shots must be a positive integer, got {shots!r}")
         return int(rng.binomial(int(shots), float(self.plus_probability(eps))))
 
-    # declared leading-order behavior, used by theory predictions
-    @property
     @abstractmethod
-    def bias_exponent(self) -> float:
-        """Leading power p of mu(eps) - mu(0)."""
-
-    @property
-    @abstractmethod
-    def bias_amplitude(self) -> float:
-        """Signed coefficient A of the leading bias term A * eps^p."""
-
-    @property
-    @abstractmethod
-    def variance_exponent(self) -> float:
-        """Leading power q of v(eps)."""
-
-    @property
-    @abstractmethod
-    def variance_level(self) -> float:
-        """Coefficient nu of the leading variance term nu * eps^q."""
-
     def declared(self) -> dict:
-        """Declared leading-order constants, echoed into run reports."""
-        return {
-            "p": self.bias_exponent,
-            "bias_amplitude": self.bias_amplitude,
-            "q": self.variance_exponent,
-            "nu": self.variance_level,
-        }
+        """The leading-order constants ``{"p", "bias_amplitude", "q", "nu"}``.
+
+        The one statement of the model's small-noise theory: the bias
+        exponent p and signed amplitude A of ``mu(eps) - mu(0) = A eps^p``
+        and the variance exponent q and level nu of ``v(eps) = nu eps^q``.
+        :func:`boundary.theoretical_boundary` reads it, and run reports echo it.
+        """
 
 
 @dataclass(frozen=True)
@@ -201,10 +183,8 @@ class LinearBiasBinary(NoiseObservableModel):
     def _domain_message(self, eps: float) -> str:
         return f"LinearBiasBinary: |mu0 + alpha*eps| <= 1 violated at eps={eps!r}"
 
-    bias_exponent = property(lambda self: 1.0)
-    bias_amplitude = property(lambda self: self.alpha)
-    variance_exponent = property(lambda self: 0.0)
-    variance_level = property(lambda self: 1.0 - self.mu0**2)
+    def declared(self) -> dict:
+        return {"p": 1.0, "bias_amplitude": self.alpha, "q": 0.0, "nu": 1.0 - self.mu0**2}
 
 
 @dataclass(frozen=True)
@@ -230,10 +210,8 @@ class DeterministicLimitBinary(NoiseObservableModel):
         self.check_eps(eps)
         return 1.0 - self.kappa * eps
 
-    bias_exponent = property(lambda self: 1.0)
-    bias_amplitude = property(lambda self: -self.kappa)
-    variance_exponent = property(lambda self: 1.0)
-    variance_level = property(lambda self: 2.0 * self.kappa)
+    def declared(self) -> dict:
+        return {"p": 1.0, "bias_amplitude": -self.kappa, "q": 1.0, "nu": 2.0 * self.kappa}
 
 
 @dataclass(frozen=True)
@@ -271,10 +249,9 @@ class ProductContractionString(NoiseObservableModel):
         self.check_eps(eps)
         return _libm_pow(1.0 - self.gamma * eps, self.ell)
 
-    bias_exponent = property(lambda self: 1.0)
-    bias_amplitude = property(lambda self: -self.gamma * self.ell)
-    variance_exponent = property(lambda self: 1.0)
-    variance_level = property(lambda self: 2.0 * self.gamma * self.ell)
+    def declared(self) -> dict:
+        return {"p": 1.0, "bias_amplitude": -self.gamma * self.ell, "q": 1.0,
+                "nu": 2.0 * self.gamma * self.ell}
 
 
 @dataclass(frozen=True)
@@ -307,10 +284,9 @@ class PowerLeakageBinary(NoiseObservableModel):
         self.check_eps(eps)
         return self.sigma * (1.0 - self.kappa * _libm_pow(eps, self.r))
 
-    bias_exponent = property(lambda self: self.r)
-    bias_amplitude = property(lambda self: -self.sigma * self.kappa)
-    variance_exponent = property(lambda self: self.r)
-    variance_level = property(lambda self: 2.0 * self.kappa)
+    def declared(self) -> dict:
+        return {"p": self.r, "bias_amplitude": -self.sigma * self.kappa, "q": self.r,
+                "nu": 2.0 * self.kappa}
 
 
 @dataclass(frozen=True)
@@ -323,7 +299,7 @@ class MonomialBalanceModel(_Model):
                             + l_b eps^(2p + delta_b) + l_v eps^(q + delta_v) / B
 
     so crossings, regimes, brackets, and convergence rates are exactly
-    known.  It has no mean curve and no sampler (``sampled`` is False).
+    known.  It defines no mean curve and no sampler (``sampled`` is False).
     """
 
     kind = "monomial_balance"
@@ -365,27 +341,6 @@ class MonomialBalanceModel(_Model):
             + self.l_v * _libm_pow(eps, self.q + self.delta_v) / budget
         )
         return bias_part - var_part + rem
-
-    def mean(self, eps: float) -> float:
-        raise ModelError("MonomialBalanceModel has no mean curve")
-
-    def variance(self, eps: float) -> float:
-        raise ModelError("MonomialBalanceModel has no variance curve")
-
-    def sample_counts(self, eps: float, shots: int, rng) -> int:
-        raise ModelError("model has no sampler")
-
-    def crossing(self, budget: float) -> float:
-        """Exact leading-balance crossing ``(k_q / (d_p B))^(1/(2p-q))``.
-
-        Only the zero-remainder closed form; with remainders present use the
-        crossing finder on the exact curve.
-        """
-        if self.l_b or self.l_v:
-            raise ModelError("closed-form crossing requires zero remainders")
-        if self.q >= 2 * self.p:
-            raise ModelError("no shrinking crossing for q >= 2p")
-        return (self.k_q / (self.d_p * budget)) ** (1.0 / (2 * self.p - self.q))
 
     def declared(self) -> dict:
         return asdict(self)

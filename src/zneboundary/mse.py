@@ -45,6 +45,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
@@ -96,12 +97,9 @@ SEARCH_GROUPS = 1023
 
 @dataclass(frozen=True)
 class DeltaPoint:
-    """MSE difference at one (eps, budget) cell."""
+    """MSE difference at one (eps, budget) cell; ``std_err`` is None when exact."""
 
-    eps: float
-    budget: float
     delta: float
-    source: str  # "exact" or "monte_carlo"
     std_err: float | None = None
 
 
@@ -150,7 +148,7 @@ def _mse_terms(model, rule: RichardsonRule | None, eps, budget):
 def exact_delta(model, rule: RichardsonRule | None, eps: float, budget: float) -> DeltaPoint:
     """Exact MSE difference at one point: element 0 of :func:`exact_delta_curve`."""
     delta = exact_delta_curve(model, rule, [eps], budget)[0]
-    return DeltaPoint(eps=eps, budget=budget, delta=float(delta), source="exact")
+    return DeltaPoint(float(delta))
 
 
 def exact_delta_curve(model, rule: RichardsonRule | None, eps_grid, budget) -> np.ndarray:
@@ -238,6 +236,14 @@ def integerize_allocation(alloc: Sequence[float], budget: int) -> np.ndarray:
             f"level shots (got {shots.tolist()})"
         )
     return shots
+
+
+def _shot_budgets(budgets: Sequence[int]) -> tuple[int, ...]:
+    """The budgets as ints; one that is not a whole number raises AllocationError."""
+    for b in budgets:
+        if not (isinstance(b, Real) and math.isfinite(b) and b == int(b)):
+            raise AllocationError(f"budget {b!r} is not a whole number of shots")
+    return tuple(int(b) for b in budgets)
 
 
 def count_shots(model, rule: RichardsonRule, budgets: Sequence[int], eps_grids) -> np.ndarray:
@@ -384,10 +390,10 @@ class CountTable:
         """Load a table written by :meth:`write`, one budget block at a time.
 
         The JSON header must carry this schema version, every field of
-        :func:`count_header` (the scales its rule's), at least 2 replicates
-        and strictly ascending grids on which its model and rule give
-        :func:`count_shots`; with ``expected``, a configuration's header, it
-        must be that header.  Rows come in the writer's (budget, eps, arm,
+        :func:`count_header` (the scales its rule's), whole-number budgets,
+        at least 2 replicates and strictly ascending grids on which its model
+        and rule give :func:`count_shots`; with ``expected``, a
+        configuration's header, it must be that header.  Rows come in the writer's (budget, eps, arm,
         replicate) order: a wrong column header, an out-of-range cell, one
         before the next cell in that order (a duplicate) or after it (the
         next one has no row), an extra row, or a row whose shots are not its
@@ -398,7 +404,7 @@ class CountTable:
         try:
             header = json.loads(Path(header_path).read_text())
             check_schema(head, header.get("schema_version"))
-            budgets = tuple(int(b) for b in header["budgets"])
+            budgets = _shot_budgets(header["budgets"])
             eps_grids = grid_table(budgets, header["eps_grids"])
             model_spec, rule_spec, scales = header["model"], header["rule"], header["scales"]
             n_reps, master_seed = int(header["replicates"]), int(header["master_seed"])
@@ -741,11 +747,12 @@ def sample_count_table(
     cell-by-cell loop bit for bit.  The table comes first, with zero counts
     (its shots check the domain); :func:`_draw_table` then fills them in.
     The counts are plus-counts of +/-1 outcomes, so the model must be
-    sampled, and so binary.
+    sampled, and so binary.  A budget that is not a whole number raises
+    :class:`AllocationError`; it is never truncated.
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
-    budgets = tuple(int(b) for b in budgets)
+    budgets = _shot_budgets(budgets)
     eps_grids = grid_table(budgets, eps_grids)
     shape = (*eps_grids.shape, len(rule.scales) + 1, replicates)
     table = CountTable(budgets, eps_grids, np.zeros(shape, dtype=np.int64), int(master_seed),
@@ -791,8 +798,4 @@ def mc_delta(
     """
     table = sample_count_table(model, rule, [budget], [[eps]], replicates, master_seed)
     delta, std_err = deltas_from_counts(table)
-    point = DeltaPoint(
-        eps=float(eps), budget=float(budget), delta=float(delta[0, 0]),
-        source="monte_carlo", std_err=float(std_err[0, 0]),
-    )
-    return point, table
+    return DeltaPoint(float(delta[0, 0]), float(std_err[0, 0])), table

@@ -139,11 +139,12 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
 
     With ``cfg``, the table must have been written for ``cfg``.  Besides the
     format errors of :func:`artifacts.open_table` and :func:`artifacts.read_block`,
-    a nan or inf number, a budget with another row count than the first, eps
-    or budgets out of ascending order, a row with another field count than
-    the header, and a row whose source is not data row 1's or whose std_err
-    is set under the exact source (empty under monte_carlo) raise
-    :class:`ConfigError` naming the first offending row.
+    a nan or inf number, a budget or eps that is not positive, a negative
+    std_err, a budget with another row count than the first, eps or budgets
+    out of ascending order, a row with another field count than the header,
+    and a row whose source is not data row 1's or whose std_err is set under
+    the exact source (empty under monte_carlo) raise :class:`ConfigError`
+    naming the first offending row.
     """
     where = f"delta table {path}"
     with open_table(path, where, _DELTA_COLUMNS, cfg, "`zneboundary sweep`") as fh:
@@ -162,6 +163,15 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
         row, col = np.argwhere(~finite)[0]
         raise ConfigError(f"{where}: data row {row + 1}: {_DELTA_COLUMNS[col]} "
                           f"{float(rows[row, col])} is not a finite number")
+    # the writer's budgets and strengths are positive and its std_err non-negative;
+    # checked before the order checks, whose differences would overflow otherwise
+    below = np.zeros(rows.shape, dtype=bool)
+    below[:, :2], below[:, 3:] = rows[:, :2] <= 0, rows[:, 3:] < 0
+    if below.any():
+        row, col = np.argwhere(below)[0]
+        raise ConfigError(f"{where}: data row {row + 1}: {_DELTA_COLUMNS[col]} "
+                          f"{float(rows[row, col])!r} must be "
+                          f"{'positive' if col < 2 else 'non-negative'}")
     # each run of one B value is a budget block
     b_col = rows[:, 0]
     starts = np.flatnonzero(np.r_[True, b_col[1:] != b_col[:-1]])
@@ -230,7 +240,8 @@ def read_crossings_csv(path, cfg: ExperimentConfig | None = None) -> list[Crossi
     Besides the format errors of :func:`artifacts.open_table`, a malformed
     row raises :class:`ConfigError` naming the first offending data row: a
     nan or inf number, a crossed row without its eps_star or bracket or with
-    its eps_star outside the bracket, or a censored row with either.
+    its eps_star outside the bracket, a censored row with either, or a
+    budget not above the previous row's (budgets must be strictly ascending).
     """
     where = f"crossing table {path}"
     out = []
@@ -239,7 +250,11 @@ def read_crossings_csv(path, cfg: ExperimentConfig | None = None) -> list[Crossi
         rows = (line.rstrip("\n").split(",") for line in fh if line.strip())
         for number, row in enumerate(rows, 1):
             try:
-                out.append(_crossing_from_row(row))
+                crossing = _crossing_from_row(row)
+                if out and crossing.budget <= out[-1].budget:
+                    raise ValueError(f"budgets must be strictly ascending; the previous "
+                                     f"row has B={out[-1].budget!r}")
+                out.append(crossing)
             except ValueError as err:
                 raise ConfigError(f"{where}: data row {number} {','.join(row)!r}: {err}") from err
     if not out:

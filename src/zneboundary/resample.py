@@ -7,7 +7,9 @@ exactly resampling the per-cell +/-1 shots with replacement.  Each bootstrap
 replicate then reruns the entire estimation pipeline - noisy and
 extrapolated estimates, MSE differences, crossings, the variance-exponent
 and bias regressions, and the fitted boundary constants - and percentile
-intervals are taken over the replicate statistics.
+intervals are taken over the replicate statistics.  A redrawn count lies in
+[0, shots] by construction, so only the table's own counts are checked,
+once, when the table is built or read.
 
 Replicates are embarrassingly parallel: each derives its own counter-based
 stream from the bootstrap seed and the replicate index, and the percentile
@@ -60,14 +62,12 @@ def count_pipeline(
     *,
     variance_window: tuple[float, float] | None = None,
     bias_window: tuple[float, float] | None = None,
-    plus: np.ndarray | None = None,
 ) -> dict[str, float]:
-    """Full estimation pipeline over one (possibly resampled) count table.
+    """Full estimation pipeline over one count table.
 
     Returns a flat mapping of statistic name to value, with NaN marking
     statistics a table cannot support (fewer than three crossed budgets, too
-    few usable points in a regression window).  ``plus`` substitutes
-    resampled counts without copying the table.  ``c_plugin`` uses the
+    few usable points in a regression window).  ``c_plugin`` uses the
     penalty of the rule in the table's header.
 
     The empirical variance curve uses the unmitigated-arm cells only: counts
@@ -75,8 +75,7 @@ def count_pipeline(
     outcome is deterministic (empirical variance zero) cannot enter the
     log-log fit and are dropped.
     """
-    estimate = _TableEstimator(table, variance_window, bias_window)
-    return estimate(table.plus if plus is None else plus)
+    return _TableEstimator(table, variance_window, bias_window)(table.plus)
 
 
 class _TableEstimator:
@@ -101,11 +100,6 @@ class _TableEstimator:
         self.bias_window = bias_window
 
     def __call__(self, plus: np.ndarray) -> dict[str, float]:
-        if plus.shape != self.shots.shape:
-            raise ValueError(f"plus counts have shape {plus.shape}, "
-                             f"expected the table's {self.shots.shape}")
-        if np.any(plus < 0) or np.any(plus > self.shots):
-            raise ValueError("plus counts must lie in [0, shots]")
         delta = _squared_error_diffs(plus, self.shots, self.coeffs, self.mu0).mean(axis=2)
         lower, eps_star = first_crossings(self.eps, delta)
         eps_star = eps_star.tolist()

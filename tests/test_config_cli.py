@@ -519,6 +519,26 @@ class TestArtifactReaderErrors:
         msg = self.delta(tmp_path, edit)
         assert "budgets must be strictly ascending" in msg
 
+    @pytest.mark.parametrize("column, value, message", [
+        (3, "-0.5", "std_err -0.5 must be non-negative"),
+        (1, "-0.001", "eps -0.001 must be positive"),
+        (1, "0.0", "eps 0.0 must be positive"),
+        (0, "-1000.0", "B -1000.0 must be positive"),
+    ], ids=["negative-std_err", "negative-eps", "zero-eps", "negative-budget"])
+    def test_delta_value_the_writer_never_writes(self, tmp_path, column, value, message):
+        sweep = SweepResult(budgets=(1e3, 1e4), eps_grids=np.array([[0.1, 0.2]] * 2),
+                            delta=np.ones((2, 2)), std_err=np.full((2, 2), 0.5),
+                            source="monte_carlo", counts=None)
+
+        def edit(lines):  # a budget changes in its whole block, data rows 1 and 2
+            for line in (2, 3) if column == 0 else (2,):
+                fields = lines[line].split(",")
+                fields[column] = value
+                lines[line] = ",".join(fields)
+        msg = self.corrupt(tmp_path, "mc.csv", lambda p: write_delta_csv(p, sweep),
+                           read_delta_csv, edit)
+        assert f"data row 1: {message}" in msg
+
     def test_delta_eps_out_of_order(self, tmp_path):
         def edit(lines):
             lines[3], lines[4] = lines[4], lines[3]  # data rows 2 and 3 of B=1e4
@@ -530,6 +550,13 @@ class TestArtifactReaderErrors:
             lines[2] = lines[2].replace("0.001,", "abc,")
         msg = self.crossings(tmp_path, edit)
         assert "data row 1 " in msg and "could not convert" in msg
+
+    @pytest.mark.parametrize("order", [[0, 0, 1], [1, 0]], ids=["duplicated", "swapped"])
+    def test_crossings_budgets_out_of_order(self, tmp_path, order):
+        def edit(lines):  # data rows 1 and 2 are lines[2:4]
+            lines[2:] = [lines[2 + i] for i in order]
+        msg = self.crossings(tmp_path, edit)
+        assert "data row 2 " in msg and "budgets must be strictly ascending" in msg
 
     def test_crossings_missing_column(self, tmp_path):
         def edit(lines):
@@ -614,19 +641,23 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def sweeps(draw, monte_carlo):
+    """Tables the writer writes: positive eps and budgets, non-negative std_err."""
     budgets = draw(st.lists(st.floats(1.0, 1e15), min_size=1, max_size=4, unique=True))
     n_eps = draw(st.integers(1, 5))
     cells = st.lists(finite, min_size=n_eps, max_size=n_eps)
-    ascending = st.lists(finite, min_size=n_eps, max_size=n_eps, unique=True).map(sorted)
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    ascending = st.lists(positive, min_size=n_eps, max_size=n_eps, unique=True).map(sorted)
+    errors = st.lists(st.floats(0.0, allow_infinity=False), min_size=n_eps, max_size=n_eps)
     grids = np.array([draw(ascending) for _ in budgets])
     delta = np.array([draw(cells) for _ in budgets])
-    std_err = np.array([draw(cells) for _ in budgets]) if monte_carlo else None
+    std_err = np.array([draw(errors) for _ in budgets]) if monte_carlo else None
     return SweepResult(
         budgets=tuple(sorted(budgets)), eps_grids=grids, delta=delta, std_err=std_err,
         source="monte_carlo" if monte_carlo else "exact", counts=None,
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(st.booleans().flatmap(sweeps))
 def test_delta_csv_round_trip_property(sweep):
@@ -647,16 +678,21 @@ def test_delta_csv_round_trip_property(sweep):
 
 @st.composite
 def crossing_rows(draw):
-    budget = draw(st.floats(1.0, 1e15))
-    if draw(st.booleans()):  # the crossing lies inside its bracket
-        lo, eps_star, hi = sorted(draw(st.lists(finite, min_size=3, max_size=3)))
-        return CrossingEstimate(budget, eps_star, "crossed", lo, hi)
-    status = draw(st.sampled_from(["no_negative_region", "no_crossing_in_window"]))
-    return CrossingEstimate(budget, None, status)
+    """A crossing table's rows, one per budget, budgets strictly ascending."""
+    budgets = draw(st.lists(st.floats(1.0, 1e15), min_size=1, max_size=6, unique=True))
+    rows = []
+    for budget in sorted(budgets):
+        if draw(st.booleans()):  # the crossing lies inside its bracket
+            lo, eps_star, hi = sorted(draw(st.lists(finite, min_size=3, max_size=3)))
+            rows.append(CrossingEstimate(budget, eps_star, "crossed", lo, hi))
+        else:
+            status = draw(st.sampled_from(["no_negative_region", "no_crossing_in_window"]))
+            rows.append(CrossingEstimate(budget, None, status))
+    return rows
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(crossing_rows(), min_size=1, max_size=6))
+@given(crossing_rows())
 def test_crossings_csv_round_trip_property(crossings):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")

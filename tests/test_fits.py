@@ -67,7 +67,8 @@ class TestFitLoglog:
         for p, q in [(1, 0), (1, 1), (2, 0), (2, 1)]:
             model = MonomialBalanceModel(p=p, q=q, d_p=2.0, k_q=3.0)
             budgets = np.geomspace(1e3, 1e6, 10)
-            points = [(b, model.crossing(b)) for b in budgets]
+            regime = theoretical_boundary(model, None)
+            points = [(b, regime.predicted_eps_star(b)) for b in budgets]
             fit = fit_loglog(points)
             assert fit.slope == pytest.approx(-1.0 / (2 * p - q), abs=1e-6)
             c_pq = (3.0 / 2.0) ** (1.0 / (2 * p - q))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from zneboundary.boundary import theoretical_boundary
 from zneboundary.errors import ConfigError, DomainError, ModelError
 from zneboundary.models import (
     _REGISTRY,
@@ -20,7 +21,8 @@ from zneboundary.models import (
     check_scaled_eps,
     model_from_spec,
 )
-from zneboundary.mse import exact_delta
+from zneboundary.mse import CountTable, exact_delta
+from zneboundary.rules import build_rule
 
 ALL_BINARY = [
     LinearBiasBinary(mu0=0.5, alpha=1.0),
@@ -144,12 +146,20 @@ class TestDeclaredConstants:
         assert m.declared() == {
             "p": 1.0, "bias_amplitude": -0.5, "q": 1.0, "nu": 1.0,
         }
-        lb = LinearBiasBinary(mu0=0.5, alpha=2.0)
-        assert lb.variance_level == pytest.approx(0.75)
-        assert lb.bias_amplitude == 2.0
-        pl = PowerLeakageBinary(sigma=1, kappa=0.8, r=2.5)
-        assert pl.bias_exponent == 2.5
-        assert pl.variance_exponent == 2.5
+        assert LinearBiasBinary(mu0=0.5, alpha=2.0).declared() == {
+            "p": 1.0, "bias_amplitude": 2.0, "q": 0.0, "nu": 0.75,
+        }
+        assert DeterministicLimitBinary(kappa=0.5).declared() == {
+            "p": 1.0, "bias_amplitude": -0.5, "q": 1.0, "nu": 1.0,
+        }
+        assert PowerLeakageBinary(sigma=-1, kappa=0.8, r=2.5).declared() == {
+            "p": 2.5, "bias_amplitude": 0.8, "q": 2.5, "nu": 1.6,
+        }
+        # declared() is the one statement: no model restates it as attributes
+        for m in ALL_BINARY + [MonomialBalanceModel(p=1, q=1, d_p=1.0, k_q=2.0)]:
+            for name in ("bias_exponent", "bias_amplitude", "variance_exponent",
+                         "variance_level"):
+                assert not hasattr(m, name)
 
 
 class TestSampler:
@@ -245,18 +255,20 @@ class TestMonomialBalance:
 
     def test_has_no_sampler_or_curves(self):
         m = MonomialBalanceModel(p=1, q=1, d_p=1.0, k_q=2.0)
-        with pytest.raises(ModelError, match="no sampler"):
-            m.sample_counts(0.1, 10, np.random.default_rng(0))
-        with pytest.raises(ModelError):
-            m.mean(0.1)
-        with pytest.raises(ModelError):
-            m.variance(0.1)
+        assert not m.sampled
+        for name in ("mean", "variance", "sample_counts", "crossing"):
+            assert not hasattr(m, name)
+        with pytest.raises(ModelError, match="model has no sampler"):
+            CountTable((100,), [[0.1]], np.zeros((1, 1, 3, 2), dtype=np.int64), 0, m,
+                       build_rule([1, 3]))
 
     def test_closed_form_crossing(self):
+        # the zero-remainder crossing (k_q / (d_p B))^(1/(2p-q)) is the subcritical law
         m = MonomialBalanceModel(p=1, q=0, d_p=1.0, k_q=1.0)
-        assert m.crossing(10**4) == pytest.approx(0.01)
+        assert theoretical_boundary(m, None).predicted_eps_star(10**4) == pytest.approx(0.01)
         m2 = MonomialBalanceModel(p=2, q=1, d_p=4.0, k_q=8.0)
-        assert m2.crossing(100.0) == pytest.approx((8.0 / 400.0) ** (1 / 3))
+        assert theoretical_boundary(m2, None).predicted_eps_star(100.0) == pytest.approx(
+            (8.0 / 400.0) ** (1 / 3))
 
 
 positive = st.floats(1e-3, 1e3)

@@ -99,7 +99,7 @@ class TestExactMse:
         from zneboundary.rules import variance_penalty
 
         for model in (DLB, ProductContractionString(gamma=0.1, ell=5)):
-            k1 = variance_penalty(RULE13, 1.0, model.variance_level).k_fixed
+            k1 = variance_penalty(RULE13, 1.0, model.declared()["nu"]).k_fixed
             errs = []
             for eps in (1e-3, 1e-4, 1e-5):
                 budget = 100.0
@@ -876,6 +876,12 @@ class TestMonteCarlo:
         with pytest.raises(AllocationError):
             mc_delta(DLB, rule, 0.01, 3, 5, master_seed=0)
 
+    def test_budget_not_whole_refused(self):
+        # a fractional budget is refused, not truncated; an integral float is a budget
+        with pytest.raises(AllocationError, match="budget 1000.7 is not a whole number of shots"):
+            sample_count_table(DLB, RULE13, [1000.7], [[0.01, 0.02]], 2, 1)
+        assert sample_count_table(DLB, RULE13, [1000.0], [[0.01, 0.02]], 2, 1).budgets == (1000,)
+
 
 class TestCountTable:
     def test_unequal_grid_lengths_named(self):
@@ -1158,12 +1164,14 @@ class TestCountTableRowValidation:
          "scaled strength lambda*eps out of domain at (eps=0.9, lambda=3.0)"),
         (lambda header: json.dumps({**header, "budgets": [500, 1]}),
          "budget 1 too small to give each of 2 levels a shot"),
+        (lambda header: json.dumps({**header, "budgets": [500.7, 2000]}),
+         "budget 500.7 is not a whole number of shots"),
     ], ids=["not_json", "no_budgets", "no_eps_grids", "no_scales", "no_replicates",
             "no_master_seed", "no_model", "no_rule", "no_budgets_listed", "grid_count",
             "grid_lengths", "grid_nested", "replicates_negative", "replicates_zero",
             "scales_not_the_rules", "rule_unknown_alloc", "model_unknown", "model_not_sampled",
             "grid_out_of_domain",
-            "budget_below_levels"])
+            "budget_below_levels", "budget_not_whole"])
     def test_malformed_header(self, tmp_path, edit_header, expected):
         assert expected in self.corrupt(tmp_path, lambda lines: None, edit_header)
 

@@ -73,16 +73,6 @@ class TestCountPipeline:
         assert "q_hat" not in stats
         assert "s_obs" in stats
 
-    def test_resampled_counts_are_range_checked(self):
-        table = small_table(replicates=4)
-        for value in (-1, table.shots[1, 2, 1, 3] + 1):
-            bad = table.plus.copy()
-            bad[1, 2, 1, 3] = value
-            with pytest.raises(ValueError, match=r"\[0, shots\]"):
-                count_pipeline(table, plus=bad)
-        with pytest.raises(ValueError, match="shape"):
-            count_pipeline(table, plus=table.plus[..., :2])
-
     def test_short_grid_rejected(self):
         table = small_table(replicates=4)
         table.eps_grids = tuple(g[:2] for g in table.eps_grids)
