@@ -45,10 +45,17 @@ DEFAULT_BOOTSTRAP = {"n_replicates": 1000, "level": 0.95}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description plus its canonical raw form."""
+    """A validated experiment: the values :func:`parse_config` parsed, which the stages use.
 
-    model_spec: dict
-    rule_spec: dict
+    ``model()`` and ``rule()`` are the objects built during validation (no rule
+    for a rule-less sweep or an unsampled model).  ``grid`` and ``windows`` hold
+    floats (``span`` and each window a pair) and ``points_per_decade`` an int;
+    ``engine["replicates"]``, the seeds and the bootstrap counts are ints;
+    ``output`` holds strings.  ``raw`` is the mapping as loaded: the hash covers it.
+    """
+
+    _model: object
+    _rule: RichardsonRule | None
     grid: dict
     budgets: tuple[float, ...]
     engine: dict
@@ -59,11 +66,10 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
     def model(self):
-        return model_from_spec(self.model_spec)
+        return self._model
 
     def rule(self) -> RichardsonRule | None:
-        """The rule, None for a rule-less sweep or a model that is not sampled."""
-        return build_rule(**self.rule_spec) if self.rule_spec else None
+        return self._rule
 
     @property
     def is_monte_carlo(self) -> bool:
@@ -71,15 +77,7 @@ class ExperimentConfig:
 
     @property
     def replicates(self) -> int:
-        return int(self.engine.get("replicates", DEFAULT_REPLICATES))
-
-    def variance_window(self) -> tuple[float, float] | None:
-        win = self.windows.get("variance")
-        return (float(win[0]), float(win[1])) if win else None
-
-    def bias_window(self) -> tuple[float, float] | None:
-        win = self.windows.get("bias")
-        return (float(win[0]), float(win[1])) if win else None
+        return self.engine.get("replicates", DEFAULT_REPLICATES)
 
     def hash(self) -> str:
         return config_hash(self.raw)
@@ -139,7 +137,7 @@ def _number(key: str, value, integer: bool = False):
         number = value if integer and isinstance(value, int) else float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if not math.isfinite(number) or (integer and number != int(number)):
+    if isinstance(value, bool) or not math.isfinite(number) or (integer and number != int(number)):
         raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, "
                           f"got {value!r}")
     return int(number) if integer else number
@@ -209,7 +207,10 @@ def _expand_budgets(raw: dict) -> tuple[float, ...]:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw mapping into an ExperimentConfig."""
+    """Validate a raw mapping into an ExperimentConfig, parsing each value once.
+
+    A YAML 1.1 string such as ``1e1`` is the number it spells; ``raw`` is kept as given.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"configuration root must be a mapping, got {type(raw).__name__}")
     unknown = set(raw) - {
@@ -223,47 +224,50 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"missing configuration section {section!r}")
 
     model_spec = raw["model"]
+    if isinstance(model_spec, dict):  # a YAML 1.1 string like 1e-1 is the number it spells
+        model_spec = {k: _number(f"model.{k}", v) if k != "type" and isinstance(v, str) else v
+                      for k, v in model_spec.items()}
     model = model_from_spec(model_spec)  # validates type and parameters
 
     rule_spec = _section(raw, "rule", {"scales", "alloc"})
-    if not model.sampled:  # the closed form needs no rule
-        rule_spec = {}
-    elif rule_spec:
+    rule = None
+    if model.sampled and rule_spec:  # the closed form needs no rule
         if "scales" not in rule_spec:
             raise ConfigError("rule section needs scales (or set rule to null for "
                               "a noisy-vs-itself sweep)")
         alloc = rule_spec.get("alloc", "uniform")
-        build_rule(rule_spec["scales"], alloc)
-        rule_spec = {"scales": list(rule_spec["scales"]), "alloc": alloc}
+        rule = build_rule(_numbers("rule.scales", rule_spec["scales"]),
+                          alloc if isinstance(alloc, str) else _numbers("rule.alloc", alloc))
 
     grid = {**DEFAULT_GRID, **_section(raw, "grid", {"mode", "span", "points_per_decade", "eps"})}
-    if grid["mode"] == "explicit":
-        if not grid.get("eps"):
-            raise ConfigError("explicit grid needs at least one eps value")
-        eps = _numbers("grid.eps", grid["eps"])
-        if any(b <= a for a, b in zip(eps, eps[1:])) or eps[0] <= 0:
-            raise ConfigError("explicit grid must be positive and strictly ascending, got "
-                              + ", ".join(f"{e:g}" for e in eps))
-    elif grid["mode"] == "auto":
-        _pair("grid.span", grid["span"])
-        _positive_int("grid.points_per_decade", grid["points_per_decade"])
-    else:
+    if grid["mode"] not in ("auto", "explicit"):
         raise ConfigError(f"grid mode must be auto or explicit, got {grid['mode']!r}")
+    if grid["mode"] == "explicit" and not grid.get("eps"):
+        raise ConfigError("explicit grid needs at least one eps value")
+    grid["span"] = _pair("grid.span", grid["span"])
+    grid["points_per_decade"] = _positive_int("grid.points_per_decade", grid["points_per_decade"])
+    if "eps" in grid:
+        eps = grid["eps"] = _numbers("grid.eps", grid["eps"])
+        if any(b <= a for a, b in zip([0.0, *eps], eps)):
+            raise ConfigError("grid.eps must be positive and strictly ascending, got "
+                              + ", ".join(f"{e:g}" for e in eps))
 
     budgets = _expand_budgets(raw)
 
     engine = {"kind": "exact", **_section(raw, "engine", {"kind", "replicates"})}
     if engine["kind"] not in ("exact", "monte_carlo"):
         raise ConfigError(f"engine kind must be exact or monte_carlo, got {engine['kind']!r}")
+    if "replicates" in engine:
+        engine["replicates"] = _number("engine.replicates", engine["replicates"], integer=True)
 
-    if not rule_spec and model.sampled:
+    if rule is None and model.sampled:
         if engine["kind"] == "monte_carlo":
             raise ConfigError("the monte_carlo engine needs a rule section")
         if grid["mode"] != "explicit":
             raise ConfigError("a rule-less sweep needs an explicit grid "
                               "(the auto window is centered on the rule's boundary)")
 
-    seed = raw.get("seed")
+    seed = None if raw.get("seed") is None else _number("seed", raw["seed"], integer=True)
     if engine["kind"] == "monte_carlo":
         if seed is None:
             raise ConfigError("a master seed is mandatory for the monte_carlo engine")
@@ -271,13 +275,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("monomial balance models have no sampler; use the exact engine")
         if any(b != int(b) for b in budgets):
             raise ConfigError("monte_carlo budgets must be integers")
-        replicates = engine.get("replicates", DEFAULT_REPLICATES)
-        if _number("engine.replicates", replicates, integer=True) < 2:
+        if engine.get("replicates", DEFAULT_REPLICATES) < 2:
             raise ConfigError("monte_carlo needs at least 2 replicates")
 
-    windows = _section(raw, "windows", {"variance", "bias"})
-    fit_windows = {name: _pair(f"windows.{name}", win) for name, win in windows.items()
-                   if win is not None}
+    windows = {name: _pair(f"windows.{name}", win)
+               for name, win in _section(raw, "windows", {"variance", "bias"}).items()
+               if win is not None}
 
     bootstrap = raw.get("bootstrap")
     if bootstrap is not None:
@@ -296,19 +299,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
             bootstrap[key] = _number(f"bootstrap.{key}", bootstrap[key], integer=True)
         bootstrap["level"] = _number("bootstrap.level", bootstrap["level"])
         check_bootstrap(bootstrap["statistics"], bootstrap["n_replicates"], bootstrap["level"],
-                        fit_windows.get("variance"), fit_windows.get("bias"))
+                        windows.get("variance"), windows.get("bias"))
+
+    output = {"dir": ".", "prefix": "run", **_section(raw, "output", {"dir", "prefix"})}
+    for key, value in output.items():
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"output.{key} must be a non-empty string, got {value!r}")
 
     return ExperimentConfig(
-        model_spec=model_spec,
-        rule_spec=rule_spec,
-        grid=grid,
-        budgets=budgets,
-        engine=engine,
-        windows=windows,
-        bootstrap=bootstrap,
-        seed=None if seed is None else _number("seed", seed, integer=True),
-        output={"dir": ".", "prefix": "run", **_section(raw, "output", {"dir", "prefix"})},
-        raw=raw,
+        _model=model, _rule=rule, grid=grid, budgets=budgets, engine=engine,
+        windows=windows, bootstrap=bootstrap, seed=seed, output=output, raw=raw,
     )
 
 

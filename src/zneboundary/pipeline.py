@@ -74,10 +74,9 @@ class SweepResult:
 def build_grids(cfg: ExperimentConfig) -> np.ndarray:
     """The :func:`mse.grid_table` of the pre-registered grid section, one row per budget."""
     if cfg.grid["mode"] == "explicit":
-        return grid_table(cfg.budgets, [[float(e) for e in cfg.grid["eps"]]] * len(cfg.budgets))
-    return auto_windows(cfg.model(), cfg.rule(), cfg.budgets,
-                        span=tuple(float(s) for s in cfg.grid["span"]),
-                        points_per_decade=int(cfg.grid["points_per_decade"]))
+        return grid_table(cfg.budgets, [cfg.grid["eps"]] * len(cfg.budgets))
+    return auto_windows(cfg.model(), cfg.rule(), cfg.budgets, span=cfg.grid["span"],
+                        points_per_decade=cfg.grid["points_per_decade"])
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -239,9 +238,10 @@ def read_crossings_csv(path, cfg: ExperimentConfig | None = None) -> list[Crossi
 
     Besides the format errors of :func:`artifacts.open_table`, a malformed
     row raises :class:`ConfigError` naming the first offending data row: a
-    nan or inf number, a crossed row without its eps_star or bracket or with
-    its eps_star outside the bracket, a censored row with either, or a
-    budget not above the previous row's (budgets must be strictly ascending).
+    nan or inf number, a budget, eps_star or bracket end that is not
+    positive, a crossed row without its eps_star or bracket or with its
+    eps_star outside the bracket, a censored row with either, or a budget
+    not above the previous row's (budgets must be strictly ascending).
     """
     where = f"crossing table {path}"
     out = []
@@ -275,8 +275,11 @@ def _crossing_from_row(row: list[str]) -> CrossingEstimate:
         raise ValueError("bracket_lo and bracket_hi must be given exactly when the "
                          "status is crossed")
     for name, text in zip(_CROSSING_COLUMNS, row):
-        if name != "status" and text and not math.isfinite(float(text)):
-            raise ValueError(f"{name} {text} is not a finite number")
+        if name != "status" and text:
+            if not math.isfinite(value := float(text)):
+                raise ValueError(f"{name} {text} is not a finite number")
+            if value <= 0:  # the writer's budgets and strengths are positive
+                raise ValueError(f"{name} {text} must be positive")
     if crossed and not float(lo) <= float(eps_star) <= float(hi):
         raise ValueError(f"eps_star {eps_star} outside its bracket [{lo}, {hi}]")
     return CrossingEstimate(
@@ -290,8 +293,7 @@ def _crossing_from_row(row: list[str]) -> CrossingEstimate:
 
 def write_variance_csv(path, cfg: ExperimentConfig) -> bool:
     """Plot-ready exact variance curve over the pre-registered window."""
-    window = cfg.variance_window()
-    model = cfg.model()
+    window, model = cfg.windows.get("variance"), cfg.model()
     if window is None or not model.sampled:
         return False
     grid = np.geomspace(window[0], window[1], VARIANCE_CSV_POINTS)
@@ -360,7 +362,7 @@ def build_report(
         report["boundary_fit"] = {"error": str(err)}
 
     var_fit = bias_fit = None
-    var_win, bias_win = cfg.variance_window(), cfg.bias_window()
+    var_win, bias_win = cfg.windows.get("variance"), cfg.windows.get("bias")
     if model.sampled and var_win:
         grid = np.geomspace(*var_win, EXACT_FIT_POINTS)
         var_fit = fit_variance_exponent(grid, model.variance(grid), var_win)

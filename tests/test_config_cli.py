@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -75,7 +76,7 @@ class TestConfig:
         path = write_cfg(tmp_path, DLB_EXACT)
         base = load_config(path)
         tweaked = load_config(path, overrides=["model.kappa=2.0"])
-        assert tweaked.model_spec["kappa"] == 2.0
+        assert tweaked.model().kappa == 2.0
         assert tweaked.hash() != base.hash()
 
     def test_yaml12_float_strings_hash_as_floats(self, tmp_path):
@@ -84,7 +85,7 @@ class TestConfig:
         dotless = load_config(write_cfg(tmp_path, DLB_EXACT), overrides=[
             "windows.variance=[1e-4, 1e-3]", "budgets.lo=1e4", "budgets.hi=+1E7"])
         assert dotless.raw["windows"]["variance"] == ["1e-4", "1e-3"]
-        assert dotless.variance_window() == base.variance_window()
+        assert dotless.windows["variance"] == base.windows["variance"]
         assert dotless.hash() == base.hash()
         for text in ("1e", "e-4", "1e-4x", "12"):  # no dotless exponent number: a string
             canonical = json.dumps({"w": text}, separators=(",", ":"))
@@ -181,7 +182,7 @@ class TestConfig:
     def test_override_inside_null_section(self, tmp_path):
         cfg_path = write_cfg(tmp_path, dict(DLB_EXACT, windows=None))
         cfg = load_config(cfg_path, ["windows.variance=[1.0e-4, 1.0e-3]"])
-        assert (cfg.variance_window(), cfg.bias_window()) == ((1e-4, 1e-3), None)
+        assert cfg.windows == {"variance": (1e-4, 1e-3)}
         with pytest.raises(ConfigError, match="cannot override through non-mapping key 'rule'"):
             load_config(write_cfg(tmp_path, dict(DLB_EXACT, rule=5)), ["rule.scales=[1, 3]"])
 
@@ -214,6 +215,14 @@ class TestConfig:
         (DLB_EXACT, ["grid.spam=1"],
          "unknown grid keys ['spam']; known: eps, mode, points_per_decade, span"),
         (DLB_EXACT, ["output.prefx=x"], "unknown output keys ['prefx']; known: dir, prefix"),
+        (DLB_EXACT, ["output.dir=5"], "output.dir must be a non-empty string, got 5"),
+        (DLB_EXACT, ["output.prefix=[a]"], "output.prefix must be a non-empty string, got ['a']"),
+        (DLB_EXACT, ["output.prefix=''"], "output.prefix must be a non-empty string, got ''"),
+        (DLB_EXACT, ["rule.scales=5"], "rule.scales must be a list of numbers, got 5"),
+        (DLB_EXACT, ["rule.alloc=[a, 1]"], "rule.alloc must be a number, got 'a'"),
+        (DLB_EXACT, ["model.kappa=abc"], "model.kappa must be a number, got 'abc'"),
+        (DLB_MC, ["seed=true"], "seed must be an integer, got True"),
+        (DLB_EXACT, ["windows.bias=[true, 2]"], "windows.bias must be a number, got True"),
         (DLB_MC, ["bootstrap.sead=1"], "unknown bootstrap keys ['sead']"),
         (DLB_EXACT, ["budgets.step=2"], "unknown budgets keys ['step']"),
         (DLB_EXACT, ["grid.points_per_decade=0"],
@@ -227,7 +236,9 @@ class TestConfig:
     ], ids=["eps", "budgets", "variance", "bias", "replicates", "ppd", "statistics",
             "statistics-type", "n_replicates", "level", "window", "grid-int", "engine-str",
             "windows-list",
-            "output-str", "rule-key", "engine-key", "grid-key", "output-key", "bootstrap-key",
+            "output-str", "rule-key", "engine-key", "grid-key", "output-key",
+            "output-dir-int", "output-prefix-list", "output-prefix-empty", "rule-scales",
+            "rule-alloc", "model-param", "seed-bool", "window-bool", "bootstrap-key",
             "budgets-key", "ppd-zero", "ppd-negative", "per-decade-zero",
             "per-decade-negative"])
     def test_sweep_refuses_bad_value_naming_it(self, tmp_path, capsys, base, overrides, named):
@@ -583,8 +594,11 @@ class TestArtifactReaderErrors:
         ("100000.0,,no_negative_region,0.01,0.02", 2,
          "bracket_lo and bracket_hi must be given exactly"),
         ("10000.0,0.5,crossed,0.01,0.02", 1, "eps_star 0.5 outside its bracket [0.01, 0.02]"),
+        ("1000.0,-0.01,crossed,-0.02,-0.005", 1, "eps_star -0.01 must be positive"),
+        ("10000.0,0.001,crossed,0.0,0.0011", 1, "bracket_lo 0.0 must be positive"),
+        ("-10000.0,,no_negative_region,,", 1, "B -10000.0 must be positive"),
     ], ids=["crossed-no-bracket", "crossed-half-bracket", "censored-with-bracket",
-            "eps-star-outside-bracket"])
+            "eps-star-outside-bracket", "negative-crossing", "zero-bracket", "negative-budget"])
     def test_crossings_row_the_writer_never_writes(self, tmp_path, row, number, message):
         def edit(lines):
             lines[1 + number] = row + "\r\n"
@@ -678,12 +692,13 @@ def test_delta_csv_round_trip_property(sweep):
 
 @st.composite
 def crossing_rows(draw):
-    """A crossing table's rows, one per budget, budgets strictly ascending."""
+    """Rows the writer writes: one per budget, budgets strictly ascending, strengths positive."""
     budgets = draw(st.lists(st.floats(1.0, 1e15), min_size=1, max_size=6, unique=True))
+    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
     rows = []
     for budget in sorted(budgets):
         if draw(st.booleans()):  # the crossing lies inside its bracket
-            lo, eps_star, hi = sorted(draw(st.lists(finite, min_size=3, max_size=3)))
+            lo, eps_star, hi = sorted(draw(st.lists(positive, min_size=3, max_size=3)))
             rows.append(CrossingEstimate(budget, eps_star, "crossed", lo, hi))
         else:
             status = draw(st.sampled_from(["no_negative_region", "no_crossing_in_window"]))
@@ -915,6 +930,69 @@ class TestCli:
         delta.write_text("".join(lines))
         assert main(["boundary", "--config", str(cfg_path)]) == 2
         assert "data row 2: delta nan is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["1000.0,-0.01,crossed,-0.02,-0.005",
+                                     "-1000.0,,no_negative_region,,"],
+                             ids=["negative-crossing", "negative-budget"])
+    def test_fit_refuses_a_crossing_row_the_writer_never_writes(self, tmp_path, capsys, row):
+        raw = dict(DLB_EXACT, output={"dir": str(tmp_path), "prefix": "x"},
+                   budgets={"values": [1e4, 1e5, 1e6]})
+        cfg_path = write_cfg(tmp_path, raw)
+        assert main(["boundary", "--config", str(cfg_path)]) == 0
+        crossings = tmp_path / "x_crossings.csv"
+        lines = crossings.read_text().splitlines(keepends=True)
+        lines[2] = row + "\r\n"
+        crossings.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        assert f"{crossings}: data row 1 {row!r}: " in capsys.readouterr().err
+        assert not (tmp_path / "x_report.json").exists()
+
+    @pytest.mark.parametrize("spelled, plain", [
+        ("engine.replicates=1e1", "engine.replicates=10"),
+        ("grid.points_per_decade=1.2e1", "grid.points_per_decade=12"),
+        ("grid.span=[2e-1, 5e0]", "grid.span=[0.2, 5.0]"),
+        ("model.kappa=1e0", "model.kappa=1.0"),
+        ("rule.scales=[1, 3e0]", "rule.scales=[1, 3]"),
+    ], ids=["replicates", "points-per-decade", "span", "model", "scales"])
+    def test_exponent_spelling_is_the_plain_value(self, tmp_path, spelled, plain):
+        # YAML 1.1 reads 1e1 as a string; the check parses it, and the run uses that number
+        raw = dict(DLB_MC, budgets={"values": [2000, 8000]}, bootstrap=None,
+                   output={"dir": str(tmp_path), "prefix": "x"})
+        cfg_path = write_cfg(tmp_path, raw)
+        parsed = [load_config(cfg_path, [override]) for override in (spelled, plain)]
+        assert parsed[0].raw != parsed[1].raw
+        assert replace(parsed[0], raw={}) == replace(parsed[1], raw={})
+        for prefix, override in (("spelled", spelled), ("plain", plain)):
+            assert main(["sweep", "--config", str(cfg_path), "--set", override,
+                         "--set", f"output.prefix={prefix}"]) == 0
+        for suffix in ("counts.csv", "counts.json"):
+            spelled_bytes = (tmp_path / f"spelled_{suffix}").read_bytes()
+            assert spelled_bytes == (tmp_path / f"plain_{suffix}").read_bytes()
+
+    def test_each_stage_builds_the_rule_once(self, tmp_path, monkeypatch):
+        # the configuration's rule is built by parse_config and nowhere else;
+        # fit also builds the one its counts header stores
+        original, built = build_rule, []
+
+        def spy(module):
+            def counted(*args, **kwargs):
+                built.append(module)
+                return original(*args, **kwargs)
+            return counted
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("zneboundary") and getattr(module, "build_rule", None) is original:
+                monkeypatch.setattr(module, "build_rule", spy(name))
+        raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]}, bootstrap=None,
+                   engine={"kind": "monte_carlo", "replicates": 4},
+                   output={"dir": str(tmp_path), "prefix": "m"})
+        cfg_path = write_cfg(tmp_path, raw)
+        for stage, expected in (("sweep", ["config"]), ("boundary", ["config"]),
+                                ("fit", ["config", "mse"])):
+            built.clear()
+            assert main([stage, "--config", str(cfg_path)]) == 0
+            assert built == [f"zneboundary.{module}" for module in expected], stage
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_fit_refuses_bad_thread_count(self, tmp_path, capsys, monkeypatch, value):
