@@ -17,7 +17,6 @@ from .boundary import (
     budget_bracket,
     classify_regime,
     find_crossing_arrays,
-    geometric_grid,
     local_optimality_check,
     theoretical_boundary,
 )
@@ -84,7 +83,7 @@ __all__ = [
     # boundary
     "CrossingEstimate", "RegimeReport", "BudgetBracket", "find_crossing_arrays",
     "classify_regime", "theoretical_boundary", "budget_bracket",
-    "local_optimality_check", "auto_window", "geometric_grid",
+    "local_optimality_check", "auto_window",
     # fits
     "BoundaryFit", "VarianceExponentFit", "BiasFit", "ConstantCheck",
     "fit_loglog", "fit_boundary", "fit_variance_exponent", "fit_bias",

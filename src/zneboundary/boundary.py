@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import RegimeError
 from .models import scaled_domain_max
-from .mse import exact_delta, grid_table
+from .mse import exact_delta_curve, grid_table
 from .rules import RichardsonRule, variance_penalty
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "local_optimality_check",
     "auto_window",
     "auto_windows",
-    "geometric_grid",
 ]
 
 STATUS_CROSSED = "crossed"
@@ -326,40 +325,26 @@ def local_optimality_check(
 
     A schedule shrinking strictly faster than the boundary scale (s' > r)
     must give a negative exact MSE difference for every budget past some
-    onset; the result reports that onset and the evaluated deltas.
+    onset; the result reports that onset, the budget after the last
+    non-negative delta, and the deltas, evaluated as one table.
     """
     if regime.regime != "subcritical":
         raise RegimeError(f"check requires the subcritical regime, got {regime.regime}")
     r = -regime.exponent
     if not s_prime > r:
         raise RegimeError(f"schedule exponent s'={s_prime} must exceed r={r}")
+    if not len(budgets):
+        raise RegimeError("the schedule check needs at least one budget")
     budgets = sorted(float(b) for b in budgets)
-    deltas = []
-    for b in budgets:
-        eps_b = b ** (-s_prime)
-        deltas.append(exact_delta(model, rule, eps_b, b).delta)
-    onset = None
-    for i, d in enumerate(deltas):
-        if all(x < 0 for x in deltas[i:]):
-            onset = budgets[i]
-            break
+    schedule = np.array([[b ** (-s_prime)] for b in budgets])
+    deltas = exact_delta_curve(model, rule, schedule, np.array(budgets)[:, None])[:, 0]
+    not_harmful = np.flatnonzero(~(deltas < 0))
+    start = not_harmful[-1] + 1 if not_harmful.size else 0
+    onset = budgets[start] if start < len(budgets) else None
     return LocalOptimalityResult(
         s_prime=s_prime, passed=onset is not None, onset_budget=onset,
-        budgets=tuple(budgets), deltas=tuple(deltas),
+        budgets=tuple(budgets), deltas=tuple(deltas.tolist()),
     )
-
-
-def geometric_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """Strictly increasing geometric grid with n points on [lo, hi]."""
-    _check_geometric(lo, hi, n)
-    return np.geomspace(lo, hi, n)
-
-
-def _check_geometric(lo: float, hi: float, n: int) -> None:
-    if not 0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    if n < 3:
-        raise ValueError(f"need at least 3 grid points, got {n}")
 
 
 def auto_windows(
@@ -370,18 +355,22 @@ def auto_windows(
     span: tuple[float, float] = (0.1, 10.0),
     points_per_decade: int = 40,
 ) -> np.ndarray:
-    """Per-budget grids centered on the coarse theoretical boundary guess.
+    """Per-budget grids centered on the coarse theoretical boundary guess, as one table.
 
     Budget ``B``'s window is ``[span[0] * C B^(-r), span[1] * C B^(-r)]``,
     fixed by the declared model constants before any data is seen, and
     truncated to keep every scaled level inside the model's domain.  ``C``
     is the base split's (``K_fixed``) constant, so an optimal-allocation
-    rule gets its base split's window.  Each window gets ``points_per_decade``
-    points per decade it spans, so crossings resolve with equal relative
-    resolution across the ladder.  Returns the :func:`mse.grid_table` of the
-    windows, built with one ``geomspace`` call; windows of unequal point
-    counts (a domain-truncated one) raise its :class:`ConfigError`.
+    rule gets its base split's window.  The configuration alone fixes the
+    point count: every window gets
+    ``n = max(3, round(points_per_decade * log10(span[1] / span[0])))``
+    points, so crossings resolve with equal relative resolution across the
+    ladder, and a window the domain cuts short keeps its ``n`` points on the
+    shorter span: finer than configured, never coarser.  A ladder is thus
+    always one :func:`mse.grid_table`, built with one ``geomspace`` call.
     """
+    if not 0 < span[0] < span[1]:
+        raise ValueError(f"auto window span needs 0 < lo < hi, got {list(span)}")
     base = None if rule is None else replace(rule, optimal=False)
     regime = theoretical_boundary(model, base)
     if regime.regime != "subcritical":
@@ -389,25 +378,15 @@ def auto_windows(
             f"auto window needs a shrinking boundary; regime is {regime.regime}"
         )
     scales = rule.scales if rule is not None else (1.0,)
-    domain_hi = scaled_domain_max(model, scales) * (1 - 1e-9)
-    windows = []
-    for budget in budgets:
-        guess = regime.predicted_eps_star(budget)
-        lo, hi = span[0] * guess, span[1] * guess
-        if math.isfinite(domain_hi):
-            hi = min(hi, domain_hi)
-        if not lo < hi:
-            raise RegimeError(
-                f"auto window [{lo:.3e}, {hi:.3e}] collapsed under the domain bound"
-            )
-        n = max(3, int(round(points_per_decade * math.log10(hi / lo))))
-        _check_geometric(lo, hi, n)
-        windows.append((lo, hi, n))
-    if len(counts := {n for _, _, n in windows}) != 1:
-        # no budgets, or unequal point counts: grid_table names them
-        return grid_table(budgets, [geometric_grid(*window) for window in windows])
-    lo, hi = np.array([window[:2] for window in windows]).T
-    return grid_table(budgets, np.geomspace(lo, hi, counts.pop(), axis=1))
+    guess = np.array([regime.predicted_eps_star(b) for b in budgets])
+    lo = span[0] * guess
+    hi = np.minimum(span[1] * guess, scaled_domain_max(model, scales) * (1 - 1e-9))
+    if not (open_windows := lo < hi).all():
+        i = open_windows.argmin()  # the first collapsed window
+        raise RegimeError(f"auto window [{lo[i]:.3e}, {hi[i]:.3e}] at B={budgets[i]:g} "
+                          "collapsed under the domain bound")
+    n = max(3, int(round(points_per_decade * math.log10(span[1] / span[0]))))
+    return grid_table(budgets, np.geomspace(lo, hi, n, axis=1))
 
 
 def auto_window(

@@ -164,6 +164,7 @@ def cmd_validate(args) -> int:
         print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}  "
               f"[{res.seconds:.1f}s]  {res.detail}")
     if args.json:
+        Path(args.json).parent.mkdir(parents=True, exist_ok=True)
         Path(args.json).write_text(
             json.dumps([r.as_dict() for r in results], indent=2) + "\n"
         )

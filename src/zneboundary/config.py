@@ -183,10 +183,11 @@ def _expand_budgets(raw: dict) -> tuple[float, ...]:
     spec = raw["budgets"]
     if not isinstance(spec, (list, tuple)):
         spec = _section(raw, "budgets", {"values", "lo", "hi", "per_decade"})
-    if isinstance(spec, (list, tuple)):
-        values = _numbers("budgets", spec)
-    elif "values" in spec:
-        values = _numbers("budgets.values", spec["values"])
+    if isinstance(spec, (list, tuple)) or "values" in spec:
+        key, listed = (("budgets", spec) if isinstance(spec, (list, tuple))
+                       else ("budgets.values", spec["values"]))
+        if not (values := _numbers(key, listed)):
+            raise ConfigError(f"{key} must list at least one budget, got []")
     elif {"lo", "hi", "per_decade"} <= set(spec):
         lo, hi = _number("budgets.lo", spec["lo"]), _number("budgets.hi", spec["hi"])
         if not 0 < lo < hi:

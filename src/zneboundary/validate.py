@@ -20,9 +20,10 @@ import numpy as np
 from .boundary import (
     STATUS_NO_CROSSING,
     STATUS_NO_NEGATIVE,
-    auto_window,
+    auto_windows,
     budget_bracket,
-    find_crossing_arrays,
+    check_crossing_grid,
+    crossing_estimates,
     local_optimality_check,
     theoretical_boundary,
 )
@@ -34,7 +35,7 @@ from .models import (
     MonomialBalanceModel,
     ProductContractionString,
 )
-from .mse import exact_delta, exact_delta_curve, mc_delta, sample_count_table
+from .mse import exact_delta_curve, mc_delta, sample_count_table
 from .resample import bootstrap_pipeline
 from .rules import build_rule, variance_penalty
 
@@ -59,13 +60,16 @@ class CheckResult:
         return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
-def _crossing(model, rule, grid, budget):
-    return find_crossing_arrays(grid, exact_delta_curve(model, rule, grid, budget), budget)
+def _crossings(model, rule, budgets, grids=None):
+    """Crossings of a ladder on the path ``sweep`` and ``boundary`` run.
 
-
-def _crossings(model, rule, budgets, *, span=(0.1, 10.0), ppd=40):
-    grids = [auto_window(model, rule, b, span=span, points_per_decade=ppd) for b in budgets]
-    return [_crossing(model, rule, g, float(b)) for g, b in zip(grids, budgets)]
+    ``grids`` is the ladder's ``(n_budgets, n_eps)`` table, by default its auto windows.
+    """
+    budgets = [float(b) for b in budgets]
+    grids = auto_windows(model, rule, budgets) if grids is None else grids
+    delta = exact_delta_curve(model, rule, grids, np.array(budgets)[:, None])
+    check_crossing_grid(grids, delta)
+    return crossing_estimates(grids, delta, budgets)
 
 
 def check_rule_identities() -> str:
@@ -128,23 +132,21 @@ def check_critical_threshold() -> str:
     """Sign flips exactly at B* = 20000 for q = 2p; q > 2p censors."""
     model = MonomialBalanceModel(p=1, q=2, d_p=1.0, k_q=20000.0)
     grid = np.geomspace(1e-6, 1e-3, 60)
-    for eps in (1e-5, 1e-4, 1e-3):
-        below = exact_delta(model, None, eps, 19999.0).delta
-        above = exact_delta(model, None, eps, 20001.0).delta
-        at = exact_delta(model, None, eps, 20000.0).delta
-        if not (below < 0 < above and at == 0.0):
-            raise AssertionError(
-                f"threshold violated at eps={eps}: {below}, {at}, {above}"
-            )
-    lo = _crossing(model, None, grid, 10_000.0)
-    hi = _crossing(model, None, grid, 30_000.0)
+    eps = np.array([1e-5, 1e-4, 1e-3])
+    below, at, above = exact_delta_curve(model, None, np.tile(eps, (3, 1)),
+                                         np.array([[19999.0], [20000.0], [20001.0]]))
+    if (bad := ~((below < 0) & (0 < above) & (at == 0.0))).any():
+        i = bad.argmax()
+        raise AssertionError(
+            f"threshold violated at eps={eps[i]}: {below[i]}, {at[i]}, {above[i]}"
+        )
+    lo, hi = _crossings(model, None, [10_000.0, 30_000.0], np.tile(grid, (2, 1)))
     if lo.status != STATUS_NO_CROSSING or hi.status != STATUS_NO_NEGATIVE:
         raise AssertionError(f"critical statuses: below={lo.status}, above={hi.status}")
     superc = MonomialBalanceModel(p=1, q=3, d_p=1.0, k_q=1.0)
-    for budget in (1e3, 1e6, 1e9):
-        est = _crossing(superc, None, grid, budget)
+    for est in _crossings(superc, None, [1e3, 1e6, 1e9], np.tile(grid, (3, 1))):
         if est.status != STATUS_NO_NEGATIVE:
-            raise AssertionError(f"supercritical budget {budget:g} not censored: {est.status}")
+            raise AssertionError(f"supercritical budget {est.budget:g} not censored: {est.status}")
     return "flip at B* = 20000 exact; q = 3 censored at all tested budgets"
 
 
@@ -256,11 +258,12 @@ def check_local_optimality_and_bracketing() -> str:
     regime = theoretical_boundary(model, None)
     bracket = budget_bracket(regime, rho=0.5, l_b=1.0, l_v=1.0, delta_b=1.0,
                              delta_v=1.0, eps0=1.0)
-    for budget in np.geomspace(bracket.b0, 1e9, 14):
-        lo = exact_delta(model, None, bracket.eps_lo(budget), budget).delta
-        hi = exact_delta(model, None, bracket.eps_hi(budget), budget).delta
-        if not lo < 0 < hi:
-            raise AssertionError(f"bracket signs fail at B={budget:.3g}: {lo}, {hi}")
+    budgets = np.geomspace(bracket.b0, 1e9, 14)
+    eps = np.array([[bracket.eps_lo(b), bracket.eps_hi(b)] for b in budgets])
+    lo, hi = exact_delta_curve(model, None, eps, budgets[:, None]).T
+    if (bad := ~((lo < 0) & (0 < hi))).any():
+        i = bad.argmax()
+        raise AssertionError(f"bracket signs fail at B={budgets[i]:.3g}: {lo[i]}, {hi[i]}")
     return (
         f"3 analytic schedules uniformly harmful from B = 1e3; bracket certified "
         f"for B >= B0 = {bracket.b0:.1f} (rho = 0.5)"
@@ -273,12 +276,10 @@ def check_rate_law() -> str:
         p=1, q=0, d_p=1.0, k_q=1.0, l_b=1.0, l_v=1.0, delta_b=1.0, delta_v=1.0
     )
     budgets = np.geomspace(1e3, 1e9, 13)
-    rel_errors = []
-    for budget in budgets:
-        asymptote = budget**-0.5  # C_pq = 1
-        grid = np.geomspace(0.3 * asymptote, 3.0 * asymptote, 800)
-        est = _crossing(model, None, grid, float(budget))
-        rel_errors.append(abs(est.eps_star / asymptote - 1.0))
+    asymptote = np.array([budget**-0.5 for budget in budgets])  # C_pq = 1
+    grids = np.geomspace(0.3 * asymptote, 3.0 * asymptote, 800, axis=1)
+    eps_star = np.array([est.eps_star for est in _crossings(model, None, budgets, grids)])
+    rel_errors = np.abs(eps_star / asymptote - 1.0)
     slope = np.polyfit(np.log(budgets), np.log(rel_errors), 1)[0]
     if not 0.425 <= -slope <= 0.575:
         raise AssertionError(
@@ -292,8 +293,7 @@ def _mc_dataset(seed: int, replicates: int = 64):
     model = DeterministicLimitBinary(kappa=1.0)
     rule = build_rule([1, 3])
     budgets = [1000, 3162, 10000, 31623, 100000, 316228, 1000000]
-    grids = [auto_window(model, rule, b, span=(0.2, 5.0), points_per_decade=12)
-             for b in budgets]
+    grids = auto_windows(model, rule, budgets, span=(0.2, 5.0), points_per_decade=12)
     return sample_count_table(model, rule, budgets, grids, replicates, seed)
 
 
@@ -304,7 +304,7 @@ def check_mc_bootstrap_soundness() -> str:
 
     # unbiased Monte Carlo MSE difference: t-test over UNBIASED_RUNS independent runs
     eps, budget = 0.05, 2000
-    exact = exact_delta(model, rule, eps, float(budget)).delta
+    exact = exact_delta_curve(model, rule, [eps], float(budget))[0]
     errors = []
     for i in range(UNBIASED_RUNS):
         point, _ = mc_delta(model, rule, eps, budget, 16, master_seed=3000 + i)

@@ -1,6 +1,9 @@
 """Crossing finder, regime classification, brackets, and optimality checks."""
 
+import math
+import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +16,13 @@ from zneboundary.boundary import (
     STATUS_NO_CROSSING,
     STATUS_NO_NEGATIVE,
     auto_window,
+    auto_windows,
     budget_bracket,
     classify_regime,
     CrossingEstimate,
     crossing_estimates,
     find_crossing_arrays,
     first_crossings,
-    geometric_grid,
     local_optimality_check,
     theoretical_boundary,
 )
@@ -30,6 +33,7 @@ from zneboundary.models import (
     MonomialBalanceModel,
     PowerLeakageBinary,
     ProductContractionString,
+    scaled_domain_max,
 )
 from zneboundary.mse import exact_delta, exact_delta_curve
 from zneboundary.pipeline import read_crossings_csv, write_crossings_csv
@@ -38,6 +42,15 @@ from zneboundary.rules import build_rule
 RULE13 = build_rule([1, 3])
 DLB = DeterministicLimitBinary(kappa=1.0)
 LBB = LinearBiasBinary(mu0=0.5, alpha=1.0)
+# subcritical (model, rule) pairs with finite and infinite domains
+LADDER_CASES = [
+    (DLB, RULE13),
+    (LBB, build_rule([1, 3, 5])),
+    (LBB, build_rule([1, 3], "optimal")),
+    (ProductContractionString(gamma=0.1, ell=5), RULE13),
+    (PowerLeakageBinary(sigma=1, kappa=1.0, r=2.0), build_rule([1, 3, 5])),
+    (MonomialBalanceModel(p=1, q=0, d_p=1.0, k_q=1.0), None),
+]
 
 
 def crossing(model, rule, grid, budget):
@@ -91,7 +104,7 @@ class TestFindCrossing:
 
     def test_monomial_root_on_dense_grid(self):
         model = MonomialBalanceModel(p=1, q=0, d_p=1.0, k_q=1.0)
-        grid = geometric_grid(1e-3, 1e-1, 400)
+        grid = np.geomspace(1e-3, 1e-1, 400)
         est = crossing(model, None, grid, 10**4)
         spacing = grid[1] / grid[0] - 1.0
         assert est.eps_star == pytest.approx(0.01, rel=spacing)
@@ -318,7 +331,7 @@ class TestSignStructure:
 
     def test_critical_statuses_split_at_threshold(self):
         m = MonomialBalanceModel(p=1, q=2, d_p=1.0, k_q=20000.0)
-        grid = geometric_grid(1e-6, 1e-3, 50)
+        grid = np.geomspace(1e-6, 1e-3, 50)
         above = crossing(m, None, grid, 30000.0)
         below = crossing(m, None, grid, 10000.0)
         assert above.status == STATUS_NO_NEGATIVE
@@ -326,7 +339,7 @@ class TestSignStructure:
 
     def test_supercritical_censors(self):
         m = MonomialBalanceModel(p=1, q=3, d_p=1.0, k_q=1.0)
-        grid = geometric_grid(1e-6, 1e-2, 50)
+        grid = np.geomspace(1e-6, 1e-2, 50)
         for budget in (10**3, 10**6, 10**9):
             est = crossing(m, None, grid, budget)
             assert est.status == STATUS_NO_NEGATIVE
@@ -406,6 +419,32 @@ class TestLocalOptimality:
         assert res.passed
         assert all(d < 0 for d in res.deltas)
 
+    def test_deltas_are_the_per_point_exact_deltas(self):
+        # the schedule is evaluated as one table, bit for bit the per-point deltas
+        cases = [(DLB, RULE13), (LBB, build_rule([1, 3], "optimal")),
+                 (MonomialBalanceModel(p=2, q=1, d_p=1.0, k_q=2.0, l_b=1.0), None)]
+        for model, rule in cases:
+            rep = theoretical_boundary(model, rule)
+            s_prime = -rep.exponent + 0.1
+            res = local_optimality_check(model, rule, rep, s_prime,
+                                         np.geomspace(1e3, 1e9, 13))
+            expected = [exact_delta(model, rule, b ** -s_prime, b).delta for b in res.budgets]
+            assert np.array_equal(np.array(res.deltas).view(np.uint64),
+                                  np.array(expected).view(np.uint64))
+
+    def test_onset_follows_the_last_non_negative_delta(self):
+        # remainders make the s' = 0.6 schedule help at small budgets only
+        m = MonomialBalanceModel(p=1, q=0, d_p=1.0, k_q=1.0, l_b=50.0)
+        rep = theoretical_boundary(m, None)
+        res = local_optimality_check(m, None, rep, 0.6, np.geomspace(10, 1e9, 9))
+        last = max(i for i, d in enumerate(res.deltas) if d >= 0)
+        assert res.passed and res.onset_budget == res.budgets[last + 1]
+
+    def test_empty_schedule_rejected(self):
+        rep = theoretical_boundary(DLB, RULE13)
+        with pytest.raises(RegimeError, match="at least one budget"):
+            local_optimality_check(DLB, RULE13, rep, s_prime=1.1, budgets=[])
+
     def test_schedule_at_boundary_rate_rejected(self):
         rep = theoretical_boundary(DLB, RULE13)
         with pytest.raises(RegimeError, match="must exceed"):
@@ -428,3 +467,39 @@ class TestAutoWindow:
         g2 = auto_window(DLB, RULE13, 1e6)
         assert g1.size == g2.size
         assert g1[1] / g1[0] == pytest.approx(g2[1] / g2[0], rel=1e-9)
+
+    def test_collapsed_window_named(self):
+        # guesses 10/B: the B=1 and B=1.2 windows start above the domain's 2/3
+        with pytest.raises(RegimeError, match=re.escape(
+                "auto window [1.000e+00, 6.667e-01] at B=1 collapsed under the domain bound")):
+            auto_windows(DLB, RULE13, [1.0, 1.2, 100.0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(LADDER_CASES), low=st.floats(0.0, 8.0),
+           decades=st.floats(0.0, 4.0), count=st.integers(1, 6),
+           span_lo=st.floats(0.02, 0.9), span_ratio=st.floats(1.2, 1000.0),
+           ppd=st.integers(1, 60))
+    @example(case=LADDER_CASES[1], low=3.0, decades=1.0, count=2, span_lo=0.1,
+             span_ratio=100.0, ppd=200)  # both windows cut short by the domain
+    def test_ladder_is_one_table(self, case, low, decades, count, span_lo, span_ratio, ppd):
+        model, rule = case
+        budgets = np.geomspace(10.0**low, 10.0**(low + decades), count)
+        span = (span_lo, span_lo * span_ratio)
+        kw = dict(span=span, points_per_decade=ppd)
+        regime = theoretical_boundary(model, None if rule is None else replace(rule, optimal=False))
+        scales = rule.scales if rule else (1.0,)
+        top = scaled_domain_max(model, scales) * (1 - 1e-9)
+        lows = [span[0] * regime.predicted_eps_star(b) for b in budgets]
+        if collapsed := [b for b, lo in zip(budgets, lows) if not lo < top]:
+            with pytest.raises(RegimeError, match=re.escape(f"at B={collapsed[0]:g} collapsed")):
+                auto_windows(model, rule, budgets, **kw)
+            return
+        table = auto_windows(model, rule, budgets, **kw)
+        n = max(3, round(ppd * math.log10(span[1] / span[0])))
+        assert table.shape == (count, n)
+        assert np.all(np.diff(table, axis=1) > 0)
+        assert np.all(table[:, -1] <= top)
+        assert all(model.inside_domain(lam * table).all() for lam in scales)
+        for budget, row in zip(budgets, table):
+            assert np.array_equal(row.view(np.uint64),
+                                  auto_window(model, rule, budget, **kw).view(np.uint64))

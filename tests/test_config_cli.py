@@ -233,6 +233,9 @@ class TestConfig:
          "budgets.per_decade must be a positive integer, got 0"),
         (DLB_EXACT, ["budgets.per_decade=-2"],
          "budgets.per_decade must be a positive integer, got -2"),
+        (DLB_EXACT, ["budgets=[]"], "budgets must list at least one budget, got []"),
+        (DLB_EXACT, ["budgets.values=[]"],
+         "budgets.values must list at least one budget, got []"),
     ], ids=["eps", "budgets", "variance", "bias", "replicates", "ppd", "statistics",
             "statistics-type", "n_replicates", "level", "window", "grid-int", "engine-str",
             "windows-list",
@@ -240,7 +243,7 @@ class TestConfig:
             "output-dir-int", "output-prefix-list", "output-prefix-empty", "rule-scales",
             "rule-alloc", "model-param", "seed-bool", "window-bool", "bootstrap-key",
             "budgets-key", "ppd-zero", "ppd-negative", "per-decade-zero",
-            "per-decade-negative"])
+            "per-decade-negative", "budgets-empty", "budgets-values-empty"])
     def test_sweep_refuses_bad_value_naming_it(self, tmp_path, capsys, base, overrides, named):
         cfg_path = write_cfg(tmp_path, dict(base, output={"dir": str(tmp_path), "prefix": "x"}))
         sets = [arg for override in overrides for arg in ("--set", override)]
@@ -251,8 +254,9 @@ class TestConfig:
 
 class TestPipelineArtifacts:
     @pytest.mark.parametrize("engine", [None, {"kind": "monte_carlo", "replicates": 4}])
-    def test_unequal_grid_lengths_rejected(self, engine):
-        # the domain truncates the B=1e3 window: 196 points against 296 at 1e4
+    def test_domain_cut_windows_keep_the_point_count(self, engine):
+        # the domain cuts the windows to about 1.0 (B=1e3) and 1.5 (B=1e4) decades:
+        # each keeps the span's 2 decades x 200 points, one table
         raw = {
             "model": {"type": "linear_bias_binary", "mu0": 0.5, "alpha": 1.0},
             "rule": {"scales": [1, 3, 5], "alloc": "uniform"},
@@ -261,8 +265,12 @@ class TestPipelineArtifacts:
         }
         if engine:
             raw.update(engine=engine, seed=1)
-        with pytest.raises(ConfigError, match="196 points at B=1000, 296 points at B=10000"):
-            run_sweep(parse_config(raw))
+        cfg = parse_config(raw)
+        sweep = run_sweep(cfg)
+        assert sweep.eps_grids.shape == sweep.delta.shape == (2, 400)
+        top = scaled_domain_max(cfg.model(), cfg.rule().scales) * (1 - 1e-9)
+        assert sweep.eps_grids[0, -1] == top
+        assert np.all(np.isfinite(sweep.delta))
 
     def test_delta_csv_round_trip(self, tmp_path):
         cfg = parse_config(dict(DLB_EXACT, budgets={"values": [1e4, 1e5, 1e6]}))
@@ -1070,6 +1078,22 @@ class TestCli:
         payload = json.loads(out_json.read_text())
         assert payload[0]["name"] == "rule_identities"
         assert payload[0]["passed"] is True
+
+    def test_validate_json_into_a_new_directory(self, tmp_path, capsys):
+        out_json = tmp_path / "nodir" / "x.json"
+        assert main(["validate", "--only", "rule_identities", "--json", str(out_json)]) == 0
+        assert json.loads(out_json.read_text())[0]["passed"] is True
+
+    def test_variational_energy_ladder_runs(self, tmp_path, capsys):
+        # q = 0, validate's linear-bias ladder: the domain cuts the B=1e4 window short
+        raw = dict(DLB_EXACT, model={"type": "linear_bias_binary", "mu0": 0.5, "alpha": 1.0},
+                   output={"dir": str(tmp_path), "prefix": "lbb"})
+        cfg_path = write_cfg(tmp_path, raw)
+        for stage in ("sweep", "boundary", "fit"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / "lbb_report.json").read_text())
+        assert -0.52 <= report["boundary_fit"]["slope"] <= -0.48
+        assert report["boundary_fit"]["censored_budgets"] == []
 
     def test_validate_refuses_an_unknown_check(self, capsys):
         assert main(["validate", "--only", "rule_identities", "--only", "bogus"]) == 2

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zneboundary import mse as mse_module
-from zneboundary.boundary import auto_window
 from zneboundary.config import load_config
 from zneboundary.errors import AllocationError, ConfigError, DomainError, ModelError
 from zneboundary.models import (
@@ -885,10 +884,8 @@ class TestMonteCarlo:
 
 class TestCountTable:
     def test_unequal_grid_lengths_named(self):
-        # the domain truncates the B=1000 window to 14 points, 17 elsewhere
         budgets = [1000, 3162, 10000, 31623, 100000]
-        grids = [auto_window(LBB, RULE13, b, span=(0.2, 5.0), points_per_decade=12)
-                 for b in budgets]
+        grids = [np.geomspace(0.01, 0.1, 14)] + [np.geomspace(0.001, 0.01, 17)] * 4
         with pytest.raises(ConfigError, match="got 14 points at B=1000, 17 points at B=3162, "
                            "17 points at B=10000, 17 points at B=31623, 17 points at B=100000"):
             sample_count_table(LBB, RULE13, budgets, grids, replicates=4, master_seed=1)
