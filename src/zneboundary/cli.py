@@ -4,10 +4,14 @@ Subcommands::
 
     rule      print a rule's coefficients, identity residuals, and penalties
     sweep     evaluate the MSE-difference grid -> delta CSV (+ raw counts)
-    boundary  locate per-budget crossings -> crossing CSV
+    boundary  locate per-budget crossings in sweep's delta CSV -> crossing CSV
     fit       regressions + constant checks + bootstrap -> JSON report
     validate  run the self-contained validation battery
     plan      regime/boundary verdict from declared constants
+
+``boundary`` and ``fit`` only read what the earlier stages wrote: a missing
+table, or one that is not the table their configuration fixes, is a
+configuration error that names the stage to rerun.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 domain error.  The bootstrap runs on threads, on the usable cores; a
@@ -37,7 +41,7 @@ from .errors import (
     RuleError,
     ZneBoundaryError,
 )
-from .mse import CountTable, count_header
+from .mse import CountTable
 from .pipeline import (
     build_grids,
     build_report,
@@ -101,7 +105,9 @@ def _sweep_paths(cfg):
     }
 
 
-def _run_and_write_sweep(cfg, paths) -> "object":
+def cmd_sweep(args) -> int:
+    cfg = load_config(args.config, args.set)
+    paths = _sweep_paths(cfg)
     Path(cfg.output["dir"]).mkdir(parents=True, exist_ok=True)
     sweep = run_sweep(cfg)
     write_delta_csv(paths["delta"], sweep, cfg)
@@ -111,23 +117,16 @@ def _run_and_write_sweep(cfg, paths) -> "object":
         print(f"wrote {paths['counts_csv']} and {paths['counts_json']}")
     if write_variance_csv(paths["variance"], cfg):
         print(f"wrote {paths['variance']}")
-    return sweep
-
-
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.set)
-    _run_and_write_sweep(cfg, _sweep_paths(cfg))
     return EXIT_OK
 
 
 def cmd_boundary(args) -> int:
     cfg = load_config(args.config, args.set)
     paths = _sweep_paths(cfg)
-    if paths["delta"].exists():
-        sweep = read_delta_csv(paths["delta"], cfg)
-        print(f"read {paths['delta']}")
-    else:
-        sweep = _run_and_write_sweep(cfg, paths)
+    if not paths["delta"].exists():
+        raise ConfigError(f"missing delta table {paths['delta']}; run `zneboundary sweep` first")
+    sweep = read_delta_csv(paths["delta"], cfg)
+    print(f"read {paths['delta']}")
     crossings = crossings_from_sweep(sweep)
     write_crossings_csv(paths["crossings"], crossings, cfg)
     crossed = sum(c.crossed for c in crossings)
@@ -149,9 +148,9 @@ def cmd_fit(args) -> int:
             raise ConfigError(
                 f"missing raw counts {paths['counts_csv']}; run `zneboundary sweep` first"
             )
-        expected = count_header(cfg.model(), cfg.rule(), cfg.budgets, build_grids(cfg),
-                                cfg.replicates, cfg.seed)
-        counts = CountTable.read(paths["counts_csv"], paths["counts_json"], expected)
+        counts = CountTable.read(paths["counts_csv"], paths["counts_json"], cfg.model(),
+                                 cfg.rule(), cfg.budgets, build_grids(cfg), cfg.replicates,
+                                 cfg.seed)
     report = build_report(cfg, crossings, counts)
     paths["report"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {paths['report']}")

@@ -35,8 +35,11 @@ that word, and every cell numpy samples by BTPE, is drawn from its own
 stream, one at a time.  The counts are the same bytes as
 ``cell_stream(...).binomial(n, p)``.
 
-On disk a table's rows run in (budget, eps, arm, replicate) order, which
-:meth:`CountTable.read` requires, and the rows' shots must be the allocation's.
+:meth:`CountTable.read` takes the arguments a table was drawn with, as
+:func:`sample_count_table` does, and builds the model and rule nowhere: the
+JSON header on disk must be the one :meth:`CountTable.write` writes for
+them, and the rows must run in (budget, eps, arm, replicate) order with the
+allocation's shots.
 """
 
 from __future__ import annotations
@@ -51,15 +54,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import SCHEMA_VERSION, begin_table, check_schema, open_table, read_block
-from .errors import AllocationError, ConfigError, ModelError, ZneBoundaryError
-from .models import NoiseObservableModel, check_scaled_eps, model_from_spec
-from .rules import RichardsonRule, build_rule, optimal_allocation, optimal_split
+from .artifacts import SCHEMA_VERSION, begin_table, open_table, read_block
+from .errors import AllocationError, ConfigError, ModelError
+from .models import NoiseObservableModel, check_scaled_eps
+from .rules import RichardsonRule, optimal_allocation, optimal_split
 
 __all__ = [
     "DeltaPoint",
     "CountTable",
-    "count_header",
     "count_shots",
     "exact_delta",
     "exact_delta_curve",
@@ -113,8 +115,8 @@ def _first_outside(model, scales, eps: np.ndarray) -> float | None:
 
 def _check_domain(model, rule: RichardsonRule | None, eps: np.ndarray, budget) -> None:
     """Raise the error a row-major point-by-point loop over ``eps`` meets first."""
-    if (lowest := np.min(budget)) <= 0:
-        raise ValueError(f"budget must be positive, got {lowest}")
+    if (np.asarray(budget) <= 0).any():
+        raise ValueError(f"budget must be positive, got {np.min(budget)}")
     if (first := _first_outside(model, rule.scales if rule else (), eps)) is not None:
         model.check_eps(first)
         check_scaled_eps(model, first, rule.scales)
@@ -362,8 +364,11 @@ class CountTable:
         return self.plus.shape[3]
 
     def header(self) -> dict:
-        return count_header(self.model, self.rule, self.budgets, self.eps_grids,
-                            self.n_replicates, self.master_seed)
+        """The JSON header that :meth:`write` writes and :meth:`read` requires."""
+        return {"schema_version": SCHEMA_VERSION, "model": self.model.spec(),
+                "rule": self.rule.spec(), "budgets": [int(b) for b in self.budgets],
+                "eps_grids": self.eps_grids.tolist(), "scales": list(self.rule.scales),
+                "replicates": int(self.n_replicates), "master_seed": int(self.master_seed)}
 
     def write(self, csv_path, header_path) -> None:
         """Persist as a columnar CSV plus a JSON header.
@@ -386,48 +391,29 @@ class CountTable:
         Path(header_path).write_text(json.dumps(self.header(), indent=2, sort_keys=True))
 
     @classmethod
-    def read(cls, csv_path, header_path, expected: dict | None = None) -> "CountTable":
-        """Load a table written by :meth:`write`, one budget block at a time.
+    def read(cls, csv_path, header_path, model, rule, budgets, eps_grids, replicates,
+             master_seed) -> "CountTable":
+        """Load the table :meth:`write` wrote for :func:`sample_count_table`'s arguments.
 
-        The JSON header must carry this schema version, every field of
-        :func:`count_header` (the scales its rule's), whole-number budgets,
-        at least 2 replicates and strictly ascending grids on which its model
-        and rule give :func:`count_shots`; with ``expected``, a
-        configuration's header, it must be that header.  Rows come in the writer's (budget, eps, arm,
-        replicate) order: a wrong column header, an out-of-range cell, one
-        before the next cell in that order (a duplicate) or after it (the
-        next one has no row), an extra row, or a row whose shots are not its
-        :func:`count_shots` or whose plus count lies outside [0, shots]
-        raises :class:`ConfigError` naming the file and the first such row.
+        The arguments give the table's layout, one budget block at a time
+        filled in from the file.  The JSON header must be that table's
+        :meth:`header`: the first field that differs (a grid by its budget)
+        raises :class:`ConfigError`.  Rows come in the writer's (budget,
+        eps, arm, replicate) order: a wrong column header, an out-of-range
+        cell, one before the next cell in that order (a duplicate) or after
+        it (the next one has no row), an extra row, or a row whose shots
+        are not its :func:`count_shots` or whose plus count lies outside
+        [0, shots] raises :class:`ConfigError` naming the file and the first
+        such row.
         """
+        table = _zero_table(model, rule, budgets, eps_grids, replicates, master_seed)
         head = f"count header {header_path}"
         try:
             header = json.loads(Path(header_path).read_text())
-            check_schema(head, header.get("schema_version"))
-            budgets = _shot_budgets(header["budgets"])
-            eps_grids = grid_table(budgets, header["eps_grids"])
-            model_spec, rule_spec, scales = header["model"], header["rule"], header["scales"]
-            n_reps, master_seed = int(header["replicates"]), int(header["master_seed"])
-            if scales != rule_spec["scales"]:
-                raise ValueError(f"scales {scales!r}, not its rule's {rule_spec['scales']!r}")
-            model, rule = model_from_spec(model_spec), build_rule(**rule_spec)
-        except KeyError as err:
-            raise ConfigError(f"{head}: no {err.args[0]!r} field") from err
-        except (AttributeError, TypeError, ValueError, ZneBoundaryError) as err:
+        except ValueError as err:
             raise ConfigError(f"{head}: {err}") from err
-        if expected is not None:
-            _check_header(head, header, expected)
-        if n_reps < 2:
-            raise ConfigError(f"{head}: {n_reps} replicates, need at least 2")
-        if (down := (np.diff(eps_grids, axis=1) <= 0).any(axis=1)).any():
-            raise ConfigError(f"{head}: eps grid of budget {budgets[np.argmax(down)]} "
-                              "is not strictly ascending")
-        shape = (*eps_grids.shape, len(scales) + 1, n_reps)
-        try:  # the counts are filled in below, each block once its rows pass
-            table = cls(budgets, eps_grids, np.zeros(shape, dtype=np.int64), master_seed,
-                        model, rule)
-        except (TypeError, ValueError, ZneBoundaryError) as err:
-            raise ConfigError(f"{head}: {err}") from err
+        _check_header(head, header, table.header())
+        shape = table.plus.shape
         # one budget block's index columns in writer order; scale_idx -1 is arm slot 0
         cells = np.indices((1, *shape[1:])).reshape(4, -1).T - (0, 0, 1, 0)
         where = f"count table {csv_path}"
@@ -455,29 +441,23 @@ class CountTable:
 _COUNT_COLUMNS = ("budget_idx", "eps_idx", "scale_idx", "rep_idx", "shots", "plus_count")
 
 
-def count_header(model, rule, budgets, eps_grids, replicates, master_seed) -> dict:
-    """The counts JSON header that :meth:`CountTable.write` writes and ``fit`` expects.
-
-    The model and rule are written as their specs, which :meth:`CountTable.read`
-    builds back into them.
-    """
-    return {"schema_version": SCHEMA_VERSION, "model": model.spec(), "rule": rule.spec(),
-            "budgets": [int(b) for b in budgets],
-            "eps_grids": grid_table(budgets, eps_grids).tolist(),
-            "scales": list(rule.scales),
-            "replicates": int(replicates), "master_seed": int(master_seed)}
-
-
-def _check_header(head: str, header: dict, expected: dict) -> None:
-    """Refuse a header other than ``expected``, naming the first key or grid that differs."""
+def _check_header(head: str, header, expected: dict) -> None:
+    """Refuse a header other than ``expected``, naming the first field or grid that differs."""
+    if header == expected:
+        return
+    if not isinstance(header, dict):
+        raise ConfigError(f"{head}: not a JSON object")
     for key, value in expected.items():
-        if (found := header.get(key)) == value:
+        if key not in header:
+            raise ConfigError(f"{head}: no {key!r} field")
+        if (found := header[key]) == value:
             continue
         if key == "eps_grids" and isinstance(found, list) and len(found) == len(value):
             b = next(b for b, grid in enumerate(value) if found[b] != grid)
             key, found, value = f"eps_grids of budget {expected['budgets'][b]}", found[b], value[b]
         raise ConfigError(f"{head}: {key} {found!r}, not the configuration's "
                           f"{value!r}; rerun `zneboundary sweep`")
+    raise ConfigError(f"{head}: unknown field {min(header.keys() - expected.keys())!r}")
 
 
 def _misplaced(where: str, n_before: int, rows, cells, shape) -> ConfigError:
@@ -750,16 +730,22 @@ def sample_count_table(
     sampled, and so binary.  A budget that is not a whole number raises
     :class:`AllocationError`; it is never truncated.
     """
+    table = _zero_table(model, rule, budgets, eps_grids, replicates, master_seed)
+    # arm 0 is the base strength, arm 1+j the scaled level j
+    _draw_table(table, model.plus_probability(table.eps_grids[..., None]
+                                              * np.r_[1.0, rule.scales]))
+    return table
+
+
+def _zero_table(model, rule, budgets, eps_grids, replicates, master_seed) -> CountTable:
+    """The table of :func:`sample_count_table`'s arguments, its counts all zero."""
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
     budgets = _shot_budgets(budgets)
     eps_grids = grid_table(budgets, eps_grids)
     shape = (*eps_grids.shape, len(rule.scales) + 1, replicates)
-    table = CountTable(budgets, eps_grids, np.zeros(shape, dtype=np.int64), int(master_seed),
-                       model, rule)
-    # arm 0 is the base strength, arm 1+j the scaled level j
-    _draw_table(table, model.plus_probability(eps_grids[..., None] * np.r_[1.0, rule.scales]))
-    return table
+    return CountTable(budgets, eps_grids, np.zeros(shape, dtype=np.int64), int(master_seed),
+                      model, rule)
 
 
 def deltas_from_counts(table: CountTable) -> tuple[np.ndarray, np.ndarray]:

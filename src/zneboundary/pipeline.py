@@ -11,15 +11,16 @@ A run flows sweep -> boundary -> fit:
 
 All artifacts are plain CSV plus one JSON report; column orders are fixed.
 Re-running any stage with the same configuration and seed reproduces every
-byte (the delta, crossing and variance CSVs and the report embed the
-configuration hash, and a stage refuses a delta or crossing table written for
-another configuration; ``fit`` refuses a counts header, grids included, other
-than the one its configuration's sweep writes).
+byte.  The delta, crossing and variance CSVs and the report embed the
+configuration hash, and each stage reads its input as the table its
+configuration fixes, laid out by :func:`build_grids`: the delta rows are its
+``(B, eps)`` cells, the crossing rows one per budget with each bracket on
+its grid, and ``fit`` reads the counts with the configuration's model, rule,
+budgets, grids, replicates and seed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,14 +115,13 @@ def crossings_from_sweep(sweep: SweepResult) -> list[CrossingEstimate]:
 # CSV artifacts (fixed column orders; the format itself is in ``artifacts``)
 
 _DELTA_COLUMNS = ("B", "eps", "delta", "std_err", "source")
-_DELTA_SOURCES = ("exact", "monte_carlo")
 # the delta reader counts row endings in batches of whole lines, each this
 # many bytes plus the line that crosses the mark
 _LINE_BATCH_BYTES = 256 * 1024
 
 
-def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig | None = None) -> None:
-    """Write the delta table, formatting one budget block per write.
+def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig) -> None:
+    """Write the delta table for ``cfg``, formatting one budget block per write.
 
     Fields are ``repr`` floats and ``std_err`` is empty for the exact engine.
     """
@@ -133,60 +133,32 @@ def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig | None = Non
             fh.write((repr(float(budget)) + row) * len(block) % tuple(block.ravel().tolist()))
 
 
-def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
-    """Load a delta table with one :func:`artifacts.read_block` call.
+def read_delta_csv(path, cfg: ExperimentConfig) -> SweepResult:
+    """Load the delta table written for ``cfg`` with one :func:`artifacts.read_block` call.
 
-    With ``cfg``, the table must have been written for ``cfg``.  Besides the
-    format errors of :func:`artifacts.open_table` and :func:`artifacts.read_block`,
-    a nan or inf number, a budget or eps that is not positive, a negative
-    std_err, a budget with another row count than the first, eps or budgets
-    out of ascending order, a row with another field count than the header,
-    and a row whose source is not data row 1's or whose std_err is set under
-    the exact source (empty under monte_carlo) raise :class:`ConfigError`
-    naming the first offending row.
+    Its rows must be the ``(B, eps)`` cells of :func:`build_grids` in the
+    writer's order, budget by budget, each with the configured engine's
+    source.  Besides the format errors of :func:`artifacts.open_table` and
+    :func:`artifacts.read_block`, a row off its cell, a missing or an extra
+    row, a nan or inf delta or std_err, a negative std_err, a row with
+    another field count than the header, and a row whose source is not the
+    engine's or whose std_err is set under the exact source (empty under
+    monte_carlo) raise :class:`ConfigError` naming the first offending row.
     """
     where = f"delta table {path}"
+    source = "monte_carlo" if cfg.is_monte_carlo else "exact"
+    grids = build_grids(cfg)  # before the rows, so that its temporaries are gone by then
     with open_table(path, where, _DELTA_COLUMNS, cfg, "`zneboundary sweep`") as fh:
-        start = fh.tell()
-        first = fh.readline().rstrip("\n").split(",")
-        if first == [""]:
-            raise ConfigError(f"{where} is empty")
-        if first[-1] not in _DELTA_SOURCES:
-            raise ConfigError(f"{where}: data row 1 {','.join(first)!r}: "
-                              f"source must be one of {_DELTA_SOURCES}")
-        source = first[-1]
-        fh.seek(start)
         rows = read_block(fh, where, _DELTA_COLUMNS, None, 1,
                           (0, 1, 2) if source == "exact" else (0, 1, 2, 3))
-    if not (finite := np.isfinite(rows)).all():
-        row, col = np.argwhere(~finite)[0]
+    _check_cells(where, rows, cfg.budgets, grids)
+    if not (finite := np.isfinite(rows[:, 2:])).all():
+        row, col = np.argwhere(~finite)[0] + (0, 2)
         raise ConfigError(f"{where}: data row {row + 1}: {_DELTA_COLUMNS[col]} "
                           f"{float(rows[row, col])} is not a finite number")
-    # the writer's budgets and strengths are positive and its std_err non-negative;
-    # checked before the order checks, whose differences would overflow otherwise
-    below = np.zeros(rows.shape, dtype=bool)
-    below[:, :2], below[:, 3:] = rows[:, :2] <= 0, rows[:, 3:] < 0
-    if below.any():
-        row, col = np.argwhere(below)[0]
-        raise ConfigError(f"{where}: data row {row + 1}: {_DELTA_COLUMNS[col]} "
-                          f"{float(rows[row, col])!r} must be "
-                          f"{'positive' if col < 2 else 'non-negative'}")
-    # each run of one B value is a budget block
-    b_col = rows[:, 0]
-    starts = np.flatnonzero(np.r_[True, b_col[1:] != b_col[:-1]])
-    n_rows = np.diff(np.r_[starts, len(rows)])
-    n_eps = int(n_rows[0])
-
-    def at(row) -> str:
-        return f"{where}: data row {row + 1} (B={float(b_col[row])!r})"
-
-    if (short := np.flatnonzero(n_rows != n_eps)).size:
-        raise ConfigError(f"{at(starts[short[0]])}: budget has {n_rows[short[0]]} rows, "
-                          f"the first {n_eps}")
-    if (down := np.flatnonzero((np.diff(rows[:, 1]) <= 0) & (np.diff(b_col) == 0))).size:
-        raise ConfigError(f"{at(down[0] + 1)}: eps must be strictly ascending within a budget")
-    if (down := np.flatnonzero(np.diff(b_col[starts]) <= 0)).size:
-        raise ConfigError(f"{at(starts[down[0] + 1])}: budgets must be strictly ascending")
+    if (negative := np.flatnonzero(rows[:, 3:] < 0)).size:
+        raise ConfigError(f"{where}: data row {negative[0] + 1}: std_err "
+                          f"{float(rows[negative[0], 3])!r} must be non-negative")
     # Every row has one field per column and ends in ",,exact" (empty std_err)
     # or ",monte_carlo" (its std_err parsed as a number above).  Counting the
     # writer's row endings and commas (the header has as many as a row) is the
@@ -207,12 +179,29 @@ def read_delta_csv(path, cfg: ExperimentConfig | None = None) -> SweepResult:
             if not line.endswith(suffix):
                 raise ConfigError(f"{where}: data row {number} {line!r}: expected "
                                   f"{'an empty' if source == 'exact' else 'a'} std_err "
-                                  f"and source {source}, as in data row 1")
-    _, eps, delta, *std_err = rows.T.reshape(-1, len(starts), n_eps)  # one per column
+                                  f"and source {source}, as the configured engine writes")
+    _, _, delta, *std_err = rows.T.reshape(-1, *grids.shape)  # one per column
     return SweepResult(
-        budgets=tuple(b_col[starts].tolist()), eps_grids=eps,
-        delta=delta, std_err=std_err[0] if std_err else None, source=source, counts=None,
+        budgets=cfg.budgets, eps_grids=grids, delta=delta,
+        std_err=std_err[0] if std_err else None, source=source, counts=None,
     )
+
+
+def _check_cells(where: str, rows: np.ndarray, budgets, grids: np.ndarray) -> None:
+    """Refuse ``rows`` other than the ``(B, eps)`` cells of ``grids``, in writer order."""
+    cell_b, cell_eps = np.repeat(budgets, grids.shape[1]), grids.ravel()
+    n = min(len(rows), grids.size)
+    if (off := np.flatnonzero((rows[:n, 0] != cell_b[:n]) | (rows[:n, 1] != cell_eps[:n]))).size:
+        i = off[0]
+        raise ConfigError(f"{where}: data row {i + 1} (B={float(rows[i, 0])!r}, "
+                          f"eps={float(rows[i, 1])!r}): not the configuration's cell "
+                          f"(B={float(cell_b[i])!r}, eps={float(cell_eps[i])!r})")
+    if len(rows) > n:
+        raise ConfigError(f"{where}: data row {n + 1}: extra row beyond the configuration's "
+                          f"{n} cells")
+    if grids.size > n:
+        raise ConfigError(f"{where}: no data row {n + 1}, the row of the configuration's "
+                          f"cell (B={float(cell_b[n])!r}, eps={float(cell_eps[n])!r})")
 
 
 _CROSSING_COLUMNS = ("B", "eps_star", "status", "bracket_lo", "bracket_hi")
@@ -223,9 +212,7 @@ def _field(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def write_crossings_csv(
-    path, crossings: list[CrossingEstimate], cfg: ExperimentConfig | None = None
-) -> None:
+def write_crossings_csv(path, crossings: list[CrossingEstimate], cfg: ExperimentConfig) -> None:
     with open(path, "w", newline="") as fh:
         begin_table(fh, _CROSSING_COLUMNS, cfg)
         for c in crossings:
@@ -233,39 +220,41 @@ def write_crossings_csv(
                      f"{_field(c.bracket_lo)},{_field(c.bracket_hi)}\r\n")
 
 
-def read_crossings_csv(path, cfg: ExperimentConfig | None = None) -> list[CrossingEstimate]:
-    """Load a crossing table; with ``cfg``, it must have been written for ``cfg``.
+def read_crossings_csv(path, cfg: ExperimentConfig) -> list[CrossingEstimate]:
+    """Load the crossing table written for ``cfg``: one row per configured budget, in order.
 
     Besides the format errors of :func:`artifacts.open_table`, a malformed
     row raises :class:`ConfigError` naming the first offending data row: a
-    nan or inf number, a budget, eps_star or bracket end that is not
-    positive, a crossed row without its eps_star or bracket or with its
-    eps_star outside the bracket, a censored row with either, or a budget
-    not above the previous row's (budgets must be strictly ascending).
+    budget other than the configuration's for that row, a missing or an
+    extra row, a crossed row without its eps_star or bracket, with a bracket
+    other than two neighbouring points of its budget's :func:`build_grids`
+    grid, or with its eps_star outside the bracket, and a censored row with
+    either.
     """
     where = f"crossing table {path}"
     out = []
     rerun = "`zneboundary sweep`, then `zneboundary boundary`"
+    grids = build_grids(cfg)
     with open_table(path, where, _CROSSING_COLUMNS, cfg, rerun) as fh:
         rows = (line.rstrip("\n").split(",") for line in fh if line.strip())
         for number, row in enumerate(rows, 1):
             try:
-                crossing = _crossing_from_row(row)
-                if out and crossing.budget <= out[-1].budget:
-                    raise ValueError(f"budgets must be strictly ascending; the previous "
-                                     f"row has B={out[-1].budget!r}")
-                out.append(crossing)
+                if number > len(cfg.budgets):
+                    raise ValueError(f"extra row beyond the configuration's "
+                                     f"{len(cfg.budgets)} budgets")
+                out.append(_crossing_from_row(row, cfg.budgets[number - 1], grids[number - 1]))
             except ValueError as err:
                 raise ConfigError(f"{where}: data row {number} {','.join(row)!r}: {err}") from err
-    if not out:
-        raise ConfigError(f"{where} is empty")
+    if len(out) < len(cfg.budgets):
+        raise ConfigError(f"{where}: no data row {len(out) + 1}, the row of the "
+                          f"configuration's budget B={cfg.budgets[len(out)]!r}")
     return out
 
 
-def _crossing_from_row(row: list[str]) -> CrossingEstimate:
+def _crossing_from_row(row: list[str], budget: float, grid: np.ndarray) -> CrossingEstimate:
     if len(row) != len(_CROSSING_COLUMNS):
         raise ValueError(f"{len(row)} fields, expected {len(_CROSSING_COLUMNS)}")
-    budget, eps_star, status, lo, hi = row
+    b, eps_star, status, lo, hi = row
     if status not in _CROSSING_STATUSES:
         raise ValueError(f"status must be one of {_CROSSING_STATUSES}")
     crossed = status == STATUS_CROSSED
@@ -274,21 +263,19 @@ def _crossing_from_row(row: list[str]) -> CrossingEstimate:
     if not crossed == bool(lo) == bool(hi):
         raise ValueError("bracket_lo and bracket_hi must be given exactly when the "
                          "status is crossed")
-    for name, text in zip(_CROSSING_COLUMNS, row):
-        if name != "status" and text:
-            if not math.isfinite(value := float(text)):
-                raise ValueError(f"{name} {text} is not a finite number")
-            if value <= 0:  # the writer's budgets and strengths are positive
-                raise ValueError(f"{name} {text} must be positive")
-    if crossed and not float(lo) <= float(eps_star) <= float(hi):
-        raise ValueError(f"eps_star {eps_star} outside its bracket [{lo}, {hi}]")
-    return CrossingEstimate(
-        budget=float(budget),
-        eps_star=float(eps_star) if eps_star else None,
-        status=status,
-        bracket_lo=float(lo) if lo else None,
-        bracket_hi=float(hi) if hi else None,
-    )
+    if float(b) != budget:
+        raise ValueError(f"B {b}, not the configuration's budget {budget!r}")
+    if not crossed:
+        return CrossingEstimate(budget=budget, eps_star=None, status=status)
+    eps_star, lo, hi = float(eps_star), float(lo), float(hi)
+    j = int(np.searchsorted(grid, lo))
+    if not (j + 1 < len(grid) and grid[j] == lo and grid[j + 1] == hi):
+        raise ValueError(f"bracket [{lo!r}, {hi!r}] is not two neighbouring points "
+                         f"of the budget's eps grid")
+    if not lo <= eps_star <= hi:
+        raise ValueError(f"eps_star {eps_star!r} outside its bracket [{lo!r}, {hi!r}]")
+    return CrossingEstimate(budget=budget, eps_star=eps_star, status=status,
+                            bracket_lo=lo, bracket_hi=hi)
 
 
 def write_variance_csv(path, cfg: ExperimentConfig) -> bool:

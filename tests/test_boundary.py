@@ -26,6 +26,7 @@ from zneboundary.boundary import (
     local_optimality_check,
     theoretical_boundary,
 )
+from zneboundary.config import parse_config
 from zneboundary.errors import RegimeError
 from zneboundary.models import (
     DeterministicLimitBinary,
@@ -36,7 +37,7 @@ from zneboundary.models import (
     scaled_domain_max,
 )
 from zneboundary.mse import exact_delta, exact_delta_curve
-from zneboundary.pipeline import read_crossings_csv, write_crossings_csv
+from zneboundary.pipeline import build_grids, read_crossings_csv, write_crossings_csv
 from zneboundary.rules import build_rule
 
 RULE13 = build_rule([1, 3])
@@ -203,12 +204,18 @@ def test_batched_crossings_match_one_row_form(table):
 @given(delta_tables())
 @example(OVERSHOOT)
 def test_crossing_estimates_read_back_equal(table):
+    # the table's first grid is every budget's, as in an explicit grid section
     eps, delta = table
-    crossings = crossing_estimates(eps, delta, [10.0 ** b for b in range(len(delta))])
+    budgets = [10.0 ** b for b in range(len(delta))]
+    cfg = parse_config({"model": {"type": "monomial_balance", "p": 1, "q": 0, "d_p": 1.0,
+                                  "k_q": 1.0},
+                        "grid": {"mode": "explicit", "eps": eps[0].tolist()},
+                        "budgets": {"values": budgets}})
+    crossings = crossing_estimates(build_grids(cfg), delta, budgets)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "cross.csv")
-        write_crossings_csv(path, crossings)
-        assert read_crossings_csv(path) == crossings
+        write_crossings_csv(path, crossings, cfg)
+        assert read_crossings_csv(path, cfg) == crossings
 
 
 class TestClassifyRegime:

@@ -57,6 +57,9 @@ DLB_MC = {
 }
 
 
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+
+
 def write_cfg(tmp_path, raw, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw))
@@ -276,25 +279,26 @@ class TestPipelineArtifacts:
         cfg = parse_config(dict(DLB_EXACT, budgets={"values": [1e4, 1e5, 1e6]}))
         sweep = run_sweep(cfg)
         path = tmp_path / "delta.csv"
-        write_delta_csv(path, sweep)
-        back = read_delta_csv(path)
+        write_delta_csv(path, sweep, cfg)
+        back = read_delta_csv(path, cfg)
         assert back.budgets == sweep.budgets
         assert np.array_equal(back.delta, sweep.delta)  # repr round-trips floats
         assert np.array_equal(back.eps_grids, sweep.eps_grids)
         assert back.std_err is None
 
     def test_delta_reader_memory_is_bounded(self, tmp_path):
-        # a 121 x 400 exact table, 48,400 rows: the reader streams its row-ending count
-        eps = np.geomspace(1e-6, 0.1, 400) * np.geomspace(1.0, 1e-3, 121)[:, None]
-        sweep = SweepResult(budgets=tuple(np.geomspace(1e3, 1e9, 121).tolist()),
-                            eps_grids=eps, delta=np.sin(eps * 1e5), std_err=None,
-                            source="exact", counts=None)
+        # exact_a's 121 x 400 table, 48,400 rows: the reader streams its row-ending count
+        cfg = load_config(BENCH_CONFIGS / "exact_a.yaml")
+        eps = build_grids(cfg)
+        assert eps.shape == (121, 400)
+        sweep = SweepResult(budgets=cfg.budgets, eps_grids=eps, delta=np.sin(eps * 1e5),
+                            std_err=None, source="exact", counts=None)
         path = tmp_path / "delta.csv"
-        write_delta_csv(path, sweep)
+        write_delta_csv(path, sweep, cfg)
         assert path.stat().st_size > 3e6
         tracemalloc.start()
         try:
-            back = read_delta_csv(path)
+            back = read_delta_csv(path, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -304,8 +308,7 @@ class TestPipelineArtifacts:
     @pytest.mark.parametrize("name", ["exact_a", "exact_b", "mc_battery", "mc_sweep"])
     def test_auto_windows_match_the_per_budget_loop(self, name):
         # build_grids draws every window in one geomspace call, bit for bit the per-budget one
-        cfg = load_config(Path(__file__).resolve().parent.parent / "bench" / "configs"
-                          / f"{name}.yaml")
+        cfg = load_config(BENCH_CONFIGS / f"{name}.yaml")
         model, rule = cfg.model(), cfg.rule()
         regime = theoretical_boundary(model, replace(rule, optimal=False))  # the base split
         span, ppd = cfg.grid["span"], cfg.grid["points_per_decade"]
@@ -330,8 +333,8 @@ class TestPipelineArtifacts:
         cfg = parse_config(dict(DLB_EXACT, budgets={"values": [1e4, 1e5, 1e6]}))
         crossings = crossings_from_sweep(run_sweep(cfg))
         path = tmp_path / "cross.csv"
-        write_crossings_csv(path, crossings)
-        assert read_crossings_csv(path) == crossings
+        write_crossings_csv(path, crossings, cfg)
+        assert read_crossings_csv(path, cfg) == crossings
 
     def test_exact_report_contents(self, tmp_path):
         cfg = parse_config(DLB_EXACT)
@@ -452,26 +455,40 @@ class TestArtifactReaderErrors:
         return str(err.value)
 
     SWEEP = dict(DLB_EXACT, budgets={"values": [1e4, 1e5, 1e6]})
+    # two budgets on one explicit grid, for hand-written tables
+    TWO = dict(DLB_MC, grid={"mode": "explicit", "eps": [0.0009, 0.0011, 0.01, 0.02]},
+               budgets={"values": [10000, 100000]})
 
     def delta(self, tmp_path, edit):
-        sweep = run_sweep(parse_config(self.SWEEP))
-        return self.corrupt(tmp_path, "delta.csv", lambda p: write_delta_csv(p, sweep),
-                            read_delta_csv, edit)
+        cfg = parse_config(self.SWEEP)
+        sweep = run_sweep(cfg)
+        return self.corrupt(tmp_path, "delta.csv", lambda p: write_delta_csv(p, sweep, cfg),
+                            lambda p: read_delta_csv(p, cfg), edit)
+
+    def mc_delta(self, tmp_path, edit):
+        """A Monte Carlo table of the TWO configuration: delta 1.0 and std_err 0.5 per cell."""
+        cfg = parse_config(self.TWO)
+        sweep = SweepResult(budgets=cfg.budgets, eps_grids=build_grids(cfg),
+                            delta=np.ones((2, 4)), std_err=np.full((2, 4), 0.5),
+                            source="monte_carlo", counts=None)
+        return self.corrupt(tmp_path, "mc.csv", lambda p: write_delta_csv(p, sweep, cfg),
+                            lambda p: read_delta_csv(p, cfg), edit)
 
     def crossings(self, tmp_path, edit):
+        cfg = parse_config(self.TWO)
         crossings = [
             CrossingEstimate(1e4, 0.001, "crossed", 0.0009, 0.0011),
             CrossingEstimate(1e5, None, "no_negative_region"),
         ]
         return self.corrupt(tmp_path, "cross.csv",
-                            lambda p: write_crossings_csv(p, crossings),
-                            read_crossings_csv, edit)
+                            lambda p: write_crossings_csv(p, crossings, cfg),
+                            lambda p: read_crossings_csv(p, cfg), edit)
 
     def test_delta_budget_with_fewer_rows(self, tmp_path):
-        n_eps = len(run_sweep(parse_config(self.SWEEP)).eps_grids[0])
-        msg = self.delta(tmp_path, lambda lines: lines.pop(2 + n_eps + 3))
-        assert f"data row {n_eps + 1} (B=100000.0): budget has {n_eps - 1} rows, " \
-               f"the first {n_eps}" in msg
+        grid = build_grids(parse_config(self.SWEEP))[1].tolist()
+        msg = self.delta(tmp_path, lambda lines: lines.pop(2 + len(grid) + 3))
+        assert (f"data row {len(grid) + 4} (B=100000.0, eps={grid[4]!r}): not the "
+                f"configuration's cell (B=100000.0, eps={grid[3]!r})") in msg
 
     def test_delta_non_numeric_value(self, tmp_path):
         def edit(lines):
@@ -502,14 +519,22 @@ class TestArtifactReaderErrors:
         assert f"data row {row} " in msg and f"{len(fields) + 4} fields, expected 5" in msg
 
     def test_delta_short_last_budget(self, tmp_path):
+        grid = build_grids(parse_config(self.SWEEP))[2].tolist()
         msg = self.delta(tmp_path, lambda lines: lines.pop())
-        assert "(B=1000000.0): budget has" in msg
+        assert (f"no data row {3 * len(grid)}, the row of the configuration's cell "
+                f"(B=1000000.0, eps={grid[-1]!r})") in msg
+
+    def test_delta_extra_row(self, tmp_path):
+        n_rows = build_grids(parse_config(self.SWEEP)).size
+        msg = self.delta(tmp_path, lambda lines: lines.append(lines[-1]))
+        assert f"data row {n_rows + 1}: extra row beyond the configuration's {n_rows} cells" in msg
 
     @pytest.mark.parametrize("rows, named", [
         ({3: "bogus"}, "data row 3 "),
         ({4: ("0.5", "exact")}, "data row 4 "),
         ({3: "monte_carlo", 4: "bogus"}, "data row 3 "),
-    ], ids=["source", "std_err", "first-of-two"])
+        ({row: "monte_carlo" for row in range(1, 241)}, "data row 1 "),
+    ], ids=["source", "std_err", "first-of-two", "every-row"])
     def test_delta_row_source_and_std_err_checked(self, tmp_path, rows, named):
         def edit(lines):
             for row, change in rows.items():  # data row r is lines[r + 1]
@@ -517,52 +542,52 @@ class TestArtifactReaderErrors:
                 err, source = change if isinstance(change, tuple) else (err, change)
                 lines[row + 1] = ",".join([b, eps, delta, err, source]) + "\r\n"
         msg = self.delta(tmp_path, edit)
-        assert named in msg and "std_err and source exact, as in data row 1" in msg
+        assert named in msg and "std_err and source exact, as the configured engine writes" in msg
 
     def test_monte_carlo_delta_rows_need_std_err(self, tmp_path):
-        sweep = SweepResult(budgets=(1e3, 1e4), eps_grids=np.array([[0.1, 0.2]] * 2),
-                            delta=np.ones((2, 2)), std_err=np.full((2, 2), 0.5),
-                            source="monte_carlo", counts=None)
-        write_delta_csv(tmp_path / "good.csv", sweep)
-        assert read_delta_csv(tmp_path / "good.csv").std_err.tolist() == [[0.5, 0.5]] * 2
-
         def edit(lines):
             lines[2] = lines[2].replace(",0.5,", ",,")
-        msg = self.corrupt(tmp_path, "mc.csv", lambda p: write_delta_csv(p, sweep),
-                           read_delta_csv, edit)
+        msg = self.mc_delta(tmp_path, edit)
         assert "data row 1 " in msg and "std_err not a number" in msg
 
     def test_delta_budgets_out_of_order(self, tmp_path):
         def edit(lines):
             lines[2:] = sorted(lines[2:], key=lambda line: -float(line.split(",")[0]))
         msg = self.delta(tmp_path, edit)
-        assert "budgets must be strictly ascending" in msg
+        assert "data row 1 (B=1000000.0, eps=" in msg
+        assert "not the configuration's cell (B=10000.0, eps=" in msg
 
     @pytest.mark.parametrize("column, value, message", [
-        (3, "-0.5", "std_err -0.5 must be non-negative"),
-        (1, "-0.001", "eps -0.001 must be positive"),
-        (1, "0.0", "eps 0.0 must be positive"),
-        (0, "-1000.0", "B -1000.0 must be positive"),
-    ], ids=["negative-std_err", "negative-eps", "zero-eps", "negative-budget"])
+        (3, "-0.5", "data row 1: std_err -0.5 must be non-negative"),
+        (1, "-0.001", "data row 1 (B=10000.0, eps=-0.001): not the configuration's cell "
+                      "(B=10000.0, eps=0.0009)"),
+        (1, "0.0", "data row 1 (B=10000.0, eps=0.0): not the configuration's cell "
+                   "(B=10000.0, eps=0.0009)"),
+        (0, "-10000.0", "data row 1 (B=-10000.0, eps=0.0009): not the configuration's cell "
+                        "(B=10000.0, eps=0.0009)"),
+        # a budget block relabelled, and an eps shifted by 0.1%
+        (0, "10001.0", "data row 1 (B=10001.0, eps=0.0009): not the configuration's cell "
+                       "(B=10000.0, eps=0.0009)"),
+        (1, repr(0.0009 * 1.001), f"data row 1 (B=10000.0, eps={0.0009 * 1.001!r}): not the "
+                                  "configuration's cell (B=10000.0, eps=0.0009)"),
+    ], ids=["negative-std_err", "negative-eps", "zero-eps", "negative-budget",
+            "relabelled-budget", "shifted-eps"])
     def test_delta_value_the_writer_never_writes(self, tmp_path, column, value, message):
-        sweep = SweepResult(budgets=(1e3, 1e4), eps_grids=np.array([[0.1, 0.2]] * 2),
-                            delta=np.ones((2, 2)), std_err=np.full((2, 2), 0.5),
-                            source="monte_carlo", counts=None)
-
-        def edit(lines):  # a budget changes in its whole block, data rows 1 and 2
-            for line in (2, 3) if column == 0 else (2,):
+        def edit(lines):  # a budget changes in its whole block, data rows 1 to 4
+            for line in range(2, 6) if column == 0 else (2,):
                 fields = lines[line].split(",")
                 fields[column] = value
                 lines[line] = ",".join(fields)
-        msg = self.corrupt(tmp_path, "mc.csv", lambda p: write_delta_csv(p, sweep),
-                           read_delta_csv, edit)
-        assert f"data row 1: {message}" in msg
+        assert message in self.mc_delta(tmp_path, edit)
 
     def test_delta_eps_out_of_order(self, tmp_path):
+        grid = build_grids(parse_config(self.SWEEP))[0].tolist()
+
         def edit(lines):
             lines[3], lines[4] = lines[4], lines[3]  # data rows 2 and 3 of B=1e4
         msg = self.delta(tmp_path, edit)
-        assert "data row 3 (B=10000.0): eps must be strictly ascending within a budget" in msg
+        assert (f"data row 2 (B=10000.0, eps={grid[2]!r}): not the configuration's cell "
+                f"(B=10000.0, eps={grid[1]!r})") in msg
 
     def test_crossings_non_numeric_value(self, tmp_path):
         def edit(lines):
@@ -570,12 +595,24 @@ class TestArtifactReaderErrors:
         msg = self.crossings(tmp_path, edit)
         assert "data row 1 " in msg and "could not convert" in msg
 
-    @pytest.mark.parametrize("order", [[0, 0, 1], [1, 0]], ids=["duplicated", "swapped"])
-    def test_crossings_budgets_out_of_order(self, tmp_path, order):
+    @pytest.mark.parametrize("order, named, budget", [
+        ([0, 0, 1], 2, "10000.0, not the configuration's budget 100000.0"),
+        ([1, 0], 1, "100000.0, not the configuration's budget 10000.0"),
+        ([1], 1, "100000.0, not the configuration's budget 10000.0"),
+    ], ids=["duplicated", "swapped", "first-deleted"])
+    def test_crossings_budgets_out_of_order(self, tmp_path, order, named, budget):
         def edit(lines):  # data rows 1 and 2 are lines[2:4]
             lines[2:] = [lines[2 + i] for i in order]
         msg = self.crossings(tmp_path, edit)
-        assert "data row 2 " in msg and "budgets must be strictly ascending" in msg
+        assert f"data row {named} " in msg and f": B {budget}" in msg
+
+    def test_crossings_missing_row(self, tmp_path):
+        msg = self.crossings(tmp_path, lambda lines: lines.pop())
+        assert "no data row 2, the row of the configuration's budget B=100000.0" in msg
+
+    def test_crossings_extra_row(self, tmp_path):
+        msg = self.crossings(tmp_path, lambda lines: lines.append(lines[-1]))
+        assert "data row 3 " in msg and "extra row beyond the configuration's 2 budgets" in msg
 
     def test_crossings_missing_column(self, tmp_path):
         def edit(lines):
@@ -602,37 +639,56 @@ class TestArtifactReaderErrors:
         ("100000.0,,no_negative_region,0.01,0.02", 2,
          "bracket_lo and bracket_hi must be given exactly"),
         ("10000.0,0.5,crossed,0.01,0.02", 1, "eps_star 0.5 outside its bracket [0.01, 0.02]"),
-        ("1000.0,-0.01,crossed,-0.02,-0.005", 1, "eps_star -0.01 must be positive"),
-        ("10000.0,0.001,crossed,0.0,0.0011", 1, "bracket_lo 0.0 must be positive"),
-        ("-10000.0,,no_negative_region,,", 1, "B -10000.0 must be positive"),
+        ("1000.0,-0.01,crossed,-0.02,-0.005", 1,
+         "B 1000.0, not the configuration's budget 10000.0"),
+        ("10000.0,0.001,crossed,0.0,0.0011", 1,
+         "bracket [0.0, 0.0011] is not two neighbouring points of the budget's eps grid"),
+        ("-10000.0,,no_negative_region,,", 1,
+         "B -10000.0, not the configuration's budget 10000.0"),
+        ("10000.0,-0.01,crossed,-0.02,-0.005", 1,
+         "bracket [-0.02, -0.005] is not two neighbouring points of the budget's eps grid"),
+        ("10000.0,0.001,crossed,0.0009,0.01", 1,
+         "bracket [0.0009, 0.01] is not two neighbouring points of the budget's eps grid"),
+        ("10000.0,0.001,crossed,0.000909,0.0011", 1,
+         "bracket [0.000909, 0.0011] is not two neighbouring points of the budget's eps grid"),
+        ("999.0,,no_negative_region,,", 1, "B 999.0, not the configuration's budget 10000.0"),
     ], ids=["crossed-no-bracket", "crossed-half-bracket", "censored-with-bracket",
-            "eps-star-outside-bracket", "negative-crossing", "zero-bracket", "negative-budget"])
+            "eps-star-outside-bracket", "negative-crossing", "zero-bracket", "negative-budget",
+            "negative-bracket", "bracket-not-neighbours", "bracket-off-grid",
+            "relabelled-budget"])
     def test_crossings_row_the_writer_never_writes(self, tmp_path, row, number, message):
         def edit(lines):
             lines[1 + number] = row + "\r\n"
         msg = self.crossings(tmp_path, edit)
         assert f"data row {number} {row!r}: {message}" in msg
 
-    @pytest.mark.parametrize("field, value", [(2, "nan"), (1, "inf"), (0, "-inf")])
-    def test_delta_non_finite_value(self, tmp_path, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        (2, "nan", "data row 4: delta nan is not a finite number"),
+        (1, "inf", "data row 4 (B=10000.0, eps=inf): not the configuration's cell"),
+        (0, "-inf", "data row 4 (B=-inf, eps="),
+    ])
+    def test_delta_non_finite_value(self, tmp_path, field, value, message):
         def edit(lines):  # data row 4
             fields = lines[5].split(",")
             fields[field] = value
             lines[5] = ",".join(fields)
-        msg = self.delta(tmp_path, edit)
-        column = ("B", "eps", "delta")[field]
-        assert f"data row 4: {column} {float(value)} is not a finite number" in msg
+        assert message in self.delta(tmp_path, edit)
+
+    def test_delta_non_finite_std_err(self, tmp_path):
+        def edit(lines):  # data row 2
+            lines[3] = lines[3].replace(",0.5,", ",inf,")
+        assert "data row 2: std_err inf is not a finite number" in self.mc_delta(tmp_path, edit)
 
     @pytest.mark.parametrize("old, new, named", [
-        ("0.001,", "nan,", "eps_star nan"),
-        ("0.0011", "inf", "bracket_hi inf"),
-        ("10000.0,", "-inf,", "B -inf"),
+        ("0.001,", "nan,", "eps_star nan outside its bracket [0.0009, 0.0011]"),
+        ("0.0011", "inf", "bracket [0.0009, inf] is not two neighbouring points"),
+        ("10000.0,", "-inf,", "B -inf, not the configuration's budget 10000.0"),
     ])
     def test_crossings_non_finite_value(self, tmp_path, old, new, named):
         def edit(lines):
             lines[2] = lines[2].replace(old, new)
         msg = self.crossings(tmp_path, edit)
-        assert "data row 1 " in msg and f"{named} is not a finite number" in msg
+        assert "data row 1 " in msg and named in msg
 
     @staticmethod
     def other_schema(lines):
@@ -651,10 +707,10 @@ class TestArtifactReaderErrors:
         assert "carries schema version 9, expected 1" in msg
 
     def test_schema_checked_before_config_hash(self, tmp_path):
-        cfg = parse_config(self.SWEEP)
-        sweep = run_sweep(cfg)
-        msg = self.corrupt(tmp_path, "delta.csv", lambda p: write_delta_csv(p, sweep),
-                           lambda p: read_delta_csv(p, cfg), self.other_schema)
+        def edit(lines):
+            self.other_schema(lines)
+            lines[0] = lines[0].replace("config_hash=", "config_hash=0")
+        msg = self.delta(tmp_path, edit)
         assert "carries schema version 9, expected 1" in msg
 
 
@@ -662,31 +718,48 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def sweeps(draw, monte_carlo):
-    """Tables the writer writes: positive eps and budgets, non-negative std_err."""
-    budgets = draw(st.lists(st.floats(1.0, 1e15), min_size=1, max_size=4, unique=True))
-    n_eps = draw(st.integers(1, 5))
-    cells = st.lists(finite, min_size=n_eps, max_size=n_eps)
-    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
-    ascending = st.lists(positive, min_size=n_eps, max_size=n_eps, unique=True).map(sorted)
-    errors = st.lists(st.floats(0.0, allow_infinity=False), min_size=n_eps, max_size=n_eps)
-    grids = np.array([draw(ascending) for _ in budgets])
-    delta = np.array([draw(cells) for _ in budgets])
-    std_err = np.array([draw(errors) for _ in budgets]) if monte_carlo else None
-    return SweepResult(
-        budgets=tuple(sorted(budgets)), eps_grids=grids, delta=delta, std_err=std_err,
-        source="monte_carlo" if monte_carlo else "exact", counts=None,
+def configurations(draw):
+    """Parsed configurations: explicit or auto grids, either engine, a few budgets."""
+    # from B=100 on, every auto window lies inside the domain
+    budgets = sorted(draw(st.lists(st.integers(100, 10**9), min_size=1, max_size=4,
+                                   unique=True)))
+    if draw(st.booleans()):
+        positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+        eps = sorted(draw(st.lists(positive, min_size=1, max_size=5, unique=True)))
+        grid = {"mode": "explicit", "eps": eps}
+    else:
+        lo = draw(st.floats(0.05, 0.9))
+        grid = {"mode": "auto", "span": [lo, draw(st.floats(1.1, 20.0))],
+                "points_per_decade": draw(st.integers(1, 4))}
+    engine = draw(st.sampled_from(["exact", "monte_carlo"]))
+    return parse_config(dict(DLB_EXACT, grid=grid, budgets={"values": budgets},
+                             engine={"kind": engine}, seed=7))
+
+
+@st.composite
+def sweeps(draw):
+    """A configuration and a table its writer writes: any finite delta, non-negative std_err."""
+    cfg = draw(configurations())
+    grids = build_grids(cfg)
+    values = st.lists(finite, min_size=grids.size, max_size=grids.size)
+    errors = st.lists(st.floats(0.0, allow_infinity=False), min_size=grids.size,
+                      max_size=grids.size)
+    std_err = np.reshape(draw(errors), grids.shape) if cfg.is_monte_carlo else None
+    return cfg, SweepResult(
+        budgets=cfg.budgets, eps_grids=grids, delta=np.reshape(draw(values), grids.shape),
+        std_err=std_err, source="monte_carlo" if cfg.is_monte_carlo else "exact", counts=None,
     )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
-@given(st.booleans().flatmap(sweeps))
-def test_delta_csv_round_trip_property(sweep):
+@given(sweeps())
+def test_delta_csv_round_trip_property(drawn):
+    cfg, sweep = drawn
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
-        write_delta_csv(first, sweep)
-        back = read_delta_csv(first)
+        write_delta_csv(first, sweep, cfg)
+        back = read_delta_csv(first, cfg)
         assert back.budgets == sweep.budgets and np.array_equal(back.eps_grids, sweep.eps_grids)
         assert back.source == sweep.source
         assert np.array_equal(back.delta.view(np.uint64), sweep.delta.view(np.uint64))
@@ -694,35 +767,37 @@ def test_delta_csv_round_trip_property(sweep):
             assert back.std_err is None
         else:
             assert np.array_equal(back.std_err.view(np.uint64), sweep.std_err.view(np.uint64))
-        write_delta_csv(second, back)
+        write_delta_csv(second, back, cfg)
         assert second.read_bytes() == first.read_bytes()
 
 
 @st.composite
 def crossing_rows(draw):
-    """Rows the writer writes: one per budget, budgets strictly ascending, strengths positive."""
-    budgets = draw(st.lists(st.floats(1.0, 1e15), min_size=1, max_size=6, unique=True))
-    positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    """A configuration and rows its writer writes: one per budget, in order, each crossed
+    row bracketed by two neighbouring points of its budget's grid."""
+    cfg = draw(configurations())
     rows = []
-    for budget in sorted(budgets):
-        if draw(st.booleans()):  # the crossing lies inside its bracket
-            lo, eps_star, hi = sorted(draw(st.lists(positive, min_size=3, max_size=3)))
-            rows.append(CrossingEstimate(budget, eps_star, "crossed", lo, hi))
+    for budget, grid in zip(cfg.budgets, build_grids(cfg).tolist()):
+        if len(grid) > 1 and draw(st.booleans()):  # the crossing lies inside its bracket
+            j = draw(st.integers(0, len(grid) - 2))
+            lo, hi = grid[j], grid[j + 1]
+            rows.append(CrossingEstimate(budget, draw(st.floats(lo, hi)), "crossed", lo, hi))
         else:
             status = draw(st.sampled_from(["no_negative_region", "no_crossing_in_window"]))
             rows.append(CrossingEstimate(budget, None, status))
-    return rows
+    return cfg, rows
 
 
 @settings(max_examples=60, deadline=None)
 @given(crossing_rows())
-def test_crossings_csv_round_trip_property(crossings):
+def test_crossings_csv_round_trip_property(drawn):
+    cfg, crossings = drawn
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
-        write_crossings_csv(first, crossings)
-        back = read_crossings_csv(first)
+        write_crossings_csv(first, crossings, cfg)
+        back = read_crossings_csv(first, cfg)
         assert back == crossings
-        write_crossings_csv(second, back)
+        write_crossings_csv(second, back, cfg)
         assert second.read_bytes() == first.read_bytes()
 
 
@@ -782,6 +857,16 @@ class TestCli:
         assert main(["boundary", "--config", str(cfg_path),
                      "--set", "windows.variance=[1e-4, 1e-3]"]) == 0
 
+    def test_boundary_without_sweep_is_config_error(self, tmp_path, capsys):
+        cfg_path = write_cfg(
+            tmp_path, dict(DLB_EXACT, output={"dir": str(tmp_path), "prefix": "x"})
+        )
+        assert main(["boundary", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"missing delta table {tmp_path / 'x_delta.csv'}; run `zneboundary sweep` first" \
+            in err
+        assert not (tmp_path / "x_crossings.csv").exists()
+
     def test_fit_without_boundary_is_config_error(self, tmp_path, capsys):
         cfg_path = write_cfg(
             tmp_path, dict(DLB_EXACT, output={"dir": str(tmp_path), "prefix": "x"})
@@ -808,7 +893,11 @@ class TestCli:
         raw = dict(DLB_EXACT, output={"dir": str(tmp_path), "prefix": "dlb"},
                    budgets={"values": [1e4, 1e5, 1e6]})
         cfg_path = write_cfg(tmp_path, raw)
-        write_delta_csv(tmp_path / "dlb_delta.csv", run_sweep(parse_config(raw)))
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        delta = tmp_path / "dlb_delta.csv"
+        lines = delta.read_text().splitlines(keepends=True)
+        lines[0] = "# zneboundary-schema=1\n"
+        delta.write_text("".join(lines))
         assert main(["boundary", "--config", str(cfg_path)]) == 2
         assert "carries no config_hash" in capsys.readouterr().err
 
@@ -856,8 +945,8 @@ class TestCli:
                    engine={"kind": "monte_carlo", "replicates": 8},
                    output={"dir": str(tmp_path), "prefix": "m"})
         cfg_path = write_cfg(tmp_path, raw)
-        assert main(["boundary", "--config", str(cfg_path)]) == 0
-        assert main(["fit", "--config", str(cfg_path)]) == 0
+        for stage in ("sweep", "boundary", "fit"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
         header_path = tmp_path / "m_counts.json"
         header = json.loads(header_path.read_text())
         header["rule"]["alloc"] = [0.5, 0.5]
@@ -927,7 +1016,7 @@ class TestCli:
         crossings.write_text("".join(lines))
         capsys.readouterr()
         assert main(["fit", "--config", str(cfg_path)]) == 2
-        assert "eps_star nan is not a finite number" in capsys.readouterr().err
+        assert "eps_star nan outside its bracket" in capsys.readouterr().err
         assert not (tmp_path / "m_report.json").exists()
 
         delta = tmp_path / "m_delta.csv"
@@ -946,6 +1035,7 @@ class TestCli:
         raw = dict(DLB_EXACT, output={"dir": str(tmp_path), "prefix": "x"},
                    budgets={"values": [1e4, 1e5, 1e6]})
         cfg_path = write_cfg(tmp_path, raw)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
         assert main(["boundary", "--config", str(cfg_path)]) == 0
         crossings = tmp_path / "x_crossings.csv"
         lines = crossings.read_text().splitlines(keepends=True)
@@ -955,6 +1045,41 @@ class TestCli:
         assert main(["fit", "--config", str(cfg_path)]) == 2
         assert f"{crossings}: data row 1 {row!r}: " in capsys.readouterr().err
         assert not (tmp_path / "x_report.json").exists()
+
+    @staticmethod
+    def edit_rows(path, edit):
+        """Rewrite a table through ``edit(rows)``, its data rows as lists of fields."""
+        comment, head, *rows = path.read_text().splitlines(keepends=True)
+        rows = [row.rstrip("\r\n").split(",") for row in rows]
+        edit(rows)
+        path.write_text(comment + head + "".join(",".join(row) + "\r\n" for row in rows))
+
+    @pytest.mark.parametrize("table, stage, edit, message", [
+        ("delta", "boundary", lambda rows: [row.__setitem__(0, "2001.0") for row in rows
+                                            if row[0] == "2000.0"],
+         "data row 1 (B=2001.0, eps="),
+        ("delta", "boundary", lambda rows: rows[0].__setitem__(1, repr(float(rows[0][1]) * 1.001)),
+         "data row 1 (B=2000.0, eps="),
+        ("crossings", "fit", lambda rows: rows[0].__setitem__(0, "1999.0"),
+         "data row 1 '1999.0,"),
+        ("crossings", "fit", lambda rows: rows.pop(0), "data row 1 '8000.0,"),
+        ("crossings", "fit", lambda rows: rows[0].__setitem__(3, repr(float(rows[0][3]) * 1.01)),
+         "is not two neighbouring points of the budget's eps grid"),
+    ], ids=["delta-block-relabelled", "delta-eps-shifted", "crossing-relabelled",
+            "crossing-deleted", "bracket-off-grid"])
+    def test_stages_refuse_a_table_off_the_configurations_layout(
+            self, tmp_path, capsys, table, stage, edit, message):
+        # each table keeps its config_hash; only its rows leave the configured layout
+        cfg_path = self.mc_stages(tmp_path)
+        path = tmp_path / f"m_{table}.csv"
+        assert (tmp_path / "m_crossings.csv").read_text().splitlines()[2].split(",")[2] \
+            == "crossed"
+        self.edit_rows(path, edit)
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: data row 1 " in err and message in err
+        assert not (tmp_path / "m_report.json").exists()
 
     @pytest.mark.parametrize("spelled, plain", [
         ("engine.replicates=1e1", "engine.replicates=10"),
@@ -979,8 +1104,8 @@ class TestCli:
             assert spelled_bytes == (tmp_path / f"plain_{suffix}").read_bytes()
 
     def test_each_stage_builds_the_rule_once(self, tmp_path, monkeypatch):
-        # the configuration's rule is built by parse_config and nowhere else;
-        # fit also builds the one its counts header stores
+        # the configuration's rule is built by parse_config and nowhere else, and
+        # fit reads the counts with it
         original, built = build_rule, []
 
         def spy(module):
@@ -997,7 +1122,7 @@ class TestCli:
                    output={"dir": str(tmp_path), "prefix": "m"})
         cfg_path = write_cfg(tmp_path, raw)
         for stage, expected in (("sweep", ["config"]), ("boundary", ["config"]),
-                                ("fit", ["config", "mse"])):
+                                ("fit", ["config"])):
             built.clear()
             assert main([stage, "--config", str(cfg_path)]) == 0
             assert built == [f"zneboundary.{module}" for module in expected], stage
@@ -1008,6 +1133,7 @@ class TestCli:
                    engine={"kind": "monte_carlo", "replicates": 8},
                    output={"dir": str(tmp_path), "prefix": "m"})
         cfg_path = write_cfg(tmp_path, raw)
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
         assert main(["boundary", "--config", str(cfg_path)]) == 0
         monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
         assert main(["fit", "--config", str(cfg_path)]) == 2

@@ -44,6 +44,13 @@ from zneboundary.rules import build_rule, optimal_allocation
 from zneboundary.validate import _mc_dataset
 
 DLB = DeterministicLimitBinary(kappa=1.0)
+
+
+def drawn_with(table):
+    """The :func:`sample_count_table` arguments that give ``table``'s layout."""
+    return (table.model, table.rule, table.budgets, table.eps_grids, table.n_replicates,
+            table.master_seed)
+
 LBB = LinearBiasBinary(mu0=0.5, alpha=1.0)
 RULE13 = build_rule([1, 3])
 POLICIES = {"fixed": "uniform", "optimal": "optimal"}  # policy -> build_rule alloc spec
@@ -157,6 +164,18 @@ class TestExactDelta:
         assert isinstance(curve, np.ndarray) and curve.shape == grid.shape
         for value, eps in zip(curve, grid):
             assert value == exact_delta(DLB, RULE13, float(eps), 500.0).delta
+
+    @pytest.mark.parametrize("eps, budget", [(np.empty(0), 500.0),
+                                             (np.empty((0, 3)), np.empty((0, 1)))],
+                             ids=["grid", "table"])
+    def test_empty_grid_or_table_is_an_empty_curve(self, eps, budget):
+        for rule in (RULE13, build_rule([1, 3], "optimal"), None):
+            curve = exact_delta_curve(DLB, rule, eps, budget)
+            assert curve.shape == eps.shape
+
+    def test_non_positive_budget_named(self):
+        with pytest.raises(ValueError, match="budget must be positive, got -5.0"):
+            exact_delta_curve(DLB, RULE13, [[0.01, 0.02]] * 3, np.array([[100.0], [-5.0], [0.0]]))
 
 
 def reference_optimal_allocation(rule, model, eps):
@@ -899,7 +918,8 @@ class TestCountTable:
     def test_round_trip_csv(self, tmp_path):
         table = self.make_table()
         table.write(tmp_path / "counts.csv", tmp_path / "counts.json")
-        back = CountTable.read(tmp_path / "counts.csv", tmp_path / "counts.json")
+        back = CountTable.read(tmp_path / "counts.csv", tmp_path / "counts.json",
+                               *drawn_with(table))
         assert np.array_equal(back.shots, table.shots)
         assert np.array_equal(back.plus, table.plus)
         assert back.budgets == table.budgets
@@ -935,10 +955,11 @@ class TestCountTable:
         assert std_err[0, 0] == pytest.approx(np.std([-0.25, 1.0], ddof=1) / np.sqrt(2))
 
     def test_sampling_builds_no_model_or_rule(self, monkeypatch):
+        # the count table's module cannot build one: it takes the model and rule it is given
+        assert not hasattr(mse_module, "build_rule")
+        assert not hasattr(mse_module, "model_from_spec")
         calls = []
-        for module, name in [("zneboundary.mse", "build_rule"),
-                             ("zneboundary.rules", "build_rule"),
-                             ("zneboundary.mse", "model_from_spec"),
+        for module, name in [("zneboundary.rules", "build_rule"),
                              ("zneboundary.models", "model_from_spec")]:
             monkeypatch.setattr(f"{module}.{name}",
                                 lambda *args, _name=name, **kwargs: calls.append(_name))
@@ -994,7 +1015,7 @@ class TestCountTableRowValidation:
         if edit_header is not None:
             header_path.write_text(edit_header(json.loads(header_path.read_text())))
         with pytest.raises(ConfigError) as err:
-            CountTable.read(csv_path, header_path)
+            CountTable.read(csv_path, header_path, *drawn_with(table))
         assert str(header_path if edit_header else csv_path) in str(err.value)
         return str(err.value)
 
@@ -1003,7 +1024,8 @@ class TestCountTableRowValidation:
             header["eps_grids"][1].reverse()
             return json.dumps(header)
         msg = self.corrupt(tmp_path, lambda lines: None, edit_header)
-        assert "eps grid of budget 2000 is not strictly ascending" in msg
+        assert ("eps_grids of budget 2000 [0.01, 0.005], not the configuration's "
+                "[0.005, 0.01]; rerun `zneboundary sweep`") in msg
 
     def test_missing_row(self, tmp_path):
         msg = self.corrupt(tmp_path, lambda lines: lines.pop(8))
@@ -1067,18 +1089,39 @@ class TestCountTableRowValidation:
         assert f"data row {named} (" in msg and msg.endswith(problem)
 
     def test_counts_of_another_split(self, tmp_path):
-        # a header whose rule splits 3:1 does not describe the uniform counts
-        def edit_header(header):
-            header["rule"]["alloc"] = [0.75, 0.25]
-            return json.dumps(header)
+        # uniform counts read as a 3:1 split: the header names the rule they were drawn with
         table = TestCountTable().make_table()
         csv_path, header_path = tmp_path / "counts.csv", tmp_path / "counts.json"
         table.write(csv_path, header_path)
-        header_path.write_text(edit_header(json.loads(header_path.read_text())))
+        model, _, *layout = drawn_with(table)
         with pytest.raises(ConfigError) as err:
-            CountTable.read(csv_path, header_path)
-        assert str(err.value).startswith(f"count table {csv_path}: data row 7 (")
-        assert str(err.value).endswith("shots 250, not the 375 of the rule's allocation")
+            CountTable.read(csv_path, header_path, model, build_rule([1, 3], [0.75, 0.25]),
+                            *layout)
+        assert str(err.value) == (
+            f"count header {header_path}: rule {{'alloc': [0.5, 0.5], 'scales': [1.0, 3.0]}}, "
+            "not the configuration's {'scales': [1.0, 3.0], 'alloc': [0.75, 0.25]}; "
+            "rerun `zneboundary sweep`")
+
+    @pytest.mark.parametrize("change, error", [
+        ({"replicates": 1}, "need at least 2 replicates, got 1"),
+        ({"budgets": (500.7, 2000)}, "budget 500.7 is not a whole number of shots"),
+        ({"budgets": (500, 1)}, "budget 1 too small to give each of 2 levels a shot"),
+        ({"eps_grids": [[0.01, 0.02], [0.005, 0.9]]},
+         r"scaled strength lambda\*eps out of domain at \(eps=0.9, lambda=3.0\)"),
+        ({"eps_grids": [[0.01, 0.02], [0.005]]}, "per-budget eps grids must have equal length"),
+        ({"model": MonomialBalanceModel(p=1, q=0, d_p=1.0, k_q=1.0)}, "model has no sampler"),
+    ], ids=["replicates", "budget-not-whole", "budget-below-levels", "grid-out-of-domain",
+            "grid-lengths", "model-not-sampled"])
+    def test_reader_arguments_checked_as_the_samplers(self, tmp_path, change, error):
+        # the reader builds its table as the sampler does, so it refuses the same arguments
+        table = TestCountTable().make_table()
+        table.write(tmp_path / "counts.csv", tmp_path / "counts.json")
+        names = ("model", "rule", "budgets", "eps_grids", "replicates", "master_seed")
+        args = {**dict(zip(names, drawn_with(table))), **change}
+        with pytest.raises(Exception, match=error) as sampled:
+            sample_count_table(*args.values())
+        with pytest.raises(sampled.type, match=error):
+            CountTable.read(tmp_path / "counts.csv", tmp_path / "counts.json", *args.values())
 
     @pytest.mark.filterwarnings("error::UserWarning")
     def test_blank_lines_skipped_without_a_warning(self, tmp_path):
@@ -1090,7 +1133,7 @@ class TestCountTableRowValidation:
         lines[10:10] = ["\r\n"]  # inside the first budget's block
         lines[45:45] = ["\n", "\n"]  # inside the second's
         csv_path.write_text("".join(lines))
-        back = CountTable.read(csv_path, header_path)
+        back = CountTable.read(csv_path, header_path, *drawn_with(table))
         assert np.array_equal(back.plus, table.plus)
 
     def test_wrong_column_header(self, tmp_path):
@@ -1128,47 +1171,51 @@ class TestCountTableRowValidation:
         def edit_header(header):
             return json.dumps({**header, "schema_version": 7})
         msg = self.corrupt(tmp_path, lambda lines: None, edit_header)
-        assert "carries schema version 7, expected 1" in msg
+        assert "schema_version 7, not the configuration's 1" in msg
 
     @pytest.mark.parametrize("edit_header, expected", [
         (lambda header: json.dumps(header)[:-1], "Expecting"),
+        (lambda header: "[]", "not a JSON object"),
         *[(_without(key), f"no '{key}' field")
           for key in ("budgets", "eps_grids", "scales", "replicates", "master_seed", "model",
                       "rule")],
         (lambda header: json.dumps({**header, "budgets": [], "eps_grids": []}),
-         "0 eps grids for 0 budgets"),
+         "budgets [], not the configuration's [500, 2000]"),
         (lambda header: json.dumps({**header, "eps_grids": header["eps_grids"][:1]}),
-         "1 eps grids for 2 budgets"),
+         "eps_grids [[0.01, 0.02]], not the configuration's [[0.01, 0.02], [0.005, 0.01]]"),
         (lambda header: json.dumps({**header, "eps_grids": [[0.01, 0.02], [0.005]]}),
-         "per-budget eps grids must have equal length, got 2 points at B=500, "
-         "1 points at B=2000"),
+         "eps_grids of budget 2000 [0.005], not the configuration's [0.005, 0.01]"),
         (lambda header: json.dumps({**header, "eps_grids": [[[0.01], [0.02]]] * 2}),
-         "eps grids must be lists of numbers, got shape (2, 2, 1)"),
+         "eps_grids of budget 500 [[0.01], [0.02]], not the configuration's [0.01, 0.02]"),
         (lambda header: json.dumps({**header, "replicates": -1}),
-         "-1 replicates, need at least 2"),
+         "replicates -1, not the configuration's 6"),
         (lambda header: json.dumps({**header, "replicates": 0}),
-         "0 replicates, need at least 2"),
+         "replicates 0, not the configuration's 6"),
         (lambda header: json.dumps({**header, "scales": [1.0, 5.0]}),
-         "scales [1.0, 5.0], not its rule's [1.0, 3.0]"),
+         "scales [1.0, 5.0], not the configuration's [1.0, 3.0]"),
         (lambda header: json.dumps({**header, "rule": {"scales": [1.0, 3.0], "alloc": "best"}}),
-         "unknown allocation spec 'best'"),
+         "rule {'scales': [1.0, 3.0], 'alloc': 'best'}, not the configuration's "
+         "{'scales': [1.0, 3.0], 'alloc': [0.5, 0.5]}"),
         (lambda header: json.dumps({**header, "model": {"type": "dlb"}}),
-         "unknown model type 'dlb'"),
+         "model {'type': 'dlb'}, not the configuration's "
+         "{'type': 'deterministic_limit_binary', 'kappa': 1.0}"),
         (lambda header: json.dumps({**header, "model": {"type": "monomial_balance", "p": 1,
                                                         "q": 0, "d_p": 1.0, "k_q": 1.0}}),
-         "model has no sampler"),
+         "model {'type': 'monomial_balance', 'p': 1, 'q': 0, 'd_p': 1.0, 'k_q': 1.0}, "
+         "not the configuration's"),
         (lambda header: json.dumps({**header, "eps_grids": [[0.01, 0.02], [0.005, 0.9]]}),
-         "scaled strength lambda*eps out of domain at (eps=0.9, lambda=3.0)"),
+         "eps_grids of budget 2000 [0.005, 0.9], not the configuration's [0.005, 0.01]"),
         (lambda header: json.dumps({**header, "budgets": [500, 1]}),
-         "budget 1 too small to give each of 2 levels a shot"),
+         "budgets [500, 1], not the configuration's [500, 2000]"),
         (lambda header: json.dumps({**header, "budgets": [500.7, 2000]}),
-         "budget 500.7 is not a whole number of shots"),
-    ], ids=["not_json", "no_budgets", "no_eps_grids", "no_scales", "no_replicates",
-            "no_master_seed", "no_model", "no_rule", "no_budgets_listed", "grid_count",
-            "grid_lengths", "grid_nested", "replicates_negative", "replicates_zero",
-            "scales_not_the_rules", "rule_unknown_alloc", "model_unknown", "model_not_sampled",
-            "grid_out_of_domain",
-            "budget_below_levels", "budget_not_whole"])
+         "budgets [500.7, 2000], not the configuration's [500, 2000]"),
+        (lambda header: json.dumps({**header, "stream": 2}), "unknown field 'stream'"),
+    ], ids=["not_json", "not_an_object", "no_budgets", "no_eps_grids", "no_scales",
+            "no_replicates", "no_master_seed", "no_model", "no_rule", "no_budgets_listed",
+            "grid_count", "grid_lengths", "grid_nested", "replicates_negative",
+            "replicates_zero", "scales_not_the_rules", "rule_unknown_alloc", "model_unknown",
+            "model_not_sampled", "grid_out_of_domain", "budget_below_levels",
+            "budget_not_whole", "unknown_field"])
     def test_malformed_header(self, tmp_path, edit_header, expected):
         assert expected in self.corrupt(tmp_path, lambda lines: None, edit_header)
 
@@ -1208,7 +1255,7 @@ def test_count_table_round_trip_property(table):
     with tempfile.TemporaryDirectory() as tmp:
         paths = Path(tmp, "a.csv"), Path(tmp, "a.json")
         table.write(*paths)
-        back = CountTable.read(*paths)
+        back = CountTable.read(*paths, *drawn_with(table))
         assert np.array_equal(back.shots, table.shots)
         assert np.array_equal(back.plus, table.plus)
         assert back.header() == table.header()
