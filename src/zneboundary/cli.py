@@ -9,9 +9,10 @@ Subcommands::
     validate  run the self-contained validation battery
     plan      regime/boundary verdict from declared constants
 
-``boundary`` and ``fit`` only read what the earlier stages wrote: a missing
-table, or one that is not the table their configuration fixes, is a
-configuration error that names the stage to rerun.
+Every stage writes or reads its tables on the configuration's grid table,
+``cfg.grids``.  ``boundary`` and ``fit`` only read what the earlier stages
+wrote: a missing table, or one that is not the table their configuration
+fixes, is a configuration error that names the stage to rerun.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 domain error.  The bootstrap runs on threads, on the usable cores; a
@@ -29,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .boundary import budget_bracket, classify_regime, leading_bias_gain
+from .boundary import budget_bracket, classify_regime, crossing_estimates, leading_bias_gain
 from .config import load_config
 from .errors import (
     AllocationError,
@@ -43,9 +44,7 @@ from .errors import (
 )
 from .mse import CountTable
 from .pipeline import (
-    build_grids,
     build_report,
-    crossings_from_sweep,
     read_crossings_csv,
     read_delta_csv,
     run_sweep,
@@ -109,11 +108,11 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.set)
     paths = _sweep_paths(cfg)
     Path(cfg.output["dir"]).mkdir(parents=True, exist_ok=True)
-    sweep = run_sweep(cfg)
-    write_delta_csv(paths["delta"], sweep, cfg)
+    delta, std_err, counts = run_sweep(cfg)
+    write_delta_csv(paths["delta"], cfg, delta, std_err)
     print(f"wrote {paths['delta']}")
-    if sweep.counts is not None:
-        sweep.counts.write(paths["counts_csv"], paths["counts_json"])
+    if counts is not None:
+        counts.write(paths["counts_csv"], paths["counts_json"])
         print(f"wrote {paths['counts_csv']} and {paths['counts_json']}")
     if write_variance_csv(paths["variance"], cfg):
         print(f"wrote {paths['variance']}")
@@ -125,9 +124,9 @@ def cmd_boundary(args) -> int:
     paths = _sweep_paths(cfg)
     if not paths["delta"].exists():
         raise ConfigError(f"missing delta table {paths['delta']}; run `zneboundary sweep` first")
-    sweep = read_delta_csv(paths["delta"], cfg)
+    delta, _ = read_delta_csv(paths["delta"], cfg)
     print(f"read {paths['delta']}")
-    crossings = crossings_from_sweep(sweep)
+    crossings = crossing_estimates(cfg.grids, delta, cfg.budgets)
     write_crossings_csv(paths["crossings"], crossings, cfg)
     crossed = sum(c.crossed for c in crossings)
     print(f"wrote {paths['crossings']} ({crossed}/{len(crossings)} budgets crossed)")
@@ -149,8 +148,7 @@ def cmd_fit(args) -> int:
                 f"missing raw counts {paths['counts_csv']}; run `zneboundary sweep` first"
             )
         counts = CountTable.read(paths["counts_csv"], paths["counts_json"], cfg.model(),
-                                 cfg.rule(), cfg.budgets, build_grids(cfg), cfg.replicates,
-                                 cfg.seed)
+                                 cfg.rule(), cfg.budgets, cfg.grids, cfg.replicates, cfg.seed)
     report = build_report(cfg, crossings, counts)
     paths["report"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {paths['report']}")

@@ -17,6 +17,10 @@ Grids and regression windows are fixed here, before any estimate is
 computed; reports echo them together with the configuration hash so a run
 can be reproduced byte-for-byte.  Command-line ``--set section.key=value``
 overrides are applied before validation and enter the hash.
+
+``ExperimentConfig.grids`` is the run's grid table, one eps grid per budget,
+on which every stage writes and reads.  An explicit grid needs 3 points or
+more, as ``boundary`` does; ``output.prefix`` is a file name, not a path.
 """
 
 from __future__ import annotations
@@ -24,15 +28,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from .boundary import auto_windows, check_crossing_grid
 from .errors import ConfigError
 from .models import model_from_spec
+from .mse import grid_table
 from .resample import check_bootstrap
 from .rules import RichardsonRule, build_rule
 
@@ -52,6 +60,7 @@ class ExperimentConfig:
     floats (``span`` and each window a pair) and ``points_per_decade`` an int;
     ``engine["replicates"]``, the seeds and the bootstrap counts are ints;
     ``output`` holds strings.  ``raw`` is the mapping as loaded: the hash covers it.
+    ``grids`` is the run's grid table, built and checked on first use.
     """
 
     _model: object
@@ -78,6 +87,23 @@ class ExperimentConfig:
     @property
     def replicates(self) -> int:
         return self.engine.get("replicates", DEFAULT_REPLICATES)
+
+    @cached_property
+    def grids(self) -> np.ndarray:
+        """The pre-registered :func:`mse.grid_table`: ``grid.eps`` for every budget, or
+        :func:`boundary.auto_windows`.  Built on first use, by the stage that needs
+        it, and checked as crossing grids: a failure is a ConfigError."""
+        if self.grid["mode"] == "explicit":
+            grids = grid_table(self.budgets, [self.grid["eps"]] * len(self.budgets))
+        else:
+            grids = auto_windows(self._model, self._rule, self.budgets, span=self.grid["span"],
+                                 points_per_decade=self.grid["points_per_decade"])
+        try:
+            check_crossing_grid(grids)
+        except ValueError as err:
+            raise ConfigError(f"{self.grid['mode']} grid table: {err}") from err
+        grids.flags.writeable = False  # one table, shared by every stage of the run
+        return grids
 
     def hash(self) -> str:
         return config_hash(self.raw)
@@ -194,7 +220,7 @@ def _expand_budgets(raw: dict) -> tuple[float, ...]:
             raise ConfigError(f"budget ladder needs 0 < lo < hi, got {spec}")
         per_decade = _positive_int("budgets.per_decade", spec["per_decade"])
         n = int(round(np.log10(hi / lo) * per_decade)) + 1
-        values = list(np.geomspace(lo, hi, max(n, 2)))
+        values = np.geomspace(lo, hi, max(n, 2)).tolist()
     else:
         raise ConfigError(
             f"budgets must be a list, {{values: [...]}}, or {{lo, hi, per_decade}}; got {spec!r}"
@@ -243,8 +269,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid = {**DEFAULT_GRID, **_section(raw, "grid", {"mode", "span", "points_per_decade", "eps"})}
     if grid["mode"] not in ("auto", "explicit"):
         raise ConfigError(f"grid mode must be auto or explicit, got {grid['mode']!r}")
-    if grid["mode"] == "explicit" and not grid.get("eps"):
-        raise ConfigError("explicit grid needs at least one eps value")
     grid["span"] = _pair("grid.span", grid["span"])
     grid["points_per_decade"] = _positive_int("grid.points_per_decade", grid["points_per_decade"])
     if "eps" in grid:
@@ -252,6 +276,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if any(b <= a for a, b in zip([0.0, *eps], eps)):
             raise ConfigError("grid.eps must be positive and strictly ascending, got "
                               + ", ".join(f"{e:g}" for e in eps))
+    if grid["mode"] == "explicit" and len(grid.get("eps", ())) < 3:
+        raise ConfigError(f"grid.eps of an explicit grid must list at least 3 points, "
+                          f"got {grid.get('eps', [])}")
 
     budgets = _expand_budgets(raw)
 
@@ -306,6 +333,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key, value in output.items():
         if not isinstance(value, str) or not value:
             raise ConfigError(f"output.{key} must be a non-empty string, got {value!r}")
+    if "/" in output["prefix"] or os.sep in output["prefix"]:
+        raise ConfigError(f"output.prefix must be a file-name prefix, got {output['prefix']!r}; "
+                          "directories belong in output.dir")
 
     return ExperimentConfig(
         _model=model, _rule=rule, grid=grid, budgets=budgets, engine=engine,

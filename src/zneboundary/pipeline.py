@@ -13,15 +13,13 @@ All artifacts are plain CSV plus one JSON report; column orders are fixed.
 Re-running any stage with the same configuration and seed reproduces every
 byte.  The delta, crossing and variance CSVs and the report embed the
 configuration hash, and each stage reads its input as the table its
-configuration fixes, laid out by :func:`build_grids`: the delta rows are its
-``(B, eps)`` cells, the crossing rows one per budget with each bracket on
-its grid, and ``fit`` reads the counts with the configuration's model, rule,
-budgets, grids, replicates and seed.
+configuration fixes, laid out by the grid table ``cfg.grids``: the delta
+rows are its ``(B, eps)`` cells, the crossing rows one per budget with each
+bracket on its grid, and ``fit`` reads the counts with the configuration's
+model, rule, budgets, grids, replicates and seed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,23 +29,17 @@ from .boundary import (
     STATUS_NO_CROSSING,
     STATUS_NO_NEGATIVE,
     CrossingEstimate,
-    auto_windows,
-    check_crossing_grid,
-    crossing_estimates,
     theoretical_boundary,
 )
 from .artifacts import SCHEMA_VERSION, begin_table, data_rows, open_table, read_block
 from .config import ExperimentConfig
 from .errors import ConfigError, FitError, RegimeError
 from .fits import constant_check, fit_bias, fit_boundary, fit_variance_exponent, predict_slope
-from .mse import CountTable, deltas_from_counts, exact_delta_curve, grid_table, sample_count_table
+from .mse import CountTable, deltas_from_counts, exact_delta_curve, sample_count_table
 from .resample import bootstrap_pipeline, count_pipeline
 
 __all__ = [
-    "SweepResult",
-    "build_grids",
     "run_sweep",
-    "crossings_from_sweep",
     "build_report",
     "write_delta_csv",
     "read_delta_csv",
@@ -60,55 +52,18 @@ EXACT_FIT_POINTS = 40  # samples of the model's exact curves in a fit window
 VARIANCE_CSV_POINTS = 60  # rows of the plot-ready variance curve
 
 
-@dataclass
-class SweepResult:
-    """MSE-difference grid for a budget ladder, plus raw counts if sampled."""
+def run_sweep(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | None, CountTable | None]:
+    """The MSE-difference table on ``cfg.grids`` with the configured engine.
 
-    budgets: tuple[float, ...]
-    eps_grids: np.ndarray       # (n_budgets, n_eps), one grid per budget
-    delta: np.ndarray           # (n_budgets, n_eps)
-    std_err: np.ndarray | None  # Monte Carlo only
-    source: str
-    counts: CountTable | None
-
-
-def build_grids(cfg: ExperimentConfig) -> np.ndarray:
-    """The :func:`mse.grid_table` of the pre-registered grid section, one row per budget."""
-    if cfg.grid["mode"] == "explicit":
-        return grid_table(cfg.budgets, [cfg.grid["eps"]] * len(cfg.budgets))
-    return auto_windows(cfg.model(), cfg.rule(), cfg.budgets, span=cfg.grid["span"],
-                        points_per_decade=cfg.grid["points_per_decade"])
-
-
-def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Evaluate the MSE-difference grid with the configured engine."""
-    model, rule = cfg.model(), cfg.rule()
-    grids = build_grids(cfg)
-    if cfg.is_monte_carlo:
-        table = sample_count_table(model, rule, cfg.budgets, grids, cfg.replicates, cfg.seed)
-        delta, std_err = deltas_from_counts(table)
-        return SweepResult(
-            budgets=cfg.budgets, eps_grids=grids, delta=delta,
-            std_err=std_err, source="monte_carlo", counts=table,
-        )
-    budgets = np.asarray(cfg.budgets, dtype=float)[:, None]
-    return SweepResult(
-        budgets=cfg.budgets, eps_grids=grids, delta=exact_delta_curve(model, rule, grids, budgets),
-        std_err=None, source="exact", counts=None,
-    )
-
-
-def crossings_from_sweep(sweep: SweepResult) -> list[CrossingEstimate]:
-    """One crossing per budget, from one pass over the sweep's table.
-
-    A grid with fewer than 3 points or out of ascending order raises
-    :class:`ConfigError`.
+    Returns ``(delta, std_err, counts)``; ``std_err`` and the raw ``counts``
+    are None for the exact engine.
     """
-    try:
-        check_crossing_grid(sweep.eps_grids, sweep.delta)
-    except ValueError as err:
-        raise ConfigError(f"crossing estimation: {err}") from err
-    return crossing_estimates(sweep.eps_grids, sweep.delta, sweep.budgets)
+    model, rule = cfg.model(), cfg.rule()
+    if cfg.is_monte_carlo:
+        table = sample_count_table(model, rule, cfg.budgets, cfg.grids, cfg.replicates, cfg.seed)
+        return (*deltas_from_counts(table), table)
+    budgets = np.asarray(cfg.budgets, dtype=float)[:, None]
+    return exact_delta_curve(model, rule, cfg.grids, budgets), None, None
 
 
 # ---------------------------------------------------------------------------
@@ -120,25 +75,27 @@ _DELTA_COLUMNS = ("B", "eps", "delta", "std_err", "source")
 _LINE_BATCH_BYTES = 256 * 1024
 
 
-def write_delta_csv(path, sweep: SweepResult, cfg: ExperimentConfig) -> None:
-    """Write the delta table for ``cfg``, formatting one budget block per write.
+def write_delta_csv(path, cfg: ExperimentConfig, delta: np.ndarray,
+                    std_err: np.ndarray | None) -> None:
+    """Write the delta table on ``cfg.grids``, formatting one budget block per write.
 
-    Fields are ``repr`` floats and ``std_err`` is empty for the exact engine.
+    Fields are ``repr`` floats, ``std_err`` is empty for the exact engine, and
+    the source is the engine's kind.
     """
-    row = ",%r,%r," + ("" if sweep.std_err is None else "%r") + f",{sweep.source}\r\n"
+    row = ",%r,%r," + ("" if std_err is None else "%r") + f",{cfg.engine['kind']}\r\n"
     with open(path, "w", newline="") as fh:
         begin_table(fh, _DELTA_COLUMNS, cfg)
-        cols = [sweep.eps_grids, sweep.delta] + ([] if sweep.std_err is None else [sweep.std_err])
-        for budget, block in zip(sweep.budgets, np.stack(cols, axis=-1)):
+        cols = [cfg.grids, delta] + ([] if std_err is None else [std_err])
+        for budget, block in zip(cfg.budgets, np.stack(cols, axis=-1)):
             fh.write((repr(float(budget)) + row) * len(block) % tuple(block.ravel().tolist()))
 
 
-def read_delta_csv(path, cfg: ExperimentConfig) -> SweepResult:
-    """Load the delta table written for ``cfg`` with one :func:`artifacts.read_block` call.
+def read_delta_csv(path, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """Load ``(delta, std_err)`` as written for ``cfg``, with one :func:`artifacts.read_block` call.
 
-    Its rows must be the ``(B, eps)`` cells of :func:`build_grids` in the
-    writer's order, budget by budget, each with the configured engine's
-    source.  Besides the format errors of :func:`artifacts.open_table` and
+    Its rows must be the ``(B, eps)`` cells of ``cfg.grids`` in the writer's
+    order, budget by budget, each with the configured engine's source.
+    Besides the format errors of :func:`artifacts.open_table` and
     :func:`artifacts.read_block`, a row off its cell, a missing or an extra
     row, a nan or inf delta or std_err, a negative std_err, a row with
     another field count than the header, and a row whose source is not the
@@ -146,8 +103,8 @@ def read_delta_csv(path, cfg: ExperimentConfig) -> SweepResult:
     monte_carlo) raise :class:`ConfigError` naming the first offending row.
     """
     where = f"delta table {path}"
-    source = "monte_carlo" if cfg.is_monte_carlo else "exact"
-    grids = build_grids(cfg)  # before the rows, so that its temporaries are gone by then
+    source = cfg.engine["kind"]
+    grids = cfg.grids  # before the rows, so that its temporaries are gone by then
     with open_table(path, where, _DELTA_COLUMNS, cfg, "`zneboundary sweep`") as fh:
         rows = read_block(fh, where, _DELTA_COLUMNS, None, 1,
                           (0, 1, 2) if source == "exact" else (0, 1, 2, 3))
@@ -181,10 +138,7 @@ def read_delta_csv(path, cfg: ExperimentConfig) -> SweepResult:
                                   f"{'an empty' if source == 'exact' else 'a'} std_err "
                                   f"and source {source}, as the configured engine writes")
     _, _, delta, *std_err = rows.T.reshape(-1, *grids.shape)  # one per column
-    return SweepResult(
-        budgets=cfg.budgets, eps_grids=grids, delta=delta,
-        std_err=std_err[0] if std_err else None, source=source, counts=None,
-    )
+    return delta, std_err[0] if std_err else None
 
 
 def _check_cells(where: str, rows: np.ndarray, budgets, grids: np.ndarray) -> None:
@@ -227,14 +181,14 @@ def read_crossings_csv(path, cfg: ExperimentConfig) -> list[CrossingEstimate]:
     row raises :class:`ConfigError` naming the first offending data row: a
     budget other than the configuration's for that row, a missing or an
     extra row, a crossed row without its eps_star or bracket, with a bracket
-    other than two neighbouring points of its budget's :func:`build_grids`
-    grid, or with its eps_star outside the bracket, and a censored row with
+    other than two neighbouring points of its budget's ``cfg.grids`` grid,
+    or with its eps_star outside the bracket, and a censored row with
     either.
     """
     where = f"crossing table {path}"
     out = []
     rerun = "`zneboundary sweep`, then `zneboundary boundary`"
-    grids = build_grids(cfg)
+    grids = cfg.grids
     with open_table(path, where, _CROSSING_COLUMNS, cfg, rerun) as fh:
         rows = (line.rstrip("\n").split(",") for line in fh if line.strip())
         for number, row in enumerate(rows, 1):

@@ -37,7 +37,7 @@ from zneboundary.models import (
     scaled_domain_max,
 )
 from zneboundary.mse import exact_delta, exact_delta_curve
-from zneboundary.pipeline import build_grids, read_crossings_csv, write_crossings_csv
+from zneboundary.pipeline import read_crossings_csv, write_crossings_csv
 from zneboundary.rules import build_rule
 
 RULE13 = build_rule([1, 3])
@@ -211,7 +211,7 @@ def test_crossing_estimates_read_back_equal(table):
                                   "k_q": 1.0},
                         "grid": {"mode": "explicit", "eps": eps[0].tolist()},
                         "budgets": {"values": budgets}})
-    crossings = crossing_estimates(build_grids(cfg), delta, budgets)
+    crossings = crossing_estimates(cfg.grids, delta, budgets)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "cross.csv")
         write_crossings_csv(path, crossings, cfg)

@@ -16,16 +16,19 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zneboundary.boundary import CrossingEstimate, theoretical_boundary
+from zneboundary.boundary import (
+    CrossingEstimate,
+    auto_windows,
+    crossing_estimates,
+    theoretical_boundary,
+)
+from zneboundary import config as config_module
 from zneboundary.cli import main
 from zneboundary.config import config_hash, load_config, parse_config
 from zneboundary.errors import ConfigError, DomainError
 from zneboundary.models import PowerLeakageBinary, scaled_domain_max
 from zneboundary.pipeline import (
-    SweepResult,
-    build_grids,
     build_report,
-    crossings_from_sweep,
     read_crossings_csv,
     read_delta_csv,
     run_sweep,
@@ -58,6 +61,12 @@ DLB_MC = {
 
 
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+
+
+def sweep_crossings(cfg):
+    """The crossings of ``cfg``'s sweep, as ``boundary`` finds them, and its raw counts."""
+    delta, _, counts = run_sweep(cfg)
+    return crossing_estimates(cfg.grids, delta, cfg.budgets), counts
 
 
 def write_cfg(tmp_path, raw, name="cfg.yaml"):
@@ -221,6 +230,10 @@ class TestConfig:
         (DLB_EXACT, ["output.dir=5"], "output.dir must be a non-empty string, got 5"),
         (DLB_EXACT, ["output.prefix=[a]"], "output.prefix must be a non-empty string, got ['a']"),
         (DLB_EXACT, ["output.prefix=''"], "output.prefix must be a non-empty string, got ''"),
+        (DLB_EXACT, ["output.prefix=sub/x"], "output.prefix must be a file-name prefix, "
+                                             "got 'sub/x'; directories belong in output.dir"),
+        (DLB_EXACT, ["grid={mode: explicit, eps: [0.001, 0.01]}"],
+         "grid.eps of an explicit grid must list at least 3 points, got [0.001, 0.01]"),
         (DLB_EXACT, ["rule.scales=5"], "rule.scales must be a list of numbers, got 5"),
         (DLB_EXACT, ["rule.alloc=[a, 1]"], "rule.alloc must be a number, got 'a'"),
         (DLB_EXACT, ["model.kappa=abc"], "model.kappa must be a number, got 'abc'"),
@@ -243,7 +256,8 @@ class TestConfig:
             "statistics-type", "n_replicates", "level", "window", "grid-int", "engine-str",
             "windows-list",
             "output-str", "rule-key", "engine-key", "grid-key", "output-key",
-            "output-dir-int", "output-prefix-list", "output-prefix-empty", "rule-scales",
+            "output-dir-int", "output-prefix-list", "output-prefix-empty",
+            "output-prefix-path", "two-point-grid", "rule-scales",
             "rule-alloc", "model-param", "seed-bool", "window-bool", "bootstrap-key",
             "budgets-key", "ppd-zero", "ppd-negative", "per-decade-zero",
             "per-decade-negative", "budgets-empty", "budgets-values-empty"])
@@ -269,45 +283,44 @@ class TestPipelineArtifacts:
         if engine:
             raw.update(engine=engine, seed=1)
         cfg = parse_config(raw)
-        sweep = run_sweep(cfg)
-        assert sweep.eps_grids.shape == sweep.delta.shape == (2, 400)
+        delta, _, _ = run_sweep(cfg)
+        assert cfg.grids.shape == delta.shape == (2, 400)
         top = scaled_domain_max(cfg.model(), cfg.rule().scales) * (1 - 1e-9)
-        assert sweep.eps_grids[0, -1] == top
-        assert np.all(np.isfinite(sweep.delta))
+        assert cfg.grids[0, -1] == top
+        assert np.all(np.isfinite(delta))
 
     def test_delta_csv_round_trip(self, tmp_path):
         cfg = parse_config(dict(DLB_EXACT, budgets={"values": [1e4, 1e5, 1e6]}))
-        sweep = run_sweep(cfg)
+        delta, std_err, _ = run_sweep(cfg)
         path = tmp_path / "delta.csv"
-        write_delta_csv(path, sweep, cfg)
-        back = read_delta_csv(path, cfg)
-        assert back.budgets == sweep.budgets
-        assert np.array_equal(back.delta, sweep.delta)  # repr round-trips floats
-        assert np.array_equal(back.eps_grids, sweep.eps_grids)
-        assert back.std_err is None
+        write_delta_csv(path, cfg, delta, std_err)
+        back, back_err = read_delta_csv(path, cfg)
+        assert back.shape == cfg.grids.shape  # the reader checked each row's (B, eps) cell
+        assert np.array_equal(back, delta)  # repr round-trips floats
+        assert std_err is None and back_err is None
 
     def test_delta_reader_memory_is_bounded(self, tmp_path):
         # exact_a's 121 x 400 table, 48,400 rows: the reader streams its row-ending count
         cfg = load_config(BENCH_CONFIGS / "exact_a.yaml")
-        eps = build_grids(cfg)
+        eps = cfg.grids
         assert eps.shape == (121, 400)
-        sweep = SweepResult(budgets=cfg.budgets, eps_grids=eps, delta=np.sin(eps * 1e5),
-                            std_err=None, source="exact", counts=None)
+        delta = np.sin(eps * 1e5)
         path = tmp_path / "delta.csv"
-        write_delta_csv(path, sweep, cfg)
+        write_delta_csv(path, cfg, delta, None)
         assert path.stat().st_size > 3e6
+        fresh = load_config(BENCH_CONFIGS / "exact_a.yaml")  # its grid table is built in the read
         tracemalloc.start()
         try:
-            back = read_delta_csv(path, cfg)
+            back, _ = read_delta_csv(path, fresh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(back.delta, sweep.delta)
+        assert np.array_equal(back, delta)
         assert peak < 3e6
 
     @pytest.mark.parametrize("name", ["exact_a", "exact_b", "mc_battery", "mc_sweep"])
     def test_auto_windows_match_the_per_budget_loop(self, name):
-        # build_grids draws every window in one geomspace call, bit for bit the per-budget one
+        # cfg.grids draws every window in one geomspace call, bit for bit the per-budget one
         cfg = load_config(BENCH_CONFIGS / f"{name}.yaml")
         model, rule = cfg.model(), cfg.rule()
         regime = theoretical_boundary(model, replace(rule, optimal=False))  # the base split
@@ -318,28 +331,30 @@ class TestPipelineArtifacts:
             guess = regime.predicted_eps_star(budget)
             lo, hi = span[0] * guess, min(span[1] * guess, top)
             rows.append(np.geomspace(lo, hi, max(3, int(round(ppd * math.log10(hi / lo))))))
-        grids = build_grids(cfg)
+        grids = cfg.grids
         assert grids.flags.c_contiguous
         assert np.array_equal(grids.view(np.uint64), np.array(rows).view(np.uint64))
 
-    def test_crossings_need_three_point_grids(self):
-        sweep = SweepResult(budgets=(1e3, 1e4), eps_grids=np.array([[0.1, 0.2], [0.1, 0.2]]),
-                            delta=np.array([[-1.0, 1.0], [-1.0, 1.0]]), std_err=None,
-                            source="exact", counts=None)
-        with pytest.raises(ConfigError, match="crossing estimation: need at least 3 grid"):
-            crossings_from_sweep(sweep)
+    def test_grid_table_checked_where_it_is_built(self, monkeypatch):
+        # built once per configuration; a table boundary could not use names the grid
+        cfg = parse_config(DLB_MC)
+        assert cfg.grids is cfg.grids and not cfg.grids.flags.writeable
+        monkeypatch.setattr(config_module, "auto_windows",
+                            lambda *args, **kwargs: np.array([[0.1, 0.2]] * 4))
+        with pytest.raises(ConfigError, match="auto grid table: need at least 3 grid points, "
+                                              "got 2"):
+            parse_config(DLB_MC).grids
 
     def test_crossings_csv_round_trip(self, tmp_path):
         cfg = parse_config(dict(DLB_EXACT, budgets={"values": [1e4, 1e5, 1e6]}))
-        crossings = crossings_from_sweep(run_sweep(cfg))
+        crossings, _ = sweep_crossings(cfg)
         path = tmp_path / "cross.csv"
         write_crossings_csv(path, crossings, cfg)
         assert read_crossings_csv(path, cfg) == crossings
 
     def test_exact_report_contents(self, tmp_path):
         cfg = parse_config(DLB_EXACT)
-        sweep = run_sweep(cfg)
-        crossings = crossings_from_sweep(sweep)
+        crossings, _ = sweep_crossings(cfg)
         report = build_report(cfg, crossings, None)
         assert report["config_hash"] == cfg.hash()
         assert report["pre_registered"]["declared_before_fit"] is True
@@ -357,8 +372,7 @@ class TestPipelineArtifacts:
             "windows": {"variance": [1e-4, 1e-3]},
         }
         cfg = parse_config(raw)
-        sweep = run_sweep(cfg)
-        report = build_report(cfg, crossings_from_sweep(sweep), None)
+        report = build_report(cfg, sweep_crossings(cfg)[0], None)
         assert report["regime"]["regime"] == "subcritical"
         assert report["boundary_fit"]["slope"] == pytest.approx(-1 / 3, abs=0.01)
         assert "variance_fit" not in report  # no exact curve to fit
@@ -368,15 +382,14 @@ class TestPipelineArtifacts:
         raw = dict(DLB_MC, rule={"scales": [1, 3], "alloc": "optimal"},
                    budgets={"values": [2000, 8000, 32000]})
         cfg = parse_config(raw)
-        sweep = run_sweep(cfg)
-        table = sweep.counts
+        crossings, table = sweep_crossings(cfg)
         # the table holds the reallocating rule it was drawn with
         assert table.rule.optimal
         # optimal split weights the base level more than the amplified one
         level_shots = table.shots[0, 0, 1:, 0]
         assert level_shots[0] > level_shots[1]
         assert level_shots.sum() == 2000
-        report = build_report(cfg, crossings_from_sweep(sweep), table)
+        report = build_report(cfg, crossings, table)
         assert report["regime"]["k_q"] == pytest.approx(
             2.0 * ((1.5 + 0.5 * np.sqrt(3.0)) ** 2 - 1.0)
         )
@@ -390,8 +403,7 @@ class TestPipelineArtifacts:
                        bootstrap={"statistics": ["c_plugin"], "n_replicates": 100,
                                   "seed": 21})
             cfg = parse_config(raw)
-            sweep = run_sweep(cfg)
-            report = build_report(cfg, crossings_from_sweep(sweep), sweep.counts)
+            report = build_report(cfg, *sweep_crossings(cfg))
             est = report["count_estimates"]
             boot = next(e for e in report["bootstrap"] if e["statistic"] == "c_plugin")
             assert boot["point"] == est["c_plugin"]
@@ -415,7 +427,7 @@ class TestPipelineArtifacts:
             "windows": {"variance": [1.0e-4, 1.0e-3], "bias": [1.0e-4, 1.0e-3]},
         }
         cfg = parse_config(raw)
-        report = build_report(cfg, crossings_from_sweep(run_sweep(cfg)), None)
+        report = build_report(cfg, sweep_crossings(cfg)[0], None)
         assert report["variance_fit"]["q_hat"] < 0
         check = report["constant_check"]
         assert "error" not in check
@@ -424,9 +436,8 @@ class TestPipelineArtifacts:
 
     def test_monte_carlo_report_with_bootstrap(self, tmp_path):
         cfg = parse_config(DLB_MC)
-        sweep = run_sweep(cfg)
-        crossings = crossings_from_sweep(sweep)
-        report = build_report(cfg, crossings, sweep.counts)
+        crossings, counts = sweep_crossings(cfg)
+        report = build_report(cfg, crossings, counts)
         names = {entry["statistic"] for entry in report["bootstrap"]}
         assert {"s_obs", "c_fit"} <= names
         assert any(name.startswith("eps_star[") for name in names)
@@ -435,7 +446,7 @@ class TestPipelineArtifacts:
         assert report["count_estimates"]["q_hat"] == pytest.approx(1.0, abs=0.2)
         # byte-identical on JSON re-serialization
         assert json.dumps(report, sort_keys=True) == json.dumps(
-            build_report(cfg, crossings, sweep.counts), sort_keys=True
+            build_report(cfg, crossings, counts), sort_keys=True
         )
 
 
@@ -461,21 +472,24 @@ class TestArtifactReaderErrors:
 
     def delta(self, tmp_path, edit):
         cfg = parse_config(self.SWEEP)
-        sweep = run_sweep(cfg)
-        return self.corrupt(tmp_path, "delta.csv", lambda p: write_delta_csv(p, sweep, cfg),
+        delta, std_err, _ = run_sweep(cfg)
+        return self.corrupt(tmp_path, "delta.csv",
+                            lambda p: write_delta_csv(p, cfg, delta, std_err),
                             lambda p: read_delta_csv(p, cfg), edit)
 
     def mc_delta(self, tmp_path, edit):
         """A Monte Carlo table of the TWO configuration: delta 1.0 and std_err 0.5 per cell."""
         cfg = parse_config(self.TWO)
-        sweep = SweepResult(budgets=cfg.budgets, eps_grids=build_grids(cfg),
-                            delta=np.ones((2, 4)), std_err=np.full((2, 4), 0.5),
-                            source="monte_carlo", counts=None)
-        return self.corrupt(tmp_path, "mc.csv", lambda p: write_delta_csv(p, sweep, cfg),
+        return self.corrupt(tmp_path, "mc.csv",
+                            lambda p: write_delta_csv(p, cfg, np.ones((2, 4)),
+                                                      np.full((2, 4), 0.5)),
                             lambda p: read_delta_csv(p, cfg), edit)
 
-    def crossings(self, tmp_path, edit):
-        cfg = parse_config(self.TWO)
+    # the TWO budgets spelled as a ladder, which numpy expands
+    LADDER = {"lo": 1.0e4, "hi": 1.0e5, "per_decade": 1}
+
+    def crossings(self, tmp_path, edit, budgets=None):
+        cfg = parse_config(dict(self.TWO, budgets=budgets or self.TWO["budgets"]))
         crossings = [
             CrossingEstimate(1e4, 0.001, "crossed", 0.0009, 0.0011),
             CrossingEstimate(1e5, None, "no_negative_region"),
@@ -485,7 +499,7 @@ class TestArtifactReaderErrors:
                             lambda p: read_crossings_csv(p, cfg), edit)
 
     def test_delta_budget_with_fewer_rows(self, tmp_path):
-        grid = build_grids(parse_config(self.SWEEP))[1].tolist()
+        grid = parse_config(self.SWEEP).grids[1].tolist()
         msg = self.delta(tmp_path, lambda lines: lines.pop(2 + len(grid) + 3))
         assert (f"data row {len(grid) + 4} (B=100000.0, eps={grid[4]!r}): not the "
                 f"configuration's cell (B=100000.0, eps={grid[3]!r})") in msg
@@ -519,13 +533,13 @@ class TestArtifactReaderErrors:
         assert f"data row {row} " in msg and f"{len(fields) + 4} fields, expected 5" in msg
 
     def test_delta_short_last_budget(self, tmp_path):
-        grid = build_grids(parse_config(self.SWEEP))[2].tolist()
+        grid = parse_config(self.SWEEP).grids[2].tolist()
         msg = self.delta(tmp_path, lambda lines: lines.pop())
         assert (f"no data row {3 * len(grid)}, the row of the configuration's cell "
                 f"(B=1000000.0, eps={grid[-1]!r})") in msg
 
     def test_delta_extra_row(self, tmp_path):
-        n_rows = build_grids(parse_config(self.SWEEP)).size
+        n_rows = parse_config(self.SWEEP).grids.size
         msg = self.delta(tmp_path, lambda lines: lines.append(lines[-1]))
         assert f"data row {n_rows + 1}: extra row beyond the configuration's {n_rows} cells" in msg
 
@@ -581,7 +595,7 @@ class TestArtifactReaderErrors:
         assert message in self.mc_delta(tmp_path, edit)
 
     def test_delta_eps_out_of_order(self, tmp_path):
-        grid = build_grids(parse_config(self.SWEEP))[0].tolist()
+        grid = parse_config(self.SWEEP).grids[0].tolist()
 
         def edit(lines):
             lines[3], lines[4] = lines[4], lines[3]  # data rows 2 and 3 of B=1e4
@@ -595,19 +609,21 @@ class TestArtifactReaderErrors:
         msg = self.crossings(tmp_path, edit)
         assert "data row 1 " in msg and "could not convert" in msg
 
+    @pytest.mark.parametrize("budgets", [None, LADDER], ids=["values", "ladder"])
     @pytest.mark.parametrize("order, named, budget", [
         ([0, 0, 1], 2, "10000.0, not the configuration's budget 100000.0"),
         ([1, 0], 1, "100000.0, not the configuration's budget 10000.0"),
         ([1], 1, "100000.0, not the configuration's budget 10000.0"),
     ], ids=["duplicated", "swapped", "first-deleted"])
-    def test_crossings_budgets_out_of_order(self, tmp_path, order, named, budget):
+    def test_crossings_budgets_out_of_order(self, tmp_path, order, named, budget, budgets):
         def edit(lines):  # data rows 1 and 2 are lines[2:4]
             lines[2:] = [lines[2 + i] for i in order]
-        msg = self.crossings(tmp_path, edit)
+        msg = self.crossings(tmp_path, edit, budgets)
         assert f"data row {named} " in msg and f": B {budget}" in msg
 
-    def test_crossings_missing_row(self, tmp_path):
-        msg = self.crossings(tmp_path, lambda lines: lines.pop())
+    @pytest.mark.parametrize("budgets", [None, LADDER], ids=["values", "ladder"])
+    def test_crossings_missing_row(self, tmp_path, budgets):
+        msg = self.crossings(tmp_path, lambda lines: lines.pop(), budgets)
         assert "no data row 2, the row of the configuration's budget B=100000.0" in msg
 
     def test_crossings_extra_row(self, tmp_path):
@@ -725,7 +741,7 @@ def configurations(draw):
                                    unique=True)))
     if draw(st.booleans()):
         positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
-        eps = sorted(draw(st.lists(positive, min_size=1, max_size=5, unique=True)))
+        eps = sorted(draw(st.lists(positive, min_size=3, max_size=5, unique=True)))
         grid = {"mode": "explicit", "eps": eps}
     else:
         lo = draw(st.floats(0.05, 0.9))
@@ -740,34 +756,31 @@ def configurations(draw):
 def sweeps(draw):
     """A configuration and a table its writer writes: any finite delta, non-negative std_err."""
     cfg = draw(configurations())
-    grids = build_grids(cfg)
+    grids = cfg.grids
     values = st.lists(finite, min_size=grids.size, max_size=grids.size)
     errors = st.lists(st.floats(0.0, allow_infinity=False), min_size=grids.size,
                       max_size=grids.size)
     std_err = np.reshape(draw(errors), grids.shape) if cfg.is_monte_carlo else None
-    return cfg, SweepResult(
-        budgets=cfg.budgets, eps_grids=grids, delta=np.reshape(draw(values), grids.shape),
-        std_err=std_err, source="monte_carlo" if cfg.is_monte_carlo else "exact", counts=None,
-    )
+    return cfg, np.reshape(draw(values), grids.shape), std_err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(sweeps())
 def test_delta_csv_round_trip_property(drawn):
-    cfg, sweep = drawn
+    cfg, delta, std_err = drawn
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
-        write_delta_csv(first, sweep, cfg)
-        back = read_delta_csv(first, cfg)
-        assert back.budgets == sweep.budgets and np.array_equal(back.eps_grids, sweep.eps_grids)
-        assert back.source == sweep.source
-        assert np.array_equal(back.delta.view(np.uint64), sweep.delta.view(np.uint64))
-        if sweep.std_err is None:
-            assert back.std_err is None
+        write_delta_csv(first, cfg, delta, std_err)
+        back, back_err = read_delta_csv(first, cfg)
+        assert back.shape == cfg.grids.shape  # the reader checked each row's (B, eps) cell
+        assert first.read_text().splitlines()[2].endswith("," + cfg.engine["kind"])
+        assert np.array_equal(back.view(np.uint64), delta.view(np.uint64))
+        if std_err is None:
+            assert back_err is None
         else:
-            assert np.array_equal(back.std_err.view(np.uint64), sweep.std_err.view(np.uint64))
-        write_delta_csv(second, back, cfg)
+            assert np.array_equal(back_err.view(np.uint64), std_err.view(np.uint64))
+        write_delta_csv(second, cfg, back, back_err)
         assert second.read_bytes() == first.read_bytes()
 
 
@@ -777,8 +790,8 @@ def crossing_rows(draw):
     row bracketed by two neighbouring points of its budget's grid."""
     cfg = draw(configurations())
     rows = []
-    for budget, grid in zip(cfg.budgets, build_grids(cfg).tolist()):
-        if len(grid) > 1 and draw(st.booleans()):  # the crossing lies inside its bracket
+    for budget, grid in zip(cfg.budgets, cfg.grids.tolist()):
+        if draw(st.booleans()):  # the crossing lies inside its bracket
             j = draw(st.integers(0, len(grid) - 2))
             lo, hi = grid[j], grid[j + 1]
             rows.append(CrossingEstimate(budget, draw(st.floats(lo, hi)), "crossed", lo, hi))
@@ -1105,27 +1118,30 @@ class TestCli:
 
     def test_each_stage_builds_the_rule_once(self, tmp_path, monkeypatch):
         # the configuration's rule is built by parse_config and nowhere else, and
-        # fit reads the counts with it
-        original, built = build_rule, []
+        # fit reads the counts with it; its grid table is built once, by the
+        # configuration, however many tables a stage reads on it
+        built = []
 
-        def spy(module):
+        def spy(original, module):
             def counted(*args, **kwargs):
-                built.append(module)
+                built.append((original.__name__, module))
                 return original(*args, **kwargs)
             return counted
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("zneboundary") and getattr(module, "build_rule", None) is original:
-                monkeypatch.setattr(module, "build_rule", spy(name))
+        for original in (build_rule, auto_windows):
+            for name, module in list(sys.modules.items()):
+                if (name.startswith("zneboundary")
+                        and getattr(module, original.__name__, None) is original):
+                    monkeypatch.setattr(module, original.__name__, spy(original, name))
         raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]}, bootstrap=None,
                    engine={"kind": "monte_carlo", "replicates": 4},
                    output={"dir": str(tmp_path), "prefix": "m"})
         cfg_path = write_cfg(tmp_path, raw)
-        for stage, expected in (("sweep", ["config"]), ("boundary", ["config"]),
-                                ("fit", ["config"])):
+        for stage in ("sweep", "boundary", "fit"):
             built.clear()
             assert main([stage, "--config", str(cfg_path)]) == 0
-            assert built == [f"zneboundary.{module}" for module in expected], stage
+            assert built == [("build_rule", "zneboundary.config"),
+                             ("auto_windows", "zneboundary.config")], stage
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_fit_refuses_bad_thread_count(self, tmp_path, capsys, monkeypatch, value):
@@ -1154,11 +1170,11 @@ class TestCli:
         for name, blob in first.items():
             assert (tmp_path / name).read_bytes() == blob
 
-    def test_ruleless_single_point_sweep_is_zero(self, tmp_path):
+    def test_ruleless_sweep_is_zero(self, tmp_path):
         raw = {
             "model": {"type": "deterministic_limit_binary", "kappa": 1.0},
             "rule": None,
-            "grid": {"mode": "explicit", "eps": [0.01]},
+            "grid": {"mode": "explicit", "eps": [0.01, 0.02, 0.03]},
             "budgets": [1000],
             "output": {"dir": str(tmp_path), "prefix": "none"},
         }
@@ -1166,7 +1182,7 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         with open(tmp_path / "none_delta.csv", newline="") as fh:
             rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
-        assert [float(r["delta"]) for r in rows] == [0.0]
+        assert [float(r["delta"]) for r in rows] == [0.0, 0.0, 0.0]
 
     def test_ruleless_sweep_checks_the_domain(self, tmp_path, capsys):
         raw = {

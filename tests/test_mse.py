@@ -39,7 +39,6 @@ from zneboundary.mse import (
     mc_delta,
     sample_count_table,
 )
-from zneboundary.pipeline import build_grids
 from zneboundary.rules import build_rule, optimal_allocation
 from zneboundary.validate import _mc_dataset
 
@@ -635,7 +634,7 @@ class TestSamplingWorkers:
         # 2.59 MB of shots and counts; the draw adds its block temporaries
         cfg = load_config(Path(__file__).resolve().parent.parent / "bench" / "configs"
                           / "mc_sweep.yaml")
-        grids = build_grids(cfg)
+        grids = cfg.grids
         sample_count_table(cfg.model(), cfg.rule(), cfg.budgets[:1], grids[:1], 2, 1)  # warm-up
         tracemalloc.start()
         try:
@@ -839,7 +838,7 @@ class TestDrawKernel:
         real = mse_module._draw_cells
         monkeypatch.setattr(mse_module, "_draw_cells",
                             lambda k0, *rest: redrawn.extend(k0.tolist()) or real(k0, *rest))
-        grids = build_grids(cfg)
+        grids = cfg.grids
         model, rule = cfg.model(), cfg.rule()
         table = sample_count_table(model, rule, cfg.budgets, grids, 256, 12345)
         assert table.plus.size == 169_728
