@@ -49,6 +49,10 @@ STATUS_CROSSED = "crossed"
 STATUS_NO_NEGATIVE = "no_negative_region"
 STATUS_NO_CROSSING = "no_crossing_in_window"
 
+# an auto window's span, as multiples of the boundary guess, and density
+DEFAULT_SPAN = (0.1, 10.0)
+DEFAULT_POINTS_PER_DECADE = 40
+
 
 @dataclass(frozen=True)
 class CrossingEstimate:
@@ -352,8 +356,8 @@ def auto_windows(
     rule: RichardsonRule | None,
     budgets: Sequence[float],
     *,
-    span: tuple[float, float] = (0.1, 10.0),
-    points_per_decade: int = 40,
+    span: tuple[float, float] = DEFAULT_SPAN,
+    points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
 ) -> np.ndarray:
     """Per-budget grids centered on the coarse theoretical boundary guess, as one table.
 
@@ -394,8 +398,8 @@ def auto_window(
     rule: RichardsonRule | None,
     budget: float,
     *,
-    span: tuple[float, float] = (0.1, 10.0),
-    points_per_decade: int = 40,
+    span: tuple[float, float] = DEFAULT_SPAN,
+    points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
 ) -> np.ndarray:
     """One budget's grid: the one-row form of :func:`auto_windows`."""
     return auto_windows(model, rule, [budget], span=span, points_per_decade=points_per_decade)[0]

@@ -15,10 +15,10 @@ wrote: a missing table, or one that is not the table their configuration
 fixes, is a configuration error that names the stage to rerun.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 domain error.  The bootstrap runs on threads, on the usable cores; a
-positive integer in ``ZNEBOUNDARY_THREADS`` overrides the thread count
-(``resample.worker_count``), and results do not depend on it.  Monte Carlo
-counts are drawn in-process, the same bytes as ``mse.cell_stream``'s draws.
+3 domain error.  The bootstrap runs on threads, one per usable core (run
+under ``taskset`` for fewer), and results do not depend on the count.
+Monte Carlo counts are drawn in-process, the same bytes as
+``mse.cell_stream``'s draws.
 Everything else comes from the configuration file and ``--set`` overrides.
 """
 

@@ -21,6 +21,8 @@ overrides are applied before validation and enter the hash.
 ``ExperimentConfig.grids`` is the run's grid table, one eps grid per budget,
 on which every stage writes and reads.  An explicit grid needs 3 points or
 more, as ``boundary`` does; ``output.prefix`` is a file name, not a path.
+A grid takes only its own mode's keys, and ``budgets`` one of its two
+mapping forms: a key that no stage would read is refused by name.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .boundary import auto_windows, check_crossing_grid
+from .boundary import DEFAULT_POINTS_PER_DECADE, DEFAULT_SPAN, auto_windows, check_crossing_grid
 from .errors import ConfigError
 from .models import model_from_spec
 from .mse import grid_table
@@ -46,7 +48,7 @@ from .rules import RichardsonRule, build_rule
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config", "config_hash"]
 
-DEFAULT_GRID = {"mode": "auto", "span": [0.1, 10.0], "points_per_decade": 40}
+GRID_KEYS = {"auto": ("span", "points_per_decade"), "explicit": ("eps",)}  # besides mode
 DEFAULT_REPLICATES = 100  # Monte Carlo replicates unless configured
 DEFAULT_BOOTSTRAP = {"n_replicates": 1000, "level": 0.95}
 
@@ -56,8 +58,9 @@ class ExperimentConfig:
     """A validated experiment: the values :func:`parse_config` parsed, which the stages use.
 
     ``model()`` and ``rule()`` are the objects built during validation (no rule
-    for a rule-less sweep or an unsampled model).  ``grid`` and ``windows`` hold
-    floats (``span`` and each window a pair) and ``points_per_decade`` an int;
+    for a rule-less sweep or an unsampled model).  ``grid`` holds its mode's keys
+    only: an auto grid's ``span`` (a float pair) and ``points_per_decade`` (an int),
+    or an explicit grid's ``eps`` (floats); each window is a float pair;
     ``engine["replicates"]``, the seeds and the bootstrap counts are ints;
     ``output`` holds strings.  ``raw`` is the mapping as loaded: the hash covers it.
     ``grids`` is the run's grid table, built and checked on first use.
@@ -214,6 +217,9 @@ def _expand_budgets(raw: dict) -> tuple[float, ...]:
                        else ("budgets.values", spec["values"]))
         if not (values := _numbers(key, listed)):
             raise ConfigError(f"{key} must list at least one budget, got []")
+        if isinstance(spec, dict) and (ladder := sorted(set(spec) - {"values"})):
+            raise ConfigError("budgets takes values or lo, hi, per_decade, not both; got "
+                              + ", ".join(f"budgets.{k}" for k in ["values", *ladder]))
     elif {"lo", "hi", "per_decade"} <= set(spec):
         lo, hi = _number("budgets.lo", spec["lo"]), _number("budgets.hi", spec["hi"])
         if not 0 < lo < hi:
@@ -266,19 +272,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
         rule = build_rule(_numbers("rule.scales", rule_spec["scales"]),
                           alloc if isinstance(alloc, str) else _numbers("rule.alloc", alloc))
 
-    grid = {**DEFAULT_GRID, **_section(raw, "grid", {"mode", "span", "points_per_decade", "eps"})}
-    if grid["mode"] not in ("auto", "explicit"):
-        raise ConfigError(f"grid mode must be auto or explicit, got {grid['mode']!r}")
-    grid["span"] = _pair("grid.span", grid["span"])
-    grid["points_per_decade"] = _positive_int("grid.points_per_decade", grid["points_per_decade"])
-    if "eps" in grid:
-        eps = grid["eps"] = _numbers("grid.eps", grid["eps"])
+    grid = {"mode": "auto", **_section(raw, "grid", {"mode", "span", "points_per_decade", "eps"})}
+    mode = grid["mode"]
+    if mode == "auto":
+        grid["span"] = _pair("grid.span", grid.get("span", DEFAULT_SPAN))
+        grid["points_per_decade"] = _positive_int(
+            "grid.points_per_decade", grid.get("points_per_decade", DEFAULT_POINTS_PER_DECADE))
+    elif mode == "explicit":
+        eps = grid["eps"] = _numbers("grid.eps", grid.get("eps", []))
         if any(b <= a for a, b in zip([0.0, *eps], eps)):
             raise ConfigError("grid.eps must be positive and strictly ascending, got "
                               + ", ".join(f"{e:g}" for e in eps))
-    if grid["mode"] == "explicit" and len(grid.get("eps", ())) < 3:
-        raise ConfigError(f"grid.eps of an explicit grid must list at least 3 points, "
-                          f"got {grid.get('eps', [])}")
+        if len(eps) < 3:
+            raise ConfigError(f"grid.eps of an explicit grid must list at least 3 points, "
+                              f"got {eps}")
+    else:
+        raise ConfigError(f"grid mode must be auto or explicit, got {mode!r}")
+    if other := sorted(set(grid) - {"mode", *GRID_KEYS[mode]}):
+        raise ConfigError(f"an {mode} grid takes {' and '.join(GRID_KEYS[mode])}, not "
+                          + ", ".join(f"grid.{key}" for key in other))
 
     budgets = _expand_budgets(raw)
 

@@ -15,9 +15,8 @@ Replicates are embarrassingly parallel: each derives its own counter-based
 stream from the bootstrap seed and the replicate index, and the percentile
 reduction is order-independent, so results do not depend on scheduling
 or on the number of workers.  Replicates run on threads, because the
-redraw and the estimator spend their time in numpy;
-:func:`worker_count` picks how many: the usable cores, or a positive integer
-in the ``ZNEBOUNDARY_THREADS`` environment variable.
+redraw and the estimator spend their time in numpy, one thread per core
+the process may run on (``taskset`` narrows them).
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ from .fits import fit_bias, fit_loglog, fit_variance_exponent, plugin_constant
 from .mse import CountTable, _splitmix64, _squared_error_diffs
 
 __all__ = ["BootstrapResult", "bootstrap_pipeline", "check_bootstrap", "count_pipeline",
-           "worker_count", "KNOWN_STATISTICS"]
+           "KNOWN_STATISTICS"]
 
 KNOWN_STATISTICS = ("eps_star", "s_obs", "c_fit", "q_hat", "alpha_hat", "c_plugin")
-THREADS_ENV_VAR = "ZNEBOUNDARY_THREADS"
 
 
 @dataclass(frozen=True)
@@ -200,13 +198,11 @@ def bootstrap_pipeline(
     (e.g. every budget censored) are counted in ``missing_fraction`` and
     excluded from the interval, never silently dropped from the report.
 
-    Replicates run on :func:`worker_count` threads: by default the usable
-    cores, or ``ZNEBOUNDARY_THREADS`` when set.  Each replicate draws from
+    Replicates run on one thread per usable core.  Each replicate draws from
     its own stream, so results are bit for bit independent of the count.
     """
     var_win, bias_win = check_bootstrap(statistics, n_replicates, level,
                                         variance_window, bias_window)
-    workers = worker_count(n_replicates)
     estimate = _TableEstimator(table, var_win, bias_win)
     names: list[str] = []
     for stat in statistics:
@@ -218,7 +214,9 @@ def bootstrap_pipeline(
         rng = _replicate_stream(seed, rep_idx)
         return estimate(rng.binomial(table.shots, p_hat))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=cores) as pool:
         replicate_stats = list(pool.map(one_replicate, range(n_replicates)))
 
     results = []
@@ -235,24 +233,3 @@ def bootstrap_pipeline(
             missing_fraction=1.0 - good.size / n_replicates,
         ))
     return results
-
-
-def worker_count(n_tasks: int) -> int:
-    """Threads for ``n_tasks`` independent bootstrap replicates.
-
-    The ``ZNEBOUNDARY_THREADS`` environment variable when set, which must be
-    a positive integer (else :class:`ConfigError`); otherwise the cores this
-    process may run on.  Either way at most ``n_tasks``, and at least one.
-    """
-    value = os.environ.get(THREADS_ENV_VAR)
-    if value is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    else:
-        try:
-            workers = int(value)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {value!r}")
-    return max(1, min(workers, n_tasks))

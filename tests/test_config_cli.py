@@ -252,6 +252,18 @@ class TestConfig:
         (DLB_EXACT, ["budgets=[]"], "budgets must list at least one budget, got []"),
         (DLB_EXACT, ["budgets.values=[]"],
          "budgets.values must list at least one budget, got []"),
+        (DLB_EXACT, ["grid.eps=[0.1, 0.2, 0.3]"],
+         "an auto grid takes span and points_per_decade, not grid.eps"),
+        (DLB_EXACT, ["grid={mode: explicit, eps: [0.1, 0.2, 0.3], span: [0.5, 2.0]}"],
+         "an explicit grid takes eps, not grid.span"),
+        (DLB_EXACT, ["grid.mode=explicit", "grid.eps=[0.1, 0.2, 0.3]"],
+         "an explicit grid takes eps, not grid.points_per_decade, grid.span"),
+        (DLB_EXACT, ["budgets.values=[1000, 2000]"],
+         "got budgets.values, budgets.hi, budgets.lo, budgets.per_decade"),
+        (DLB_MC, ["budgets.lo=5"], "not both; got budgets.values, budgets.lo"),
+        (DLB_EXACT, ["budgets={values: [1000, 2000], lo: 5, hi: 1, per_decade: 3}"],
+         "budgets takes values or lo, hi, per_decade, not both; got budgets.values, "
+         "budgets.hi, budgets.lo, budgets.per_decade"),
     ], ids=["eps", "budgets", "variance", "bias", "replicates", "ppd", "statistics",
             "statistics-type", "n_replicates", "level", "window", "grid-int", "engine-str",
             "windows-list",
@@ -260,7 +272,9 @@ class TestConfig:
             "output-prefix-path", "two-point-grid", "rule-scales",
             "rule-alloc", "model-param", "seed-bool", "window-bool", "bootstrap-key",
             "budgets-key", "ppd-zero", "ppd-negative", "per-decade-zero",
-            "per-decade-negative", "budgets-empty", "budgets-values-empty"])
+            "per-decade-negative", "budgets-empty", "budgets-values-empty",
+            "auto-grid-eps", "explicit-grid-span", "budgets-mixed", "explicit-grid-auto-keys",
+            "budgets-values-on-ladder", "budgets-ladder-on-values"])
     def test_sweep_refuses_bad_value_naming_it(self, tmp_path, capsys, base, overrides, named):
         cfg_path = write_cfg(tmp_path, dict(base, output={"dir": str(tmp_path), "prefix": "x"}))
         sets = [arg for override in overrides for arg in ("--set", override)]
@@ -364,6 +378,17 @@ class TestPipelineArtifacts:
         assert report["bias_fit"]["alpha_hat"] == pytest.approx(-1.0, abs=1e-6)
         assert report["constant_check"]["rel_error"] <= 0.10
         assert report["predicted_slope"] == pytest.approx(-1.0, abs=0.01)
+
+    def test_report_echoes_only_the_grid_mode_keys(self):
+        explicit = {"mode": "explicit", "eps": np.geomspace(1e-6, 1e-2, 9).tolist()}
+        cfg = parse_config(dict(DLB_EXACT, grid=explicit, budgets={"values": [1e4, 1e5]}))
+        report = build_report(cfg, sweep_crossings(cfg)[0], None)
+        assert report["pre_registered"]["grid"] == explicit
+
+    def test_default_grid_is_the_auto_windows_default(self):
+        cfg = parse_config(dict(DLB_EXACT, grid={}))
+        assert cfg.grid == {"mode": "auto", "span": (0.1, 10.0), "points_per_decade": 40}
+        assert np.array_equal(cfg.grids, auto_windows(cfg.model(), cfg.rule(), cfg.budgets))
 
     def test_monomial_report_skips_curve_fits(self):
         raw = {
@@ -1143,19 +1168,21 @@ class TestCli:
             assert built == [("build_rule", "zneboundary.config"),
                              ("auto_windows", "zneboundary.config")], stage
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_fit_refuses_bad_thread_count(self, tmp_path, capsys, monkeypatch, value):
+    def test_fit_ignores_the_retired_thread_variable(self, tmp_path, monkeypatch):
+        # ZNEBOUNDARY_THREADS once sized the bootstrap pool; it is no setting now
         raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]},
                    engine={"kind": "monte_carlo", "replicates": 8},
                    output={"dir": str(tmp_path), "prefix": "m"})
         cfg_path = write_cfg(tmp_path, raw)
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         assert main(["boundary", "--config", str(cfg_path)]) == 0
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
-        assert main(["fit", "--config", str(cfg_path)]) == 2
-        assert f"ZNEBOUNDARY_THREADS must be a positive integer, got {value!r}" \
-            in capsys.readouterr().err
-        assert not (tmp_path / "m_report.json").exists()
+        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
+        assert main(["fit", "--config", str(cfg_path)]) == 0
+        unset = (tmp_path / "m_report.json").read_bytes()
+        assert json.loads(unset)["bootstrap"]
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "abc")
+        assert main(["fit", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "m_report.json").read_bytes() == unset
 
     def test_byte_identical_reruns(self, tmp_path):
         raw = dict(DLB_MC, budgets={"values": [2000, 8000, 32000]},

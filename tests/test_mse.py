@@ -555,7 +555,7 @@ class TestTableSamplerMatchesCellStreams:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSamplingWorkers:
-    """The table is drawn in this process, the same at any ``ZNEBOUNDARY_THREADS``."""
+    """The table is drawn in this process, starting no child process."""
 
     BUDGETS = [300, 1000, 3000]
     GRIDS = [[0.01, 0.05, 0.2], [0.02, 0.1, 0.3], [0.005, 0.05, 0.4]]
@@ -575,10 +575,8 @@ class TestSamplingWorkers:
         assert np.array_equal(table.shots, shots)
         assert np.array_equal(table.plus, plus)
 
-    @pytest.mark.parametrize("threads", ["1", "2", "3"])
     @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_same_table_at_any_worker_count(self, threads, policy, no_children, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", threads)
+    def test_same_table_cell_by_cell_and_by_kernel(self, policy, no_children, monkeypatch):
         rule = build_rule([1, 3], POLICIES[policy])
         self.draw_and_check(rule)  # 108 cells: cell by cell
         monkeypatch.setattr(mse_module, "MIN_KERNEL_CELLS", 1)
@@ -621,7 +619,6 @@ class TestSamplingWorkers:
 
     def test_battery_table_draws_in_process(self, no_children, monkeypatch):
         # the bootstrap-soundness check's 22,848-cell tables run the kernel
-        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
         calls = []
         real = mse_module._draw_kernel
         monkeypatch.setattr(mse_module, "_draw_kernel",

@@ -17,12 +17,17 @@ from zneboundary.resample import (
     BootstrapResult,
     bootstrap_pipeline,
     count_pipeline,
-    worker_count,
 )
 from zneboundary.rules import PenaltyConstants, build_rule
 
 DLB = DeterministicLimitBinary(kappa=1.0)
 RULE13 = build_rule([1, 3])
+
+
+def use_cores(monkeypatch, cores):
+    """Let this process run on ``cores`` cores, as ``taskset`` would."""
+    monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
 
 
 def small_table(replicates=30, seed=11, budgets=(1000, 4000, 16000, 64000)):
@@ -92,15 +97,15 @@ class TestBootstrapPipeline:
     def test_thread_count_does_not_change_results(self, monkeypatch):
         table = small_table(replicates=12)
         kw = dict(statistics=["s_obs"], n_replicates=100, seed=5)
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "1")
+        use_cores(monkeypatch, 1)
         sequential = bootstrap_pipeline(table, **kw)
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", "4")
+        use_cores(monkeypatch, 4)
         threaded = bootstrap_pipeline(table, **kw)
         assert sequential == threaded
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    def test_failing_replicate_reraises_through_the_pool(self, threads, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", threads)
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_failing_replicate_reraises_through_the_pool(self, cores, monkeypatch):
+        use_cores(monkeypatch, cores)
         failure = RuntimeError("replicate 37")
         stream = resample._replicate_stream
 
@@ -181,12 +186,10 @@ class TestPinnedBootstrap:
     }
 
     @pytest.mark.parametrize("allocation", ["fixed", "optimal"])
-    @pytest.mark.parametrize("threads", ["1", "2", "unset"])
-    def test_all_statistics_pinned(self, allocation, threads, monkeypatch):
-        if threads == "unset":
-            monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("ZNEBOUNDARY_THREADS", threads)
+    @pytest.mark.parametrize("cores", [1, 2, None], ids=["1", "2", "unset"])
+    def test_all_statistics_pinned(self, allocation, cores, monkeypatch):
+        if cores is not None:
+            use_cores(monkeypatch, cores)
         budgets = (1000, 4000, 16000, 64000)
         rule = build_rule([1, 3], {"fixed": "uniform", "optimal": "optimal"}[allocation])
         grids = [auto_window(DLB, rule, b, span=(0.2, 5.0), points_per_decade=12).tolist()
@@ -201,33 +204,38 @@ class TestPinnedBootstrap:
 
 
 class TestWorkerCount:
-    """The bootstrap's thread count; these tests start no threads."""
+    """The bootstrap pool's size; these tests start no threads."""
 
-    @pytest.mark.parametrize("cores, expected", [(2, 2), (16, 16), (512, 200)])
-    def test_default_is_the_usable_cores(self, cores, expected, monkeypatch):
-        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
-        monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: set(range(cores)),
-                            raising=False)
-        assert worker_count(200) == expected
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
 
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delenv("ZNEBOUNDARY_THREADS", raising=False)
+        class Pool:  # runs the replicates in this thread, recording the pool's size
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(resample, "ThreadPoolExecutor", Pool)
+        return sizes
+
+    @pytest.mark.parametrize("cores", [2, 16, 512])
+    def test_default_is_the_usable_cores(self, cores, pool_sizes, monkeypatch):
+        use_cores(monkeypatch, cores)
+        bootstrap_pipeline(small_table(replicates=4), ["s_obs"], 100, seed=0)
+        assert pool_sizes == [cores]
+
+    def test_cpu_count_without_affinity(self, pool_sizes, monkeypatch):
         monkeypatch.delattr(resample.os, "sched_getaffinity", raising=False)
+        table = small_table(replicates=4)
         monkeypatch.setattr(resample.os, "cpu_count", lambda: 6)
-        assert worker_count(200) == 6
+        bootstrap_pipeline(table, ["s_obs"], 100, seed=0)
         monkeypatch.setattr(resample.os, "cpu_count", lambda: None)
-        assert worker_count(200) == 1
-
-    @pytest.mark.parametrize("value, expected", [("1", 1), ("3", 3), ("500", 200)])
-    def test_environment_overrides_the_cores(self, value, expected, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
-        monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: set(range(8)),
-                            raising=False)
-        assert worker_count(200) == expected
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
-    def test_bad_environment_value_named(self, value, monkeypatch):
-        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
-        with pytest.raises(ConfigError, match=f"ZNEBOUNDARY_THREADS must be a positive "
-                                              f"integer, got {value!r}"):
-            worker_count(200)
+        bootstrap_pipeline(table, ["s_obs"], 100, seed=0)
+        assert pool_sizes == [6, 1]
