@@ -198,7 +198,8 @@ def bootstrap_pipeline(
     (e.g. every budget censored) are counted in ``missing_fraction`` and
     excluded from the interval, never silently dropped from the report.
 
-    Replicates run on one thread per usable core.  Each replicate draws from
+    Replicates run on one thread per usable core, at most one per replicate.
+    Each replicate draws from
     its own stream, so results are bit for bit independent of the count.
     """
     var_win, bias_win = check_bootstrap(statistics, n_replicates, level,
@@ -216,7 +217,7 @@ def bootstrap_pipeline(
 
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=cores) as pool:
+    with ThreadPoolExecutor(max_workers=min(cores, n_replicates)) as pool:
         replicate_stats = list(pool.map(one_replicate, range(n_replicates)))
 
     results = []

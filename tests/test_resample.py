@@ -225,11 +225,19 @@ class TestWorkerCount:
         monkeypatch.setattr(resample, "ThreadPoolExecutor", Pool)
         return sizes
 
-    @pytest.mark.parametrize("cores", [2, 16, 512])
-    def test_default_is_the_usable_cores(self, cores, pool_sizes, monkeypatch):
+    @pytest.mark.parametrize("cores, expected", [(2, 2), (16, 16), (512, 200)])
+    def test_default_is_the_usable_cores(self, cores, expected, pool_sizes, monkeypatch):
         use_cores(monkeypatch, cores)
+        bootstrap_pipeline(small_table(replicates=4), ["s_obs"], 200, seed=0)
+        assert pool_sizes == [expected]
+
+    @pytest.mark.parametrize("value", ["1", "3", "500", "abc", "0", "-3", "2.5", ""])
+    def test_retired_thread_variable_is_ignored(self, value, pool_sizes, monkeypatch):
+        # ZNEBOUNDARY_THREADS once sized the pool and refused a bad value
+        monkeypatch.setenv("ZNEBOUNDARY_THREADS", value)
+        use_cores(monkeypatch, 8)
         bootstrap_pipeline(small_table(replicates=4), ["s_obs"], 100, seed=0)
-        assert pool_sizes == [cores]
+        assert pool_sizes == [8]
 
     def test_cpu_count_without_affinity(self, pool_sizes, monkeypatch):
         monkeypatch.delattr(resample.os, "sched_getaffinity", raising=False)
