@@ -180,13 +180,13 @@ def classify_regime(
     Criticality compares q against 2p exactly; callers working from fitted
     exponents should round to the intended rational values first.
     """
-    if p < 1:
+    if not p >= 1:
         raise RegimeError(f"bias exponent p must be >= 1, got {p}")
-    if q < 0:
+    if not q >= 0:
         raise RegimeError(f"variance exponent q must be >= 0, got {q}")
-    if k_q <= 0:
+    if not k_q > 0:
         raise RegimeError(f"variance penalty K must be positive, got {k_q}")
-    if d_p <= 0:
+    if not d_p > 0:
         raise RegimeError(
             f"no leading bias improvement (D_p = {d_p:.6g} <= 0); "
             "the boundary may disappear or reverse at this order"

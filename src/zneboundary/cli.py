@@ -178,6 +178,8 @@ def cmd_plan(args) -> int:
     for flag, value in (("--budget", args.budget), ("--eps", args.eps)):
         if value is not None and not value > 0:
             raise ConfigError(f"{flag} must be positive, got {value:g}")
+    if args.alpha is not None and args.kappa is not None:
+        raise ConfigError("plan takes one of --alpha and --kappa, not both")
     amp = args.alpha if args.alpha is not None else args.kappa
     if args.d_p is None and amp is None:
         raise ConfigError("plan needs one of --alpha, --kappa, or --d-p")

@@ -8,7 +8,8 @@ class ZneBoundaryError(Exception):
 
 
 class RuleError(ZneBoundaryError):
-    """Invalid scale set, allocation, or ill-conditioned coefficient system."""
+    """Invalid scale set or allocation, or a scale set whose float
+    coefficients miss the identities."""
 
 
 class DomainError(ZneBoundaryError):

@@ -152,11 +152,12 @@ def fit_variance_exponent(
     if not 0 < lo < hi:
         raise FitError(f"window must satisfy 0 < lo < hi, got {window}")
     mask = (eps >= lo) & (eps <= hi)
-    if int(mask.sum()) < 2:
-        raise FitError(f"fewer than 2 variance samples inside window {window}")
+    x = eps[mask]
+    if x.size < 2 or x.min() == x.max():
+        raise FitError(f"fewer than 2 distinct variance strengths inside window {window}")
     if np.any(v[mask] <= 0):
         raise FitError(f"nonpositive variance inside window {window}")
-    slope, intercept, r2 = _ols_loglog(eps[mask], v[mask])
+    slope, intercept, r2 = _ols_loglog(x, v[mask])
     return VarianceExponentFit(
         q_hat=slope, log_nu_hat=intercept, window=(float(lo), float(hi)), r_squared=r2,
     )
@@ -175,6 +176,8 @@ def fit_bias(
     if int(mask.sum()) < 3:
         raise FitError(f"fewer than 3 bias samples inside window {window}")
     x = eps[mask]
+    if x.min() == x.max():
+        raise FitError(f"fewer than 2 distinct bias strengths inside window {window}")
     design = np.column_stack([x, x * x])
     coef, *_ = np.linalg.lstsq(design, y[mask], rcond=None)
     fitted = design @ coef

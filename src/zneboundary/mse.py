@@ -115,7 +115,7 @@ def _first_outside(model, scales, eps: np.ndarray) -> float | None:
 
 def _check_domain(model, rule: RichardsonRule | None, eps: np.ndarray, budget) -> None:
     """Raise the error a row-major point-by-point loop over ``eps`` meets first."""
-    if (np.asarray(budget) <= 0).any():
+    if not (np.asarray(budget) > 0).all():
         raise ValueError(f"budget must be positive, got {np.min(budget)}")
     if (first := _first_outside(model, rule.scales if rule else (), eps)) is not None:
         model.check_eps(first)

@@ -1,7 +1,12 @@
 """Fixed Richardson extrapolation rules and their variance penalties.
 
 A rule of order ``k`` combines estimates taken at noise-scale factors
-``1 = lam_0 < lam_1 < ... < lam_k`` with coefficients ``c_j`` solving
+``1 = lam_0 < lam_1 < ... < lam_k`` with coefficients ``c_j``, the Lagrange
+basis polynomials of the nodes evaluated at zero,
+
+    c_j = prod_{m != j} lam_m / (lam_m - lam_j),
+
+computed exactly in rationals and rounded to float once.  They satisfy
 
     sum_j c_j = 1        and        sum_j c_j lam_j^m = 0   for m = 1..k,
 
@@ -47,7 +52,6 @@ __all__ = [
 
 MAX_ORDER = 6
 IDENTITY_TOL = 1e-12
-CONDITION_LIMIT = 1e12
 
 # Levels whose variance vanishes at the evaluation point get this floor
 # before renormalizing; the exact-MSE engine is insensitive to it at
@@ -114,9 +118,11 @@ def build_rule(scales: Sequence[float], alloc="uniform") -> RichardsonRule:
     ``optimal`` rule with uniform base fractions, which the engines
     reallocate per noise strength.
 
-    Coefficients are obtained from the scale-power linear system with partial
-    pivoting plus one step of iterative refinement; scale sets whose system
-    is ill-conditioned (estimate above 1e12) are rejected.
+    Each coefficient is the Lagrange basis polynomial of its node at zero,
+    evaluated in exact rationals on the float scales and rounded once, so it
+    is the nearest float to the exact value.  A scale set whose rounded
+    coefficients miss the defining identities by more than ``IDENTITY_TOL``
+    (evaluated exactly) is too ill-conditioned for float64 and is rejected.
     """
     lam = np.asarray([float(s) for s in scales], dtype=float)
     if lam.ndim != 1 or lam.size < 2:
@@ -128,39 +134,23 @@ def build_rule(scales: Sequence[float], alloc="uniform") -> RichardsonRule:
         )
     if lam[0] != 1.0:
         raise RuleError(f"first scale factor must be exactly 1, got {lam[0]}")
-    if np.any(np.diff(lam) <= 0):
-        raise RuleError(f"scale factors must be strictly increasing, got {list(lam)}")
+    if not (np.all(np.diff(lam) > 0) and np.isfinite(lam[-1])):
+        raise RuleError(f"scale factors must be finite and strictly increasing, got {lam.tolist()}")
 
     k = lam.size - 1
-    powers = np.vander(lam, k + 1, increasing=True).T  # powers[m, j] = lam_j^m
-    rhs = np.zeros(k + 1)
-    rhs[0] = 1.0
-    cond = float(np.linalg.cond(powers))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise RuleError(
-            f"scale-power system for scales {list(lam)} has condition "
-            f"estimate {cond:.3e} (limit {CONDITION_LIMIT:.0e})"
-        )
-    c = np.linalg.solve(powers, rhs)
-    # refine against the exactly evaluated residual until float-limited
-    for _ in range(3):
-        res = np.array([float(r) for r in _exact_residuals(lam, c)])
-        if np.max(np.abs(res)) <= 1e-14:
-            break
-        c = c - np.linalg.solve(powers, res)
+    exact = [Fraction(x) for x in lam]
+    c = [float(math.prod(m / (m - j) for m in exact if m != j)) for j in exact]
 
     residual = max(abs(r) for r in _exact_residuals(lam, c))
     if residual > IDENTITY_TOL:
         raise RuleError(
             f"coefficient identities not met to {IDENTITY_TOL:g} "
-            f"(residual {float(residual):.3e}) for scales {list(lam)}; "
+            f"(residual {float(residual):.3e}) for scales {lam.tolist()}; "
             "the scale set is too ill-conditioned for float64 coefficients"
         )
-    if k >= 1 and not float(np.abs(c).sum()) > 1.0:
+    if not float(np.abs(c).sum()) > 1.0:
         raise RuleError("degenerate rule: sum |c_j| must exceed 1 for order >= 1")
 
-    scales_t = tuple(float(x) for x in lam)
-    coeffs_t = tuple(float(x) for x in c)
     # isinstance first: an ndarray ``alloc == "optimal"`` compares elementwise
     optimal = isinstance(alloc, str) and alloc == "optimal"
     if isinstance(alloc, str):
@@ -169,7 +159,7 @@ def build_rule(scales: Sequence[float], alloc="uniform") -> RichardsonRule:
         fractions = tuple([1.0 / (k + 1)] * (k + 1))
     else:
         fractions = _validate_alloc(alloc, k + 1)
-    return RichardsonRule(scales_t, coeffs_t, fractions, optimal)
+    return RichardsonRule(tuple(float(x) for x in lam), tuple(c), fractions, optimal)
 
 
 def _exact_residuals(scales, coeffs) -> list[Fraction]:
@@ -204,9 +194,9 @@ def _validate_alloc(alloc: Sequence[float], n: int) -> tuple[float, ...]:
 
 def variance_penalty(rule: RichardsonRule, q: float, nu: float) -> PenaltyConstants:
     """Penalty constants of ``rule`` for a declared variance curve ``nu * eps^q``."""
-    if nu < 0:
+    if not nu >= 0:
         raise RuleError(f"variance level nu must be >= 0, got {nu}")
-    if q < 0:
+    if not q >= 0:
         raise RuleError(f"variance exponent q must be >= 0, got {q}")
     return penalty_constants(rule, q, nu)
 

@@ -247,6 +247,12 @@ class TestClassifyRegime:
         with pytest.raises(RegimeError, match="no leading bias improvement"):
             classify_regime(p=1, q=0, d_p=-0.5, k_q=1.0)
 
+    @pytest.mark.parametrize("arg", ["p", "q", "d_p", "k_q"])
+    def test_nan_constant_rejected(self, arg):
+        constants = {"p": 1.0, "q": 1.0, "d_p": 1.0, "k_q": 1.0, arg: float("nan")}
+        with pytest.raises(RegimeError, match="nan"):
+            classify_regime(**constants)
+
 
 class TestTheoreticalBoundary:
     def test_contraction_string_constant(self):

@@ -862,6 +862,16 @@ class TestCli:
         assert main(["rule", "--scales", "2,3"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_rule_command_refuses_nan_q(self, capsys):
+        assert main(["rule", "--scales", "1,3", "--q", "nan"]) == 2
+        assert "variance exponent q must be >= 0, got nan" in capsys.readouterr().err
+
+    def test_rule_command_prints_the_exact_coefficients(self, capsys):
+        assert main(["rule", "--scales", "1,2,3,4"]) == 0
+        out = capsys.readouterr().out
+        assert "coefficients: [4.0, -6.0, 4.0, -1.0]\n" in out
+        assert "identity residuals (m = 0..3): 0.00e+00, 0.00e+00, 0.00e+00, 0.00e+00\n" in out
+
     @pytest.mark.parametrize("command", [["rule"], ["plan", "--q", "1", "--kappa", "1",
                                                     "--nu", "2"]])
     def test_bad_alloc_is_a_configuration_error(self, capsys, command):
@@ -1337,6 +1347,19 @@ class TestCli:
         assert main(["plan", "--p", "1.2", "--q", "1.2", "--kappa", "1", "--nu", "2",
                      "--scales", "1,3"]) == 0
         assert f"constant: C = {expected.c_pq:.6g}\n" in capsys.readouterr().out
+
+    def test_plan_refuses_nan_q_as_it_does_a_negative_one(self, capsys):
+        for q in ("-1", "nan"):
+            assert main(["plan", "--q", q, "--kappa", "1", "--k-q", "1"]) == 0
+            out = capsys.readouterr().out
+            assert f"verdict: variance exponent q must be >= 0, got {float(q)}" in out
+            assert "regime:" not in out and "shrinking" not in out
+
+    def test_plan_refuses_alpha_with_kappa(self, capsys):
+        assert main(["plan", "--q", "1", "--alpha", "1", "--kappa", "5", "--nu", "2",
+                     "--scales", "1,3"]) == 2
+        err = capsys.readouterr().err
+        assert "--alpha" in err and "--kappa" in err
 
     def test_plan_d_p_overrides_the_rule(self, capsys):
         assert main(["plan", "--q", "1", "--p", "2", "--d-p", "1", "--nu", "2",

@@ -124,6 +124,11 @@ class TestVarianceExponentFit:
         with pytest.raises(FitError, match="fewer than 2"):
             fit_variance_exponent(eps, eps, (0.1, 0.2))
 
+    def test_one_distinct_strength_rejected(self):
+        # a grid shared by several budgets repeats each strength once per budget
+        with pytest.raises(FitError, match="fewer than 2 distinct"):
+            fit_variance_exponent([0.01] * 3, [0.020, 0.021, 0.019], (0.005, 0.02))
+
 
 class TestPredictSlope:
     def test_reference_values(self):
@@ -158,6 +163,10 @@ class TestBiasFit:
         fit = fit_bias(eps, 3.0 * eps**2, (1e-3, 1e-2))
         assert fit.alpha_hat == pytest.approx(0.0, abs=1e-10)
         assert fit.beta_hat == pytest.approx(3.0, rel=1e-10)
+
+    def test_one_distinct_strength_rejected(self):
+        with pytest.raises(FitError, match="fewer than 2 distinct"):
+            fit_bias([0.01] * 3, [-0.010, -0.011, -0.009], (0.005, 0.02))
 
 
 class TestPluginConstant:

@@ -176,6 +176,10 @@ class TestExactDelta:
         with pytest.raises(ValueError, match="budget must be positive, got -5.0"):
             exact_delta_curve(DLB, RULE13, [[0.01, 0.02]] * 3, np.array([[100.0], [-5.0], [0.0]]))
 
+    def test_nan_budget_refused(self):
+        with pytest.raises(ValueError, match="budget must be positive, got nan"):
+            exact_delta_curve(DLB, RULE13, [0.01], float("nan"))
+
 
 def reference_optimal_allocation(rule, model, eps):
     """Point-by-point optimal split, as computed before the array kernel."""

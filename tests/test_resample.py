@@ -72,6 +72,18 @@ class TestCountPipeline:
         assert np.isnan(stats["c_plugin"])
         assert np.isfinite(stats["s_obs"])
 
+    def test_window_holding_one_shared_strength_is_nan(self):
+        # an explicit grid shared by three budgets puts only eps = 0.01 in both
+        # windows, three times over: neither fit is defined
+        budgets = [1000, 10000, 100000]
+        table = sample_count_table(DLB, RULE13, budgets=budgets,
+                                   eps_grids=[[0.001, 0.01, 0.1]] * 3,
+                                   replicates=8, master_seed=1)
+        stats = count_pipeline(table, variance_window=(0.005, 0.02),
+                               bias_window=(0.005, 0.02))
+        for name in ("q_hat", "nu_hat", "alpha_hat", "c_plugin"):
+            assert np.isnan(stats[name]), name
+
     def test_windows_optional(self):
         table = small_table(replicates=10)
         stats = count_pipeline(table)

@@ -83,6 +83,24 @@ class TestBuildRule:
         assert rule.coeffs == pytest.approx([float(c) for c in exact_coeffs(scales)], abs=1e-12)
         assert sum(abs(c) for c in rule.coeffs) > 1
 
+    def test_integer_nodes_give_the_exact_coefficients(self):
+        # the Lagrange basis at zero of nodes 1..4 is (4, -6, 4, -1) exactly
+        rule = build_rule([1, 2, 3, 4])
+        assert rule.coeffs == (4.0, -6.0, 4.0, -1.0)
+        assert rule.identity_residuals() == (0.0, 0.0, 0.0, 0.0)
+
+    @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_coefficients_are_the_exact_ones_rounded_once(self, gaps):
+        scales = [1.0]
+        for g in gaps:
+            scales.append(scales[-1] + g)
+        try:
+            rule = build_rule(scales)
+        except RuleError:
+            return
+        assert rule.coeffs == tuple(float(c) for c in exact_coeffs(rule.scales))
+
     def test_explicit_alloc_normalized(self):
         rule = build_rule([1, 3], alloc=[3, 1])
         assert rule.alloc == pytest.approx((0.75, 0.25))
@@ -219,6 +237,12 @@ class TestVariancePenalty:
             variance_penalty(rule, q=-0.1, nu=1.0)
         with pytest.raises(RuleError):
             variance_penalty(rule, q=0.0, nu=-1.0)
+
+    @pytest.mark.parametrize("q, nu", [(float("nan"), 1.0), (1.0, float("nan"))],
+                             ids=["q", "nu"])
+    def test_rejects_nan_inputs(self, q, nu):
+        with pytest.raises(RuleError, match="got nan"):
+            variance_penalty(build_rule([1, 3]), q=q, nu=nu)
 
     def test_returns_dataclass(self):
         pen = variance_penalty(build_rule([1, 3]), q=1.0, nu=2.0)
