@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -175,9 +176,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    for flag, value in (("--budget", args.budget), ("--eps", args.eps)):
+    # out-of-range or NaN constants are refused; D_p <= 0 and |rho_p| >= 1 are verdicts
+    for flag, value, floor in (("--p", args.p, 1), ("--q", args.q, 0)):
+        if not value >= floor:
+            raise ConfigError(f"{flag} must be >= {floor}, got {value:g}")
+    for flag, value in (("--budget", args.budget), ("--eps", args.eps), ("--k-q", args.k_q)):
         if value is not None and not value > 0:
             raise ConfigError(f"{flag} must be positive, got {value:g}")
+    for flag, value in (("--alpha", args.alpha), ("--kappa", args.kappa), ("--d-p", args.d_p)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value:g}")
     if args.alpha is not None and args.kappa is not None:
         raise ConfigError("plan takes one of --alpha and --kappa, not both")
     amp = args.alpha if args.alpha is not None else args.kappa

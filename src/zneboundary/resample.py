@@ -31,7 +31,7 @@ import numpy as np
 from .boundary import check_crossing_grid, first_crossings
 from .errors import ConfigError, FitError
 from .fits import fit_bias, fit_loglog, fit_variance_exponent, plugin_constant
-from .mse import CountTable, _splitmix64, _squared_error_diffs
+from .mse import CountTable, _block_estimates, _splitmix64
 
 __all__ = ["BootstrapResult", "bootstrap_pipeline", "check_bootstrap", "count_pipeline",
            "KNOWN_STATISTICS"]
@@ -73,7 +73,7 @@ def count_pipeline(
     outcome is deterministic (empirical variance zero) cannot enter the
     log-log fit and are dropped.
     """
-    return _TableEstimator(table, variance_window, bias_window)(table.plus)
+    return _TableEstimator(table, variance_window, bias_window)(lambda rows: table.plus[rows])
 
 
 class _TableEstimator:
@@ -81,7 +81,9 @@ class _TableEstimator:
 
     Holds what every replicate shares: the model's ideal value, the rule,
     the checked eps grids and the pooled unmitigated-arm shots.  Nothing in
-    it changes after construction, so threads may share one instance.
+    it changes after construction, so threads may share one instance.  A
+    call takes the counts block by block, through :func:`mse._block_estimates`,
+    so its float temporaries are a block's size, not the table's.
     """
 
     def __init__(self, table: CountTable, variance_window, bias_window):
@@ -96,9 +98,13 @@ class _TableEstimator:
         self.pooled_shots = table.shots[:, :, 0, :].sum(axis=2)
         self.variance_window = variance_window
         self.bias_window = bias_window
+        self.pooled = variance_window is not None or bias_window is not None
 
-    def __call__(self, plus: np.ndarray) -> dict[str, float]:
-        delta = _squared_error_diffs(plus, self.shots, self.coeffs, self.mu0).mean(axis=2)
+    def __call__(self, counts) -> dict[str, float]:
+        """The statistics of the plus counts ``counts(rows)`` returns per block of budget rows."""
+        # with a window, the pooled unmitigated-arm counts per (budget, eps) grid point
+        delta, _, pooled_plus = _block_estimates(self.shots, self.coeffs, self.mu0, counts,
+                                                 pooled=self.pooled)
         lower, eps_star = first_crossings(self.eps, delta)
         eps_star = eps_star.tolist()
         stats: dict[str, float] = dict(zip(self.eps_star_names, eps_star))
@@ -111,9 +117,7 @@ class _TableEstimator:
 
         q_hat = nu_hat = alpha_hat = float("nan")
         variance_window, bias_window = self.variance_window, self.bias_window
-        if variance_window is not None or bias_window is not None:
-            # pooled unmitigated-arm estimates per (budget, eps) grid point
-            pooled_plus = plus[:, :, 0, :].sum(axis=2)
+        if self.pooled:
             mu_flat = (2.0 * pooled_plus / self.pooled_shots - 1.0).ravel()
             eps_flat = self.eps.ravel()
         if variance_window is not None:
@@ -199,8 +203,12 @@ def bootstrap_pipeline(
     excluded from the interval, never silently dropped from the report.
 
     Replicates run on one thread per usable core, at most one per replicate.
-    Each replicate draws from
-    its own stream, so results are bit for bit independent of the count.
+    Each replicate draws from its own stream, so results are bit for bit
+    independent of the count.  A replicate is redrawn block by block, one
+    ``Binomial(shots, p_hat)`` call per block of budget rows on its stream,
+    and each block is reduced before the next is drawn: the uniforms are
+    those of one table-wide call, and a replicate's temporaries are a
+    block's size.  The table's ``p_hat`` is the one table-sized array.
     """
     var_win, bias_win = check_bootstrap(statistics, n_replicates, level,
                                         variance_window, bias_window)
@@ -208,12 +216,12 @@ def bootstrap_pipeline(
     names: list[str] = []
     for stat in statistics:
         names.extend(estimate.eps_star_names if stat == "eps_star" else [stat])
-    point = estimate(table.plus)
+    point = estimate(lambda rows: table.plus[rows])
     p_hat = table.plus / table.shots
 
     def one_replicate(rep_idx: int) -> dict[str, float]:
         rng = _replicate_stream(seed, rep_idx)
-        return estimate(rng.binomial(table.shots, p_hat))
+        return estimate(lambda rows: rng.binomial(table.shots[rows], p_hat[rows]))
 
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)

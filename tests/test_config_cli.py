@@ -1350,10 +1350,40 @@ class TestCli:
 
     def test_plan_refuses_nan_q_as_it_does_a_negative_one(self, capsys):
         for q in ("-1", "nan"):
-            assert main(["plan", "--q", q, "--kappa", "1", "--k-q", "1"]) == 0
-            out = capsys.readouterr().out
-            assert f"verdict: variance exponent q must be >= 0, got {float(q)}" in out
-            assert "regime:" not in out and "shrinking" not in out
+            assert main(["plan", "--q", q, "--kappa", "1", "--k-q", "1"]) == 2
+            out, err = capsys.readouterr()
+            assert f"configuration error: --q must be >= 0, got {float(q):g}" in err
+            assert "verdict" not in out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--q", "-1", "--kappa", "1", "--k-q", "1"], "--q must be >= 0, got -1"),
+        (["--q", "1", "--kappa", "1", "--k-q", "-3"], "--k-q must be positive, got -3"),
+        (["--q", "1", "--kappa", "1", "--k-q", "0"], "--k-q must be positive, got 0"),
+        (["--q", "1", "--kappa", "1", "--k-q", "nan"], "--k-q must be positive, got nan"),
+        (["--q", "1", "--p", "0.5", "--kappa", "1", "--k-q", "3"], "--p must be >= 1, got 0.5"),
+        (["--q", "1", "--p", "nan", "--kappa", "1", "--k-q", "3"], "--p must be >= 1, got nan"),
+        (["--q", "-1", "--kappa", "1", "--nu", "2", "--scales", "1,3"],
+         "--q must be >= 0, got -1"),
+        (["--q", "1", "--d-p", "nan", "--k-q", "1"], "--d-p must be finite, got nan"),
+        (["--q", "1", "--alpha", "nan", "--k-q", "1"], "--alpha must be finite, got nan"),
+        (["--q", "1", "--kappa", "inf", "--k-q", "1"], "--kappa must be finite, got inf"),
+    ], ids=["negative-q", "negative-k-q", "zero-k-q", "nan-k-q", "p-below-1", "nan-p",
+            "negative-q-derived-k", "nan-d-p", "nan-alpha", "infinite-kappa"])
+    def test_plan_refuses_invalid_constants_before_a_verdict(self, capsys, flags, message):
+        assert main(["plan", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert f"configuration error: {message}\n" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flags, verdict", [
+        (["--q", "1", "--d-p", "0", "--k-q", "1"], "verdict: no leading bias improvement"),
+        (["--q", "1", "--d-p", "-2", "--k-q", "1"], "verdict: no leading bias improvement"),
+        (["--q", "1", "--p", "2", "--alpha", "1", "--k-q", "1", "--scales", "1,3"],
+         "verdict: no shrinking lower boundary at this order"),
+    ], ids=["zero-d-p", "negative-d-p", "rho-p-above-1"])
+    def test_plan_keeps_no_boundary_verdicts(self, capsys, flags, verdict):
+        assert main(["plan", *flags]) == 0
+        assert verdict in capsys.readouterr().out
 
     def test_plan_refuses_alpha_with_kappa(self, capsys):
         assert main(["plan", "--q", "1", "--alpha", "1", "--kappa", "5", "--nu", "2",

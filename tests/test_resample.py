@@ -2,16 +2,17 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zneboundary import fits, resample
+from zneboundary import fits, mse, resample
 from zneboundary.boundary import auto_window
 from zneboundary.errors import ConfigError
 from zneboundary.fits import BiasFit, VarianceExponentFit
 from zneboundary.models import DeterministicLimitBinary
-from zneboundary.mse import CountTable, sample_count_table
+from zneboundary.mse import CountTable, deltas_from_counts, sample_count_table
 from zneboundary.resample import (
     KNOWN_STATISTICS,
     BootstrapResult,
@@ -213,6 +214,63 @@ class TestPinnedBootstrap:
         )
         text = json.dumps([r.as_dict() for r in results], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[allocation]
+
+
+WINDOWS = dict(variance_window=(2e-3, 5e-2), bias_window=(2e-3, 5e-2))
+
+
+def estimates(table):
+    """Bytes of every Monte Carlo estimate of ``table``: deltas, point statistics, bootstrap."""
+    delta, std_err = deltas_from_counts(table)
+    stats = count_pipeline(table, **WINDOWS)
+    results = bootstrap_pipeline(table, list(KNOWN_STATISTICS), 100, seed=3, **WINDOWS)
+    return (delta.tobytes(), std_err.tobytes(), json.dumps(stats, sort_keys=True),
+            json.dumps([r.as_dict() for r in results], sort_keys=True))
+
+
+class TestEstimateBlocks:
+    """The estimators walk a count table in blocks of whole budget rows."""
+
+    @pytest.mark.parametrize("rows", [1, 2], ids=["one-row", "two-rows"])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_blocks_match_one_block(self, rows, cores, monkeypatch):
+        use_cores(monkeypatch, cores)
+        table = small_table(replicates=7, budgets=(1000, 2000, 4000, 8000, 16000))
+        assert table.plus.size <= mse.ESTIMATE_BLOCK_CELLS  # one block by default
+        whole = estimates(table)
+        # one or two budget rows a block; in twos, the fifth row is a short last block
+        monkeypatch.setattr(mse, "ESTIMATE_BLOCK_CELLS", rows * table.plus[0].size)
+        assert estimates(table) == whole
+
+    def test_peak_memory_is_a_few_blocks(self, monkeypatch):
+        block = 8192  # cells; the table's rows are 8,160 cells, one a block
+        monkeypatch.setattr(mse, "ESTIMATE_BLOCK_CELLS", block, raising=False)
+        use_cores(monkeypatch, 1)
+        budgets = [1000 * 2**i for i in range(8)]
+        table = sample_count_table(DLB, RULE13, budgets, [np.geomspace(2e-3, 5e-2, 8)] * 8,
+                                   replicates=340, master_seed=4)
+        assert table.plus[0].size <= block and len(table.plus) >= 8
+        # one float64 array of the whole table is 8 blocks' worth, so a bound of
+        # 8 blocks (plus the bootstrap's table-sized p_hat) refuses table-wide
+        # temporaries
+        block_bytes = 8 * block
+        p_hat_bytes = 8 * table.plus.size
+        runs = {
+            "deltas_from_counts": (lambda: deltas_from_counts(table), 8 * block_bytes),
+            "count_pipeline": (lambda: count_pipeline(table, **WINDOWS), 8 * block_bytes),
+            "bootstrap_pipeline": (lambda: bootstrap_pipeline(table, ["s_obs", "q_hat"], 100,
+                                                              seed=1, **WINDOWS),
+                                   p_hat_bytes + 8 * block_bytes),
+        }
+        for name, (run, bound) in runs.items():
+            run()  # first calls import and cache outside the trace
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"{name}: traced peak {peak} B, bound {bound} B"
 
 
 class TestWorkerCount:
