@@ -97,11 +97,15 @@ def check_crossing_grid(eps: np.ndarray, delta: np.ndarray | None = None) -> Non
 
     ``eps`` is one grid or an ``(n_budgets, n_eps)`` table of them, checked
     in one pass; with ``delta``, its values must match ``eps`` in shape.
+    Every grid point and delta value must be finite.
     """
     if delta is not None and eps.shape != delta.shape:
         raise ValueError("eps and delta must have equal length")
     if eps.shape[-1] < 3:
         raise ValueError(f"need at least 3 grid points, got {eps.shape[-1]}")
+    for name, values in (("eps grid", eps), ("delta", delta)):
+        if values is not None and not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
     if np.any(np.diff(eps, axis=-1) <= 0):
         raise ValueError("eps grid must be strictly increasing")
 

@@ -111,6 +111,14 @@ def _ols_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def _require_finite(name: str, values: np.ndarray, at_name: str, at: np.ndarray) -> None:
+    """Raise FitError naming the first non-finite entry of ``values`` and its ``at``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FitError(f"non-finite {name} {values[i].item()!r} at {at_name}={at[i].item()!r}")
+
+
 def fit_loglog(
     points: Sequence[tuple[float, float]],
     censored_budgets: Sequence[float] = (),
@@ -124,6 +132,8 @@ def fit_loglog(
         )
     b = np.asarray([p[0] for p in points])
     e = np.asarray([p[1] for p in points])
+    _require_finite("budget", b, "eps*", e)
+    _require_finite("crossing", e, "B", b)
     if np.any(e <= 0) or np.any(b <= 0):
         raise FitError("budgets and crossings must be positive for a log-log fit")
     slope, intercept, r2 = _ols_loglog(b, e)
@@ -155,6 +165,7 @@ def fit_variance_exponent(
     x = eps[mask]
     if x.size < 2 or x.min() == x.max():
         raise FitError(f"fewer than 2 distinct variance strengths inside window {window}")
+    _require_finite("variance", v[mask], "eps", x)
     if np.any(v[mask] <= 0):
         raise FitError(f"nonpositive variance inside window {window}")
     slope, intercept, r2 = _ols_loglog(x, v[mask])
@@ -178,6 +189,7 @@ def fit_bias(
     x = eps[mask]
     if x.min() == x.max():
         raise FitError(f"fewer than 2 distinct bias strengths inside window {window}")
+    _require_finite("mean shift", y[mask], "eps", x)
     design = np.column_stack([x, x * x])
     coef, *_ = np.linalg.lstsq(design, y[mask], rcond=None)
     fitted = design @ coef

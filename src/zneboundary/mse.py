@@ -12,11 +12,12 @@ strengths ``lam_j eps``:
 
 both computed from the exact model curves with no series truncation.  The
 quantity of interest is ``delta = MSE_noisy - MSE_zne`` (positive means the
-extrapolation helps).  :func:`exact_delta_curve` checks a whole grid table's
-domain, then evaluates it in blocks of whole budget rows, at most
-``EXACT_BLOCK_POINTS`` points each, with one model pass on the base
-strengths and one on the scaled ones: the level variances give both the
-variance term and a reallocating rule's split.
+extrapolation helps).  :func:`exact_delta_curve` takes every model and grid
+shape through one budget and domain check of the whole grid, then blocks of
+at most ``EXACT_BLOCK_POINTS`` points in whole budget rows.  A block is a
+closed-form model's ``delta_mse``, or one pass of a sampled model over every
+level ``lam_j eps``: with ``lam_0 = 1`` it holds the unmitigated curve too,
+and its variances give the variance term and a reallocating rule's split.
 
 The Monte Carlo engine realizes the same comparison with finite counts.  Raw
 data for one experiment lives in a :class:`CountTable`: one binomial
@@ -142,20 +143,21 @@ def _mse_terms(model, rule: RichardsonRule | None, eps, budget):
 
     The one implementation of the formulas above; returns ``(noisy, zne)``,
     ``zne`` None without a rule.  ``eps`` has passed :func:`_check_domain`.
-    The model is evaluated once on ``eps`` and once on the scaled strengths;
-    the level variances give both the variance term and, for a reallocating
-    rule, :func:`rules.optimal_split`.  The golden outputs pin the rounding:
-    one BLAS dot per point for the bias (a gemv rounds differently), libm
-    ``pow`` in the models, and last-axis sums of C-contiguous ``(..., k+1)`` terms.
+    The model is evaluated once, on ``lam_j eps`` along a new last axis
+    (``lam = (1,)`` without a rule); ``lam_0 = 1`` and ``1.0 * eps == eps``,
+    so column 0 is the unmitigated estimator's curve, bit for bit.  The level
+    variances give both the variance term and, for a reallocating rule,
+    :func:`rules.optimal_split`.  The golden outputs pin the rounding: one
+    BLAS dot per point for the bias (a gemv rounds differently), libm ``pow``
+    in the models, and last-axis sums of C-contiguous ``(..., k+1)`` terms.
     """
     mu0 = model.mean(0.0)
-    eps = np.asarray(eps, dtype=float)
-    mu, v = model.mean_and_variance(eps)
-    noisy = (mu - mu0, v / budget)
+    scales = np.asarray(rule.scales if rule else (1.0,))
+    mu, v = model.mean_and_variance(np.asarray(eps, dtype=float)[..., None] * scales)
+    noisy = (mu[..., 0] - mu0, v[..., 0] / budget)
     if rule is None:
         return noisy, None
     c = np.asarray(rule.coeffs)
-    mu, v = model.mean_and_variance(eps[..., None] * np.asarray(rule.scales))
     bias = (mu[..., None, :] @ c)[..., 0] - mu0
     terms = c**2 * v
     terms /= optimal_split(rule, v) if rule.optimal else np.asarray(rule.alloc)
@@ -163,40 +165,38 @@ def _mse_terms(model, rule: RichardsonRule | None, eps, budget):
 
 
 def exact_delta(model, rule: RichardsonRule | None, eps: float, budget: float) -> DeltaPoint:
-    """Exact MSE difference at one point: element 0 of :func:`exact_delta_curve`."""
-    delta = exact_delta_curve(model, rule, [eps], budget)[0]
-    return DeltaPoint(float(delta))
+    """Exact MSE difference at one point: :func:`exact_delta_curve` of a 0-D grid."""
+    return DeltaPoint(float(exact_delta_curve(model, rule, eps, budget)))
 
 
 def exact_delta_curve(model, rule: RichardsonRule | None, eps_grid, budget) -> np.ndarray:
     """Exact delta at every grid point, as an array of the grid's shape.
 
-    ``eps_grid`` is one grid at ``budget``, or a :func:`grid_table` with
-    ``budget`` its column of budgets; each row then equals the row's 1-D call.
-    A model that is not sampled returns its closed form ``delta_mse``.
-    Without a rule the unmitigated estimator is compared with itself: zeros,
-    once the grid has passed the domain check.
+    ``eps_grid`` is one point or one grid at ``budget``, or a
+    :func:`grid_table` with ``budget`` its column of budgets; each row then
+    equals the row's 1-D call.  Without a rule the unmitigated estimator is
+    compared with itself: zeros, once the grid has passed the domain check.
 
-    The domain check covers the whole grid before any evaluation.  A table
-    is then evaluated in blocks of whole rows, at most
-    ``EXACT_BLOCK_POINTS`` points each (one row if a row is longer), so its
-    temporaries stay a block's size however long the budget ladder is.
+    Every model and grid shape takes one path: the budget and domain check
+    of the whole grid, then blocks of whole rows of the grid as a table (a
+    point or 1-D grid is one row), at most ``EXACT_BLOCK_POINTS`` points each
+    (one row if a row is longer), so temporaries stay a block's size however
+    long the ladder is.  A block is a closed-form model's ``delta_mse`` or a
+    sampled model's :func:`_mse_terms`.
     """
     eps = np.asarray(eps_grid, dtype=float)
-    if not model.sampled:
-        return model.delta_mse(eps, budget)
     _check_domain(model, rule, eps, budget)
-    if eps.ndim < 2:
-        return _delta(model, rule, eps, budget)
-    budget = np.broadcast_to(budget, eps.shape)
-    out = np.empty(eps.shape)
-    rows = max(1, EXACT_BLOCK_POINTS // max(1, eps.shape[1]))
-    for i in range(0, len(eps), rows):
-        out[i:i + rows] = _delta(model, rule, eps[i:i + rows], budget[i:i + rows])
-    return out
+    table, budget = np.atleast_2d(eps, np.broadcast_to(budget, eps.shape))
+    out = np.empty(table.shape)
+    rows = max(1, EXACT_BLOCK_POINTS // max(1, table.shape[1]))
+    for i in range(0, len(table), rows):
+        out[i:i + rows] = _delta(model, rule, table[i:i + rows], budget[i:i + rows])
+    return out.reshape(eps.shape)
 
 
 def _delta(model, rule: RichardsonRule | None, eps: np.ndarray, budget) -> np.ndarray:
+    if not model.sampled:
+        return model.delta_mse(eps, budget)
     noisy, zne = _mse_terms(model, rule, eps, budget)
     (noisy_bias, noisy_var), (zne_bias, zne_var) = noisy, zne or noisy
     return (noisy_bias * noisy_bias + noisy_var) - (zne_bias * zne_bias + zne_var)
@@ -224,10 +224,11 @@ def integerize_allocation(alloc: Sequence[float], budget: int) -> np.ndarray:
 
     Every level gets at least one shot and the total equals the budget
     exactly; the distortion relative to the real-valued split is O(1) shots
-    per level, i.e. an O(1/B^2) variance effect.
+    per level, i.e. an O(1/B^2) variance effect.  A budget that is not a
+    whole number raises :class:`AllocationError`; it is never truncated.
     """
     pi = np.asarray(alloc, dtype=float)
-    budget = int(budget)
+    (budget,) = _shot_budgets([budget])
     if not np.all(np.isfinite(pi)) or np.any(pi < 0):
         raise AllocationError(
             f"allocation fractions must be finite and non-negative, got {pi.tolist()}"
@@ -348,7 +349,10 @@ class CountTable:
     is the unmitigated arm at the base strength and slot 1+j the level at
     ``scales[j] * eps``.  The table holds the model it was drawn from, which
     must be sampled, and the rule whose allocation gives the shots:
-    :attr:`shots` is :func:`count_shots` of the two.
+    :attr:`shots` is :func:`count_shots` of the two.  Construction refuses
+    what the sampler and the reader refuse: a budget that is not a whole
+    number (:class:`AllocationError`), fewer than 2 replicates, and counts
+    that are not integers or lie outside [0, shots].
     """
 
     budgets: tuple[int, ...]
@@ -359,12 +363,17 @@ class CountTable:
     rule: RichardsonRule
 
     def __post_init__(self):
+        self.budgets = _shot_budgets(self.budgets)
         self.eps_grids = grid_table(self.budgets, self.eps_grids)
         if not self.model.sampled:
             raise ModelError("model has no sampler")
         expected = (*self.eps_grids.shape, len(self.rule.scales) + 1)
         if self.plus.ndim != 4 or self.plus.shape[:3] != expected:
             raise ValueError(f"plus counts have shape {self.plus.shape}, not {expected} + reps")
+        if self.n_replicates < 2:
+            raise ValueError(f"need at least 2 replicates, got {self.n_replicates}")
+        if self.plus.dtype.kind not in "iu":
+            raise ValueError(f"plus counts must be integers, got dtype {self.plus.dtype}")
         if np.any(self.plus < 0) or np.any(self.plus > self.shots):
             raise ValueError("plus counts must lie in [0, shots]")
 
@@ -754,11 +763,7 @@ def sample_count_table(
 
 def _zero_table(model, rule, budgets, eps_grids, replicates, master_seed) -> CountTable:
     """The table of :func:`sample_count_table`'s arguments, its counts all zero."""
-    if replicates < 2:
-        raise ValueError(f"need at least 2 replicates, got {replicates}")
-    budgets = _shot_budgets(budgets)
-    eps_grids = grid_table(budgets, eps_grids)
-    shape = (*eps_grids.shape, len(rule.scales) + 1, replicates)
+    shape = (*grid_table(budgets, eps_grids).shape, len(rule.scales) + 1, replicates)
     return CountTable(budgets, eps_grids, np.zeros(shape, dtype=np.int64), int(master_seed),
                       model, rule)
 

@@ -304,7 +304,7 @@ def check_mc_bootstrap_soundness() -> str:
 
     # unbiased Monte Carlo MSE difference: t-test over UNBIASED_RUNS independent runs
     eps, budget = 0.05, 2000
-    exact = exact_delta_curve(model, rule, [eps], float(budget))[0]
+    exact = exact_delta_curve(model, rule, eps, float(budget))
     errors = []
     for i in range(UNBIASED_RUNS):
         point, _ = mc_delta(model, rule, eps, budget, 16, master_seed=3000 + i)

@@ -116,6 +116,17 @@ class TestFindCrossing:
         with pytest.raises(ValueError, match="at least 3"):
             find_crossing_arrays(np.array([1.0, 2.0]), np.zeros(2), budget=1.0)
 
+    @pytest.mark.parametrize("eps, delta, match", [
+        ([0.1, np.nan, 0.3], [-1.0, 0.5, 1.0], "eps grid must be finite, got nan"),
+        ([0.1, 0.2, np.inf], [-1.0, 0.5, 1.0], "eps grid must be finite, got inf"),
+        ([0.1, 0.2, 0.3], [-1.0, np.nan, 1.0], "delta must be finite, got nan"),
+        ([0.1, 0.2, 0.3], [-np.inf, 0.5, 1.0], "delta must be finite, got -inf"),
+    ], ids=["nan-eps", "inf-eps", "nan-delta", "inf-delta"])
+    def test_non_finite_grid_or_delta_refused(self, eps, delta, match):
+        # a NaN compares false, so it passed the increasing check and "crossed" at NaN
+        with pytest.raises(ValueError, match=match):
+            find_crossing_arrays(eps, delta, 1e3)
+
     def test_crossing_never_overshoots_its_bracket(self):
         # the fraction rounds to 1 and the bracket spans more than a factor of 2,
         # so the unclamped interpolation lands one ulp above 14.0

@@ -78,6 +78,16 @@ class TestFitLoglog:
         with pytest.raises(FitError, match="censored: \\[100.0, 200.0\\]"):
             fit_loglog([(1e3, 0.01), (1e4, 0.003)], censored_budgets=[100.0, 200.0])
 
+    @pytest.mark.parametrize("points, match", [
+        ([(1e3, 0.1), (1e4, np.nan), (1e5, 0.01)], r"non-finite crossing nan at B=10000\.0"),
+        ([(1e3, 0.1), (1e4, 0.03), (1e5, np.inf)], r"non-finite crossing inf at B=100000\.0"),
+        ([(1e3, 0.1), (np.inf, 0.03), (1e5, 0.01)], r"non-finite budget inf at eps\*=0\.03"),
+    ], ids=["nan-crossing", "inf-crossing", "inf-budget"])
+    def test_non_finite_point_refused(self, points, match):
+        # unchecked, each fits to a slope, intercept and r_squared all NaN
+        with pytest.raises(FitError, match=match):
+            fit_loglog(points)
+
     def test_fit_boundary_separates_censored(self):
         crossings = [
             CrossingEstimate(budget=1e2, eps_star=None, status="no_negative_region"),
@@ -118,6 +128,14 @@ class TestVarianceExponentFit:
         eps = np.array([1e-3, 2e-3, 4e-3])
         with pytest.raises(FitError, match="nonpositive variance"):
             fit_variance_exponent(eps, np.array([1e-3, 0.0, 1e-3]), (1e-3, 4e-3))
+
+    def test_non_finite_variance_in_window_refused(self):
+        eps = np.array([1e-3, 2e-3, 4e-3, 0.5])
+        v = np.array([1e-3, np.nan, 4e-3, np.nan])  # the NaN at 0.5 is outside the window
+        with pytest.raises(FitError, match=r"non-finite variance nan at eps=0\.002"):
+            fit_variance_exponent(eps, v, (1e-3, 4e-3))
+        assert fit_variance_exponent(eps[[0, 2, 3]], v[[0, 2, 3]], (1e-3, 4e-3)).q_hat == (
+            pytest.approx(1.0))
 
     def test_empty_window_rejected(self):
         eps = np.geomspace(1e-4, 1e-3, 10)
@@ -167,6 +185,11 @@ class TestBiasFit:
     def test_one_distinct_strength_rejected(self):
         with pytest.raises(FitError, match="fewer than 2 distinct"):
             fit_bias([0.01] * 3, [-0.010, -0.011, -0.009], (0.005, 0.02))
+
+    def test_non_finite_mean_shift_in_window_refused(self):
+        eps = np.array([0.01, 0.02, 0.03, 0.04])
+        with pytest.raises(FitError, match=r"non-finite mean shift -inf at eps=0\.03"):
+            fit_bias(eps, [-0.01, -0.02, -np.inf, -0.04], (0.005, 0.05))
 
 
 class TestPluginConstant:

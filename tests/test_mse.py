@@ -51,6 +51,7 @@ def drawn_with(table):
             table.master_seed)
 
 LBB = LinearBiasBinary(mu0=0.5, alpha=1.0)
+MONOMIAL = MonomialBalanceModel(p=1, q=0, d_p=1.0, k_q=1.0)
 RULE13 = build_rule([1, 3])
 POLICIES = {"fixed": "uniform", "optimal": "optimal"}  # policy -> build_rule alloc spec
 
@@ -163,6 +164,11 @@ class TestExactDelta:
         assert isinstance(curve, np.ndarray) and curve.shape == grid.shape
         for value, eps in zip(curve, grid):
             assert value == exact_delta(DLB, RULE13, float(eps), 500.0).delta
+        # a point is a 0-D grid: a 0-D array, not a numpy scalar
+        for model in (DLB, MONOMIAL):
+            point = exact_delta_curve(model, RULE13, 0.01, 500.0)
+            assert isinstance(point, np.ndarray) and point.shape == ()
+            assert point == exact_delta(model, RULE13, 0.01, 500.0).delta
 
     @pytest.mark.parametrize("eps, budget", [(np.empty(0), 500.0),
                                              (np.empty((0, 3)), np.empty((0, 1)))],
@@ -172,13 +178,46 @@ class TestExactDelta:
             curve = exact_delta_curve(DLB, rule, eps, budget)
             assert curve.shape == eps.shape
 
-    def test_non_positive_budget_named(self):
+    @pytest.mark.parametrize("model, rule", [(DLB, RULE13), (MONOMIAL, None)],
+                             ids=["sampled", "closed-form"])
+    def test_non_positive_budget_named(self, model, rule):
+        # the closed form takes the same check: unchecked, it returns NaN at
+        # B = 0 and a sign-flipped delta at B = -1
         with pytest.raises(ValueError, match="budget must be positive, got -5.0"):
-            exact_delta_curve(DLB, RULE13, [[0.01, 0.02]] * 3, np.array([[100.0], [-5.0], [0.0]]))
+            exact_delta_curve(model, rule, [[0.01, 0.02]] * 3,
+                              np.array([[100.0], [-5.0], [0.0]]))
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match=f"budget must be positive, got {budget}$"):
+                exact_delta_curve(model, rule, [0.1, 0.2], budget)
 
-    def test_nan_budget_refused(self):
+    @pytest.mark.parametrize("model, rule", [(DLB, RULE13), (MONOMIAL, None)],
+                             ids=["sampled", "closed-form"])
+    def test_nan_budget_refused(self, model, rule):
         with pytest.raises(ValueError, match="budget must be positive, got nan"):
-            exact_delta_curve(DLB, RULE13, [0.01], float("nan"))
+            exact_delta_curve(model, rule, [0.01], float("nan"))
+
+    @pytest.mark.parametrize("rule", [build_rule([1, 3, 5]), build_rule([1, 3, 5], "optimal"),
+                                      None], ids=["fixed", "optimal", "no-rule"])
+    def test_one_model_pass_per_block(self, rule):
+        # besides mean(0.0), each block calls mean once, on its strengths at
+        # every level; without a rule the one level is the base strength
+        shapes = []
+
+        class CountingDLB(DeterministicLimitBinary):
+            def mean(self, eps):
+                shapes.append(np.shape(eps))
+                return super().mean(eps)
+
+        model, levels = CountingDLB(kappa=1.0), len(rule.scales) if rule else 1
+        block = mse_module.EXACT_BLOCK_POINTS // 100
+        table = np.tile(np.geomspace(1e-4, 0.3, 100), (2 * block + 5, 1))
+        exact_delta_curve(model, rule, table, np.full((len(table), 1), 100.0))
+        assert shapes == [(), (block, 100, levels), (), (block, 100, levels),
+                          (), (5, 100, levels)]
+        shapes.clear()
+        exact_delta_curve(model, rule, np.geomspace(1e-4, 0.3, 7), 100.0)
+        exact_delta(model, rule, 0.01, 100.0)
+        assert shapes == [(), (1, 7, levels), (), (1, 1, levels)]
 
 
 def reference_optimal_allocation(rule, model, eps):
@@ -361,6 +400,12 @@ class TestIntegerize:
     def test_too_small_budget_rejected(self):
         with pytest.raises(AllocationError, match="too small"):
             integerize_allocation((0.5, 0.3, 0.2), 2)
+
+    def test_budget_not_whole_refused(self):
+        # refused as the sampler refuses it, not truncated to 1000
+        with pytest.raises(AllocationError, match="budget 1000.7 is not a whole number of shots"):
+            integerize_allocation((0.5, 0.5), 1000.7)
+        assert integerize_allocation((0.5, 0.5), 1000.0).tolist() == [500, 500]
 
     @pytest.mark.parametrize("alloc", [(float("nan"), 0.5), (float("inf"), 0.5), (1.5, -0.5)])
     def test_non_finite_or_negative_fractions_rejected(self, alloc):
@@ -908,6 +953,23 @@ class TestCountTable:
         with pytest.raises(ConfigError, match="got 14 points at B=1000, 17 points at B=3162, "
                            "17 points at B=10000, 17 points at B=31623, 17 points at B=100000"):
             sample_count_table(LBB, RULE13, budgets, grids, replicates=4, master_seed=1)
+
+    @pytest.mark.parametrize("change, error, match", [
+        ({"budgets": (1000.7,)}, AllocationError, "budget 1000.7 is not a whole number of shots"),
+        ({"plus": np.zeros((1, 3, 3, 1), dtype=np.int64)}, ValueError,
+         "need at least 2 replicates, got 1"),
+        ({"plus": np.full((1, 3, 3, 2), 0.5)}, ValueError,
+         "plus counts must be integers, got dtype float64"),
+    ], ids=["budget-not-whole", "one-replicate", "float-counts"])
+    def test_construction_refuses_what_the_sampler_refuses(self, change, error, match):
+        # unchecked, 1000.7 gets 1000 unmitigated shots, one replicate gives a
+        # NaN std_err and 0.5 counts are written as 0
+        kwargs = dict(budgets=(1000,), eps_grids=[[0.01, 0.02, 0.03]],
+                      plus=np.zeros((1, 3, 3, 2), dtype=np.int64), master_seed=1,
+                      model=DLB, rule=RULE13)
+        assert CountTable(**kwargs).budgets == (1000,)
+        with pytest.raises(error, match=match):
+            CountTable(**{**kwargs, **change})
 
     def make_table(self):
         return sample_count_table(
