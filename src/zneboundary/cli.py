@@ -108,7 +108,11 @@ def _sweep_paths(cfg):
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.set)
     paths = _sweep_paths(cfg)
-    Path(cfg.output["dir"]).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(cfg.output["dir"]).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as err:
+        raise ConfigError(f"output.dir {cfg.output['dir']!r} is not a directory: "
+                          f"{err.strerror}") from err
     delta, std_err, counts = run_sweep(cfg)
     write_delta_csv(paths["delta"], cfg, delta, std_err)
     print(f"wrote {paths['delta']}")

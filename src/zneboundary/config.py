@@ -239,13 +239,17 @@ def _expand_budgets(raw: dict) -> tuple[float, ...]:
     return tuple(values)
 
 
+def _check_root(raw) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"configuration root must be a mapping, got {type(raw).__name__}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping into an ExperimentConfig, parsing each value once.
 
     A YAML 1.1 string such as ``1e1`` is the number it spells; ``raw`` is kept as given.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"configuration root must be a mapping, got {type(raw).__name__}")
+    _check_root(raw)
     unknown = set(raw) - {
         "model", "rule", "grid", "budgets", "engine", "windows", "bootstrap",
         "seed", "output",
@@ -364,6 +368,7 @@ def load_config(path, overrides: list[str] = ()) -> ExperimentConfig:
         raise ConfigError(f"cannot parse configuration {path}: {err}") from err
     if raw is None:
         raise ConfigError(f"configuration {path} is empty")
+    _check_root(raw)  # before an override indexes into it
     for assignment in overrides:
         _apply_override(raw, assignment)
     return parse_config(raw)

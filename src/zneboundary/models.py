@@ -331,8 +331,10 @@ class MonomialBalanceModel(_Model):
         """Closed-form MSE difference (noisy minus extrapolated), elementwise.
 
         ``eps`` is one strength or a numpy array of them; a negative one
-        raises DomainError naming the first.
+        raises DomainError naming the first.  A budget that is not positive
+        raises ValueError (:func:`check_budget`).
         """
+        check_budget(budget)
         self.check_eps(eps)
         bias_part = self.d_p * _libm_pow(eps, 2 * self.p)
         var_part = self.k_q * _libm_pow(eps, self.q) / budget
@@ -383,6 +385,12 @@ def scaled_domain_max(model, scales) -> float:
     """Largest base eps whose scaled levels all stay in the model's domain."""
     lam_max = max(scales) if scales else 1.0
     return model.eps_max / lam_max
+
+
+def check_budget(budget) -> None:
+    """Raise ValueError unless every budget of ``budget`` (a number or an array) is positive."""
+    if not (np.asarray(budget) > 0).all():
+        raise ValueError(f"budget must be positive, got {np.min(budget)}")
 
 
 def check_scaled_eps(model, eps: float, scales) -> None:

@@ -63,7 +63,7 @@ import numpy as np
 
 from .artifacts import SCHEMA_VERSION, begin_table, open_table, read_block
 from .errors import AllocationError, ConfigError, ModelError
-from .models import NoiseObservableModel, check_scaled_eps
+from .models import NoiseObservableModel, check_budget, check_scaled_eps
 from .rules import RichardsonRule, optimal_allocation, optimal_split
 
 __all__ = [
@@ -131,8 +131,7 @@ def _first_outside(model, scales, eps: np.ndarray) -> float | None:
 
 def _check_domain(model, rule: RichardsonRule | None, eps: np.ndarray, budget) -> None:
     """Raise the error a row-major point-by-point loop over ``eps`` meets first."""
-    if not (np.asarray(budget) > 0).all():
-        raise ValueError(f"budget must be positive, got {np.min(budget)}")
+    check_budget(budget)
     if (first := _first_outside(model, rule.scales if rule else (), eps)) is not None:
         model.check_eps(first)
         check_scaled_eps(model, first, rule.scales)

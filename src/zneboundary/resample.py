@@ -11,6 +11,14 @@ intervals are taken over the replicate statistics.  A redrawn count lies in
 [0, shots] by construction, so only the table's own counts are checked,
 once, when the table is built or read.
 
+What the intervals are today: each replicate redraws every cell's shots,
+but its squared errors are still measured against the model's true
+``mu(0)``.  The redrawn estimates scatter around the observed ones, which
+already carry one draw's sampling error, so the sampling variance enters a
+replicate's MSE twice: its delta is about ``D eps^(2p) - 2 K eps^q / B``.
+The ``eps_star`` and ``c_fit`` intervals therefore sit above their point
+estimates, while ``s_obs``, a slope, barely moves.
+
 Replicates are embarrassingly parallel: each derives its own counter-based
 stream from the bootstrap seed and the replicate index, and the percentile
 reduction is order-independent, so results do not depend on scheduling

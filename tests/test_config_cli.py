@@ -198,6 +198,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot override through non-mapping key 'rule'"):
             load_config(write_cfg(tmp_path, dict(DLB_EXACT, rule=5)), ["rule.scales=[1, 3]"])
 
+    @pytest.mark.parametrize("overrides", [[], ["seed=3"]], ids=["bare", "with-set"])
+    def test_non_mapping_root_refused_before_overrides(self, tmp_path, capsys, overrides):
+        cfg_path = tmp_path / "list.yaml"
+        cfg_path.write_text("- 1\n- 2\n")
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        assert main(["sweep", "--config", str(cfg_path), *sets]) == 2
+        assert "configuration root must be a mapping, got list" in capsys.readouterr().err
+
     def test_unknown_windows_key_named(self):
         with pytest.raises(ConfigError, match=r"unknown windows keys \['n_points'\]"):
             parse_config(dict(DLB_EXACT, windows={"n_points": 40}))
@@ -915,6 +923,14 @@ class TestCli:
             in err
         assert not (tmp_path / "x_crossings.csv").exists()
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+    def test_sweep_refuses_an_output_dir_that_is_a_file(self, tmp_path, capsys, below):
+        (tmp_path / "taken").write_text("")
+        out_dir = tmp_path / "taken" / below
+        cfg_path = write_cfg(tmp_path, dict(DLB_EXACT, output={"dir": str(out_dir)}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        assert f"output.dir {str(out_dir)!r} is not a directory" in capsys.readouterr().err
+
     def test_fit_without_boundary_is_config_error(self, tmp_path, capsys):
         cfg_path = write_cfg(
             tmp_path, dict(DLB_EXACT, output={"dir": str(tmp_path), "prefix": "x"})
@@ -1129,6 +1145,22 @@ class TestCli:
         assert f"{path}: data row 1 " in err and message in err
         assert not (tmp_path / "m_report.json").exists()
 
+    @pytest.mark.parametrize("table, stage, edit, message", [
+        ("delta", "boundary", lambda rows: rows[0].__setitem__(3, "-" + rows[0][3]),
+         "data row 1: std_err -"),
+        ("crossings", "fit", lambda rows: rows.insert(1, rows[0]),
+         "data row 2 '2000.0,"),
+    ], ids=["delta-std-err-negated", "crossing-duplicated"])
+    def test_stages_refuse_a_row_the_writer_never_writes(
+            self, tmp_path, capsys, table, stage, edit, message):
+        cfg_path = self.mc_stages(tmp_path)
+        path = tmp_path / f"m_{table}.csv"
+        self.edit_rows(path, edit)
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m_report.json").exists()
+
     @pytest.mark.parametrize("spelled, plain", [
         ("engine.replicates=1e1", "engine.replicates=10"),
         ("grid.points_per_decade=1.2e1", "grid.points_per_decade=12"),
@@ -1273,6 +1305,22 @@ class TestCli:
         report = json.loads((tmp_path / "lbb_report.json").read_text())
         assert -0.52 <= report["boundary_fit"]["slope"] <= -0.48
         assert report["boundary_fit"]["censored_budgets"] == []
+
+    @pytest.mark.parametrize("sets", [
+        # q = 0: the domain cuts the windows short, and each keeps the span's point count
+        ["model={type: linear_bias_binary, mu0: 0.5, alpha: 1.0}", "rule.scales=[1, 3, 5]",
+         "budgets={values: [1000, 10000]}"],
+        # the closed form, through the engine's budget check and row blocks
+        ["model={type: monomial_balance, p: 1, q: 1, d_p: 1.0, k_q: 10.0}", "rule=null"],
+        # no rule: one model pass at the base strength
+        ["rule=null", "grid={mode: explicit, eps: [0.001, 0.01, 0.1]}",
+         "budgets={values: [1000, 10000]}"],
+    ], ids=["domain-cut-q0", "closed-form", "rule-less"])
+    def test_every_stage_runs_each_exact_engine_path(self, tmp_path, sets):
+        overrides = [arg for s in (f"output.dir={tmp_path}", *sets) for arg in ("--set", s)]
+        for stage in ("sweep", "boundary", "fit"):
+            assert main([stage, "--config", str(BENCH_CONFIGS / "exact_a.yaml"), *overrides]) == 0
+        assert json.loads((tmp_path / "a_report.json").read_text())["config_hash"]
 
     def test_validate_refuses_an_unknown_check(self, capsys):
         assert main(["validate", "--only", "rule_identities", "--only", "bogus"]) == 2

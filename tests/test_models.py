@@ -253,6 +253,13 @@ class TestMonomialBalance:
         with pytest.raises(DomainError):
             exact_delta(m, None, first, 100.0)
 
+    @pytest.mark.parametrize("budget", [0, -1, float("nan")])
+    def test_non_positive_budget_rejected(self, budget):
+        # unchecked, B = 0 gives NaN and B = -1 a sign-flipped delta
+        m = MonomialBalanceModel(p=1, q=0, d_p=1.0, k_q=1.0)
+        with pytest.raises(ValueError, match=f"budget must be positive, got {budget}$"):
+            m.delta_mse(np.array([0.1, 0.2]), budget)
+
     def test_has_no_sampler_or_curves(self):
         m = MonomialBalanceModel(p=1, q=1, d_p=1.0, k_q=2.0)
         assert not m.sampled
